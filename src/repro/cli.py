@@ -64,14 +64,6 @@ fault-recovery rate instead of a single deterministic number::
     python -m repro simulate --assay PCR --trials 64 --jitter uniform \
         --fault-rate 0.05
 
-Bench mode runs the small benchmark fixtures cold, times an exploration
-smoke plus a two-replica shared-cache throughput probe, and writes
-machine-readable telemetry — per-experiment wall time, solver invocations,
-the solver backend each exact stage ran on, and a delta against the
-previous recorded ``BENCH_*.json`` — to ``BENCH_7.json``::
-
-    python -m repro bench --out BENCH_7.json
-
 Every job-running mode accepts ``--solver`` to force both ILPs onto one
 registered solver backend (``highs``, ``branch-and-bound``, or the default
 ``portfolio`` which falls back from HiGHS to the dependency-free branch
@@ -844,10 +836,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return run_cache_daemon(list(argv[1:]))
     if argv and argv[0] == "simulate":
         return run_simulate(list(argv[1:]))
-    if argv and argv[0] == "bench":
-        from repro.bench import run_bench
-
-        return run_bench(list(argv[1:]))
     parser = build_parser()
     args = parser.parse_args(argv)
 

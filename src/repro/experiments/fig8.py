@@ -13,8 +13,9 @@ from repro.experiments.common import (
 )
 
 
-#: Approximate ratios read off the paper's Fig. 8 bar chart (for
-#: EXPERIMENTS.md comparison; the bars are not labelled with exact numbers).
+#: Approximate ratios read off the paper's Fig. 8 bar chart (printed next to
+#: the measured ratios by ``benchmarks/test_bench_fig8.py``; the bars are not
+#: labelled with exact numbers).
 PAPER_FIG8 = {
     "RA100": {"edge": 0.80, "valve": 0.73},
     "RA70": {"edge": 0.83, "valve": 0.79},

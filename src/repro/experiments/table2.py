@@ -15,8 +15,9 @@ from repro.synthesis.metrics import FlowMetrics, collect_metrics
 from repro.synthesis.report import format_table2_row, table2_header
 
 
-#: The paper's Table 2 values, used by EXPERIMENTS.md and the comparison
-#: helpers below.  Dimensions are (width, height) strings as printed.
+#: The paper's Table 2 values, printed next to the measured table by
+#: ``benchmarks/test_bench_table2.py`` and used by the comparison helpers
+#: below.  Dimensions are (width, height) strings as printed.
 PAPER_TABLE2 = {
     "RA100": {"|O|": 100, "tE": 1820, "G": "5x5", "ne": 32, "nv": 58, "dr": "20x20", "de": "26x26", "dp": "16x16"},
     "RA70": {"|O|": 70, "tE": 1180, "G": "4x4", "ne": 20, "nv": 38, "dr": "15x15", "de": "21x21", "dp": "11x12"},

@@ -9,7 +9,8 @@ paper's scheduling formulation cites.
 
 Durations follow common flow-based-chip mixing/detection times and are chosen
 so the single-device critical paths fall in the same range as the paper's
-Table 2 (see ``EXPERIMENTS.md`` for the paper-vs-measured comparison).
+Table 2 (``benchmarks/test_bench_table2.py`` prints the measured table next
+to the paper's).
 """
 
 from __future__ import annotations

@@ -255,8 +255,8 @@ class TraceRecorder:
     def stage_summaries(self) -> List[Dict[str, Any]]:
         """Per-stage span digests (category ``"stage"``), start order.
 
-        The compact form embedded in job payloads and bench records: one
-        row per stage span with its duration and attributes, no ids.
+        The compact form embedded in job payloads: one row per stage span
+        with its duration and attributes, no ids.
         """
         stages = sorted(
             (s for s in self.spans() if s.category == "stage"),

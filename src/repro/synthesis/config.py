@@ -266,10 +266,11 @@ class FlowConfig:
 
         The paper does not list its device counts; these are back-solved so
         the assay completion times land in the same range (see
-        ``EXPERIMENTS.md`` for the paper-vs-measured comparison): the PCR
-        critical path of 290 s needs three mixers, the random assays need
-        four to reach the reported throughput, and IVD/CPA add detectors for
-        their optical steps.
+        ``benchmarks/test_bench_table2.py``, which prints the measured
+        Table 2 next to the paper's): the random assays need four mixers to
+        reach the reported throughput, and IVD/CPA add detectors for their
+        optical steps.  PCR gets two mixers, which complete it in 330 s;
+        three give 320 s, so neither reaches the paper's 290 s.
         """
         config = cls()
         if assay_name.startswith("RA"):
@@ -291,8 +292,8 @@ def apply_solver_override(config: FlowConfig, solver: Optional[str]) -> FlowConf
     """A copy of ``config`` with both ILP backend fields forced to ``solver``.
 
     The one definition of the ``--solver`` override semantics, shared by the
-    CLI (single/batch/sweep modes), ``repro bench``, and the synthesis
-    service's server-side rewrite.  ``None`` returns the config unchanged;
+    CLI (single/batch/sweep modes) and the synthesis service's server-side
+    rewrite.  ``None`` returns the config unchanged;
     an unknown backend name fails ``FlowConfig`` validation immediately.
     """
     if solver is None:

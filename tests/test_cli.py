@@ -1,5 +1,7 @@
 """Tests of the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -108,3 +110,43 @@ class TestSimulate:
         ])
         assert exit_code == 1
         assert "simulation failed" in capsys.readouterr().err
+
+
+class TestSolverOverride:
+    def test_single_synthesis_accepts_solver_flag(self, capsys):
+        exit_code = main([
+            "--assay", "PCR", "--scheduler", "list", "--solver", "branch-and-bound",
+        ])
+        assert exit_code == 0
+        # Solver-free run (list + heuristic): no backend line in the report.
+        assert "solver backends:" not in capsys.readouterr().out
+
+    def test_single_synthesis_reports_winning_backend(self, capsys):
+        exit_code = main(["--assay", "PCR", "--time-limit", "20"])
+        assert exit_code == 0
+        out = capsys.readouterr().out
+        # Default config: auto scheduler picks the exact ILP for PCR, the
+        # portfolio solves it, and the report names the winner.
+        assert "solver backends: schedule=" in out
+
+    def test_batch_solver_override_changes_job_configs(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "jobs": [{"assay": "PCR", "config": {"ilp_operation_limit": 0}}],
+        }))
+        json_out = tmp_path / "report.json"
+        exit_code = main(["batch", str(manifest), "--solver", "branch-and-bound",
+                          "--json", str(json_out)])
+        assert exit_code == 0
+        payload = json.loads(json_out.read_text())
+        stages = payload["jobs"][0]["stages"]
+        assert {row["stage"] for row in stages} == {"schedule", "archsyn", "physical"}
+        # Solver-free jobs still carry the per-stage backend fields (null).
+        assert all("backend" in row and "fallback_used" in row for row in stages)
+
+    def test_unknown_solver_is_an_argparse_error(self, tmp_path):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"jobs": [{"assay": "PCR"}]}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch", str(manifest), "--solver", "gurobi"])
+        assert excinfo.value.code == 2

@@ -135,7 +135,7 @@ def test_seed_determinism_across_processes():
 )
 def test_historical_presets_are_byte_identical(size, digest):
     """The RA presets (layer cap off) must never drift: the golden pins,
-    the bench trajectory, and the paper comparison all stand on them."""
+    the perfbench workloads, and the paper comparison all stand on them."""
     assert graph_digest(paper_random_assay(size)) == digest
 
 

@@ -338,3 +338,51 @@ class TestLogging:
     def test_unknown_level_raises(self):
         with pytest.raises(ValueError):
             configure_logging(level="loud")
+
+
+def _without_wall_times(payload):
+    """A job payload minus its wall-clock fields and span digests."""
+    payload = {k: v for k, v in payload.items() if k not in ("wall_time_s", "spans")}
+    payload["stages"] = [
+        {k: v for k, v in row.items() if k != "wall_time_s"}
+        for row in payload["stages"]
+    ]
+    payload["metrics"] = {
+        k: v for k, v in payload["metrics"].items() if not k.endswith("(s)")
+    }
+    return payload
+
+
+class TestObservationNeverSteers:
+    """Tracing a synthesis run must not change a single computed field."""
+
+    @pytest.mark.parametrize("assay", ["RA30", "IVD", "PCR"])
+    def test_traced_and_untraced_payloads_are_identical(self, assay):
+        from repro.batch import BatchJob, BatchSynthesisEngine, ResultCache
+        from repro.graph.library import assay_by_name
+        from repro.synthesis.config import FlowConfig
+
+        config = FlowConfig.paper_defaults_for(assay)
+        if assay == "IVD":
+            config.ilp_operation_limit = 0  # list scheduler; PCR keeps the ILP
+
+        def run():
+            job = BatchJob(assay, assay_by_name(assay), config)
+            engine = BatchSynthesisEngine(max_workers=1, cache=ResultCache())
+            outcome = engine.run([job]).outcomes[0]
+            assert outcome.ok, outcome.error
+            return outcome.payload()
+
+        untraced = run()
+        traced_recorder = TraceRecorder()
+        token = install_recorder(traced_recorder)
+        try:
+            traced = run()
+        finally:
+            uninstall_recorder(token)
+
+        assert _without_wall_times(traced) == _without_wall_times(untraced)
+        names = {s.name for s in traced_recorder.spans()}
+        assert {"stage:schedule", "stage:archsyn", "stage:physical"} <= names
+        if assay == "PCR":
+            assert traced["metrics"]["scheduler"] == "ilp"

@@ -13,6 +13,8 @@ corrupting the solve.  Layers covered:
   graceful no-op that still reports ``warm_start_used=False``;
 * **scheduler** — ``IlpScheduler.schedule(graph, warm_hint=...)`` seeds the
   solve from a neighboring schedule without changing the makespan;
+* **flow** — under a 0.1 s budget the warm-started branch-and-bound backend
+  still returns IVD's optimal makespan through ``synthesize()``;
 * **exploration** — an acceptance-scale 24-config sweep on the
   branch-and-bound backend engages warm starts and leaves the frontier
   exactly as a cold run computes it.
@@ -36,8 +38,8 @@ from repro.ilp import (
 )
 from repro.scheduling.ilp_scheduler import IlpScheduler, IlpSchedulerConfig
 from repro.scheduling.list_scheduler import ListScheduler, ListSchedulerConfig
-from repro.synthesis.config import FlowConfig
-from repro.synthesis.flow import build_library
+from repro.synthesis.config import FlowConfig, apply_solver_override
+from repro.synthesis.flow import build_library, synthesize
 
 from test_bb_differential import integer_models
 
@@ -196,6 +198,22 @@ class TestSchedulerWarmStart:
         schedule = scheduler.schedule(assay_by_name("PCR"))
         assert schedule.makespan >= 330
         assert scheduler.last_warm_start_used is False
+
+
+class TestAnytimeBranchAndBound:
+    def test_ivd_returns_the_optimum_within_a_tiny_budget(self):
+        """Anytime quality, not proof time: interval bounds cannot prove
+        IVD's contention-forced optimum, but the list-heuristic warm start
+        is the incumbent from node one, so a 0.1 s budget returns 280."""
+        config = FlowConfig.paper_defaults_for("IVD")
+        config.ilp_time_limit_s = 0.1
+        config.archsyn_time_limit_s = 0.1
+        result = synthesize(
+            assay_by_name("IVD"), apply_solver_override(config, "branch-and-bound")
+        )
+        assert result.execution_time == 280
+        assert result.scheduler_backend == "branch-and-bound"
+        assert result.scheduler_warm_start_used is True
 
 
 class TestExplorationWarmStart:

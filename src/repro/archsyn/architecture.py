@@ -108,6 +108,9 @@ class ChipArchitecture:
         #: Mapping device id -> grid node id.
         self.placement = dict(placement)
         self.routed_tasks: List[RoutedTask] = list(routed_tasks or [])
+        #: The :class:`~repro.ilp.SolveRecord` of the exact solve that
+        #: produced this architecture; ``None`` for the heuristic router.
+        self.solve = None
         self._validate_placement()
 
     def _validate_placement(self) -> None:

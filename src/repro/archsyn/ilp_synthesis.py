@@ -94,12 +94,6 @@ class IlpSynthesizer:
 
     def __init__(self, config: Optional[IlpSynthesisConfig] = None) -> None:
         self.config = config or IlpSynthesisConfig()
-        self.last_objective: Optional[float] = None
-        self.last_wall_time_s: float = 0.0
-        #: Which backend produced the last architecture, and whether the
-        #: portfolio had to abandon its primary to get it.
-        self.last_backend: Optional[str] = None
-        self.last_fallback_used: bool = False
 
     # ------------------------------------------------------------------ API
     def synthesize(self, schedule: Schedule) -> ChipArchitecture:
@@ -136,10 +130,6 @@ class IlpSynthesizer:
 
         model.minimize(lin_sum(keep.values()))
         result = model.solve(cfg.solver_options())
-        self.last_objective = result.objective
-        self.last_wall_time_s = result.wall_time_s
-        self.last_backend = result.backend_name
-        self.last_fallback_used = result.fallback_used
         if not result.status.is_feasible():
             message = f"ILP synthesis of {schedule.graph.name!r} failed: {result.status.value}"
             if result.status is SolverStatus.TIME_LIMIT:
@@ -148,6 +138,7 @@ class IlpSynthesizer:
 
         placement = self._extract_placement(place, devices, grid)
         architecture = ChipArchitecture(grid, placement)
+        architecture.solve = result.record()
         for task in tasks:
             routed = self._extract_routed_task(task, legs, flow, sigma, placement, grid, arcs)
             architecture.add_routed_task(routed)

@@ -62,6 +62,7 @@ from repro.synthesis.pipeline import (
     StageExecution,
     SynthesisPipeline,
     graph_fingerprint,
+    solve_record,
     stage_by_name,
 )
 
@@ -514,9 +515,7 @@ class BatchSynthesisEngine:
                             stage=stage.name,
                             key=stage_key,
                             action="replayed",
-                            backend=getattr(artifact, "backend_name", None),
-                            fallback_used=getattr(artifact, "fallback_used", False),
-                            warm_start_used=getattr(artifact, "warm_start_used", False),
+                            solve=solve_record(artifact),
                         )
                     )
             else:
@@ -567,9 +566,7 @@ class BatchSynthesisEngine:
                             key=stage_key,
                             action="ran" if position == 0 else "shared",
                             wall_time_s=elapsed if position == 0 else 0.0,
-                            backend=getattr(value, "backend_name", None),
-                            fallback_used=getattr(value, "fallback_used", False),
-                            warm_start_used=getattr(value, "warm_start_used", False),
+                            solve=solve_record(value),
                         )
                     )
             else:

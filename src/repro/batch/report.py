@@ -15,10 +15,20 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 from repro.batch.cache import CacheStats
+from repro.ilp.solver import SolveRecord
 from repro.synthesis.flow import SynthesisResult
 from repro.synthesis.metrics import FlowMetrics, collect_metrics
 from repro.synthesis.pipeline import StageExecution
 from repro.synthesis.report import format_table2_row, table2_header
+
+
+def _provenance(solve: Optional[SolveRecord]) -> Dict[str, Any]:
+    """A stage's ``backend``/``fallback_used``/``warm_start_used`` keys."""
+    return {
+        "backend": solve.backend if solve else None,
+        "fallback_used": bool(solve and solve.fallback_used),
+        "warm_start_used": bool(solve and solve.warm_start_used),
+    }
 
 
 @dataclass
@@ -122,9 +132,7 @@ class JobOutcome:
                     "stage": execution.stage,
                     "action": execution.action,
                     "wall_time_s": round(execution.wall_time_s, 3),
-                    "backend": execution.backend,
-                    "fallback_used": execution.fallback_used,
-                    "warm_start_used": execution.warm_start_used,
+                    **_provenance(execution.solve),
                 }
                 for execution in self.stages
             ],
@@ -212,13 +220,12 @@ class BatchReport:
                 row[execution.action] += 1
                 if execution.action == "ran":
                     row["wall_time_s"] += execution.wall_time_s
-                if execution.backend is not None:
-                    backends = row["backends"]
-                    backends[execution.backend] = backends.get(execution.backend, 0) + 1
-                if execution.fallback_used:
-                    row["fallbacks"] += 1
-                if execution.warm_start_used:
-                    row["warm_starts"] += 1
+                provenance = _provenance(execution.solve)
+                backend = provenance["backend"]
+                if backend is not None:
+                    row["backends"][backend] = row["backends"].get(backend, 0) + 1
+                row["fallbacks"] += provenance["fallback_used"]
+                row["warm_starts"] += provenance["warm_start_used"]
         for row in summary.values():
             row["wall_time_s"] = round(row["wall_time_s"], 3)
         return summary

@@ -548,11 +548,10 @@ def run_serve(argv: List[str]) -> int:
             with contextlib.suppress(NotImplementedError):
                 loop.add_signal_handler(signum, service.request_shutdown)
         await service.start()
-        backend_name = getattr(service.cache.inner, "backend_name", "memory")
         print(
             f"repro service listening on http://{args.host}:{service.bound_port} "
             f"({args.workers} worker(s), cache_dir={args.cache_dir}, "
-            f"cache_backend={backend_name})",
+            f"cache_backend={service.cache.inner.backend_name})",
             flush=True,
         )
         try:

@@ -437,7 +437,8 @@ class ExplorationEngine:
                     record: Dict[str, Any] = {
                         "objectives": dict(sorted(values.items()))
                     }
-                    if getattr(outcome.result, "scheduler_warm_start_used", False):
+                    solve = outcome.result.schedule.solve
+                    if solve is not None and solve.warm_start_used:
                         record["warm_start_used"] = True
                     self._state.evaluated[candidate.candidate_id] = record
                     self._schedules[candidate.candidate_id] = (

@@ -32,7 +32,7 @@ True
 from repro.ilp.expression import LinExpr, Variable, lin_sum
 from repro.ilp.constraint import Constraint, ConstraintSense
 from repro.ilp.model import Model, Objective, ObjectiveSense
-from repro.ilp.solver import SolverOptions, SolveResult, WarmStart, solve_model
+from repro.ilp.solver import SolveRecord, SolverOptions, SolveResult, WarmStart, solve_model
 from repro.ilp.status import SolverLimitError, SolverStatus
 from repro.ilp.backends import (
     BackendUnavailableError,
@@ -66,6 +66,7 @@ __all__ = [
     "Objective",
     "ObjectiveSense",
     "SolverOptions",
+    "SolveRecord",
     "SolveResult",
     "WarmStart",
     "solve_model",

@@ -28,7 +28,9 @@ class WarmStart:
     (e.g. the nearest already-solved exploration candidate), which may
     legitimately be infeasible under the current one.  A valid warm start
     bounds the search from the start; it never changes the reported status
-    or objective, only how many nodes the proof takes.  ``objective`` is an
+    or objective of a search that *completes*, only how many nodes the
+    proof takes.  Under a time or node limit it can change the returned
+    best-effort incumbent and its status.  ``objective`` is an
     optional advisory bound (backends recompute it from ``values``);
     ``label`` records provenance for diagnostics, e.g. the neighbor's
     candidate id.
@@ -62,6 +64,24 @@ class SolverOptions:
     warm_start: Optional[WarmStart] = None
 
 
+@dataclass(frozen=True)
+class SolveRecord:
+    """Provenance of one exact solve (:meth:`SolveResult.record`).
+
+    The exact engines attach it to their output (``Schedule.solve``,
+    ``ChipArchitecture.solve``), so it travels inside cached artifacts.
+    ``backend`` is :attr:`SolveResult.backend_name`.
+    """
+
+    backend: Optional[str]
+    status: SolverStatus
+    objective: Optional[float]
+    mip_gap: Optional[float]
+    wall_time_s: float
+    fallback_used: bool
+    warm_start_used: bool
+
+
 @dataclass
 class SolveResult:
     """Outcome of a solve.
@@ -71,8 +91,8 @@ class SolveResult:
     ``fallback_used`` is set when that member was not the portfolio's
     primary.  ``warm_start_used`` records whether the winning backend
     actually consumed a valid :class:`WarmStart` (HiGHS via scipy has no
-    warm-start API, so it always reports ``False``).  All three travel into
-    the stage artifacts and from there into batch/service reports.
+    warm-start API, so it always reports ``False``).  :meth:`record`
+    carries all three, with the status and objective, into the artifacts.
     """
 
     status: SolverStatus
@@ -90,6 +110,18 @@ class SolveResult:
 
     def value(self, name: str) -> float:
         return self.values[name]
+
+    def record(self) -> SolveRecord:
+        """This outcome's provenance, without the variable values."""
+        return SolveRecord(
+            backend=self.backend_name,
+            status=self.status,
+            objective=self.objective,
+            mip_gap=self.mip_gap,
+            wall_time_s=self.wall_time_s,
+            fallback_used=self.fallback_used,
+            warm_start_used=self.warm_start_used,
+        )
 
 
 def solve_model(model: Model, options: Optional[SolverOptions] = None) -> SolveResult:

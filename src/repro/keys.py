@@ -30,7 +30,10 @@ from typing import Any
 #:     carry a TrialAggregate (and elide per-trial detail on large runs),
 #:     so v4 pickles must not unpickle into the new report shape; also
 #:     excludes runtime-advice fields (verify_workers) from run-level keys.
-KEY_VERSION = 5
+#: v6: solver provenance moves into a SolveRecord on the artifact's
+#:     Schedule/ChipArchitecture, so v5 artifact pickles would replay with
+#:     their provenance silently dropped.
+KEY_VERSION = 6
 
 
 def stable_digest(payload: Any) -> str:

@@ -74,7 +74,8 @@ class IlpSchedulerConfig:
     #: the caller supplies an external hint.  Backends that cannot consume
     #: warm starts (HiGHS through scipy) simply ignore it; the
     #: branch-and-bound backend uses it to bound its search from node one.
-    #: A warm start never changes the solved status or objective.
+    #: A warm start never changes the status or objective of a completed
+    #: search; a time- or node-limited one can return another incumbent.
     warm_start_heuristic: bool = True
 
     def solver_options(self) -> SolverOptions:
@@ -92,16 +93,6 @@ class IlpScheduler:
             raise ValueError("the device library is empty")
         self.library = library
         self.config = config or IlpSchedulerConfig()
-        #: Populated after :meth:`schedule` with solver diagnostics.
-        self.last_status: Optional[SolverStatus] = None
-        self.last_wall_time_s: float = 0.0
-        self.last_objective: Optional[float] = None
-        #: Which backend produced the last schedule, and whether the
-        #: portfolio had to abandon its primary to get it.
-        self.last_backend: Optional[str] = None
-        self.last_fallback_used: bool = False
-        #: Whether the last solve's backend consumed a warm start.
-        self.last_warm_start_used: bool = False
 
     # ------------------------------------------------------------------ API
     def schedule(self, graph: SequencingGraph,
@@ -230,12 +221,6 @@ class IlpScheduler:
             # the warm start is advice for this one solve.
             options = replace(options, warm_start=warm)
         result = model.solve(options)
-        self.last_status = result.status
-        self.last_wall_time_s = result.wall_time_s
-        self.last_objective = result.objective
-        self.last_backend = result.backend_name
-        self.last_fallback_used = result.fallback_used
-        self.last_warm_start_used = result.warm_start_used
 
         if not result.status.is_feasible():
             message = (
@@ -247,7 +232,9 @@ class IlpScheduler:
                 raise SolverLimitError(message)
             raise RuntimeError(message)
 
-        return self._extract_schedule(graph, start, assign, compatible)
+        schedule = self._extract_schedule(graph, start, assign, compatible)
+        schedule.solve = result.record()
+        return schedule
 
     # ------------------------------------------------------------ internals
     def _compatible_devices(self, graph: SequencingGraph):

@@ -67,6 +67,9 @@ class Schedule:
         self.library = library
         self.transport_time = transport_time
         self._entries: Dict[str, ScheduledOperation] = {}
+        #: The :class:`~repro.ilp.SolveRecord` of the exact solve that
+        #: produced this schedule; ``None`` for the list scheduler.
+        self.solve = None
 
     # -------------------------------------------------------------- building
     def assign(self, op_id: str, device_id: Optional[str], start: int, end: int) -> ScheduledOperation:

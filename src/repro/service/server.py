@@ -319,7 +319,7 @@ class SynthesisService:
             self.config.host,
             self.bound_port,
             self.config.workers,
-            getattr(self.cache.inner, "backend_name", "memory"),
+            self.cache.inner.backend_name,
         )
 
     async def serve_forever(self) -> None:
@@ -722,7 +722,7 @@ class SynthesisService:
         """
         inner = self.cache.inner
         return {
-            "backend": getattr(inner, "backend_name", "memory"),
+            "backend": inner.backend_name,
             "cache_addr": self.config.cache_addr,
             "cache_dir": str(self.config.cache_dir)
             if self.config.cache_dir

@@ -23,8 +23,6 @@ from repro.synthesis.pipeline import (
     ScheduleStage,
     StageExecution,
     SynthesisPipeline,
-    stage_invocations,
-    reset_stage_invocations,
 )
 from repro.synthesis.report import format_table2_row, table2_header, result_report
 
@@ -42,8 +40,6 @@ __all__ = [
     "SynthesisPipeline",
     "SynthesisResult",
     "synthesize",
-    "stage_invocations",
-    "reset_stage_invocations",
     "FlowMetrics",
     "collect_metrics",
     "format_table2_row",

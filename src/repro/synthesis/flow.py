@@ -48,6 +48,8 @@ class SynthesisResult:
     :class:`~repro.synthesis.pipeline.ArchitectureArtifact`,
     :class:`~repro.synthesis.pipeline.PhysicalArtifact`) triple, so a result
     assembled from cached artifacts is indistinguishable from a fresh run.
+    Solver provenance is read from ``schedule.solve`` and
+    ``architecture.solve`` (``None`` for the heuristic engines).
     """
 
     graph: SequencingGraph
@@ -61,17 +63,6 @@ class SynthesisResult:
     physical_time_s: float
     scheduler_engine: str
     synthesis_engine: str
-    #: Solver backend that produced each exact stage (``None`` for the
-    #: heuristic engines, which never invoke a MILP backend), plus whether
-    #: the portfolio had to abandon its primary to get there.
-    scheduler_backend: Optional[str] = None
-    synthesis_backend: Optional[str] = None
-    scheduler_fallback_used: bool = False
-    synthesis_fallback_used: bool = False
-    #: Whether the scheduling solve consumed a warm-start incumbent (only
-    #: the branch-and-bound backend can; HiGHS through scipy has no
-    #: warm-start API, and the heuristic engines never see one).
-    scheduler_warm_start_used: bool = False
     #: Monte-Carlo verification report
     #: (:class:`repro.simulation.montecarlo.VerificationReport`) when the
     #: config enabled the verify stage; ``None`` on the three-stage flow.
@@ -119,11 +110,6 @@ class SynthesisResult:
             physical_time_s=physical_artifact.physical.wall_time_s,
             scheduler_engine=schedule_artifact.scheduler_engine,
             synthesis_engine=architecture_artifact.synthesis_engine,
-            scheduler_backend=getattr(schedule_artifact, "backend_name", None),
-            synthesis_backend=getattr(architecture_artifact, "backend_name", None),
-            scheduler_fallback_used=getattr(schedule_artifact, "fallback_used", False),
-            synthesis_fallback_used=getattr(architecture_artifact, "fallback_used", False),
-            scheduler_warm_start_used=getattr(schedule_artifact, "warm_start_used", False),
             verification=getattr(verification_artifact, "report", None),
             verification_time_s=getattr(verification_artifact, "verification_time_s", 0.0),
             simulation_problems=getattr(verification_artifact, "simulation_problems", None),

@@ -29,13 +29,6 @@ physical-design parameters reuses schedule *and* architecture.  This is the
 seam the batch engine (:mod:`repro.batch.engine`) memoizes and parallelizes
 at, and :class:`~repro.synthesis.flow.SynthesisResult` is just a thin view
 assembled from the three artifacts.
-
-The module also keeps in-process solver-invocation counters
-(:func:`stage_invocations`): every *actual* stage execution — a scheduling
-solve, an architecture synthesis, a physical-design run — increments its
-stage's counter, while cache replays do not.  Tests use the counters to
-prove stage-granular reuse (e.g. a two-point sweep varying only the pitch
-performs exactly one scheduling solve).
 """
 
 from __future__ import annotations
@@ -50,6 +43,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span as obs_span
 from repro.graph.serialization import canonical_graph_dict
 from repro.graph.validation import assert_valid
+from repro.ilp.solver import SolveRecord
 from repro import keys
 from repro.keys import stable_digest
 from repro.physical.pipeline import PhysicalDesignConfig, PhysicalDesignResult, build_physical_design
@@ -60,25 +54,6 @@ from repro.synthesis.flow import (
     _build_synthesizer,
     build_library,
 )
-
-# --------------------------------------------------------------------- counters
-
-#: In-process count of actual stage executions (cache replays excluded).
-_STAGE_INVOCATIONS: Dict[str, int] = {}
-
-
-def record_invocation(stage_name: str) -> None:
-    _STAGE_INVOCATIONS[stage_name] = _STAGE_INVOCATIONS.get(stage_name, 0) + 1
-
-
-def stage_invocations() -> Dict[str, int]:
-    """Copy of the per-stage solver-invocation counters (this process)."""
-    return dict(_STAGE_INVOCATIONS)
-
-
-def reset_stage_invocations() -> None:
-    _STAGE_INVOCATIONS.clear()
-
 
 # -------------------------------------------------------------------- artifacts
 
@@ -95,13 +70,6 @@ class ScheduleArtifact:
     schedule: Any  # repro.scheduling.schedule.Schedule
     scheduler_engine: str
     scheduling_time_s: float
-    #: Solver backend that produced the schedule (``None`` for the list
-    #: scheduler) and whether the portfolio abandoned its primary.
-    backend_name: Optional[str] = None
-    fallback_used: bool = False
-    #: Whether the solving backend consumed a warm start (a neighboring
-    #: candidate's schedule, or the scheduler's own heuristic seed).
-    warm_start_used: bool = False
 
 
 @dataclass
@@ -111,10 +79,6 @@ class ArchitectureArtifact:
     architecture: Any  # repro.archsyn.architecture.ChipArchitecture
     synthesis_engine: str
     synthesis_time_s: float
-    #: Solver backend that produced the architecture (``None`` for the
-    #: heuristic router) and whether the portfolio abandoned its primary.
-    backend_name: Optional[str] = None
-    fallback_used: bool = False
 
 
 @dataclass
@@ -170,9 +134,11 @@ class StageContext:
     solver seed.  ``schedule_workspace`` is an optional
     :class:`~repro.scheduling.list_scheduler.ListSchedulerWorkspace` the
     list scheduler reuses across repeated probes of one graph.  Both are
-    runtime advice only: they never enter any cache key and never change
-    the produced schedule — a hint that does not fit the current
-    configuration is ignored.
+    runtime advice only and never enter any cache key; a hint that does not
+    fit the current configuration is ignored.  A warm start never changes
+    the status or objective of a completed solve, only its node count;
+    under a time or node limit it can change the returned incumbent (see
+    :class:`~repro.ilp.WarmStart`).
     """
 
     graph: SequencingGraph
@@ -188,20 +154,26 @@ class StageExecution:
 
     ``action`` is ``"ran"`` (this job paid for the execution), ``"replayed"``
     (served from the stage cache) or ``"shared"`` (computed once for another
-    job of the same batch and shared).  ``backend`` is the solver backend
-    that produced the stage's artifact (regardless of which job paid for
-    it; ``None`` for heuristic stages and the physical stage), and
-    ``fallback_used`` records a portfolio solve that abandoned its primary,
-    and ``warm_start_used`` whether that solve consumed a warm start.
+    job of the same batch and shared).  ``solve`` is the record of the
+    exact solve that produced the stage's artifact (regardless of which job
+    paid for it; ``None`` for heuristic stages, the physical and verify
+    stages, and failed executions) — see :func:`solve_record`.
     """
 
     stage: str
     key: str
     action: str
     wall_time_s: float = 0.0
-    backend: Optional[str] = None
-    fallback_used: bool = False
-    warm_start_used: bool = False
+    solve: Optional[SolveRecord] = None
+
+
+def solve_record(artifact: Any) -> Optional[SolveRecord]:
+    """The exact solve behind a stage artifact, or ``None``."""
+    if isinstance(artifact, ScheduleArtifact):
+        return artifact.schedule.solve
+    if isinstance(artifact, ArchitectureArtifact):
+        return artifact.architecture.solve
+    return None
 
 
 # ----------------------------------------------------------------------- stages
@@ -266,7 +238,6 @@ class ScheduleStage(Stage):
     )
 
     def run(self, context: StageContext, upstream: None) -> ScheduleArtifact:
-        record_invocation(self.name)
         scheduler, scheduler_name = _build_scheduler(
             context.config, context.library, context.graph
         )
@@ -284,9 +255,6 @@ class ScheduleStage(Stage):
             schedule=schedule,
             scheduler_engine=scheduler_name,
             scheduling_time_s=elapsed,
-            backend_name=getattr(scheduler, "last_backend", None),
-            fallback_used=getattr(scheduler, "last_fallback_used", False),
-            warm_start_used=getattr(scheduler, "last_warm_start_used", False),
         )
 
 
@@ -307,7 +275,6 @@ class ArchSynthStage(Stage):
     )
 
     def run(self, context: StageContext, upstream: ScheduleArtifact) -> ArchitectureArtifact:
-        record_invocation(self.name)
         synthesizer, synthesis_name = _build_synthesizer(context.config)
         start = time.perf_counter()
         architecture = synthesizer.synthesize(upstream.schedule)
@@ -316,8 +283,6 @@ class ArchSynthStage(Stage):
             architecture=architecture,
             synthesis_engine=synthesis_name,
             synthesis_time_s=elapsed,
-            backend_name=getattr(synthesizer, "last_backend", None),
-            fallback_used=getattr(synthesizer, "last_fallback_used", False),
         )
 
 
@@ -340,7 +305,6 @@ class PhysicalStage(Stage):
     )
 
     def run(self, context: StageContext, upstream: ArchitectureArtifact) -> PhysicalArtifact:
-        record_invocation(self.name)
         config = context.config
         physical = build_physical_design(
             upstream.architecture,
@@ -389,7 +353,6 @@ class VerifyStage(Stage):
         return (artifacts[0], artifacts[1])
 
     def run(self, context: StageContext, upstream: Any) -> VerificationArtifact:
-        record_invocation(self.name)
         # Imported here: repro.simulation has no pipeline dependency and
         # must stay importable on its own (it predates the stage).
         from repro.simulation.montecarlo import MonteCarloConfig, MonteCarloEngine
@@ -580,9 +543,7 @@ class SynthesisPipeline:
                         key=planned_stage.key,
                         action=action,
                         wall_time_s=wall,
-                        backend=getattr(artifact, "backend_name", None),
-                        fallback_used=getattr(artifact, "fallback_used", False),
-                        warm_start_used=getattr(artifact, "warm_start_used", False),
+                        solve=solve_record(artifact),
                     )
                 )
             artifacts.append(artifact)

@@ -64,14 +64,15 @@ def result_report(result: SynthesisResult) -> str:
         f"operations: {metrics.num_operations}, devices: {len(result.library)}, "
         f"scheduler: {metrics.scheduler_engine}, synthesizer: {metrics.synthesis_engine}"
     )
-    if result.scheduler_backend or result.synthesis_backend:
-        parts = []
-        if result.scheduler_backend:
-            suffix = " (fallback)" if result.scheduler_fallback_used else ""
-            parts.append(f"schedule={result.scheduler_backend}{suffix}")
-        if result.synthesis_backend:
-            suffix = " (fallback)" if result.synthesis_fallback_used else ""
-            parts.append(f"archsyn={result.synthesis_backend}{suffix}")
+    parts = [
+        f"{stage}={solve.backend}" + (" (fallback)" if solve.fallback_used else "")
+        for stage, solve in (
+            ("schedule", result.schedule.solve),
+            ("archsyn", result.architecture.solve),
+        )
+        if solve is not None and solve.backend
+    ]
+    if parts:
         lines.append("solver backends: " + ", ".join(parts))
     lines.append(
         f"execution time tE = {metrics.execution_time} s "

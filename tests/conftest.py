@@ -6,6 +6,8 @@ per session and reused by many tests.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.archsyn.router import HeuristicSynthesizer, SynthesisConfig
@@ -16,6 +18,7 @@ from repro.graph.sequencing_graph import Operation, OperationType, SequencingGra
 from repro.scheduling.list_scheduler import ListScheduler, ListSchedulerConfig
 from repro.synthesis.config import FlowConfig
 from repro.synthesis.flow import synthesize
+from repro.synthesis.pipeline import STAGES_BY_NAME
 
 
 @pytest.fixture()
@@ -96,3 +99,26 @@ def ra_result():
     graph = random_assay(RandomAssayConfig(num_operations=20, seed=42))
     config = FlowConfig(num_mixers=4, ilp_operation_limit=0)
     return synthesize(graph, config)
+
+
+@pytest.fixture()
+def stage_runs(monkeypatch):
+    """Live ``{stage name: calls}`` count of real stage executions.
+
+    Wraps each stage class's ``run``, so it counts what actually executed in
+    this process (cache replays never call ``run``) independently of the
+    engine's own ``StageExecution`` rows.  A call counts on entry, so a
+    stage that raises is still counted.
+    """
+    counts = {}
+    lock = threading.Lock()
+    for name, stage in STAGES_BY_NAME.items():
+        stage_class = type(stage)
+
+        def counted(self, context, upstream, _name=name, _run=stage_class.run):
+            with lock:
+                counts[_name] = counts.get(_name, 0) + 1
+            return _run(self, context, upstream)
+
+        monkeypatch.setattr(stage_class, "run", counted)
+    return counts

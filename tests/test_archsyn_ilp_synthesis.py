@@ -74,5 +74,5 @@ class TestIlpSynthesizer:
     def test_objective_recorded(self, tiny_schedule):
         synthesizer = IlpSynthesizer(IlpSynthesisConfig(grid_rows=3, grid_cols=3, time_limit_s=60))
         architecture = synthesizer.synthesize(tiny_schedule)
-        assert synthesizer.last_objective is not None
-        assert synthesizer.last_objective >= architecture.num_edges - 1e-6
+        assert architecture.solve.objective is not None
+        assert architecture.solve.objective >= architecture.num_edges - 1e-6

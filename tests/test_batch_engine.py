@@ -13,19 +13,7 @@ from repro.experiments.common import PAPER_ASSAY_ORDER, ExperimentSettings, assa
 from repro.graph.library import assay_by_name, build_pcr
 from repro.graph.serialization import save_graph
 from repro.synthesis.config import FlowConfig
-from repro.synthesis.pipeline import (
-    ScheduleStage,
-    reset_stage_invocations,
-    stage_invocations,
-)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_counters():
-    """Each test observes only its own solver invocations."""
-    reset_stage_invocations()
-    yield
-    reset_stage_invocations()
+from repro.synthesis.pipeline import ScheduleStage
 
 
 def fast_jobs(names):
@@ -57,16 +45,16 @@ class TestEngine:
         assert [o.job_id for o in parallel_report] == PAPER_ASSAY_ORDER
         assert parallel_report.deterministic_summary() == serial_report.deterministic_summary()
 
-    def test_warm_cache_run_invokes_zero_solvers(self):
+    def test_warm_cache_run_invokes_zero_solvers(self, stage_runs):
         """Acceptance: a second run of the same jobs never runs a stage."""
         engine = BatchSynthesisEngine(max_workers=1, cache=ResultCache())
         cold = engine.run(fast_jobs(["PCR", "IVD"]))
         assert cold.num_executed == 2
-        cold_invocations = stage_invocations()
+        cold_invocations = dict(stage_runs)
         assert cold_invocations == {"schedule": 2, "archsyn": 2, "physical": 2}
 
         warm = engine.run(fast_jobs(["PCR", "IVD"]))
-        assert stage_invocations() == cold_invocations  # zero new solver runs
+        assert stage_runs == cold_invocations  # zero new solver runs
         assert warm.num_cache_hits == 2
         assert warm.num_executed == 0
         assert warm.deterministic_summary() == cold.deterministic_summary()
@@ -93,10 +81,10 @@ class TestEngine:
         warm = engine.run(fast_jobs(["PCR", "IVD"]))
         assert warm.num_cache_hits == 2
 
-    def test_duplicate_jobs_in_one_batch_are_solved_once(self):
+    def test_duplicate_jobs_in_one_batch_are_solved_once(self, stage_runs):
         jobs = fast_jobs(["PCR"]) + fast_jobs(["PCR"])
         report = BatchSynthesisEngine(max_workers=1, cache=ResultCache()).run(jobs)
-        assert stage_invocations() == {"schedule": 1, "archsyn": 1, "physical": 1}
+        assert stage_runs == {"schedule": 1, "archsyn": 1, "physical": 1}
         assert len(report) == 2
         assert report.outcomes[0].cache_hit is False
         assert report.outcomes[1].cache_hit is True
@@ -352,7 +340,7 @@ class TestSweep:
         capsys.readouterr()
         assert main(["sweep", str(spec), "--cache-dir", str(cache_dir)]) == 0
         output = capsys.readouterr().out
-        assert "stage schedule: 0 ran, 2 replayed" in output
+        assert "stage schedule: 0 ran, 2 replayed, 0 shared" in output
         assert "2 served from cache" in output
 
     def test_sweep_cli_invalid_spec_errors(self, tmp_path, capsys):
@@ -408,8 +396,10 @@ class TestBatchCli:
     def test_batch_warm_disk_cache(self, tmp_path, capsys):
         manifest = self.write_manifest(tmp_path)
         cache_dir = tmp_path / "cache"
-        assert main(["batch", str(manifest), "--cache-dir", str(cache_dir)]) == 0
-        capsys.readouterr()
+        assert main(["batch", str(manifest), "--workers", "2",
+                     "--cache-dir", str(cache_dir)]) == 0
+        cold = capsys.readouterr().out
+        assert "0 served from cache" in cold and "on 2 worker(s)" in cold
         assert main(["batch", str(manifest), "--cache-dir", str(cache_dir)]) == 0
         output = capsys.readouterr().out
         assert "2 served from cache" in output

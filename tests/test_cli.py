@@ -84,20 +84,32 @@ class TestSimulate:
         ).split(":")[1].strip()
         assert f"makespan p50/p95/p99: {deterministic}/{deterministic}/{deterministic}" in output
 
-    def test_json_payload_shape(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "trials,perturbation,unrecovered",
+        [
+            (4, ["--jitter", "uniform", "--fault-rate", "0.3"], False),
+            # No retries at a high fault rate: some faults find no spare.
+            (64, ["--seed", "3", "--fault-rate", "0.6", "--max-retries", "0"], True),
+        ],
+        ids=["jitter-faults", "unrecovered-faults"],
+    )
+    def test_json_payload_shape(self, tmp_path, capsys, trials, perturbation, unrecovered):
         out = tmp_path / "report.json"
         exit_code = main([
             "simulate", "--assay", "PCR", "--scheduler", "list",
-            "--mixers", "2", "--trials", "4", "--jitter", "uniform",
-            "--fault-rate", "0.3", "--json", str(out),
+            "--mixers", "2", "--trials", str(trials), *perturbation,
+            "--json", str(out),
         ])
         assert exit_code == 0
-        import json as json_module
-
-        payload = json_module.loads(out.read_text())
-        assert payload["trials"] == 4
+        payload = json.loads(out.read_text())
+        assert payload["trials"] == trials
         assert payload["makespan_p50"] <= payload["makespan_p99"]
         assert payload["simulation_problems"] == []
+        if unrecovered:
+            assert payload["faults_injected"] > 0
+            assert 0.0 < payload["recovery_rate"] < 1.0
+            assert payload["makespan_p50"] > payload["deterministic_makespan"]
+            assert "unrecovered" in capsys.readouterr().out
 
     def test_requires_an_input_source(self):
         with pytest.raises(SystemExit):

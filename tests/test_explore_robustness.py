@@ -17,7 +17,6 @@ import pytest
 
 from repro.batch.cache import ResultCache
 from repro.explore import ExplorationEngine, ExplorationSpec, is_dominance_consistent
-from repro.synthesis.pipeline import reset_stage_invocations, stage_invocations
 
 
 def robust_spec(**overrides):
@@ -47,21 +46,20 @@ def robust_spec(**overrides):
 
 
 class TestRobustExploration:
-    def test_acceptance_robust_frontier_with_one_scheduling_solve(self):
+    def test_acceptance_robust_frontier_with_one_scheduling_solve(self, stage_runs):
         """≥12 verified configs: dominance-consistent frontier over
         (makespan, makespan_p99, recovery_rate) and exactly one scheduling
         solve — none of the axes touches the schedule slice."""
-        reset_stage_invocations()
         spec = robust_spec()
         assert spec.candidate_count() == 12
         report = ExplorationEngine(spec).run()
         assert report.evaluated == 12
         assert report.failed == 0
         assert report.scheduling_solves == 1
-        assert stage_invocations().get("schedule") == 1
+        assert stage_runs.get("schedule") == 1
         # Pitch never reaches the verify key, so the 12 configs need only
         # 3 fault_rate × 2 retries = 6 Monte-Carlo runs.
-        assert stage_invocations().get("verify") == 6
+        assert stage_runs.get("verify") == 6
         assert len(report.frontier) >= 1
         assert is_dominance_consistent(report.frontier.entries(), spec.objectives)
         for entry in report.frontier.entries():
@@ -77,12 +75,11 @@ class TestRobustExploration:
                 "makespan", "makespan_p99", "recovery_rate",
             }
 
-    def test_resume_continues_without_re_solving(self, tmp_path):
+    def test_resume_continues_without_re_solving(self, tmp_path, stage_runs):
         """A budget-capped robust run resumes to completion and the
         continuation re-solves nothing it already paid for."""
         state = tmp_path / "state.json"
         cache = ResultCache(cache_dir=tmp_path / "cache")
-        reset_stage_invocations()
         first = ExplorationEngine(
             robust_spec(budget=5), cache=cache, state_path=state
         ).run()
@@ -96,7 +93,7 @@ class TestRobustExploration:
         assert second.evaluated == 12
         # One scheduling solve across both runs combined: the continuation
         # replayed the first run's schedule from the shared disk cache.
-        assert stage_invocations().get("schedule") == 1
+        assert stage_runs.get("schedule") == 1
         assert second.scheduling_solves == 0
         assert is_dominance_consistent(
             second.frontier.entries(), second.spec.objectives

@@ -258,3 +258,5 @@ class TestWorkerInvariance:
             payloads[workers] = json.loads(out.read_text())
         assert payloads[1]["trials"] == 96
         assert payloads[1] == payloads[4]
+        # The perturbations really perturb: the median trial runs late.
+        assert payloads[1]["makespan_p50"] > payloads[1]["deterministic_makespan"]

@@ -23,7 +23,7 @@ class TestIlpSchedulerSmall:
         assert schedule.validate() == []
         # Optimal: o1 (60) then o2 || o3 (with one transport), then o4.
         assert schedule.makespan <= 200
-        assert scheduler.last_status is not None
+        assert schedule.solve.status.is_feasible()
 
     def test_single_operation(self, two_mixers):
         graph = SequencingGraph("one")

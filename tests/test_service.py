@@ -26,7 +26,6 @@ from repro.service import (
 )
 from repro.service.http import HttpError, Request
 from repro.service.state import JobRegistry
-from repro.synthesis import pipeline
 
 FAST_PCR = {"jobs": [{"assay": "PCR", "config": {"ilp_operation_limit": 0}}]}
 
@@ -322,13 +321,12 @@ class TestServiceEndToEnd:
             assert config.scheduler_backend == "branch-and-bound"
             assert config.archsyn_backend == "branch-and-bound"
 
-    def test_concurrent_sweeps_share_inflight_stages(self):
+    def test_concurrent_sweeps_share_inflight_stages(self, stage_runs):
         """The acceptance criterion: two concurrent sweeps differing only in
         physical knobs perform exactly one scheduling solve and one
         architecture synthesis between them."""
         with ServiceUnderTest(workers=2) as running:
             client = running.client
-            pipeline.reset_stage_invocations()
             job_ids = []
 
             def submit(spec):
@@ -345,10 +343,9 @@ class TestServiceEndToEnd:
             for job_id in job_ids:
                 assert client.wait(job_id, timeout=120)["status"] == "done"
 
-            invocations = pipeline.stage_invocations()
-            assert invocations["schedule"] == 1
-            assert invocations["archsyn"] == 1
-            assert invocations["physical"] == 4
+            assert stage_runs["schedule"] == 1
+            assert stage_runs["archsyn"] == 1
+            assert stage_runs["physical"] == 4
 
     def test_overlapping_manifests_in_opposite_order_do_not_deadlock(self):
         """Regression: concurrent jobs visiting shared keys in different

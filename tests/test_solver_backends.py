@@ -423,8 +423,8 @@ class TestFlowThreading:
         result = SynthesisPipeline().run(small_chain_graph(), config)
         assert result.schedule.makespan > 0
         assert result.scheduler_engine == "ilp"
-        assert result.scheduler_backend == "branch-and-bound"
-        assert result.scheduler_fallback_used is True
+        assert result.schedule.solve.backend == "branch-and-bound"
+        assert result.schedule.solve.fallback_used is True
 
     def test_fallback_matches_default_backend_result(self, forced_fallback_portfolio):
         """The fallback's schedule is as good as the primary's: the small

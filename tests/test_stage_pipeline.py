@@ -21,23 +21,14 @@ from repro.batch.cache import ResultCache
 from repro.batch.engine import BatchSynthesisEngine
 from repro.batch.jobs import BatchJob, expand_sweep
 from repro.graph.library import assay_by_name, build_pcr
-from repro.ilp import SolverLimitError
-from repro.synthesis.config import RUNTIME_ADVICE_FIELDS, FlowConfig
+from repro.ilp import HighsBackend, SolverLimitError, SolverStatus
+from repro.synthesis.config import RUNTIME_ADVICE_FIELDS, FlowConfig, SchedulerEngine
 from repro.synthesis.pipeline import (
     ArchSynthStage,
     SynthesisPipeline,
     covered_config_fields,
     graph_fingerprint,
-    reset_stage_invocations,
-    stage_invocations,
 )
-
-
-@pytest.fixture(autouse=True)
-def _fresh_counters():
-    reset_stage_invocations()
-    yield
-    reset_stage_invocations()
 
 
 def fast_config(**overrides) -> FlowConfig:
@@ -126,7 +117,7 @@ class TestStageKeys:
 
 
 class TestStageReuse:
-    def test_physical_sweep_solves_schedule_and_architecture_once(self):
+    def test_physical_sweep_solves_schedule_and_architecture_once(self, stage_runs):
         """Acceptance: a 2-point physical-design sweep = 1 schedule solve,
         1 architecture synthesis, 2 physical designs."""
         jobs = expand_sweep(
@@ -138,7 +129,7 @@ class TestStageReuse:
         )
         report = BatchSynthesisEngine(max_workers=1, cache=ResultCache()).run(jobs)
         assert report.num_failed == 0
-        assert stage_invocations() == {"schedule": 1, "archsyn": 1, "physical": 2}
+        assert stage_runs == {"schedule": 1, "archsyn": 1, "physical": 2}
         summary = report.stage_summary()
         assert summary["schedule"] == dict(summary["schedule"], ran=1, shared=1, replayed=0)
         assert summary["archsyn"] == dict(summary["archsyn"], ran=1, shared=1, replayed=0)
@@ -150,37 +141,37 @@ class TestStageReuse:
         assert first.schedule is second.schedule
         assert first.architecture is second.architecture
 
-    def test_scheduler_mutation_reruns_every_stage(self):
+    def test_scheduler_mutation_reruns_every_stage(self, stage_runs):
         cache = ResultCache()
         engine = BatchSynthesisEngine(max_workers=1, cache=cache)
         engine.run([BatchJob("a", build_pcr(), fast_config())])
-        assert stage_invocations() == {"schedule": 1, "archsyn": 1, "physical": 1}
+        assert stage_runs == {"schedule": 1, "archsyn": 1, "physical": 1}
         engine.run([BatchJob("b", build_pcr(), fast_config(transport_time=11))])
-        assert stage_invocations() == {"schedule": 2, "archsyn": 2, "physical": 2}
+        assert stage_runs == {"schedule": 2, "archsyn": 2, "physical": 2}
 
-    def test_backend_switch_is_a_miss_and_rerun_is_a_hit(self):
+    def test_backend_switch_is_a_miss_and_rerun_is_a_hit(self, stage_runs):
         """Acceptance, engine-level: a scheduler_backend switch re-executes
         the pipeline; re-running the switched backend replays everything."""
         cache = ResultCache()
         engine = BatchSynthesisEngine(max_workers=1, cache=cache)
         engine.run([BatchJob("a", build_pcr(), fast_config())])
-        assert stage_invocations() == {"schedule": 1, "archsyn": 1, "physical": 1}
+        assert stage_runs == {"schedule": 1, "archsyn": 1, "physical": 1}
         switched = fast_config(scheduler_backend="branch-and-bound")
         report = engine.run([BatchJob("b", build_pcr(), switched)])
-        assert stage_invocations() == {"schedule": 2, "archsyn": 2, "physical": 2}
+        assert stage_runs == {"schedule": 2, "archsyn": 2, "physical": 2}
         assert [e.action for e in report.outcomes[0].stages] == ["ran", "ran", "ran"]
         # Identical job again: full cache hit, zero new solves.
         rerun = engine.run([BatchJob("c", build_pcr(), switched)])
-        assert stage_invocations() == {"schedule": 2, "archsyn": 2, "physical": 2}
+        assert stage_runs == {"schedule": 2, "archsyn": 2, "physical": 2}
         assert rerun.outcomes[0].cache_hit
 
-    def test_run_one_shares_stages_across_calls(self):
+    def test_run_one_shares_stages_across_calls(self, stage_runs):
         engine = BatchSynthesisEngine(max_workers=1, cache=ResultCache())
         engine.run_one(BatchJob("a", build_pcr(), fast_config(pitch=5.0)))
         engine.run_one(BatchJob("b", build_pcr(), fast_config(pitch=6.0)))
-        assert stage_invocations() == {"schedule": 1, "archsyn": 1, "physical": 2}
+        assert stage_runs == {"schedule": 1, "archsyn": 1, "physical": 2}
 
-    def test_disk_cache_resumes_stages_across_engines(self, tmp_path):
+    def test_disk_cache_resumes_stages_across_engines(self, tmp_path, stage_runs):
         """A second engine over the same cache_dir replays stage artifacts."""
         first = BatchSynthesisEngine(cache=ResultCache(cache_dir=tmp_path))
         first.run([BatchJob("a", build_pcr(), fast_config(pitch=5.0))])
@@ -188,9 +179,58 @@ class TestStageReuse:
         # and a *different* downstream config still reuses them.
         second = BatchSynthesisEngine(cache=ResultCache(cache_dir=tmp_path))
         report = second.run([BatchJob("b", build_pcr(), fast_config(pitch=6.0))])
-        assert stage_invocations() == {"schedule": 1, "archsyn": 1, "physical": 2}
+        assert stage_runs == {"schedule": 1, "archsyn": 1, "physical": 2}
         outcome = report.outcomes[0]
         assert [e.action for e in outcome.stages] == ["replayed", "replayed", "ran"]
+
+    @pytest.mark.parametrize(
+        "exact",
+        [
+            pytest.param(
+                True,
+                id="ilp-highs",
+                marks=pytest.mark.skipif(
+                    not HighsBackend().is_available(), reason="scipy not installed"
+                ),
+            ),
+            pytest.param(False, id="list-heuristic"),
+        ],
+    )
+    def test_solver_provenance_survives_a_disk_replay(self, tmp_path, exact):
+        """The SolveRecord rides inside the cached artifacts: a fresh engine
+        replaying them from disk reports the provenance of the original
+        solve, and heuristic stages carry none."""
+        if exact:
+            config = FlowConfig(
+                num_mixers=2, scheduler=SchedulerEngine.ILP,
+                scheduler_backend="highs", ilp_time_limit_s=20.0,
+            )
+        else:
+            config = fast_config()
+
+        def run():
+            engine = BatchSynthesisEngine(cache=ResultCache(cache_dir=tmp_path))
+            return engine.run([BatchJob("pcr", build_pcr(), config)])
+
+        def stage_rows(report):
+            return [
+                {k: v for k, v in row.items() if k not in ("action", "wall_time_s")}
+                for row in report.to_json_payload()["jobs"][0]["stages"]
+            ]
+
+        fresh, replay = run(), run()
+        assert [e.action for e in fresh.outcomes[0].stages] == ["ran"] * 3
+        assert [e.action for e in replay.outcomes[0].stages] == ["replayed"] * 3
+        assert stage_rows(replay) == stage_rows(fresh)
+        fresh_result, replayed_result = fresh.outcomes[0].result, replay.outcomes[0].result
+        assert replayed_result.schedule.solve == fresh_result.schedule.solve
+        assert replayed_result.architecture.solve is None
+        if exact:
+            assert replayed_result.schedule.solve.status is SolverStatus.OPTIMAL
+            assert replayed_result.schedule.solve.backend == "highs"
+            assert stage_rows(replay)[0]["backend"] == "highs"
+        else:
+            assert replayed_result.schedule.solve is None
 
     def test_explicit_library_bypasses_the_stage_cache(self):
         from repro.devices.device import default_device_library
@@ -229,7 +269,7 @@ class TestParallelStageGranularity:
 
 
 class TestCrashResume:
-    def test_resume_from_last_completed_stage(self, monkeypatch):
+    def test_resume_from_last_completed_stage(self, monkeypatch, stage_runs):
         """After a mid-pipeline failure the schedule artifact survives, so
         the retry resumes from the architecture stage."""
         real_run = ArchSynthStage.run
@@ -246,13 +286,13 @@ class TestCrashResume:
         job = BatchJob("a", build_pcr(), fast_config())
         first = engine.run([job])
         assert first.num_failed == 1
-        assert stage_invocations() == {"schedule": 1}  # archsyn died before counting
+        assert stage_runs == {"schedule": 1}  # archsyn died before counting
 
         second = engine.run([job])
         assert second.num_failed == 0
         # The schedule was *not* re-solved: its artifact was stored before
         # the crash and replayed on the retry.
-        assert stage_invocations() == {"schedule": 1, "archsyn": 1, "physical": 1}
+        assert stage_runs == {"schedule": 1, "archsyn": 1, "physical": 1}
         actions = [e.action for e in second.outcomes[0].stages]
         assert actions == ["replayed", "ran", "ran"]
 

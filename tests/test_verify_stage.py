@@ -26,8 +26,6 @@ from repro.synthesis.pipeline import (
     DEFAULT_STAGES,
     SynthesisPipeline,
     VerificationError,
-    reset_stage_invocations,
-    stage_invocations,
 )
 
 
@@ -138,6 +136,7 @@ def test_fault_free_replay_reproduces_golden_makespans(assay, scheduler, makespa
         makespan, makespan, makespan,
     )
     assert report.recovery_rate == 1.0
+    assert report.violations == []
     assert result.simulation_problems == []
 
 
@@ -233,10 +232,9 @@ class TestBatchIntegration:
         assert report.outcome("verified").result.verification is not None
         assert report.outcome("plain").result.verification is None
 
-    def test_pitch_sweep_replays_cached_verification(self, tmp_path):
+    def test_pitch_sweep_replays_cached_verification(self, tmp_path, stage_runs):
         """The verify key chains off archsyn, so a pitch-only sweep pays
         for exactly one Monte-Carlo run (and one scheduling solve)."""
-        reset_stage_invocations()
         cache = ResultCache(cache_dir=tmp_path / "cache")
         engine = BatchSynthesisEngine(cache=cache)
         report = engine.run([
@@ -244,7 +242,7 @@ class TestBatchIntegration:
             BatchJob("p8", build_pcr(), verify_config(pitch=8.0)),
         ])
         assert report.num_failed == 0
-        counts = stage_invocations()
+        counts = stage_runs
         assert counts.get("schedule") == 1
         assert counts.get("verify") == 1
         assert counts.get("physical") == 2

@@ -182,11 +182,10 @@ class TestSchedulerWarmStart:
         ).schedule(graph)
 
         cold = self.make_scheduler(library).schedule(graph)
-        warm_scheduler = self.make_scheduler(library)
-        warm = warm_scheduler.schedule(graph, warm_hint=hint)
+        warm = self.make_scheduler(library).schedule(graph, warm_hint=hint)
 
         assert warm.makespan == cold.makespan == 330
-        assert warm_scheduler.last_warm_start_used is True
+        assert warm.solve.warm_start_used is True
 
     def test_without_any_hint_or_heuristic_no_warm_start_is_reported(self):
         library = build_library(FlowConfig(storage_aware=False))
@@ -197,7 +196,7 @@ class TestSchedulerWarmStart:
         # incumbent — what matters here is that the flag stays honest.
         schedule = scheduler.schedule(assay_by_name("PCR"))
         assert schedule.makespan >= 330
-        assert scheduler.last_warm_start_used is False
+        assert schedule.solve.warm_start_used is False
 
 
 class TestAnytimeBranchAndBound:
@@ -212,8 +211,8 @@ class TestAnytimeBranchAndBound:
             assay_by_name("IVD"), apply_solver_override(config, "branch-and-bound")
         )
         assert result.execution_time == 280
-        assert result.scheduler_backend == "branch-and-bound"
-        assert result.scheduler_warm_start_used is True
+        assert result.schedule.solve.backend == "branch-and-bound"
+        assert result.schedule.solve.warm_start_used is True
 
 
 class TestExplorationWarmStart:

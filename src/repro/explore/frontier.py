@@ -151,7 +151,7 @@ def is_dominance_consistent(
 ) -> bool:
     """Whether no entry of ``entries`` dominates another (a frontier invariant).
 
-    The CI explore-smoke job and the regression tests call this on reported
+    The explore CLI test and the regression tests call this on reported
     frontiers: a frontier containing a dominated row means the incremental
     update broke.
     """

@@ -33,7 +33,9 @@ from typing import Any
 #: v6: solver provenance moves into a SolveRecord on the artifact's
 #:     Schedule/ChipArchitecture, so v5 artifact pickles would replay with
 #:     their provenance silently dropped.
-KEY_VERSION = 6
+#: v7: counter-based Monte-Carlo draws replace the per-trial Mersenne
+#:     Twister streams, so every cached verification report changes.
+KEY_VERSION = 7
 
 
 def stable_digest(payload: Any) -> str:

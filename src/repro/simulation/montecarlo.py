@@ -30,35 +30,57 @@ instead of one number:
   directly consumes the earlier one's product (a direct graph successor
   needs no wash: the fluid itself moves on).
 
-Determinism: every trial derives two independent :class:`random.Random`
-streams — one for jitter, one for faults — via
-:func:`repro.keys.derive_seed`, which is SHA-256 based and therefore
-identical in every process regardless of ``PYTHONHASHSEED``.  The same
-seed yields the same trial sequence bit-for-bit, and enabling faults
-leaves the jitter draws untouched (separate streams), which is what makes
-the fault-vs-fault-free monotonicity property testable.
+Determinism: every random draw is a pure function of (seed, stream,
+trial, counter), computed by a stateless counter-based generator (the
+SplitMix64 finalizer applied to a Weyl sequence, in the spirit of Salmon
+et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).  The
+root seed and the stream name pass through :func:`repro.keys.derive_seed`
+(SHA-256, so identical in every process regardless of ``PYTHONHASHSEED``);
+everything after that is 64-bit integer arithmetic.  Three streams address
+their draws by the device-entry ordinal ``e`` in ``Schedule.entries()``
+order:
+
+* ``"jitter"`` — counter ``2e`` (plus ``2e + 1``, the second Box-Muller
+  uniform of normal jitter);
+* ``"fault"`` — counter ``e * (max_retries + 2) + a``, where ``a = 0`` is
+  the first attempt, ``1..max_retries`` the retries and the last slot the
+  spare;
+* ``"channel"`` — counter ``(e << 32) | p`` for the precedence edge from
+  the parent with ordinal ``p``.
+
+Because a draw is addressed rather than consumed, enabling faults cannot
+perturb the jitter draws, and no kernel needs to track how many draws a
+trial has used.
 
 Performance architecture (three stacked layers, all bit-identical):
 
 * A :class:`ReplayPlan` is compiled once per engine and lowers the replay
   to integer-indexed arrays — topological entry order, CSR predecessor
-  indices with precomputed transport minima, static wash predicates,
-  device-index maps, and per-entry spare candidate lists — so no trial
-  ever calls ``graph.predecessors()``, hashes a string key, or sorts.
+  indices with precomputed transport minima and channel-draw counters,
+  static wash predicates, device-index maps, and per-entry spare candidate
+  lists — so no trial ever calls ``graph.predecessors()``, hashes a string
+  key, or sorts.
 * All trials in a block advance entry by entry as numpy vector operations
   across the trial axis: plain elementwise max/add passes over a
   ``(trials x entries)`` duration matrix when
   ``fault_rate == channel_fault_rate == 0``, and a masked variant (per
-  trial fault/retry/migration masks with a per-trial draw cursor) when
-  faults are enabled.  The random draws still come from the per-trial
-  SHA-derived ``random.Random`` streams — reproduced bit-for-bit across
-  the trial axis by :mod:`repro.simulation.mtstream` — and
+  trial fault/retry/migration masks) when faults are enabled.  Each block
+  draws its uniforms as whole matrices with :func:`uniform_block`; the
+  scalar engine computes the same doubles one at a time with the
+  pure-Python twin :func:`_draw`.  Normal jitter goes through the one
+  numpy helper :func:`_fold_normal` in both engines, and
   ``round``/``np.rint`` agree on float64 (both round half to even), so
   every reported value is bit-identical to the scalar engine.
-* ``workers > 1`` shards trial index ranges across a process pool.
-  Per-trial streams are derived from the trial *index*, so any shard
-  boundary reproduces the exact same draws and the merged report is
-  byte-identical for every worker count.
+* ``workers > 1`` shards trial index ranges across a process pool.  Draws
+  are addressed by the trial *index*, so any shard boundary reproduces the
+  exact same draws and the merged report is byte-identical for every
+  worker count.
+
+Uniform, fault and channel draws use only integer arithmetic and exact
+float operations, so they are identical on every platform.  Normal jitter
+uses numpy ``log1p``/``cos``; a different numpy build or CPU can change a
+jittered duration only where ``duration * factor`` lies within one ulp of
+a half-integer.
 
 Aggregation is streaming: each shard returns sorted makespans plus
 counter sums (a :class:`TrialAggregate`), so a 100k-trial run never holds
@@ -70,9 +92,7 @@ pins the fast paths against, mirroring ``REPRO_BB_SCALAR``.
 
 from __future__ import annotations
 
-import math
 import os
-import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -95,7 +115,6 @@ from repro.obs.trace import (
     uninstall_recorder,
 )
 from repro.scheduling.schedule import Schedule
-from repro.simulation.mtstream import derive_seed_block, uniform_block
 
 #: Hard cap on the violation diagnostics kept per report, so a
 #: pathological configuration cannot balloon artifact payloads.  When the
@@ -117,6 +136,67 @@ VECTOR_BLOCK_TRIALS = 4096
 #: Minimum trials worth paying one worker process for; requests for more
 #: workers than ``trials // MIN_TRIALS_PER_SHARD`` are quietly clamped.
 MIN_TRIALS_PER_SHARD = 64
+
+
+# ------------------------------------------------------------ generator
+#: The SplitMix64 increment, 2**64 / golden ratio (odd, so ``t * _PHI``
+#: never repeats within 2**64 trials or counters).
+_PHI = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
+_TWO_NEG_53 = 1.0 / (1 << 53)
+
+
+def _mix(z: int) -> int:
+    """SplitMix64 finalizer on a Python int (no numpy)."""
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _mix_block(z: np.ndarray) -> np.ndarray:
+    """:func:`_mix` over a uint64 array, in place (wraparound arithmetic)."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MUL1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MUL2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _trial_key(root_seed: int, stream: str, trial: int) -> int:
+    """The key of one trial's draws from ``stream``."""
+    return _mix((derive_seed(root_seed, stream) + trial * _PHI) & _MASK64)
+
+
+def _draw(key: int, counter: int) -> float:
+    """The uniform double in ``[0, 1)`` at ``counter`` under ``key``."""
+    return (_mix((key + (counter + 1) * _PHI) & _MASK64) >> 11) * _TWO_NEG_53
+
+
+def derive_seed_block(root_seed: int, stream: str, lo: int, hi: int) -> np.ndarray:
+    """``_trial_key(root_seed, stream, t)`` for ``t`` in ``[lo, hi)``, as uint64."""
+    trials = np.arange(lo, hi, dtype=np.uint64)
+    base = np.uint64(derive_seed(root_seed, stream))
+    return _mix_block(trials * np.uint64(_PHI) + base)
+
+
+def uniform_block(keys: np.ndarray, counters: Any) -> np.ndarray:
+    """``(len(keys) x len(counters))`` doubles: ``_draw(keys[t], counters[c])``."""
+    steps = (np.asarray(counters, dtype=np.uint64) + np.uint64(1)) * np.uint64(_PHI)
+    z = _mix_block(keys[:, None] + steps[None, :])
+    return (z >> np.uint64(11)).astype(np.float64) * _TWO_NEG_53
+
+
+def _fold_normal(u1: Any, u2: Any, sigma: float) -> Any:
+    """``|N(0, sigma)|`` by Box-Muller from two uniforms in ``[0, 1)``.
+
+    Both engines call this one numpy expression: numpy's SIMD ``log1p`` and
+    ``cos`` can differ from :mod:`math` by one ulp, and one ulp can flip
+    the half-to-even rounding of a jittered duration.
+    """
+    return np.abs(np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)) * sigma
 
 
 @dataclass(frozen=True)
@@ -336,9 +416,9 @@ class ReplayPlan:
       starts, durations and device indices as flat arrays;
     * a CSR predecessor structure (``pred_indptr``/``pred_pos``) listing,
       for each entry, the *earlier* device-bound parents in sorted-op-id
-      order — exactly the parents (and the draw order) the scalar replay
-      visits — plus each edge's static precedence minimum for the
-      fault-free path, where bindings never move;
+      order — exactly the parents the scalar replay visits — plus each
+      edge's static precedence minimum for the fault-free path, where
+      bindings never move, and its ``"channel"`` draw counter;
     * static wash predicates (in a fault-free replay the device occupancy
       sequence is schedule-determined, so "previous occupant is not a
       direct predecessor" is a compile-time fact per entry);
@@ -354,23 +434,20 @@ class ReplayPlan:
         "transport_time",
         "static_floor",
         "static_wash_count",
-        "total_pred_edges",
         "starts",
         "durations",
         "device",
-        "preds",
         "pred_sets",
         "spares",
-        "spares_np",
         "wash_static",
         "wash_skip",
         "entry_op_ids",
         "device_ids",
-        "starts_np",
         "durations_np",
         "pred_indptr",
         "pred_pos",
         "pred_min",
+        "edge_counters",
         "jitter_positions",
     )
 
@@ -398,24 +475,22 @@ class ReplayPlan:
         self.durations = [e.duration for e in device_entries]
         self.device = [index_of[e.device_id] for e in device_entries]
 
-        preds: List[Tuple[int, ...]] = []
         pred_sets: List[FrozenSet[int]] = []
-        spares: List[Tuple[int, ...]] = []
+        spares: List[np.ndarray] = []
         flat_pos: List[int] = []
         flat_min: List[int] = []
+        flat_counter: List[int] = []
         indptr: List[int] = [0]
         for i, entry in enumerate(device_entries):
             parent_ids = graph.predecessors(entry.op_id)
             # The scalar replay visits parents in sorted-op-id order and
             # skips any not yet processed (or not device-bound) — i.e.
             # exactly the device entries with a smaller position.
-            visited = tuple(
-                pos[p] for p in sorted(parent_ids) if p in pos and pos[p] < i
-            )
-            preds.append(visited)
+            visited = [pos[p] for p in sorted(parent_ids) if p in pos and pos[p] < i]
             pred_sets.append(frozenset(pos[p] for p in parent_ids if p in pos))
             for p in visited:
                 flat_pos.append(p)
+                flat_counter.append((i << 32) | p)
                 flat_min.append(
                     0
                     if device_entries[p].device_id == entry.device_id
@@ -424,20 +499,20 @@ class ReplayPlan:
             indptr.append(len(flat_pos))
             op = graph.operation(entry.op_id)
             spares.append(
-                tuple(
-                    index_of[d]
-                    for d in sorted(
-                        device.device_id
-                        for device in library.devices_for(op.kind)
-                        if device.device_id != entry.device_id
-                    )
+                np.asarray(
+                    [
+                        index_of[d]
+                        for d in sorted(
+                            device.device_id
+                            for device in library.devices_for(op.kind)
+                            if device.device_id != entry.device_id
+                        )
+                    ],
+                    dtype=np.int64,
                 )
             )
-        self.preds = preds
         self.pred_sets = pred_sets
         self.spares = spares
-        self.spares_np = [np.asarray(s, dtype=np.int64) for s in spares]
-        self.total_pred_edges = len(flat_pos)
 
         # Static wash predicates: replay the fault-free occupancy sequence.
         wash_static: List[bool] = []
@@ -460,11 +535,11 @@ class ReplayPlan:
             wash_skip[i, self.num_entries] = True
         self.wash_skip = wash_skip
 
-        self.starts_np = np.asarray(self.starts, dtype=np.int64)
         self.durations_np = np.asarray(self.durations, dtype=np.int64)
         self.pred_indptr = indptr
         self.pred_pos = flat_pos
         self.pred_min = flat_min
+        self.edge_counters = np.asarray(flat_counter, dtype=np.uint64)
         self.jitter_positions = np.nonzero(self.durations_np > 0)[0]
 
 
@@ -479,6 +554,40 @@ class _ShardOutcome:
     #: Serialized spans recorded inside the shard worker (empty unless the
     #: coordinator was tracing); absorbed into the parent recorder.
     spans: List[Dict[str, Any]] = field(default_factory=list)
+
+
+#: One batched-kernel diagnostic: (trial, entry, kind, payload), where kind
+#: 0 is a wash (payload: the pushed start) and kind 1 an unrecovered fault
+#: (payload: the faulted spare's device index, or -1 when none existed).
+_Note = Tuple[int, int, int, int]
+
+
+def _note_rows(
+    notes: List[_Note], mask: np.ndarray, lo: int, e: int, kind: int,
+    payload: np.ndarray,
+) -> int:
+    """Record the first :data:`MAX_DIAGNOSTICS` rows of ``mask``; return all."""
+    rows = np.nonzero(mask)[0]
+    for t in rows[:MAX_DIAGNOSTICS]:
+        notes.append((lo + int(t), e, kind, int(payload[t])))
+    return int(rows.size)
+
+
+def _format_note(plan: ReplayPlan, trial: int, e: int, kind: int, payload: int) -> str:
+    """The scalar engine's wording of one batched-kernel diagnostic."""
+    device = plan.device_ids[plan.device[e]]
+    op_id = plan.entry_op_ids[e]
+    if kind == 0:
+        return (
+            f"trial {trial}: wash on {device!r} pushes {op_id!r} past its "
+            f"scheduled start ({plan.starts[e]} -> {payload})"
+        )
+    cause = (
+        f"spare {plan.device_ids[payload]!r} faulted too"
+        if payload >= 0
+        else "no compatible spare"
+    )
+    return f"trial {trial}: fault on {device!r} for {op_id!r} unrecovered ({cause})"
 
 
 def _shard_bounds(trials: int, workers: int) -> List[Tuple[int, int]]:
@@ -540,10 +649,11 @@ class MonteCarloEngine:
     schedule exactly and perturbed replays are pointwise monotone.
 
     Three interchangeable executions produce byte-identical reports: the
-    vectorized fault-free fast path, the plan-compiled per-trial kernel
-    (used whenever faults are enabled), and the original scalar reference
-    (forced with ``REPRO_MC_SCALAR=1``).  ``config.workers`` shards the
-    trial range across processes without changing any reported value.
+    vectorized fault-free fast path, the masked batched kernel (used
+    whenever faults are enabled), and the scalar reference (forced with
+    ``REPRO_MC_SCALAR=1``).  All three read the same addressed draws of
+    the counter-based generator, so ``config.workers`` shards the trial
+    range across processes without changing any reported value.
     """
 
     def __init__(
@@ -644,9 +754,7 @@ class MonteCarloEngine:
         keep_detail = cfg.trials <= TRIAL_DETAIL_LIMIT
         if os.environ.get(_SCALAR_ENV) == "1":
             return self._run_range_reference(lo, hi, keep_detail)
-        if cfg.fault_rate == 0.0 and cfg.channel_fault_rate == 0.0:
-            return self._run_range_vectorized(lo, hi, keep_detail)
-        return self._run_range_masked(lo, hi, keep_detail)
+        return self._run_range_batched(lo, hi, keep_detail)
 
     @staticmethod
     def _collect(
@@ -681,481 +789,256 @@ class MonteCarloEngine:
             notes_per_trial.append(notes)
         return self._collect(trials, notes_per_trial, keep_detail)
 
-    # ------------------------------------------------------- draw matrices
-    def _jitter_draw_count(self, plan: ReplayPlan) -> int:
-        """Uniform draws the jitter stream consumes per trial."""
-        jittered = int(plan.jitter_positions.size)
-        if self.config.jitter == "none" or jittered == 0:
-            return 0
-        if self.config.jitter == "uniform":
-            return jittered
-        return 2 * ((jittered + 1) // 2)  # gauss consumes uniforms in pairs
-
-    @staticmethod
-    def _gauss_values(
-        uniforms: np.ndarray, count: int, sigma: float
-    ) -> np.ndarray:
-        """``Random.gauss(0.0, sigma)`` sequences from raw uniform draws.
-
-        Replicates CPython's polar pair generation (including the cached
-        second value) with ``math`` scalar calls — numpy's vectorized
-        trig may differ by an ulp, which would break bit-equality with
-        the scalar engine after rounding.
-        """
-        batch = uniforms.shape[0]
-        out = np.empty((batch, count), dtype=np.float64)
-        pairs = (count + 1) // 2
-        cos, sin, log, sqrt = math.cos, math.sin, math.log, math.sqrt
-        two_pi = 2.0 * math.pi
-        for t in range(batch):
-            row = uniforms[t]
-            vals = out[t]
-            for p in range(pairs):
-                x2pi = row[2 * p] * two_pi
-                g2rad = sqrt(-2.0 * log(1.0 - row[2 * p + 1]))
-                vals[2 * p] = cos(x2pi) * g2rad * sigma
-                odd = 2 * p + 1
-                if odd < count:
-                    vals[odd] = sin(x2pi) * g2rad * sigma
-        return out
-
-    def _duration_matrix(
-        self,
-        plan: ReplayPlan,
-        lo: int,
-        hi: int,
-        uniforms: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    # -------------------------------------------------------- draw matrix
+    def _duration_matrix(self, plan: ReplayPlan, lo: int, hi: int) -> np.ndarray:
         """Jittered ``(trials x entries)`` durations for ``[lo, hi)``.
 
-        Bit-identical to the scalar ``_jittered``: per-trial SHA-derived
-        streams, inflation factors applied in float64, and half-to-even
+        Bit-identical to the scalar ``_jittered``: the same ``"jitter"``
+        draws, inflation factors applied in float64, and half-to-even
         rounding (``np.rint`` == ``round``), floored at the nominal
         duration.  Returns a read-only broadcast when jitter is off.
-        ``uniforms`` (first jitter-stream draws per trial, possibly wider
-        than needed) skips the draw generation — the fault kernel batches
-        both streams through one seeding pass.
         """
         cfg = self.config
         block = hi - lo
-        draws_per_trial = self._jitter_draw_count(plan)
-        if draws_per_trial == 0:
+        positions = plan.jitter_positions
+        if cfg.jitter == "none" or positions.size == 0:
             return np.broadcast_to(plan.durations_np, (block, plan.num_entries))
-        if uniforms is None:
-            uniforms = uniform_block(
-                derive_seed_block(cfg.seed, "jitter-", lo, hi), draws_per_trial
-            )
-        jittered = int(plan.jitter_positions.size)
+        keys = derive_seed_block(cfg.seed, "jitter", lo, hi)
         if cfg.jitter == "uniform":
-            factors = 1.0 + cfg.jitter_spread * uniforms
+            factors = 1.0 + cfg.jitter_spread * uniform_block(keys, 2 * positions)
         else:
-            factors = 1.0 + np.abs(
-                self._gauss_values(uniforms, jittered, cfg.jitter_spread)
+            u = uniform_block(keys, np.concatenate([2 * positions, 2 * positions + 1]))
+            factors = 1.0 + _fold_normal(
+                u[:, : positions.size], u[:, positions.size :], cfg.jitter_spread
             )
-        base = plan.durations_np[plan.jitter_positions]
-        inflated = np.rint(base.astype(np.float64) * factors[:, :jittered])
-        inflated = inflated.astype(np.int64)
+        base = plan.durations_np[positions]
+        inflated = np.rint(base.astype(np.float64) * factors).astype(np.int64)
         np.maximum(inflated, base, out=inflated)
         durations = np.broadcast_to(
             plan.durations_np, (block, plan.num_entries)
         ).copy()
-        durations[:, plan.jitter_positions] = inflated
+        durations[:, positions] = inflated
         return durations
 
-    def _fault_draw_width(self, plan: ReplayPlan) -> int:
-        """Upper bound on fault-stream draws any single trial can consume."""
-        cfg = self.config
-        width = 0
-        if cfg.channel_fault_rate > 0:
-            width += plan.total_pred_edges
-        if cfg.fault_rate > 0:
-            width += plan.num_entries * (2 + cfg.max_retries)
-        return width
-
-    # -------------------------------------------------- masked (fault path)
-    def _run_range_masked(
+    # ------------------------------------------------------ batched kernels
+    def _run_range_batched(
         self, lo: int, hi: int, keep_detail: bool
     ) -> _ShardOutcome:
-        """Batched fault-path replay: per-trial masks over the trial axis.
+        """Replay ``[lo, hi)`` in blocks of :data:`VECTOR_BLOCK_TRIALS`.
+
+        A block kernel returns the block's ``(trials x entries)`` finish
+        times, its ``(6 x trials)`` counters (faults, recovered, retries,
+        migrations, reroutes, washes — the :class:`TrialResult` field
+        order) and its diagnostics as ``(trial, entry, kind, payload)``
+        tuples plus their uncapped count; this loop merges the blocks.
+        """
+        cfg = self.config
+        plan = self.plan()
+        if cfg.fault_rate == 0.0 and cfg.channel_fault_rate == 0.0:
+            kernel = self._block_fault_free
+        else:
+            kernel = self._block_masked
+        # Empty seeds keep an empty trial range well-formed.
+        makespan_parts = [np.empty(0, dtype=np.int64)]
+        count_parts = [np.zeros((6, 0), dtype=np.int64)]
+        notes: List[str] = []
+        notes_total = 0
+        for block_lo in range(lo, hi, VECTOR_BLOCK_TRIALS):
+            block_hi = min(block_lo + VECTOR_BLOCK_TRIALS, hi)
+            finish, counts, block_notes, block_total = kernel(plan, block_lo, block_hi)
+            makespan_parts.append(finish.max(axis=1, initial=plan.static_floor))
+            count_parts.append(counts)
+            notes_total += block_total
+            # Re-emit the block's notes in the scalar order (by trial, then
+            # entry, wash before fault), formatting only up to the cap.
+            for note in sorted(block_notes)[: MAX_DIAGNOSTICS - len(notes)]:
+                notes.append(_format_note(plan, *note))
+
+        makespans = np.concatenate(makespan_parts)
+        counts = np.concatenate(count_parts, axis=1)
+        detail: List[TrialResult] = []
+        if keep_detail:
+            rows = np.vstack([makespans, counts]).T.tolist()
+            detail = [TrialResult(lo + t, *row) for t, row in enumerate(rows)]
+        aggregate = TrialAggregate(
+            hi - lo,
+            np.sort(makespans).tolist(),
+            int(makespans.sum()),
+            *counts.sum(axis=1).tolist(),
+        )
+        return _ShardOutcome(aggregate, detail, notes, notes_total)
+
+    def _block_fault_free(
+        self, plan: ReplayPlan, lo: int, hi: int
+    ) -> Tuple[np.ndarray, np.ndarray, List[_Note], int]:
+        """Fault-free block: elementwise numpy passes over the trial axis.
+
+        Without faults the device bindings never move, so every trial
+        shares the plan's static precedence minima and wash predicates and
+        only the jittered durations differ — which makes the whole replay
+        a sequence of max/add vector operations, one short pass per entry.
+        """
+        wash_time = self.config.wash_time
+        block = hi - lo
+        indptr, pred_pos, pred_min = plan.pred_indptr, plan.pred_pos, plan.pred_min
+        dur = self._duration_matrix(plan, lo, hi)
+        finish = np.empty((block, plan.num_entries), dtype=np.int64)
+        avail = np.zeros((block, plan.num_devices), dtype=np.int64)
+        ready = np.empty(block, dtype=np.int64)
+        notes: List[_Note] = []
+        notes_total = 0
+        for e in range(plan.num_entries):
+            ready.fill(plan.starts[e])
+            for k in range(indptr[e], indptr[e + 1]):
+                np.maximum(ready, finish[:, pred_pos[k]] + pred_min[k], out=ready)
+            d = plan.device[e]
+            entry_avail = avail[:, d]
+            if wash_time > 0 and plan.wash_static[e]:
+                entry_avail = entry_avail + wash_time
+                over = entry_avail > plan.starts[e]
+                notes_total += _note_rows(notes, over, lo, e, 0, entry_avail)
+            end = np.maximum(ready, entry_avail) + dur[:, e]
+            finish[:, e] = end
+            # end >= entry_avail >= the previous availability, so a
+            # straight assignment preserves the max semantics.
+            avail[:, d] = end
+        counts = np.zeros((6, block), dtype=np.int64)
+        if wash_time > 0:
+            counts[5] = plan.static_wash_count
+        return finish, counts, notes, notes_total
+
+    def _block_masked(
+        self, plan: ReplayPlan, lo: int, hi: int
+    ) -> Tuple[np.ndarray, np.ndarray, List[_Note], int]:
+        """Fault-path block: per-trial masks over the trial axis.
 
         Faults migrate operations, so bindings, washes and precedence
         minima are dynamic — but each entry's update is still the same
         arithmetic for every trial, just gated by that trial's draws.
-        The kernel walks entries once per block, keeping per-trial state
-        matrices (finish, device availability, bindings, last occupant)
-        and a per-trial cursor into a pre-generated fault-draw matrix, so
-        draw *consumption* — and therefore every value — matches the
-        scalar engine trial for trial.
+        The kernel walks entries once, keeping per-trial state matrices
+        (finish, device availability, bindings, last occupant).  The
+        block's ``"fault"`` and ``"channel"`` uniforms are drawn up front,
+        one column per draw address: attempt ``a`` of entry ``e`` reads
+        column ``e * (max_retries + 2) + a`` and precedence edge ``k``
+        reads column ``k`` — the doubles the scalar engine draws.
         """
         cfg = self.config
-        plan = self.plan()
         num_entries = plan.num_entries
         transport = plan.transport_time
         fault_rate = cfg.fault_rate
         channel_rate = cfg.channel_fault_rate
         wash_time = cfg.wash_time
-        width = self._fault_draw_width(plan)
+        attempts = cfg.max_retries + 2
+        indptr, pred_pos = plan.pred_indptr, plan.pred_pos
+        block = hi - lo
+        rows = np.arange(block)
 
-        detail: List[TrialResult] = []
-        makespan_parts: List[np.ndarray] = []
-        totals = [0, 0, 0, 0, 0, 0]  # faults, recovered, retries, mig, rer, wash
-        notes: List[str] = []
-        notes_total = 0
-
-        jitter_draws = self._jitter_draw_count(plan)
-
-        for block_lo in range(lo, hi, VECTOR_BLOCK_TRIALS):
-            block_hi = min(block_lo + VECTOR_BLOCK_TRIALS, hi)
-            block = block_hi - block_lo
-            rows = np.arange(block)
-            # One seeding pass covers both stream families: stream setup
-            # dominates at small draw counts, and doubling the batch
-            # amortizes it (rows are independent, so fusing cannot change
-            # any draw).
-            jitter_uniforms: Optional[np.ndarray] = None
-            if width and jitter_draws:
-                seeds = np.concatenate(
-                    [
-                        derive_seed_block(cfg.seed, "jitter-", block_lo, block_hi),
-                        derive_seed_block(cfg.seed, "fault-", block_lo, block_hi),
-                    ]
-                )
-                fused = uniform_block(seeds, max(jitter_draws, width))
-                jitter_uniforms = fused[:block]
-                stream = fused[block:, :width]
-            elif width:
-                stream = uniform_block(
-                    derive_seed_block(cfg.seed, "fault-", block_lo, block_hi),
-                    width,
-                )
-            durations = self._duration_matrix(
-                plan, block_lo, block_hi, uniforms=jitter_uniforms
+        durations = self._duration_matrix(plan, lo, hi)
+        if fault_rate > 0:
+            fault_u = uniform_block(
+                derive_seed_block(cfg.seed, "fault", lo, hi),
+                np.arange(num_entries * attempts),
             )
-            if width:
-                fault_draws = np.zeros((block, width + 1), dtype=np.float64)
-                fault_draws[:, :width] = stream
-                cursor = np.zeros(block, dtype=np.intp)
+        if channel_rate > 0:
+            channel_u = uniform_block(
+                derive_seed_block(cfg.seed, "channel", lo, hi), plan.edge_counters
+            )
 
-            finish = np.empty((block, num_entries), dtype=np.int64)
-            avail = np.zeros((block, plan.num_devices), dtype=np.int64)
-            bound = np.empty((block, num_entries), dtype=np.int64)
-            if num_entries:
-                bound[:] = np.asarray(plan.device, dtype=np.int64)
-            last = np.full((block, plan.num_devices), num_entries, np.int64)
-            cnt_faults = np.zeros(block, dtype=np.int64)
-            cnt_recovered = np.zeros(block, dtype=np.int64)
-            cnt_retries = np.zeros(block, dtype=np.int64)
-            cnt_migrations = np.zeros(block, dtype=np.int64)
-            cnt_reroutes = np.zeros(block, dtype=np.int64)
-            cnt_washes = np.zeros(block, dtype=np.int64)
-            block_notes: List[Tuple[int, int, int, int]] = []
-
-            for e in range(num_entries):
-                dev = plan.device[e]
-                dur_e = durations[:, e]
-                ready = np.full(block, plan.starts[e], dtype=np.int64)
-                for p in plan.preds[e]:
-                    same = bound[:, p] == dev
-                    minimum = np.where(same, 0, transport)
-                    if channel_rate > 0:
-                        cross = ~same
-                        vals = fault_draws[rows, cursor]
-                        cursor += cross
-                        hit = cross & (vals < channel_rate)
-                        minimum = minimum + np.where(hit, transport, 0)
-                        cnt_reroutes += hit
-                    np.maximum(ready, finish[:, p] + minimum, out=ready)
-
-                if wash_time > 0:
-                    need = ~plan.wash_skip[e][last[:, dev]]
-                    entry_avail = avail[:, dev] + np.where(need, wash_time, 0)
-                    cnt_washes += need
-                    over = np.nonzero(need & (entry_avail > plan.starts[e]))[0]
-                    notes_total += int(over.size)
-                    for t in over[:MAX_DIAGNOSTICS]:
-                        block_notes.append(
-                            (block_lo + int(t), e, 0, int(entry_avail[t]))
-                        )
-                else:
-                    entry_avail = avail[:, dev]
-                end = np.maximum(ready, entry_avail) + dur_e
-
-                cur_dev: Optional[np.ndarray] = None
-                if fault_rate > 0:
-                    vals = fault_draws[rows, cursor]
-                    cursor += 1
-                    faulted = vals < fault_rate
-                    cnt_faults += faulted
-                    ok = np.zeros(block, dtype=bool)
-                    active = faulted.copy()
-                    for _ in range(cfg.max_retries):
-                        if not active.any():
-                            break
-                        end = end + np.where(active, dur_e, 0)
-                        cnt_retries += active
-                        vals = fault_draws[rows, cursor]
-                        cursor += active
-                        succeeded = active & (vals >= fault_rate)
-                        ok |= succeeded
-                        active = active & ~succeeded
-                    cnt_recovered += ok
-                    unresolved = faulted & ~ok
-                    if unresolved.any():
-                        candidates = plan.spares_np[e]
-                        if candidates.size:
-                            spare_avail_all = avail[:, candidates]
-                            choice = np.argmin(spare_avail_all, axis=1)
-                            spare_col = candidates[choice]
-                            spare_avail = spare_avail_all[rows, choice]
-                            cnt_migrations += unresolved
-                            migrated_end = (
-                                np.maximum(end + transport, spare_avail) + dur_e
-                            )
-                            vals = fault_draws[rows, cursor]
-                            cursor += unresolved
-                            bad = unresolved & (vals < fault_rate)
-                            cnt_recovered += unresolved & ~bad
-                            migrated_end = migrated_end + np.where(bad, dur_e, 0)
-                            bad_rows = np.nonzero(bad)[0]
-                            notes_total += int(bad_rows.size)
-                            for t in bad_rows[:MAX_DIAGNOSTICS]:
-                                block_notes.append(
-                                    (block_lo + int(t), e, 1, int(spare_col[t]))
-                                )
-                            end = np.where(unresolved, migrated_end, end)
-                            # Repair window on the faulted (scheduled) device.
-                            avail[:, dev] = np.where(
-                                unresolved,
-                                np.maximum(avail[:, dev], end),
-                                avail[:, dev],
-                            )
-                            cur_dev = np.where(unresolved, spare_col, dev)
-                        else:
-                            end = end + np.where(unresolved, dur_e, 0)
-                            bad_rows = np.nonzero(unresolved)[0]
-                            notes_total += int(bad_rows.size)
-                            for t in bad_rows[:MAX_DIAGNOSTICS]:
-                                block_notes.append(
-                                    (block_lo + int(t), e, 1, -1)
-                                )
-
-                finish[:, e] = end
-                if cur_dev is None:
-                    bound[:, e] = dev
-                    np.maximum(avail[:, dev], end, out=avail[:, dev])
-                    last[:, dev] = e
-                else:
-                    bound[:, e] = cur_dev
-                    moved = np.nonzero(cur_dev != dev)[0]
-                    stayed = np.nonzero(cur_dev == dev)[0]
-                    avail[stayed, dev] = np.maximum(
-                        avail[stayed, dev], end[stayed]
-                    )
-                    last[stayed, dev] = e
-                    moved_cols = cur_dev[moved]
-                    avail[moved, moved_cols] = np.maximum(
-                        avail[moved, moved_cols], end[moved]
-                    )
-                    last[moved, moved_cols] = e
-
-            if num_entries:
-                makespans = finish.max(axis=1)
-                if plan.static_floor:
-                    np.maximum(makespans, plan.static_floor, out=makespans)
-            else:
-                makespans = np.full(block, plan.static_floor, dtype=np.int64)
-            makespan_parts.append(makespans)
-            for i, counts in enumerate(
-                (cnt_faults, cnt_recovered, cnt_retries,
-                 cnt_migrations, cnt_reroutes, cnt_washes)
-            ):
-                totals[i] += int(counts.sum())
-
-            block_notes.sort()
-            for trial_index, e, kind, payload in block_notes:
-                if len(notes) >= MAX_DIAGNOSTICS:
-                    break
-                device_name = plan.device_ids[plan.device[e]]
-                op_name = plan.entry_op_ids[e]
-                if kind == 0:
-                    notes.append(
-                        f"trial {trial_index}: wash on {device_name!r} pushes "
-                        f"{op_name!r} past its scheduled start "
-                        f"({plan.starts[e]} -> {payload})"
-                    )
-                elif payload >= 0:
-                    notes.append(
-                        f"trial {trial_index}: fault on {device_name!r} for "
-                        f"{op_name!r} unrecovered (spare "
-                        f"{plan.device_ids[payload]!r} faulted too)"
-                    )
-                else:
-                    notes.append(
-                        f"trial {trial_index}: fault on {device_name!r} for "
-                        f"{op_name!r} unrecovered (no compatible spare)"
-                    )
-
-            if keep_detail:
-                detail.extend(
-                    TrialResult(
-                        trial=block_lo + t,
-                        makespan=int(makespans[t]),
-                        faults_injected=int(cnt_faults[t]),
-                        faults_recovered=int(cnt_recovered[t]),
-                        retries=int(cnt_retries[t]),
-                        migrations=int(cnt_migrations[t]),
-                        reroutes=int(cnt_reroutes[t]),
-                        washes=int(cnt_washes[t]),
-                    )
-                    for t in range(block)
-                )
-
-        all_makespans = (
-            np.concatenate(makespan_parts)
-            if makespan_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        aggregate = TrialAggregate(
-            count=hi - lo,
-            sorted_makespans=np.sort(all_makespans).tolist(),
-            makespan_sum=int(all_makespans.sum()),
-            faults_injected=totals[0],
-            faults_recovered=totals[1],
-            retries=totals[2],
-            migrations=totals[3],
-            reroutes=totals[4],
-            washes=totals[5],
-        )
-        return _ShardOutcome(
-            aggregate=aggregate,
-            detail=detail,
-            notes=notes,
-            notes_total=notes_total,
-        )
-
-    # ------------------------------------------- vectorized (fault-free)
-    def _run_range_vectorized(
-        self, lo: int, hi: int, keep_detail: bool
-    ) -> _ShardOutcome:
-        """Batched fault-free replay: numpy passes over trial blocks.
-
-        Without faults the device bindings never move, so every trial
-        shares the plan's static precedence minima and wash predicates and
-        only the (per-trial) jittered durations differ — which makes the
-        whole replay a sequence of elementwise max/add vector operations
-        across the trial axis, one short pass per entry.
-        """
-        cfg = self.config
-        plan = self.plan()
-        num_entries = plan.num_entries
-        wash_time = cfg.wash_time
-        indptr = plan.pred_indptr
-        pred_pos = plan.pred_pos
-        pred_min = plan.pred_min
-        washes_per_trial = plan.static_wash_count if wash_time > 0 else 0
-
-        makespan_parts: List[np.ndarray] = []
-        notes: List[str] = []
+        finish = np.empty((block, num_entries), dtype=np.int64)
+        avail = np.zeros((block, plan.num_devices), dtype=np.int64)
+        bound = np.empty((block, num_entries), dtype=np.int64)
+        last = np.full((block, plan.num_devices), num_entries, np.int64)
+        counts = np.zeros((6, block), dtype=np.int64)
+        cnt_faults, cnt_recovered, cnt_retries, cnt_migrations, cnt_reroutes, cnt_washes = counts
+        notes: List[_Note] = []
         notes_total = 0
 
-        for block_lo in range(lo, hi, VECTOR_BLOCK_TRIALS):
-            block_hi = min(block_lo + VECTOR_BLOCK_TRIALS, hi)
-            block = block_hi - block_lo
-            dur = self._duration_matrix(plan, block_lo, block_hi)
+        for e in range(num_entries):
+            dev = plan.device[e]
+            dur_e = durations[:, e]
+            ready = np.full(block, plan.starts[e], dtype=np.int64)
+            for k in range(indptr[e], indptr[e + 1]):
+                p = pred_pos[k]
+                same = bound[:, p] == dev
+                minimum = np.where(same, 0, transport)
+                if channel_rate > 0:
+                    hit = ~same & (channel_u[:, k] < channel_rate)
+                    minimum = minimum + np.where(hit, transport, 0)
+                    cnt_reroutes += hit
+                np.maximum(ready, finish[:, p] + minimum, out=ready)
 
-            finish = np.empty((block, num_entries), dtype=np.int64)
-            avail = np.zeros((block, plan.num_devices), dtype=np.int64)
-            ready = np.empty(block, dtype=np.int64)
-            block_notes: List[Tuple[int, int, int]] = []
-            for e in range(num_entries):
-                ready.fill(plan.starts[e])
-                for k in range(indptr[e], indptr[e + 1]):
-                    np.maximum(
-                        ready, finish[:, pred_pos[k]] + pred_min[k], out=ready
-                    )
-                d = plan.device[e]
-                entry_avail = avail[:, d]
-                if wash_time > 0 and plan.wash_static[e]:
-                    entry_avail = entry_avail + wash_time
-                    over = np.nonzero(entry_avail > plan.starts[e])[0]
-                    if over.size:
-                        notes_total += int(over.size)
-                        for t in over[:MAX_DIAGNOSTICS]:
-                            block_notes.append(
-                                (block_lo + int(t), e, int(entry_avail[t]))
-                            )
-                end = np.maximum(ready, entry_avail) + dur[:, e]
-                finish[:, e] = end
-                # end >= entry_avail >= the previous availability, so a
-                # straight assignment preserves the max semantics.
-                avail[:, d] = end
-
-            if num_entries:
-                makespans = finish.max(axis=1)
-                if plan.static_floor:
-                    np.maximum(makespans, plan.static_floor, out=makespans)
+            if wash_time > 0:
+                need = ~plan.wash_skip[e][last[:, dev]]
+                entry_avail = avail[:, dev] + np.where(need, wash_time, 0)
+                cnt_washes += need
+                over = need & (entry_avail > plan.starts[e])
+                notes_total += _note_rows(notes, over, lo, e, 0, entry_avail)
             else:
-                makespans = np.full(block, plan.static_floor, dtype=np.int64)
-            makespan_parts.append(makespans)
+                entry_avail = avail[:, dev]
+            end = np.maximum(ready, entry_avail) + dur_e
 
-            # Re-emit this block's notes in the scalar order (by trial,
-            # then entry sequence), formatting only up to the global cap.
-            block_notes.sort()
-            for trial_index, e, pushed in block_notes:
-                if len(notes) >= MAX_DIAGNOSTICS:
-                    break
-                notes.append(
-                    f"trial {trial_index}: wash on "
-                    f"{plan.device_ids[plan.device[e]]!r} pushes "
-                    f"{plan.entry_op_ids[e]!r} past its scheduled start "
-                    f"({plan.starts[e]} -> {pushed})"
-                )
+            cur_dev: Optional[np.ndarray] = None
+            if fault_rate > 0:
+                first = e * attempts
+                faulted = fault_u[:, first] < fault_rate
+                cnt_faults += faulted
+                ok = np.zeros(block, dtype=bool)
+                active = faulted.copy()
+                for a in range(1, cfg.max_retries + 1):
+                    if not active.any():
+                        break
+                    end = end + np.where(active, dur_e, 0)
+                    cnt_retries += active
+                    succeeded = active & (fault_u[:, first + a] >= fault_rate)
+                    ok |= succeeded
+                    active = active & ~succeeded
+                cnt_recovered += ok
+                unresolved = faulted & ~ok
+                candidates = plan.spares[e]
+                if unresolved.any() and candidates.size:
+                    spare_avail = avail[:, candidates]
+                    spare_col = candidates[np.argmin(spare_avail, axis=1)]
+                    cnt_migrations += unresolved
+                    migrated_end = (
+                        np.maximum(end + transport, spare_avail.min(axis=1)) + dur_e
+                    )
+                    bad = unresolved & (fault_u[:, first + attempts - 1] < fault_rate)
+                    cnt_recovered += unresolved & ~bad
+                    migrated_end = migrated_end + np.where(bad, dur_e, 0)
+                    notes_total += _note_rows(notes, bad, lo, e, 1, spare_col)
+                    end = np.where(unresolved, migrated_end, end)
+                    # Repair window on the faulted (scheduled) device.
+                    avail[:, dev] = np.where(
+                        unresolved, np.maximum(avail[:, dev], end), avail[:, dev]
+                    )
+                    cur_dev = np.where(unresolved, spare_col, dev)
+                elif unresolved.any():
+                    end = end + np.where(unresolved, dur_e, 0)
+                    no_spare = np.full(block, -1)
+                    notes_total += _note_rows(notes, unresolved, lo, e, 1, no_spare)
 
-        all_makespans = (
-            np.concatenate(makespan_parts)
-            if makespan_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        sorted_makespans = np.sort(all_makespans).tolist()
-        count = hi - lo
-        aggregate = TrialAggregate(
-            count=count,
-            sorted_makespans=sorted_makespans,
-            makespan_sum=int(all_makespans.sum()),
-            washes=washes_per_trial * count,
-        )
-        detail: List[TrialResult] = []
-        if keep_detail:
-            detail = [
-                TrialResult(
-                    trial=lo + t,
-                    makespan=int(makespan),
-                    faults_injected=0,
-                    faults_recovered=0,
-                    retries=0,
-                    migrations=0,
-                    reroutes=0,
-                    washes=washes_per_trial,
-                )
-                for t, makespan in enumerate(all_makespans)
-            ]
-        return _ShardOutcome(
-            aggregate=aggregate,
-            detail=detail,
-            notes=notes,
-            notes_total=notes_total,
-        )
+            finish[:, e] = end
+            if cur_dev is None:
+                bound[:, e] = dev
+                np.maximum(avail[:, dev], end, out=avail[:, dev])
+                last[:, dev] = e
+            else:
+                bound[:, e] = cur_dev
+                avail[rows, cur_dev] = np.maximum(avail[rows, cur_dev], end)
+                last[rows, cur_dev] = e
+        return finish, counts, notes, notes_total
 
     # ---------------------------------------------------------------- trial
-    def _jittered(self, rng: random.Random, duration: int) -> int:
-        """Inflate ``duration`` by one draw (identity when jitter is off)."""
+    def _jittered(self, key: int, e: int, duration: int) -> int:
+        """Inflate entry ``e``'s ``duration`` (identity when jitter is off)."""
         cfg = self.config
         if cfg.jitter == "none" or duration == 0:
             return duration
+        u = _draw(key, 2 * e)
         if cfg.jitter == "uniform":
-            factor = 1.0 + cfg.jitter_spread * rng.random()
+            factor = 1.0 + cfg.jitter_spread * u
         else:  # "normal" — folded so inflation-only
-            factor = 1.0 + abs(rng.gauss(0.0, cfg.jitter_spread))
+            factor = 1.0 + float(_fold_normal(u, _draw(key, 2 * e + 1), cfg.jitter_spread))
         return max(duration, int(round(duration * factor)))
 
     def _run_trial(self, index: int) -> Tuple[TrialResult, List[str]]:
@@ -1165,14 +1048,17 @@ class MonteCarloEngine:
         differentially tested against — keep it boring and readable.
         """
         cfg = self.config
-        jitter_rng = random.Random(derive_seed(cfg.seed, f"jitter-{index}"))
-        fault_rng = random.Random(derive_seed(cfg.seed, f"fault-{index}"))
+        jitter_key = _trial_key(cfg.seed, "jitter", index)
+        fault_key = _trial_key(cfg.seed, "fault", index)
+        channel_key = _trial_key(cfg.seed, "channel", index)
+        attempts = cfg.max_retries + 2
         transport = self.schedule.transport_time
 
         finish: Dict[str, int] = {}
         bound: Dict[str, str] = {}
         device_avail: Dict[str, int] = {}
         device_last_op: Dict[str, Optional[str]] = {}
+        ordinal: Dict[str, int] = {}  # device-entry ordinal, the draw address
         notes: List[str] = []
         faults = recovered = retries = migrations = reroutes = washes = 0
 
@@ -1181,7 +1067,8 @@ class MonteCarloEngine:
                 finish[entry.op_id] = entry.end
                 continue
             op = self.graph.operation(entry.op_id)
-            duration = self._jittered(jitter_rng, entry.duration)
+            e = ordinal[entry.op_id] = len(ordinal)
+            duration = self._jittered(jitter_key, e, entry.duration)
 
             # Precedence lower bound over device-bound parents, with
             # channel-fault reroutes adding one transport per faulted edge.
@@ -1194,7 +1081,8 @@ class MonteCarloEngine:
                 if (
                     not same
                     and cfg.channel_fault_rate > 0
-                    and fault_rng.random() < cfg.channel_fault_rate
+                    and _draw(channel_key, (e << 32) | ordinal[parent_id])
+                    < cfg.channel_fault_rate
                 ):
                     minimum += transport
                     reroutes += 1
@@ -1222,13 +1110,14 @@ class MonteCarloEngine:
 
             # Fault injection: retry on the faulted device, then migrate.
             end = start + duration
-            if cfg.fault_rate > 0 and fault_rng.random() < cfg.fault_rate:
+            first = e * attempts
+            if cfg.fault_rate > 0 and _draw(fault_key, first) < cfg.fault_rate:
                 faults += 1
                 ok = False
-                for _ in range(cfg.max_retries):
+                for a in range(1, cfg.max_retries + 1):
                     end += duration  # the failed attempt burned a duration
                     retries += 1
-                    if fault_rng.random() >= cfg.fault_rate:
+                    if _draw(fault_key, first + a) >= cfg.fault_rate:
                         ok = True
                         break
                 if ok:
@@ -1239,7 +1128,7 @@ class MonteCarloEngine:
                         migrations += 1
                         end = max(end + transport, device_avail.get(spare, 0))
                         end += duration
-                        if fault_rng.random() >= cfg.fault_rate:
+                        if _draw(fault_key, first + attempts - 1) >= cfg.fault_rate:
                             recovered += 1
                         else:
                             end += duration  # spare faulted too: best effort

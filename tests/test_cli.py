@@ -1,10 +1,12 @@
 """Tests of the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.explore import FrontierEntry, is_dominance_consistent
 from repro.graph.library import build_pcr
 from repro.graph.serialization import save_graph
 
@@ -122,6 +124,43 @@ class TestSimulate:
         ])
         assert exit_code == 1
         assert "simulation failed" in capsys.readouterr().err
+
+
+class TestExplore:
+    SPEC = Path(__file__).resolve().parent.parent / "examples/manifests/explore_small.json"
+
+    def _explore(self, capsys, tmp_path, state, name, *extra):
+        out = tmp_path / f"{name}.json"
+        exit_code = main([
+            "explore", str(self.SPEC), "--state-dir", str(tmp_path / state),
+            "--cache-dir", str(tmp_path / "cache"), "--json", str(out), *extra,
+        ])
+        assert exit_code == 0
+        return capsys.readouterr().out, json.loads(out.read_text())
+
+    def test_cold_resumed_and_warm_cache_runs(self, capsys, tmp_path):
+        # A tiny-budget cold run, a resume that lifts the budget, and a
+        # fresh state dir on the warm cache that replays every stage.
+        _, cold = self._explore(capsys, tmp_path, "state", "cold", "--budget", "12")
+        summary = cold["summary"]
+        assert summary["evaluated"] == 12 and summary["failed"] == 0
+        assert len(cold["frontier"]) >= 1
+        assert summary["scheduling_solves"] < summary["evaluated"]
+
+        text, resumed = self._explore(capsys, tmp_path, "state", "resumed")
+        summary = resumed["summary"]
+        assert "(resumed)" in text
+        assert summary["evaluated"] == 24
+        entries = [FrontierEntry(e["candidate_id"], e["objectives"])
+                   for e in resumed["frontier"]]
+        assert entries
+        assert is_dominance_consistent(entries, summary["objectives"])
+        solves = cold["summary"]["scheduling_solves"] + summary["scheduling_solves"]
+        assert solves < summary["evaluated"]
+
+        text, _ = self._explore(capsys, tmp_path, "state-2", "warm")
+        assert "stage schedule: 0 ran" in text
+        assert "exploration: 0 scheduling solve(s) for 24 evaluated config(s)" in text
 
 
 class TestSolverOverride:

@@ -7,11 +7,11 @@ survives behind ``REPRO_MC_SCALAR=1`` (mirroring ``REPRO_BB_SCALAR``)
 precisely so this suite can pin them against each other.  Three levels
 are covered:
 
-* **stream level** — :mod:`repro.simulation.mtstream` reproduces
-  CPython's Mersenne Twister bit-for-bit: the post-seeding state equals
-  ``random.Random(seed).getstate()``, and the generated doubles equal
-  ``Random.random()`` across the twist boundaries (one prefix twist,
-  one full twist, several twists);
+* **generator level** — the counter-based draws are addressable: any
+  trial slice of a ``uniform_block`` equals the same rows of a block
+  drawn from trial 0 and equals the scalar engine's ``_draw`` at every
+  (trial, counter); the uniforms and the folded normal have the expected
+  moments;
 * **engine level** — hypothesis-generated configurations (jitter mode and
   spread, wash, fault and channel-fault rates, retry budgets, seeds)
   produce byte-identical ``VerificationReport.as_dict()`` payloads and
@@ -24,8 +24,8 @@ are covered:
 from __future__ import annotations
 
 import json
+import math
 import os
-import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -37,9 +37,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.devices.device import default_device_library
-from repro.keys import derive_seed
 from repro.simulation import MonteCarloConfig, MonteCarloEngine
-from repro.simulation import montecarlo, mtstream
+from repro.simulation import montecarlo
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -65,55 +64,55 @@ def _detail(report):
     ]
 
 
-# ------------------------------------------------------------- mtstream
+# ------------------------------------------------------------ generator
 
 
-class TestMersenneStream:
+class TestCounterGenerator:
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(min_value=1 << 32, max_value=(1 << 63) - 1))
-    def test_state_matches_cpython_getstate(self, seed):
-        state = mtstream.state_block(np.array([seed], dtype=np.uint64))[0]
-        ref = random.Random(seed).getstate()[1][:624]
-        assert tuple(int(v) for v in state) == tuple(ref)
-
-    @settings(max_examples=10, deadline=None)
     @given(
-        seed=st.integers(min_value=1 << 32, max_value=(1 << 63) - 1),
-        # 113/114 straddle the prefix-twist boundary (2 * draws ≤ 227);
-        # 312 consumes exactly one full twist; 700 needs three.
-        draws=st.sampled_from([1, 2, 113, 114, 312, 313, 700]),
-    )
-    def test_doubles_match_cpython_across_twist_boundaries(self, seed, draws):
-        block = mtstream.uniform_block(np.array([seed], dtype=np.uint64), draws)
-        rng = random.Random(seed)
-        assert block[0].tolist() == [rng.random() for _ in range(draws)]
-
-    def test_small_seeds_fall_back_to_cpython(self):
-        # Seeds below 2**32 use a one-word key in CPython; the block
-        # routes them through random.Random per trial.
-        seeds = np.array([0, 1, 12345, (1 << 32) - 1, 1 << 32], dtype=np.uint64)
-        block = mtstream.uniform_block(seeds, 5)
-        for t, seed in enumerate(seeds):
-            rng = random.Random(int(seed))
-            assert block[t].tolist() == [rng.random() for _ in range(5)]
-
-    @settings(max_examples=15, deadline=None)
-    @given(
+        stream=st.sampled_from(["jitter", "fault", "channel"]),
         root=st.integers(min_value=0, max_value=(1 << 40)),
-        lo=st.integers(min_value=0, max_value=500),
-        span=st.integers(min_value=0, max_value=64),
+        lo=st.integers(min_value=0, max_value=60),
+        span=st.integers(min_value=0, max_value=20),
+        counters=st.lists(
+            st.integers(min_value=0, max_value=(1 << 40)), min_size=1, max_size=8
+        ),
     )
-    def test_derived_seed_block_matches_scalar_derivation(self, root, lo, span):
-        block = mtstream.derive_seed_block(root, "jitter-", lo, lo + span)
-        assert block.tolist() == [
-            derive_seed(root, f"jitter-{i}") for i in range(lo, lo + span)
-        ]
+    def test_block_slices_equal_full_block_and_scalar_draws(
+        self, stream, root, lo, span, counters
+    ):
+        hi = lo + span
+        full = montecarlo.uniform_block(
+            montecarlo.derive_seed_block(root, stream, 0, hi), counters
+        )
+        part = montecarlo.uniform_block(
+            montecarlo.derive_seed_block(root, stream, lo, hi), counters
+        )
+        assert part.tolist() == full[lo:hi].tolist()
+        for t in range(lo, hi):
+            key = montecarlo._trial_key(root, stream, t)
+            assert part[t - lo].tolist() == [
+                montecarlo._draw(key, c) for c in counters
+            ]
 
-    def test_stream_block_equals_the_scalar_engines_streams(self):
-        block = mtstream.uniform_stream_block(11, "fault-", 3, 20, 9)
-        for t, i in enumerate(range(3, 20)):
-            rng = random.Random(derive_seed(11, f"fault-{i}"))
-            assert block[t].tolist() == [rng.random() for _ in range(9)]
+    def test_uniform_moments(self):
+        u = montecarlo.uniform_block(
+            montecarlo.derive_seed_block(7, "jitter", 0, 256), np.arange(256)
+        ).ravel()
+        assert u.size == 1 << 16
+        assert ((0.0 <= u) & (u < 1.0)).all()
+        assert abs(u.mean() - 0.5) < 0.005
+        assert abs(u.var() - 1.0 / 12.0) < 0.002
+
+    def test_fold_normal_mean(self):
+        u = montecarlo.uniform_block(
+            montecarlo.derive_seed_block(7, "jitter", 0, 256), np.arange(512)
+        )
+        sigma = 0.3
+        folded = montecarlo._fold_normal(u[:, 0::2], u[:, 1::2], sigma)
+        assert (folded >= 0.0).all()
+        expected = sigma * math.sqrt(2.0 / math.pi)
+        assert abs(folded.mean() - expected) < 0.02 * expected
 
 
 # ------------------------------------------- vectorized vs scalar engine
@@ -165,15 +164,17 @@ class TestVectorizedScalarDifferential:
         assert _detail(fast) == _detail(ref)
 
     def test_block_boundary_straddling_run_is_byte_identical(self, pcr_schedule):
-        # More trials than one vector block forces the blocked path.
+        # More trials than one vector block forces the blocked path; normal
+        # jitter pins the numpy transform per element across block lengths.
         library = default_device_library(num_mixers=2)
-        config = MonteCarloConfig(
-            trials=montecarlo.VECTOR_BLOCK_TRIALS + 7, seed=5,
-            jitter="uniform", jitter_spread=0.1,
-        )
-        fast = _run(pcr_schedule, library, config)
-        ref = _run(pcr_schedule, library, config, scalar=True)
-        assert fast.as_dict() == ref.as_dict()
+        for jitter in ("uniform", "normal"):
+            config = MonteCarloConfig(
+                trials=montecarlo.VECTOR_BLOCK_TRIALS + 7, seed=5,
+                jitter=jitter, jitter_spread=0.1,
+            )
+            fast = _run(pcr_schedule, library, config)
+            ref = _run(pcr_schedule, library, config, scalar=True)
+            assert fast.as_dict() == ref.as_dict()
 
     def test_diagnostics_cap_appends_a_truncation_marker(self, pcr_schedule):
         # Saturating fault rates with washes produce far more diagnostics
@@ -202,13 +203,14 @@ class TestWorkerInvariance:
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         workers=st.sampled_from([2, 3, 4]),
+        jitter=st.sampled_from(["uniform", "normal"]),
     )
     def test_sharded_report_is_byte_identical_in_process(
-        self, pcr_schedule, seed, workers
+        self, pcr_schedule, seed, workers, jitter
     ):
         library = default_device_library(num_mixers=2)
         base = MonteCarloConfig(
-            trials=256, seed=seed, jitter="uniform", jitter_spread=0.2,
+            trials=256, seed=seed, jitter=jitter, jitter_spread=0.2,
             fault_rate=0.3, channel_fault_rate=0.1, wash_time=8,
         )
         serial = _run(pcr_schedule, library, base)

@@ -10,9 +10,15 @@ For every device operation ``o_i``:
   constraint (1).
 
 Precedence (3): for a sequencing-graph edge ``(o_i, o_j)`` between device
-operations, ``ts_j >= te_i + u_c * (1 - same_ij)`` where ``same_ij`` is a
-linearized AND over the per-device products ``s_ik * s_jk`` — the gap must
-cover a transport unless both ends share the device.
+operations, ``ts_j >= te_i + u_c * (1 - same_ij)`` where ``same_ij`` is the
+sum of per-device indicators ``both_ijk <= s_ik, s_jk`` — the gap must
+cover a transport unless both ends share the device.  Only the upper half
+of the AND linearization is modeled, so ``same_ij`` may be 0 on a shared
+device.  That is exact: ``same_ij`` only ever *relaxes* precedence and the
+``w`` row below, so leaving it 0 is never better than setting it, and the
+optimum is unchanged.  With ``u_c > 0`` and ``beta > 0`` every optimum
+sets it (a 0 would force a gap of ``u_c`` into ``w``), and the extracted
+starts and bindings are a valid schedule either way.
 
 Non-overlap (4): for every unordered pair of operations not related by
 precedence, an ordering binary + big-M pair of constraints forces one to
@@ -20,18 +26,34 @@ finish before the other starts whenever both are bound to the same device.
 
 Completion time (5): ``tE >= te_i``.
 
+Device load (valid inequality): for every device ``d_k`` with two or more
+compatible operations, ``sum_i duration_i * s_ik <= tE`` — operations bound
+to one device never overlap (4), start at 0 or later and end by ``tE``
+(5).  The rows cut no schedule off; they give the LP relaxation the
+device capacity it otherwise lacks (IVD's root bound rises from 12060 to
+24060 against an optimum of 28060).
+
 Objective (6): ``minimize alpha * tE + beta * sum w_ij`` where
 ``w_ij >= (ts_j - te_i) - M * same_ij`` captures the cross-device gap of each
 edge (same-device edges contribute nothing, exactly as in the paper).
+
+Horizon.  ``tE`` and every ``ts_i`` are bounded by the serial horizon
+(every operation back to back plus one transport per edge), which is also
+the big-M.  A warm start verified against the model (bounds, integrality,
+every row) with objective ``Z`` tightens that to ``tE <= floor(Z / alpha)``
+and ``ts_i <= floor(Z / alpha) - duration_i``: for ``alpha > 0`` and
+``beta >= 0``, ``w >= 0`` gives ``alpha * tE* <= Z* <= Z``, so no optimum
+is cut off and the warm point itself stays feasible.  The big-M stays at
+the serial horizon; presolve tightens it from the clamped bounds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.devices.device import DeviceLibrary
-from repro.graph.analysis import critical_path_length
 from repro.graph.sequencing_graph import SequencingGraph
 from repro.ilp import (
     Model,
@@ -40,8 +62,8 @@ from repro.ilp import (
     SolverStatus,
     WarmStart,
     lin_sum,
-    linearize_and,
 )
+from repro.obs.trace import span as obs_span
 from repro.scheduling.schedule import Schedule
 
 
@@ -67,15 +89,15 @@ class IlpSchedulerConfig:
     beta: float = 1.0
     time_limit_s: Optional[float] = 60.0
     mip_rel_gap: Optional[float] = None
-    horizon: Optional[int] = None
     solver: Optional[SolverOptions] = None
     #: Seed every solve with the storage-aware list heuristic's schedule
     #: translated into a full ILP assignment (a :class:`WarmStart`), unless
-    #: the caller supplies an external hint.  Backends that cannot consume
-    #: warm starts (HiGHS through scipy) simply ignore it; the
-    #: branch-and-bound backend uses it to bound its search from node one.
-    #: A warm start never changes the status or objective of a completed
-    #: search; a time- or node-limited one can return another incumbent.
+    #: the caller supplies an external hint.  A warm start that fits the
+    #: model bounds ``tE`` by its objective on every backend; the
+    #: branch-and-bound backend also seeds its incumbent with it (HiGHS
+    #: through scipy takes no warm start).  A warm start never changes the
+    #: status or objective of a completed search; a time- or node-limited
+    #: one can return another incumbent.
     warm_start_heuristic: bool = True
 
     def solver_options(self) -> SolverOptions:
@@ -123,15 +145,58 @@ class IlpScheduler:
             return schedule
 
         compatible = self._compatible_devices(graph)
-        horizon = cfg.horizon or self._default_horizon(graph)
-        big_m = horizon + 1
+        horizon = self._default_horizon(graph)
+        with obs_span("schedule:model-build", category="schedule") as build_span:
+            model, start, assign, device_edges, ordering = self._build_model(
+                graph, operations, compatible, horizon
+            )
+            warm = self._build_warm_start(
+                model, graph, warm_hint, operations, compatible, device_edges, ordering,
+                horizon + 1,
+            )
+            t_end_bound = self._bound_by_incumbent(model, warm, operations, horizon)
+            build_span.set(vars=model.num_variables, rows=model.num_constraints,
+                           horizon=horizon, t_end_bound=t_end_bound)
 
+        options = cfg.solver_options()
+        if warm is not None:
+            # A copy: the options object is shared flow-wide configuration,
+            # the warm start is advice for this one solve.
+            options = replace(options, warm_start=warm)
+        result = model.solve(options)
+
+        if not result.status.is_feasible():
+            message = (
+                f"ILP scheduling of {graph.name!r} failed: {result.status.value} ({result.message})"
+            )
+            if result.status is SolverStatus.TIME_LIMIT:
+                # Limit-induced, no incumbent: load-dependent, so raised as a
+                # distinct type the batch engine knows not to memoize.
+                raise SolverLimitError(message)
+            raise RuntimeError(message)
+
+        with obs_span("schedule:extract", category="schedule"):
+            schedule = self._extract_schedule(graph, start, assign, compatible)
+        schedule.solve = result.record()
+        return schedule
+
+    # ------------------------------------------------------------ internals
+    def _build_model(self, graph, operations, compatible, horizon):
+        """The ILP of the module docstring, bounded by the serial ``horizon``.
+
+        Returns ``(model, start, assign, device_edges, ordering)``: the
+        start-time and binding variables the schedule is extracted from,
+        and the edges and ordering binaries a warm start must assign.
+        """
+        cfg = self.config
+        big_m = horizon + 1
         model = Model(f"schedule-{graph.name}")
 
         start: Dict[str, object] = {}
         end_expr: Dict[str, object] = {}
         assign: Dict[Tuple[str, str], object] = {}
         durations: Dict[str, int] = {}
+        load: Dict[str, List[object]] = {}
 
         for op in operations:
             devices = compatible[op.op_id]
@@ -148,10 +213,12 @@ class IlpScheduler:
                 var = model.add_binary(f"s[{op.op_id},{device.device_id}]")
                 assign[(op.op_id, device.device_id)] = var
                 binaries.append(var)
+                load.setdefault(device.device_id, []).append(op.duration * var)
             model.add_constraint(lin_sum(binaries) == 1, name=f"uniq[{op.op_id}]")
 
         # Same-device indicators for sequencing-graph edges (for precedence
-        # slack and the storage objective term).
+        # slack and the storage objective term).  One-sided AND: ``both``
+        # may stay 0 on a shared device, which only tightens (3) and ``w``.
         same: Dict[Tuple[str, str], object] = {}
         device_edges = [
             (p, c)
@@ -164,11 +231,9 @@ class IlpScheduler:
             ]
             per_device = []
             for device in shared:
-                both = linearize_and(
-                    model,
-                    f"both[{parent_id},{child_id},{device.device_id}]",
-                    [assign[(parent_id, device.device_id)], assign[(child_id, device.device_id)]],
-                )
+                both = model.add_binary(f"both[{parent_id},{child_id},{device.device_id}]")
+                model.add_constraint(both <= assign[(parent_id, device.device_id)])
+                model.add_constraint(both <= assign[(child_id, device.device_id)])
                 per_device.append(both)
             if per_device:
                 same_var = model.add_binary(f"same[{parent_id},{child_id}]")
@@ -197,6 +262,11 @@ class IlpScheduler:
         for op in operations:
             model.add_constraint(t_end >= end_expr[op.op_id])
 
+        # Device load: a device's operations run one at a time within tE.
+        for device_id, terms in load.items():
+            if len(terms) >= 2:
+                model.add_constraint(lin_sum(terms) <= t_end, name=f"load[{device_id}]")
+
         # Storage terms w_ij for cross-device edges (objective (6)).
         gap_terms = []
         for parent_id, child_id in device_edges:
@@ -211,32 +281,26 @@ class IlpScheduler:
         if gap_terms and cfg.beta:
             objective = objective + cfg.beta * lin_sum(gap_terms)
         model.minimize(objective)
+        return model, start, assign, device_edges, ordering
 
-        options = cfg.solver_options()
-        warm = self._build_warm_start(
-            graph, warm_hint, operations, compatible, device_edges, ordering, big_m
-        )
-        if warm is not None:
-            # A copy: the options object is shared flow-wide configuration,
-            # the warm start is advice for this one solve.
-            options = replace(options, warm_start=warm)
-        result = model.solve(options)
+    def _bound_by_incumbent(self, model, warm, operations, horizon) -> Optional[int]:
+        """Clamp ``tE`` and every ``ts`` by a verified warm start's objective.
 
-        if not result.status.is_feasible():
-            message = (
-                f"ILP scheduling of {graph.name!r} failed: {result.status.value} ({result.message})"
-            )
-            if result.status is SolverStatus.TIME_LIMIT:
-                # Limit-induced, no incumbent: load-dependent, so raised as a
-                # distinct type the batch engine knows not to memoize.
-                raise SolverLimitError(message)
-            raise RuntimeError(message)
+        Returns the new bound on ``tE``, or ``None`` when there is nothing
+        to clamp by (no verified warm start, or weights for which the bound
+        is not valid — see the module docstring).
+        """
+        cfg = self.config
+        if warm is None or cfg.alpha <= 0 or cfg.beta < 0:
+            return None
+        # tE* <= Z/alpha exactly; the epsilon only absorbs float error in
+        # Z/alpha and can only loosen the bound.
+        bound = min(horizon, math.floor(warm.objective / cfg.alpha + 1e-6))
+        model.get_var("tE").up = bound
+        for op in operations:
+            model.get_var(f"ts[{op.op_id}]").up = bound - op.duration
+        return bound
 
-        schedule = self._extract_schedule(graph, start, assign, compatible)
-        schedule.solve = result.record()
-        return schedule
-
-    # ------------------------------------------------------------ internals
     def _compatible_devices(self, graph: SequencingGraph):
         return {
             op.op_id: self.library.devices_for(op.kind)
@@ -288,17 +352,18 @@ class IlpScheduler:
         return ordering
 
     # ------------------------------------------------------------ warm start
-    def _build_warm_start(self, graph, warm_hint, operations, compatible,
+    def _build_warm_start(self, model, graph, warm_hint, operations, compatible,
                           device_edges, ordering, big_m) -> Optional[WarmStart]:
-        """Translate a schedule into a full ILP assignment, best-effort.
+        """Translate schedules into full ILP assignments; keep the best that fits.
 
-        The external ``warm_hint`` (a neighboring configuration's solved
-        schedule) wins over the self-seeded list-heuristic schedule; any
-        failure to translate — missing operations, a device this library
-        does not have — degrades to the heuristic seed (or no warm start)
-        rather than an error.  The backend re-verifies the assignment
-        against every constraint anyway, so a stale or ill-fitting hint can
-        never corrupt a solve.
+        Candidates are the external ``warm_hint`` (a neighboring
+        configuration's solved schedule) and the self-seeded list-heuristic
+        schedule.  Each is verified against ``model`` — every variable
+        named, bounds, integrality, every row — and the lowest objective
+        among those that fit wins.  A hint that does not translate or does
+        not fit (one solved under another transport time, say) is dropped
+        rather than displacing a valid one: the returned warm start also
+        bounds ``tE``, so it must be feasible.
         """
         attempts = []
         if warm_hint is not None:
@@ -306,7 +371,6 @@ class IlpScheduler:
         if self.config.warm_start_heuristic:
             attempts.append((self._heuristic_schedule(graph), "list-heuristic"))
         best: Optional[WarmStart] = None
-        best_obj = float("inf")
         for hint, label in attempts:
             if hint is None:
                 continue
@@ -314,17 +378,34 @@ class IlpScheduler:
                                        ordering, big_m)
             if values is None:
                 continue
-            # The model's objective over the assignment: both attempts may
-            # translate, and the neighbor's schedule is not automatically
-            # better than the self-seeded heuristic — keep whichever bounds
-            # the search tighter.
-            objective = self.config.alpha * values["tE"] + self.config.beta * sum(
-                values[f"w[{p},{c}]"] for p, c in device_edges
-            )
-            if objective < best_obj:
+            objective = self._verified_objective(model, values)
+            if objective is not None and (best is None or objective < best.objective):
                 best = WarmStart(values=values, objective=objective, label=label)
-                best_obj = objective
         return best
+
+    @staticmethod
+    def _verified_objective(model, values) -> Optional[float]:
+        """The objective of ``values`` if it is a feasible point of ``model``."""
+        tolerance = 1e-6
+        for var in model.variables:
+            value = values.get(var.name)
+            if value is None:
+                return None
+            if var.kind != "continuous" and abs(value - round(value)) > tolerance:
+                return None
+            if (var.low is not None and value < var.low - tolerance) or (
+                var.up is not None and value > var.up + tolerance
+            ):
+                return None
+        try:
+            for var in model.variables:
+                var.value = values[var.name]
+            if model.check_solution(tolerance):
+                return None
+            return model.objective_value()
+        finally:
+            for var in model.variables:
+                var.value = None
 
     def _heuristic_schedule(self, graph) -> Optional[Schedule]:
         from repro.scheduling.list_scheduler import ListScheduler, ListSchedulerConfig

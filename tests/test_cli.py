@@ -8,6 +8,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.explore import FrontierEntry, is_dominance_consistent
 from repro.graph.library import build_pcr
+from repro.ilp import HighsBackend
 from repro.graph.serialization import save_graph
 
 
@@ -194,6 +195,16 @@ class TestSolverOverride:
         assert {row["stage"] for row in stages} == {"schedule", "archsyn", "physical"}
         # Solver-free jobs still carry the per-stage backend fields (null).
         assert all("backend" in row and "fallback_used" in row for row in stages)
+
+    def test_scipy_free_flow_falls_back_to_branch_and_bound(self, monkeypatch, capsys):
+        # HiGHS reported unavailable, as on an interpreter without scipy.
+        monkeypatch.setattr(HighsBackend, "is_available", lambda self: False)
+        assert main(["--assay", "IVD", "--detectors", "2", "--time-limit", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "solver backends: schedule=branch-and-bound (fallback)" in out
+        assert main([
+            "--assay", "PCR", "--scheduler", "list", "--solver", "branch-and-bound",
+        ]) == 0
 
     def test_unknown_solver_is_an_argparse_error(self, tmp_path):
         manifest = tmp_path / "m.json"

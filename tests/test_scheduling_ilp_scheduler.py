@@ -4,11 +4,15 @@ import pytest
 
 from repro.devices.device import default_device_library
 from repro.graph.analysis import critical_path_length
-from repro.graph.library import build_pcr
+from repro.graph.generators import RandomAssayConfig, random_assay
+from repro.graph.library import assay_by_name, build_pcr
 from repro.graph.sequencing_graph import SequencingGraph
+from repro.ilp import SolverStatus
 from repro.scheduling.ilp_scheduler import IlpScheduler, IlpSchedulerConfig
 from repro.scheduling.list_scheduler import ListScheduler
 from repro.scheduling.transport import cross_device_gap_sum, total_storage_time
+from repro.synthesis.config import FlowConfig
+from repro.synthesis.flow import build_library
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +84,57 @@ class TestObjectiveWeights:
         heuristic = ListScheduler(two_mixers).schedule(pcr)
         assert ilp.validate() == []
         assert ilp.makespan <= heuristic.makespan
+
+
+# IVD, PCR and seeded 6-8 operation random assays, each on its paper
+# device set, with the storage term on (beta > 0).
+REFORMULATION_CASES = ["IVD", "PCR"] + [
+    (size, seed) for size, seed in ((6, 1), (6, 2), (7, 3), (7, 4), (8, 5), (8, 6))
+]
+
+
+def _case_graph(case):
+    if isinstance(case, str):
+        return assay_by_name(case)
+    size, seed = case
+    return random_assay(RandomAssayConfig(num_operations=size, seed=seed))
+
+
+def _schedule_case(case, **overrides):
+    graph = _case_graph(case)
+    library = build_library(FlowConfig.paper_defaults_for(graph.name))
+    config = IlpSchedulerConfig(transport_time=10, alpha=100.0, beta=1.0,
+                                time_limit_s=30, **overrides)
+    return IlpScheduler(library, config).schedule(graph)
+
+
+@pytest.fixture(scope="module")
+def default_schedules():
+    return {str(case): _schedule_case(case) for case in REFORMULATION_CASES}
+
+
+@pytest.mark.parametrize("case", REFORMULATION_CASES, ids=str)
+class TestReformulation:
+    """The load rows, the incumbent bound on tE and the one-sided same-device
+    AND leave the optimum of the paper's objective (6) where it was."""
+
+    def test_objective_is_the_paper_objective_of_the_extracted_schedule(
+        self, case, default_schedules
+    ):
+        schedule = default_schedules[str(case)]
+        graph = schedule.graph
+        t_end = max(schedule.entry(op.op_id).end for op in graph.device_operations())
+        gaps = 0
+        for parent_id, child_id in graph.device_edges():
+            parent, child = schedule.entry(parent_id), schedule.entry(child_id)
+            if parent.device_id != child.device_id:
+                gaps += max(0, child.start - parent.end)
+        assert schedule.solve.status is SolverStatus.OPTIMAL
+        assert schedule.solve.objective == pytest.approx(100.0 * t_end + 1.0 * gaps)
+
+    def test_unbounded_solve_reaches_the_same_optimum(self, case, default_schedules):
+        # With no warm start there is no incumbent to bound tE by.
+        bounded = default_schedules[str(case)]
+        unbounded = _schedule_case(case, warm_start_heuristic=False)
+        assert unbounded.solve.objective == pytest.approx(bounded.solve.objective)
+        assert unbounded.makespan == bounded.makespan

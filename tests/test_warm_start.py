@@ -12,7 +12,8 @@ corrupting the solve.  Layers covered:
 * **HiGHS** — scipy's ``milp`` has no warm-start API, so the option is a
   graceful no-op that still reports ``warm_start_used=False``;
 * **scheduler** — ``IlpScheduler.schedule(graph, warm_hint=...)`` seeds the
-  solve from a neighboring schedule without changing the makespan;
+  solve from a neighboring schedule without changing the makespan, and a
+  hint that breaks a row never displaces the valid heuristic seed;
 * **flow** — under a 0.1 s budget the warm-started branch-and-bound backend
   still returns IVD's optimal makespan through ``synthesize()``;
 * **exploration** — an acceptance-scale 24-config sweep on the
@@ -25,6 +26,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+from repro.devices.device import default_device_library
 from repro.graph.library import assay_by_name
 from repro.ilp import (
     BranchAndBoundBackend,
@@ -186,6 +188,23 @@ class TestSchedulerWarmStart:
 
         assert warm.makespan == cold.makespan == 330
         assert warm.solve.warm_start_used is True
+
+    def test_infeasible_neighbor_hint_does_not_displace_the_heuristic_seed(
+        self, diamond_graph
+    ):
+        """A hint solved without transport scores lower than the heuristic
+        seed but breaks precedence here: it is dropped, and the solve still
+        runs from the (verified) heuristic seed."""
+        library = default_device_library(num_mixers=2)
+        hint = ListScheduler(
+            library, ListSchedulerConfig(transport_time=0)
+        ).schedule(diamond_graph)
+        plain = self.make_scheduler(library).schedule(diamond_graph)
+        hinted = self.make_scheduler(library).schedule(diamond_graph, warm_hint=hint)
+
+        assert hint.makespan < plain.makespan
+        assert hinted.solve.warm_start_used is True
+        assert hinted.solve.objective == pytest.approx(plain.solve.objective)
 
     def test_without_any_hint_or_heuristic_no_warm_start_is_reported(self):
         library = build_library(FlowConfig(storage_aware=False))

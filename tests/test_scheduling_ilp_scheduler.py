@@ -138,3 +138,102 @@ class TestReformulation:
         unbounded = _schedule_case(case, warm_start_heuristic=False)
         assert unbounded.solve.objective == pytest.approx(bounded.solve.objective)
         assert unbounded.makespan == bounded.makespan
+
+
+def _reference_objective(graph, library, transport_time, alpha, beta):
+    """Optimum of a plain transcription of the paper's constraints (1)-(7).
+
+    Written independently of :class:`IlpScheduler`: no load rows, no bound
+    on ``tE`` beyond the serial horizon, the full two-sided AND for the
+    same-device indicators and one ordering binary per shared device.
+    """
+    import itertools
+
+    from repro.ilp import Model, SolverOptions, lin_sum, linearize_and
+
+    ops = graph.device_operations()
+    devices = {op.op_id: [d.device_id for d in library.devices_for(op.kind)] for op in ops}
+    duration = {op.op_id: op.duration for op in ops}
+    horizon = sum(duration.values()) + transport_time * (len(graph.device_edges()) + 1)
+    big_m = horizon + 1
+    model = Model(f"reference-{graph.name}")
+    ts = {i: model.add_integer(f"ts[{i}]", low=0, up=horizon) for i in duration}
+    s = {(i, k): model.add_binary(f"s[{i},{k}]") for i in duration for k in devices[i]}
+    for i in duration:
+        model.add_constraint(lin_sum(s[i, k] for k in devices[i]) == 1)
+    t_end = model.add_integer("tE", low=0, up=horizon)
+    for i in duration:
+        model.add_constraint(t_end >= ts[i] + duration[i])
+    gaps = []
+    for p, c in graph.device_edges():
+        same = lin_sum(
+            linearize_and(model, f"both[{p},{c},{k}]", [s[p, k], s[c, k]])
+            for k in devices[p] if k in devices[c]
+        )
+        model.add_constraint(ts[c] - ts[p] - duration[p] >= transport_time * (1 - same))
+        w = model.add_continuous(f"w[{p},{c}]", low=0, up=None)
+        model.add_constraint(w >= ts[c] - ts[p] - duration[p] - big_m * same)
+        gaps.append(w)
+    for i, j in itertools.combinations(duration, 2):
+        if i in graph.ancestors(j) or j in graph.ancestors(i):
+            continue
+        for k in devices[i]:
+            if k not in devices[j]:
+                continue
+            # Relaxed unless both run on k; then x picks which goes first.
+            x = model.add_binary(f"x[{i},{j},{k}]")
+            off = big_m * (2 - s[i, k] - s[j, k])
+            model.add_constraint(ts[i] + duration[i] <= ts[j] + big_m * (1 - x) + off)
+            model.add_constraint(ts[j] + duration[j] <= ts[i] + big_m * x + off)
+    objective = alpha * t_end
+    if gaps and beta:
+        objective = objective + beta * lin_sum(gaps)
+    model.minimize(objective)
+    result = model.solve(SolverOptions(time_limit_s=30))
+    assert result.status is SolverStatus.OPTIMAL
+    return result.objective
+
+
+# (operations, seed, mixers, transport time, beta): one to three mixers,
+# transport times 0-20 and the execution-time-only objective (beta = 0).
+DIFFERENTIAL_CASES = [
+    (5, 1, 1, 10, 1.0), (5, 2, 2, 10, 1.0), (5, 3, 3, 10, 1.0), (5, 4, 2, 0, 1.0),
+    (5, 5, 2, 20, 0.0), (6, 1, 2, 10, 1.0), (6, 2, 1, 20, 1.0), (6, 3, 3, 10, 0.0),
+    (6, 4, 2, 0, 1.0), (6, 5, 2, 20, 1.0), (6, 6, 3, 20, 1.0), (7, 1, 2, 10, 1.0),
+    (7, 2, 3, 10, 1.0), (7, 3, 1, 10, 1.0), (7, 4, 2, 20, 0.0), (7, 5, 3, 0, 1.0),
+    (7, 6, 2, 10, 0.0), (7, 7, 2, 20, 1.0), (8, 1, 2, 10, 1.0), (8, 2, 3, 20, 1.0),
+    (8, 3, 2, 0, 0.0), (8, 4, 1, 10, 1.0), (8, 5, 2, 10, 1.0), (8, 6, 3, 20, 1.0),
+    (8, 7, 3, 10, 0.0), (8, 8, 2, 20, 1.0),
+]
+
+
+def _differential_id(case):
+    size, seed, mixers, transport_time, beta = case
+    return f"ra{size}-seed{seed}-mixers{mixers}-uc{transport_time}-beta{beta:g}"
+
+
+class TestReferenceFormulationDifferential:
+    """The scheduler's optimum equals the plain paper formulation's optimum."""
+
+    @pytest.mark.parametrize("case", DIFFERENTIAL_CASES, ids=_differential_id)
+    def test_random_assay_matches_the_reference_optimum(self, case):
+        size, seed, mixers, transport_time, beta = case
+        graph = random_assay(RandomAssayConfig(num_operations=size, seed=seed))
+        library = default_device_library(num_mixers=mixers)
+        config = IlpSchedulerConfig(transport_time=transport_time, alpha=100.0, beta=beta,
+                                    time_limit_s=30)
+        schedule = IlpScheduler(library, config).schedule(graph)
+        assert schedule.solve.status is SolverStatus.OPTIMAL
+        assert schedule.solve.objective == pytest.approx(
+            _reference_objective(graph, library, transport_time, 100.0, beta)
+        )
+
+    @pytest.mark.parametrize("name", ["IVD", "PCR"])
+    def test_paper_assay_matches_the_reference_optimum(self, name):
+        graph = assay_by_name(name)
+        library = build_library(FlowConfig.paper_defaults_for(name))
+        schedule = IlpScheduler(library, IlpSchedulerConfig(time_limit_s=30)).schedule(graph)
+        assert schedule.solve.status is SolverStatus.OPTIMAL
+        assert schedule.solve.objective == pytest.approx(
+            _reference_objective(graph, library, 10, 100.0, 1.0)
+        )

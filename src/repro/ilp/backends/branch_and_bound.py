@@ -1,7 +1,7 @@
 """Dependency-free MILP backend: best-first branch and bound, LP-free.
 
 The backend solves a :class:`repro.ilp.Model` with nothing beyond numpy and
-the matrices the model already knows how to produce
+the sparse matrices the model already knows how to produce
 (:meth:`Model.to_matrices`).  It exists so the whole synthesis flow runs on
 an interpreter without scipy — as the portfolio's fallback, and as an
 explicitly selectable ``"branch-and-bound"`` backend in tests and CI.
@@ -24,13 +24,11 @@ Instead of an LP relaxation, nodes are bounded by *interval propagation*:
   original rows before it is accepted, so the backend never returns an
   invalid solution.
 
-The propagation, bounding and verification kernels are vectorized over the
-dense matrices (row activities as masked matrix products, residual bounds
-as element-wise division over the full ``rows x vars`` plane).  Setting
-``REPRO_BB_SCALAR=1`` in the environment selects the original pure-Python
-per-term loops instead — kept solely as a differential-testing oracle; both
-paths share the same tolerances (:data:`_TIGHTEN_TOL` et al.) and reach the
-same propagation fixpoint.
+The propagation, bounding and verification kernels run over the nonzeros
+of the CSR rows only.  Per-term loops over the same rows
+(:func:`_propagate_scalar` et al.) stay in this module as the reference the
+tests compare the kernels against; the solver never calls them.  Both share
+the tolerances (:data:`_TIGHTEN_TOL` et al.) and reach the same fixpoint.
 
 A :class:`~repro.ilp.solver.WarmStart` in ``SolverOptions.warm_start`` is
 verified against the model and, when valid, seeds the search: nodes whose
@@ -43,27 +41,28 @@ nothing at least as good, e.g. at a time limit.
 
 Search is best-first over the node bound (a heap), branching by halving the
 first unfixed integer variable's range, which keeps the tree logarithmic in
-the bound widths.  The backend is exact on the small models it is meant for
-(the golden-assay ILPs, the parity fixtures); on large instances it honors
-``time_limit_s``/``node_limit`` and reports its best incumbent —
-``FEASIBLE`` with a solution, ``TIME_LIMIT`` without one — mirroring the
-HiGHS status contract.  Models that are *unbounded* (an improving direction
-on an infinite box) are not detected as such and may enumerate until a
-limit fires; the synthesis formulations never produce them.
+the bound widths.  Without an LP bound it is exact only on small models:
+it closes neither the IVD nor the PCR scheduling ILP within 20 s, and
+without a warm start returns ``TIME_LIMIT`` with no incumbent on both.
+``time_limit_s``/``node_limit`` are checked at every search node, dive fix
+and completion fix; at a limit the best incumbent (or the verified warm
+start) is ``FEASIBLE``, no incumbent is ``TIME_LIMIT`` — mirroring the
+HiGHS status contract.  *Unbounded* models (an improving direction on an
+infinite box) are not detected and may enumerate until a limit fires; the
+synthesis formulations never produce them.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import os
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.ilp.backends.base import SolverBackend, empty_model_result
-from repro.ilp.model import Model
+from repro.ilp.model import CsrMatrix, Model
 from repro.ilp.status import SolverStatus
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span as obs_span, tracing_enabled
@@ -76,79 +75,264 @@ _INT_TOL = 1e-6
 #: Objective epsilon under which two incumbents are considered equal.
 _OBJ_TOL = 1e-9
 #: Minimum improvement for a propagation pass to book a bound as tightened.
-#: Shared by the vectorized and scalar kernels — a private literal in either
-#: would make them disagree on marginal tightenings and break the
-#: differential contract.
+#: Shared by the CSR kernels and the scalar reference — a private literal in
+#: either would make them disagree on marginal tightenings.
 _TIGHTEN_TOL = 1e-7
 #: Fixpoint cap: propagation passes per node before settling for the
 #: current (still valid, just less tight) box.
 _MAX_PASSES = 40
 
-#: Environment flag selecting the scalar (pure-Python loop) kernels.
-_SCALAR_ENV = "REPRO_BB_SCALAR"
-
-#: One sparse constraint row: ``(terms, row_lo, row_hi)`` with
-#: ``terms = [(var_index, coefficient), ...]``.
-_Row = Tuple[List[Tuple[int, float]], float, float]
-
-
-def _build_rows(A, lower, upper) -> List[_Row]:
-    """Sparse rows from the dense matrix form of :meth:`Model.to_matrices`."""
-    rows: List[_Row] = []
-    for r in range(A.shape[0]):
-        terms = [(j, float(A[r, j])) for j in range(A.shape[1]) if A[r, j] != 0.0]
-        rows.append((terms, float(lower[r]), float(upper[r])))
-    return rows
-
 
 class _RowSystem:
-    """Constraint rows in both kernel representations, plus the cut row.
+    """The constraint rows in CSR form, with the objective cut as last row.
 
-    Holds the dense matrices with the masks the vectorized kernels need
-    (sign masks, a division-safe coefficient matrix) and the sparse
-    per-term rows the scalar kernels iterate.  The *last* dense row is the
-    mutable objective cut ``c . x <= cut_hi``; an infinite ``cut_hi``
-    disables it.  Verification always runs against the original rows only,
-    so a solution that merely fails to *improve* the incumbent is never
-    misreported as infeasible.
+    The cut row ``c . x <= cut_hi`` is disabled by an infinite ``cut_hi``.
+    ``row_of`` names every nonzero's row, ``by_col`` sorts the nonzeros by
+    column, and ``col_starts`` is where each of ``cols`` (the columns with
+    a nonzero) begins in that order.  Verification reads the first ``m``
+    rows only, so a solution that merely fails to *improve* the incumbent
+    is never misreported as infeasible.
     """
 
-    def __init__(self, A, lower, upper, c) -> None:
-        A = np.asarray(A, dtype=float)
-        self.m = A.shape[0]
-        self.A = np.vstack([A, np.asarray(c, dtype=float)[None, :]])
+    def __init__(self, A: CsrMatrix, lower, upper, c) -> None:
+        c = np.asarray(c, dtype=float)
+        obj_cols = np.flatnonzero(c)
+        self.m, n = A.shape
+        #: Nonzeros of the original rows (the cut row's follow them).
+        self.nnz = len(A.data)
+        self.indptr = np.append(A.indptr, A.indptr[-1] + len(obj_cols))
+        self.indices = np.concatenate([A.indices, obj_cols])
+        self.data = np.concatenate([A.data, c[obj_cols]])
         self.lower = np.append(np.asarray(lower, dtype=float), -_INF)
         self.upper = np.append(np.asarray(upper, dtype=float), _INF)
-        self.nz = self.A != 0.0
-        self.pos = self.A > 0.0
-        self.neg = self.A < 0.0
-        self.Apos = np.where(self.pos, self.A, 0.0)
-        self.Aneg = np.where(self.neg, self.A, 0.0)
-        #: Division-safe coefficients (zeros replaced; masked out anyway).
-        self.Asafe = np.where(self.nz, self.A, 1.0)
-        #: Sparse view for the scalar kernels (original rows only).
-        self.rows = _build_rows(A, lower, upper)
-        self.cut_terms: List[Tuple[int, float]] = [
-            (j, float(cj)) for j, cj in enumerate(np.asarray(c, dtype=float)) if cj
-        ]
+        self.row_of = np.repeat(np.arange(self.m + 1), np.diff(self.indptr))
+        self.pos = self.data > 0.0
+        self.by_col = np.argsort(self.indices, kind="stable")
+        counts = np.bincount(self.indices, minlength=n)
+        self.cols = np.flatnonzero(counts)
+        self.col_starts = (np.cumsum(counts) - counts)[self.cols]
 
     # The cut bound lives in ``upper[-1]``; nothing precomputed depends on it.
     def set_cut(self, cut_hi: float) -> None:
         self.upper[-1] = cut_hi
 
-    @property
-    def cut_hi(self) -> float:
-        return float(self.upper[-1])
+    def terms(self, r: int) -> List[Tuple[int, float]]:
+        """Row ``r`` as ``[(var_index, coefficient), ...]``."""
+        start, end = self.indptr[r], self.indptr[r + 1]
+        return list(zip(self.indices[start:end].tolist(), self.data[start:end].tolist()))
 
-    def scalar_rows(self) -> List[_Row]:
-        """Sparse rows including the cut row when it is active."""
-        if self.cut_hi < _INF and self.cut_terms:
-            return self.rows + [(self.cut_terms, -_INF, self.cut_hi)]
-        return self.rows
+
+# ------------------------------------------------------------- CSR kernels
+
+def _propagate(sys: _RowSystem, lo, hi, is_int) -> bool:
+    """Tighten ``lo``/``hi`` in place; ``False`` when proven infeasible.
+
+    One Jacobi-style pass per iteration over the nonzeros.  Activities are
+    recomputed from the *current* bounds at the top of every pass, so no
+    tightening is ever derived from a stale activity sum.  Empty rows sum
+    to zero through ``bincount``'s ``minlength``; empty columns are left out
+    of the ``reduceat`` segments, which would otherwise return a
+    neighbouring column's first element instead of the identity.
+    """
+    a, cols, row_of, pos = sys.data, sys.indices, sys.row_of, sys.pos
+    num_rows = sys.m + 1
+    row_lo, row_hi = sys.lower, sys.upper
+    nz_lo, nz_hi = row_lo[row_of], row_hi[row_of]
+    has_lo, has_hi = np.isfinite(nz_lo), np.isfinite(nz_hi)
+    by_col, starts, var_cols = sys.by_col, sys.col_starts, sys.cols
+    int_cols = np.asarray(is_int, dtype=bool)[var_cols]
+    for _ in range(_MAX_PASSES):
+        lo_c, hi_c = lo[cols], hi[cols]
+        lo_inf, hi_inf = np.isinf(lo_c), np.isinf(hi_c)
+        lo_f = np.where(lo_inf, 0.0, lo_c)
+        hi_f = np.where(hi_inf, 0.0, hi_c)
+        # Finite activity parts and infinite-contribution counts, per
+        # nonzero and summed per row.
+        cmin = a * np.where(pos, lo_f, hi_f)
+        cmax = a * np.where(pos, hi_f, lo_f)
+        cmin_inf = np.where(pos, lo_inf, hi_inf)
+        cmax_inf = np.where(pos, hi_inf, lo_inf)
+        min_fin = np.bincount(row_of, weights=cmin, minlength=num_rows)
+        max_fin = np.bincount(row_of, weights=cmax, minlength=num_rows)
+        min_ninf = np.bincount(row_of[cmin_inf], minlength=num_rows)
+        max_ninf = np.bincount(row_of[cmax_inf], minlength=num_rows)
+        if bool(np.any((min_ninf == 0) & (min_fin > row_hi + _FEAS_TOL))):
+            return False
+        if bool(np.any((max_ninf == 0) & (max_fin < row_lo - _FEAS_TOL))):
+            return False
+        # Residual activity of the *other* terms in each row: finite
+        # exactly when no other term contributes an infinity.
+        ok_hi = has_hi & (min_ninf[row_of] == cmin_inf)
+        ok_lo = has_lo & (max_ninf[row_of] == cmax_inf)
+        lim_hi = (nz_hi - (min_fin[row_of] - cmin)) / a
+        lim_lo = (nz_lo - (max_fin[row_of] - cmax)) / a
+        # a > 0: a x_j <= row_hi - rest_min caps hi, row_lo side lifts lo;
+        # a < 0 swaps the directions.
+        cap = np.where(pos, np.where(ok_hi, lim_hi, _INF), np.where(ok_lo, lim_lo, _INF))
+        lift = np.where(pos, np.where(ok_lo, lim_lo, -_INF), np.where(ok_hi, lim_hi, -_INF))
+        cand_hi = np.minimum.reduceat(cap[by_col], starts)
+        cand_lo = np.maximum.reduceat(lift[by_col], starts)
+        cand_hi = np.where(int_cols & np.isfinite(cand_hi), np.floor(cand_hi + _INT_TOL), cand_hi)
+        cand_lo = np.where(int_cols & np.isfinite(cand_lo), np.ceil(cand_lo - _INT_TOL), cand_lo)
+        upd_hi = cand_hi < hi[var_cols] - _TIGHTEN_TOL
+        upd_lo = cand_lo > lo[var_cols] + _TIGHTEN_TOL
+        if not (bool(upd_hi.any()) or bool(upd_lo.any())):
+            return True
+        hi[var_cols[upd_hi]] = cand_hi[upd_hi]
+        lo[var_cols[upd_lo]] = cand_lo[upd_lo]
+        if bool(np.any(lo > hi + _FEAS_TOL)):
+            return False
+    return True
+
+
+def _box_bound(sys: _RowSystem, lo, hi) -> float:
+    """Objective lower bound of a box: each term at its cheapest end."""
+    start = sys.indptr[-2]
+    cols, c = sys.indices[start:], sys.data[start:]
+    return float((c * np.where(c > 0.0, lo[cols], hi[cols])).sum())
+
+
+def _verified(sys: _RowSystem, x) -> bool:
+    """Check a full assignment against every *original* row."""
+    k = sys.nnz
+    x = np.asarray(x, dtype=float)
+    activity = np.bincount(
+        sys.row_of[:k], weights=sys.data[:k] * x[sys.indices[:k]], minlength=sys.m
+    )
+    return bool(
+        np.all(activity <= sys.upper[: sys.m] + _FEAS_TOL)
+        and np.all(activity >= sys.lower[: sys.m] - _FEAS_TOL)
+    )
+
+
+# -------------------------------------------------------- scalar reference
+#
+# Per-term loops over the same CSR rows: the reference the kernels above are
+# tested against.  Nothing in the solver calls them.
+
+def _propagate_scalar(sys: _RowSystem, lo, hi, is_int) -> bool:
+    """Reference propagation, Gauss-Seidel over the rows.
+
+    Row activities are updated incrementally as bounds tighten mid-pass
+    (a ``hi`` move feeds the max-activity sums, a ``lo`` move the min
+    sums), so the residual bounds later terms see are never stale — both
+    kernels therefore iterate to the same propagation fixpoint, this one
+    just visits it row by row.
+    """
+    rows = [(sys.terms(r), float(sys.lower[r]), float(sys.upper[r])) for r in range(sys.m + 1)]
+    for _ in range(_MAX_PASSES):
+        changed = False
+        for terms, row_lo, row_hi in rows:
+            min_fin = max_fin = 0.0
+            min_inf = max_inf = 0
+            for j, a in terms:
+                cmin = a * lo[j] if a > 0 else a * hi[j]
+                cmax = a * hi[j] if a > 0 else a * lo[j]
+                if cmin == -_INF:
+                    min_inf += 1
+                else:
+                    min_fin += cmin
+                if cmax == _INF:
+                    max_inf += 1
+                else:
+                    max_fin += cmax
+            if min_inf == 0 and min_fin > row_hi + _FEAS_TOL:
+                return False
+            if max_inf == 0 and max_fin < row_lo - _FEAS_TOL:
+                return False
+            for j, a in terms:
+                # a * x_j <= row_hi - rest_min (min side reads, max side
+                # absorbs the move: for a > 0 the capped hi only changes
+                # this term's cmax, and symmetrically for a < 0).
+                if row_hi < _INF:
+                    cmin = a * lo[j] if a > 0 else a * hi[j]
+                    if cmin == -_INF:
+                        rest_min = min_fin if min_inf == 1 else -_INF
+                    else:
+                        rest_min = (min_fin - cmin) if min_inf == 0 else -_INF
+                    if rest_min > -_INF:
+                        limit = (row_hi - rest_min) / a
+                        if a > 0:
+                            if is_int[j]:
+                                limit = math.floor(limit + _INT_TOL)
+                            if limit < hi[j] - _TIGHTEN_TOL:
+                                old = hi[j]
+                                hi[j] = limit
+                                changed = True
+                                if old == _INF:
+                                    max_inf -= 1
+                                    max_fin += a * limit
+                                else:
+                                    max_fin += a * (limit - old)
+                        else:
+                            if is_int[j]:
+                                limit = math.ceil(limit - _INT_TOL)
+                            if limit > lo[j] + _TIGHTEN_TOL:
+                                old = lo[j]
+                                lo[j] = limit
+                                changed = True
+                                if old == -_INF:
+                                    max_inf -= 1
+                                    max_fin += a * limit
+                                else:
+                                    max_fin += a * (limit - old)
+                # a * x_j >= row_lo - rest_max (max side reads — fresh,
+                # including any move just made above — min side absorbs).
+                if row_lo > -_INF:
+                    cmax = a * hi[j] if a > 0 else a * lo[j]
+                    if cmax == _INF:
+                        rest_max = max_fin if max_inf == 1 else _INF
+                    else:
+                        rest_max = (max_fin - cmax) if max_inf == 0 else _INF
+                    if rest_max < _INF:
+                        limit = (row_lo - rest_max) / a
+                        if a > 0:
+                            if is_int[j]:
+                                limit = math.ceil(limit - _INT_TOL)
+                            if limit > lo[j] + _TIGHTEN_TOL:
+                                old = lo[j]
+                                lo[j] = limit
+                                changed = True
+                                if old == -_INF:
+                                    min_inf -= 1
+                                    min_fin += a * limit
+                                else:
+                                    min_fin += a * (limit - old)
+                        else:
+                            if is_int[j]:
+                                limit = math.floor(limit + _INT_TOL)
+                            if limit < hi[j] - _TIGHTEN_TOL:
+                                old = hi[j]
+                                hi[j] = limit
+                                changed = True
+                                if old == _INF:
+                                    min_inf -= 1
+                                    min_fin += a * limit
+                                else:
+                                    min_fin += a * (limit - old)
+                if lo[j] > hi[j] + _FEAS_TOL:
+                    return False
+        if not changed:
+            break
+    return True
+
+
+def _box_bound_scalar(sys: _RowSystem, lo, hi) -> float:
+    """Reference box bound over the cut row's terms (no term can be +inf)."""
+    return float(sum(cj * (lo[j] if cj > 0 else hi[j]) for j, cj in sys.terms(sys.m)))
+
+
+def _verified_scalar(sys: _RowSystem, x) -> bool:
+    """Reference verification, one row at a time."""
+    for r in range(sys.m):
+        activity = sum(a * x[j] for j, a in sys.terms(r))
+        if activity > sys.upper[r] + _FEAS_TOL or activity < sys.lower[r] - _FEAS_TOL:
+            return False
+    return True
 
 
 class BranchAndBoundBackend(SolverBackend):
-    """Vectorized best-first branch and bound over the model's matrices."""
+    """Best-first branch and bound over the model's sparse rows."""
 
     name = "branch-and-bound"
 
@@ -157,216 +341,6 @@ class BranchAndBoundBackend(SolverBackend):
         #: ``node_limit`` of their own; prevents an un-capped call on a hard
         #: model from spinning forever.
         self.max_nodes = max_nodes
-        self._scalar = os.environ.get(_SCALAR_ENV, "") == "1"
-
-    # ----------------------------------------------------------- propagation
-    def _propagate(self, rows: "_RowSystem", lo, hi, is_int) -> bool:
-        """Tighten ``lo``/``hi`` in place; ``False`` when proven infeasible."""
-        if self._scalar:
-            return self._propagate_scalar(rows.scalar_rows(), lo, hi, is_int)
-        return self._propagate_vec(rows, lo, hi, is_int)
-
-    @staticmethod
-    def _propagate_vec(sys: "_RowSystem", lo, hi, is_int) -> bool:
-        """One Jacobi-style pass per iteration over the whole row plane.
-
-        Activities are recomputed from the *current* bounds at the top of
-        every pass, so — unlike the historical scalar loop, which reused
-        row activities computed before its own mid-pass mutations — no
-        tightening is ever derived from a stale activity sum.
-        """
-        A, Apos, Aneg = sys.A, sys.Apos, sys.Aneg
-        pos, neg, nz, Asafe = sys.pos, sys.neg, sys.nz, sys.Asafe
-        row_lo, row_hi = sys.lower, sys.upper
-        has_rhi = np.isfinite(row_hi)[:, None]
-        has_rlo = np.isfinite(row_lo)[:, None]
-        int_mask = is_int
-        for _ in range(_MAX_PASSES):
-            lo_inf = np.isinf(lo)
-            hi_inf = np.isinf(hi)
-            lo_f = np.where(lo_inf, 0.0, lo)
-            hi_f = np.where(hi_inf, 0.0, hi)
-            # Finite activity parts and infinite-contribution counts, per
-            # (row, var) term and summed per row.
-            cmin = Apos * lo_f + Aneg * hi_f
-            cmax = Apos * hi_f + Aneg * lo_f
-            cmin_inf = (pos & lo_inf) | (neg & hi_inf)
-            cmax_inf = (pos & hi_inf) | (neg & lo_inf)
-            min_fin = cmin.sum(axis=1)
-            max_fin = cmax.sum(axis=1)
-            min_ninf = cmin_inf.sum(axis=1)
-            max_ninf = cmax_inf.sum(axis=1)
-            if bool(np.any((min_ninf == 0) & (min_fin > row_hi + _FEAS_TOL))):
-                return False
-            if bool(np.any((max_ninf == 0) & (max_fin < row_lo - _FEAS_TOL))):
-                return False
-            # Residual activity of the *other* terms in each row: finite
-            # exactly when no other term contributes an infinity.
-            rest_min_ok = (min_ninf[:, None] - cmin_inf) == 0
-            rest_max_ok = (max_ninf[:, None] - cmax_inf) == 0
-            ok_hi = nz & has_rhi & rest_min_ok
-            ok_lo = nz & has_rlo & rest_max_ok
-            lim_hi = np.where(
-                ok_hi, (row_hi[:, None] - (min_fin[:, None] - cmin)) / Asafe, 0.0
-            )
-            lim_lo = np.where(
-                ok_lo, (row_lo[:, None] - (max_fin[:, None] - cmax)) / Asafe, 0.0
-            )
-            # a > 0: a x_j <= row_hi - rest_min caps hi, row_lo side lifts lo;
-            # a < 0 swaps the directions.
-            cand_hi = np.minimum(
-                np.where(ok_hi & pos, lim_hi, _INF).min(axis=0),
-                np.where(ok_lo & neg, lim_lo, _INF).min(axis=0),
-            )
-            cand_lo = np.maximum(
-                np.where(ok_hi & neg, lim_hi, -_INF).max(axis=0),
-                np.where(ok_lo & pos, lim_lo, -_INF).max(axis=0),
-            )
-            cand_hi = np.where(
-                int_mask & np.isfinite(cand_hi), np.floor(cand_hi + _INT_TOL), cand_hi
-            )
-            cand_lo = np.where(
-                int_mask & np.isfinite(cand_lo), np.ceil(cand_lo - _INT_TOL), cand_lo
-            )
-            upd_hi = cand_hi < hi - _TIGHTEN_TOL
-            upd_lo = cand_lo > lo + _TIGHTEN_TOL
-            if not (bool(upd_hi.any()) or bool(upd_lo.any())):
-                return True
-            hi[upd_hi] = cand_hi[upd_hi]
-            lo[upd_lo] = cand_lo[upd_lo]
-            if bool(np.any(lo > hi + _FEAS_TOL)):
-                return False
-        return True
-
-    @staticmethod
-    def _propagate_scalar(rows: Sequence[_Row], lo, hi, is_int) -> bool:
-        """Reference per-term loops (``REPRO_BB_SCALAR=1``), Gauss-Seidel.
-
-        Row activities are updated incrementally as bounds tighten mid-pass
-        (a ``hi`` move feeds the max-activity sums, a ``lo`` move the min
-        sums), so the residual bounds later terms see are never stale —
-        both kernels therefore iterate to the same propagation fixpoint,
-        the scalar one just visits it row by row.
-        """
-        for _ in range(_MAX_PASSES):
-            changed = False
-            for terms, row_lo, row_hi in rows:
-                min_fin = max_fin = 0.0
-                min_inf = max_inf = 0
-                for j, a in terms:
-                    cmin = a * lo[j] if a > 0 else a * hi[j]
-                    cmax = a * hi[j] if a > 0 else a * lo[j]
-                    if cmin == -_INF:
-                        min_inf += 1
-                    else:
-                        min_fin += cmin
-                    if cmax == _INF:
-                        max_inf += 1
-                    else:
-                        max_fin += cmax
-                if min_inf == 0 and min_fin > row_hi + _FEAS_TOL:
-                    return False
-                if max_inf == 0 and max_fin < row_lo - _FEAS_TOL:
-                    return False
-                for j, a in terms:
-                    # a * x_j <= row_hi - rest_min (min side reads, max side
-                    # absorbs the move: for a > 0 the capped hi only changes
-                    # this term's cmax, and symmetrically for a < 0).
-                    if row_hi < _INF:
-                        cmin = a * lo[j] if a > 0 else a * hi[j]
-                        if cmin == -_INF:
-                            rest_min = min_fin if min_inf == 1 else -_INF
-                        else:
-                            rest_min = (min_fin - cmin) if min_inf == 0 else -_INF
-                        if rest_min > -_INF:
-                            limit = (row_hi - rest_min) / a
-                            if a > 0:
-                                if is_int[j]:
-                                    limit = math.floor(limit + _INT_TOL)
-                                if limit < hi[j] - _TIGHTEN_TOL:
-                                    old = hi[j]
-                                    hi[j] = limit
-                                    changed = True
-                                    if old == _INF:
-                                        max_inf -= 1
-                                        max_fin += a * limit
-                                    else:
-                                        max_fin += a * (limit - old)
-                            else:
-                                if is_int[j]:
-                                    limit = math.ceil(limit - _INT_TOL)
-                                if limit > lo[j] + _TIGHTEN_TOL:
-                                    old = lo[j]
-                                    lo[j] = limit
-                                    changed = True
-                                    if old == -_INF:
-                                        max_inf -= 1
-                                        max_fin += a * limit
-                                    else:
-                                        max_fin += a * (limit - old)
-                    # a * x_j >= row_lo - rest_max (max side reads — fresh,
-                    # including any move just made above — min side absorbs).
-                    if row_lo > -_INF:
-                        cmax = a * hi[j] if a > 0 else a * lo[j]
-                        if cmax == _INF:
-                            rest_max = max_fin if max_inf == 1 else _INF
-                        else:
-                            rest_max = (max_fin - cmax) if max_inf == 0 else _INF
-                        if rest_max < _INF:
-                            limit = (row_lo - rest_max) / a
-                            if a > 0:
-                                if is_int[j]:
-                                    limit = math.ceil(limit - _INT_TOL)
-                                if limit > lo[j] + _TIGHTEN_TOL:
-                                    old = lo[j]
-                                    lo[j] = limit
-                                    changed = True
-                                    if old == -_INF:
-                                        min_inf -= 1
-                                        min_fin += a * limit
-                                    else:
-                                        min_fin += a * (limit - old)
-                            else:
-                                if is_int[j]:
-                                    limit = math.floor(limit + _INT_TOL)
-                                if limit < hi[j] - _TIGHTEN_TOL:
-                                    old = hi[j]
-                                    hi[j] = limit
-                                    changed = True
-                                    if old == _INF:
-                                        min_inf -= 1
-                                        min_fin += a * limit
-                                    else:
-                                        min_fin += a * (limit - old)
-                    if lo[j] > hi[j] + _FEAS_TOL:
-                        return False
-            if not changed:
-                break
-        return True
-
-    # -------------------------------------------------------------- bounding
-    def _box_bound(self, c, lo, hi) -> float:
-        """Objective lower bound of a box: each term at its cheapest end."""
-        if self._scalar:
-            return self._box_bound_scalar(c, lo, hi)
-        lo_t = np.where(c > 0.0, lo, 0.0)
-        hi_t = np.where(c < 0.0, hi, 0.0)
-        return float((c * (lo_t + hi_t)).sum())
-
-    @staticmethod
-    def _box_bound_scalar(c, lo, hi) -> float:
-        total = 0.0
-        for j, cj in enumerate(c):
-            if cj > 0:
-                term = cj * lo[j]
-            elif cj < 0:
-                term = cj * hi[j]
-            else:
-                continue
-            if term == -_INF:
-                return -_INF
-            total += term
-        return total
 
     @staticmethod
     def _first_unfixed_int(int_indices: Sequence[int], lo, hi) -> Optional[int]:
@@ -375,26 +349,9 @@ class BranchAndBoundBackend(SolverBackend):
                 return j
         return None
 
-    def _verified(self, rows: "_RowSystem", x) -> bool:
-        """Check a full assignment against every *original* row."""
-        if self._scalar:
-            return self._verified_scalar(rows.rows, x)
-        activity = rows.A[: rows.m] @ np.asarray(x, dtype=float)
-        return bool(
-            np.all(activity <= rows.upper[: rows.m] + _FEAS_TOL)
-            and np.all(activity >= rows.lower[: rows.m] - _FEAS_TOL)
-        )
-
-    @staticmethod
-    def _verified_scalar(rows: Sequence[_Row], x) -> bool:
-        for terms, row_lo, row_hi in rows:
-            activity = sum(a * x[j] for j, a in terms)
-            if activity > row_hi + _FEAS_TOL or activity < row_lo - _FEAS_TOL:
-                return False
-        return True
-
     # ------------------------------------------------------------ incumbents
-    def _complete(self, rows, c, lo, hi, is_int) -> Optional[Tuple[float, np.ndarray, bool]]:
+    def _complete(self, rows, c, lo, hi, is_int,
+                  expired: Callable[[], bool]) -> Optional[Tuple[float, np.ndarray, bool]]:
         """Greedily assign the continuous variables of an int-fixed box.
 
         Continuous variables are fixed to their objective-preferred bound in
@@ -405,10 +362,12 @@ class BranchAndBoundBackend(SolverBackend):
         end; the search never accepts an unverified point.  ``exact`` marks
         a completion that attains the box's objective bound — only then is
         the box provably closed, since without an LP a cheaper point with a
-        different continuous trade-off cannot be ruled out.
+        different continuous trade-off cannot be ruled out.  ``expired`` is
+        asked before every fix; when it answers ``True`` the completion gives
+        up and returns ``None``.
         """
         lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-        entry_bound = self._box_bound(c, lo, hi)
+        entry_bound = _box_bound(rows, lo, hi)
         order = sorted(
             (j for j in range(len(c)) if not is_int[j]),
             key=lambda j: (-abs(c[j]), j),
@@ -416,34 +375,40 @@ class BranchAndBoundBackend(SolverBackend):
         for j in order:
             if hi[j] - lo[j] <= 1e-9:
                 continue
+            if expired():
+                return None
             value = lo[j] if c[j] >= 0 else hi[j]
             if value == -_INF or value == _INF:
                 other = hi[j] if value == -_INF else lo[j]
                 value = other if other not in (-_INF, _INF) else 0.0
                 value = min(max(value, lo[j]), hi[j])
             lo[j] = hi[j] = value
-            if not self._propagate(rows, lo, hi, is_int):
+            if not _propagate(rows, lo, hi, is_int):
                 return None
         x = np.where(np.asarray(is_int), np.round(lo), lo)
-        if not self._verified(rows, x):
+        if not _verified(rows, x):
             return None
         objective = float(np.dot(c, x))
         exact = objective <= entry_bound + _FEAS_TOL * max(1.0, abs(objective))
         return objective, x, exact
 
-    def _dive(self, rows, c, lo, hi, is_int,
-              int_indices) -> Optional[Tuple[float, np.ndarray, bool]]:
+    def _dive(self, rows, c, lo, hi, is_int, int_indices,
+              expired: Callable[[], bool]) -> Optional[Tuple[float, np.ndarray, bool]]:
         """Greedy rounding: fix integers toward the objective, repair once.
 
         The "schedule everything as early as possible" shape of the flow's
         models makes this dive a strong incumbent source; a failed dive is
         no loss of correctness (the search proper still explores the node).
+        ``expired`` is asked before every integer fix and inside the final
+        completion; an expired dive returns ``None``.
         """
         lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
         while True:
+            if expired():
+                return None
             j = self._first_unfixed_int(int_indices, lo, hi)
             if j is None:
-                return self._complete(rows, c, lo, hi, is_int)
+                return self._complete(rows, c, lo, hi, is_int, expired)
             candidates = [lo[j], hi[j]] if c[j] >= 0 else [hi[j], lo[j]]
             candidates = [v for v in candidates if v not in (-_INF, _INF)]
             if not candidates:
@@ -451,15 +416,15 @@ class BranchAndBoundBackend(SolverBackend):
             for value in candidates:
                 trial_lo, trial_hi = lo.copy(), hi.copy()
                 trial_lo[j] = trial_hi[j] = value
-                if self._propagate(rows, trial_lo, trial_hi, is_int):
+                if _propagate(rows, trial_lo, trial_hi, is_int):
                     lo, hi = trial_lo, trial_hi
                     break
             else:
                 return None
 
     # ------------------------------------------------------------ warm start
-    def _usable_warm_start(self, model: Model, warm, c, lo, hi, is_int,
-                           rows: "_RowSystem") -> Optional[Tuple[float, np.ndarray]]:
+    def _usable_warm_start(self, model: Model, warm, c, lo, hi,
+                           rows: _RowSystem) -> Optional[Tuple[float, np.ndarray]]:
         """Validate a warm start against the model; ``None`` when unusable.
 
         The incumbent must name every variable, respect the root bounds and
@@ -483,7 +448,7 @@ class BranchAndBoundBackend(SolverBackend):
             x[var.index] = raw
         if bool(np.any(x < lo - _FEAS_TOL)) or bool(np.any(x > hi + _FEAS_TOL)):
             return None
-        if not self._verified(rows, x):
+        if not _verified(rows, x):
             return None
         return float(np.dot(c, x)), x
 
@@ -498,7 +463,6 @@ class BranchAndBoundBackend(SolverBackend):
         from repro.ilp.solver import SolveResult, SolverOptions
 
         options = options or SolverOptions()
-        self._scalar = os.environ.get(_SCALAR_ENV, "") == "1"
         trivial = empty_model_result(model)
         if trivial is not None:
             trivial.backend_name = self.name
@@ -512,7 +476,7 @@ class BranchAndBoundBackend(SolverBackend):
             if tracing_enabled()
             else None
         )
-        propagate = self._propagate
+        propagate = _propagate
         complete = self._complete
         dive = self._dive
         if phase is not None:
@@ -525,13 +489,19 @@ class BranchAndBoundBackend(SolverBackend):
                         phase[key] += time.perf_counter() - t0
                 return wrapper
 
-            propagate = _timed("propagation_s", self._propagate)
+            propagate = _timed("propagation_s", _propagate)
             complete = _timed("verification_s", self._complete)
             dive = _timed("verification_s", self._dive)
         deadline = None
         if options.time_limit_s is not None:
             deadline = start + float(options.time_limit_s)
         node_limit = options.node_limit if options.node_limit is not None else self.max_nodes
+
+        def past_deadline() -> bool:
+            return deadline is not None and time.perf_counter() > deadline
+
+        def out_of_budget() -> bool:
+            return nodes >= node_limit or past_deadline()
 
         c_arr, A, lower, upper, lb, ub, integrality = model.to_matrices()
         n = len(model.variables)
@@ -550,7 +520,7 @@ class BranchAndBoundBackend(SolverBackend):
             key=lambda j: (0 if hi[j] - lo[j] <= 1.0 else 1, j),
         )
 
-        warm = self._usable_warm_start(model, options.warm_start, c, lo, hi, is_int, rows) \
+        warm = self._usable_warm_start(model, options.warm_start, c, lo, hi, rows) \
             if options.warm_start is not None else None
         warm_used = warm is not None
         warm_obj: Optional[float] = warm[0] if warm else None
@@ -606,19 +576,18 @@ class BranchAndBoundBackend(SolverBackend):
             else:
                 status = SolverStatus.INFEASIBLE
         else:
-            dived = dive(rows, c, lo, hi, is_int, int_indices)
+            # The dive runs before any node is explored, so its budget is
+            # the deadline (and a zero node limit, which explores nothing).
+            dived = dive(rows, c, lo, hi, is_int, int_indices, out_of_budget)
             if dived is not None and (warm_obj is None or dived[0] <= warm_obj + _OBJ_TOL):
                 best = (dived[0], dived[1])
                 refresh_cut()
             heap: List[Tuple[float, int, np.ndarray, np.ndarray]] = [
-                (self._box_bound(c, lo, hi), 0, lo, hi)
+                (_box_bound(rows, lo, hi), 0, lo, hi)
             ]
             seq = 1
             while heap:
-                if deadline is not None and time.perf_counter() > deadline:
-                    status = SolverStatus.FEASIBLE if best or warm else SolverStatus.TIME_LIMIT
-                    break
-                if nodes >= node_limit:
+                if out_of_budget():
                     status = SolverStatus.FEASIBLE if best or warm else SolverStatus.TIME_LIMIT
                     break
                 bound, _, lo_n, hi_n = heapq.heappop(heap)
@@ -627,7 +596,7 @@ class BranchAndBoundBackend(SolverBackend):
                 nodes += 1
                 j = self._first_unfixed_int(int_indices, lo_n, hi_n)
                 if j is None:
-                    candidate = complete(rows, c, lo_n, hi_n, is_int)
+                    candidate = complete(rows, c, lo_n, hi_n, is_int, past_deadline)
                     if candidate is None:
                         leaves_closed = False
                         continue
@@ -657,7 +626,7 @@ class BranchAndBoundBackend(SolverBackend):
                     child_lo[j], child_hi[j] = child_lo_j, child_hi_j
                     if not propagate(rows, child_lo, child_hi, is_int):
                         continue
-                    child_bound = self._box_bound(c, child_lo, child_hi)
+                    child_bound = _box_bound(rows, child_lo, child_hi)
                     if prunable(child_bound):
                         continue
                     heapq.heappush(heap, (child_bound, seq, child_lo, child_hi))

@@ -21,8 +21,9 @@ from repro.ilp.status import SolverStatus
 
 try:  # scipy is an optional extra since the backend refactor
     from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_array
 except ImportError:  # pragma: no cover - exercised by the scipy-free CI leg
-    Bounds = LinearConstraint = milp = None
+    Bounds = LinearConstraint = milp = csr_array = None
 
 _STATUS_BY_CODE = {
     0: SolverStatus.OPTIMAL,
@@ -60,7 +61,7 @@ def _usable_incumbent(x, model: Model) -> bool:
 
 
 class HighsBackend(SolverBackend):
-    """Lower a model to matrix form and solve it with scipy's HiGHS."""
+    """Lower a model to sparse matrix form and solve it with scipy's HiGHS."""
 
     name = "highs"
 
@@ -96,7 +97,8 @@ class HighsBackend(SolverBackend):
 
         constraints = []
         if A.shape[0] > 0:
-            constraints.append(LinearConstraint(A, lower, upper))
+            matrix = csr_array((A.data, A.indices, A.indptr), shape=A.shape)
+            constraints.append(LinearConstraint(matrix, lower, upper))
 
         milp_options = {"disp": options.verbose, "presolve": options.presolve}
         if options.time_limit_s is not None:

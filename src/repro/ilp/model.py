@@ -1,7 +1,7 @@
 """MILP model container.
 
 A :class:`Model` owns variables, constraints and an objective, and knows how
-to lower itself into the matrix form the solver backends consume
+to lower itself into the sparse matrix form the solver backends consume
 (``scipy.optimize.milp`` for the HiGHS backend, the same arrays for the
 pure-Python branch and bound).
 """
@@ -9,12 +9,25 @@ pure-Python branch and bound).
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.ilp.constraint import Constraint, ConstraintSense
 from repro.ilp.expression import LinExpr, Number, Variable, lin_sum
+
+
+class CsrMatrix(NamedTuple):
+    """A compressed-sparse-row matrix as plain numpy arrays.
+
+    Row ``r`` holds ``data[indptr[r]:indptr[r + 1]]`` at the columns
+    ``indices[indptr[r]:indptr[r + 1]]``, sorted ascending; no zero is stored.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: Tuple[int, int]
 
 
 class ObjectiveSense(enum.Enum):
@@ -157,16 +170,18 @@ class Model:
         for idx, var in enumerate(self.variables):
             var.index = idx
 
-    def to_matrices(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Lower the model to the arrays expected by ``scipy.optimize.milp``.
+    def to_matrices(self) -> Tuple[np.ndarray, CsrMatrix, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Lower the model to the arrays the solver backends consume.
 
         Returns
         -------
         tuple
             ``(c, A, lower, upper, lb, ub, integrality)`` where ``c`` is the
             objective vector (already negated for maximization), ``A`` is the
-            dense constraint matrix with row bounds ``lower``/``upper`` and
-            ``lb``/``ub``/``integrality`` describe the variables.
+            constraint matrix as a :class:`CsrMatrix` (plain numpy arrays, so
+            no scipy is needed) with row bounds ``lower``/``upper``, and
+            ``lb``/``ub``/``integrality`` describe the variables.  Row ``r``
+            of ``A`` is the ``r``-th constraint that has terms.
         """
         self._assign_indices()
         n = len(self.variables)
@@ -181,15 +196,20 @@ class Model:
 
         rows = [con for con in self.constraints if con.expression.terms]
         m = len(rows)
-        A = np.zeros((m, n))
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        indices: List[int] = []
+        data: List[float] = []
         lower = np.zeros(m)
         upper = np.zeros(m)
         for r, con in enumerate(rows):
-            for var, coef in con.expression.terms.items():
-                A[r, var.index] = coef
-            lo, hi = con.bounds()
-            lower[r] = lo
-            upper[r] = hi
+            for index, coef in sorted(
+                (var.index, float(coef)) for var, coef in con.expression.terms.items() if coef
+            ):
+                indices.append(index)
+                data.append(coef)
+            indptr[r + 1] = len(indices)
+            lower[r], upper[r] = con.bounds()
+        A = CsrMatrix(indptr, np.array(indices, dtype=np.int64), np.array(data, dtype=float), (m, n))
 
         lb = np.array([(-np.inf if v.low is None else float(v.low)) for v in self.variables])
         ub = np.array([(np.inf if v.up is None else float(v.up)) for v in self.variables])

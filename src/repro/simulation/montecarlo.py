@@ -87,7 +87,7 @@ counter sums (a :class:`TrialAggregate`), so a 100k-trial run never holds
 100k :class:`TrialResult` objects; per-trial detail is retained only up
 to :data:`TRIAL_DETAIL_LIMIT` trials.  Set ``REPRO_MC_SCALAR=1`` to force
 the original scalar engine — the differential reference the test suite
-pins the fast paths against, mirroring ``REPRO_BB_SCALAR``.
+pins the fast paths against.
 """
 
 from __future__ import annotations
@@ -121,8 +121,7 @@ from repro.scheduling.schedule import Schedule
 #: cap truncates, the report's last entry is a ``"... +N more"`` marker.
 MAX_DIAGNOSTICS = 32
 
-#: Environment variable forcing the scalar reference engine (mirrors
-#: ``REPRO_BB_SCALAR`` on the branch-and-bound kernels).
+#: Environment variable forcing the scalar reference engine.
 _SCALAR_ENV = "REPRO_MC_SCALAR"
 
 #: Per-trial :class:`TrialResult` detail is kept only for runs at or

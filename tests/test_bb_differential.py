@@ -1,19 +1,20 @@
-"""Differential tests: vectorized vs scalar branch-and-bound kernels.
+"""Differential tests of the branch-and-bound kernels and solver.
 
-The vectorized numpy kernels in
-:mod:`repro.ilp.backends.branch_and_bound` replaced the historical
-per-term Python loops; the scalar loops survive behind
-``REPRO_BB_SCALAR=1`` precisely so this suite can pin them against each
-other.  Three levels are covered:
+The CSR kernels of :mod:`repro.ilp.backends.branch_and_bound` are pinned
+against the per-term reference loops kept next to them in the module, and
+the whole solver against independent oracles.  Four levels are covered:
 
 * **kernel level** — ``_propagate``, ``_box_bound`` and ``_verified``
   reach identical verdicts (and, for propagation, the identical bound
-  fixpoint) on hypothesis-generated all-integer models.  All-integer
-  boxes make the fixpoint exact, so the comparison is equality-strength,
-  not merely "close";
-* **solve level** — full ``solve()`` runs of both kernel families agree
-  on status and objective for every generated model and every parity
-  fixture;
+  fixpoint) as ``_propagate_scalar``, ``_box_bound_scalar`` and
+  ``_verified_scalar`` on hypothesis-generated all-integer models.
+  All-integer boxes make the fixpoint exact, so the comparison is
+  equality-strength, not merely "close";
+* **soundness** — propagation never cuts off a feasible integer point of
+  the box it tightens, with or without an objective cut;
+* **solve level** — full ``solve()`` runs agree on status and optimum with
+  brute-force enumeration of the (at most 7**4 point) box, and with HiGHS
+  when scipy is installed;
 * **regression level** — a deterministic chain model whose propagation
   only converges when mid-pass activity updates are applied (the stale
   ``min_fin``/``max_fin`` bug both kernels had to fix), asserted against
@@ -23,16 +24,27 @@ other.  Three levels are covered:
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
-import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ilp import BranchAndBoundBackend, Model, SolverOptions, SolverStatus, lin_sum
+from repro.ilp import (
+    ConstraintSense,
+    HighsBackend,
+    Model,
+    SolverOptions,
+    SolverStatus,
+    lin_sum,
+)
 from repro.ilp.backends import branch_and_bound as bb
+
+needs_scipy = pytest.mark.skipif(
+    not HighsBackend().is_available(), reason="scipy not installed"
+)
 
 
 # ------------------------------------------------------------------ helpers
@@ -48,18 +60,33 @@ def _matrices(model: Model):
     return rows, c, lo, hi, is_int
 
 
-def _solve_with_kernels(model: Model, scalar: bool):
-    """Solve on a fresh backend with the requested kernel family."""
-    if scalar:
-        os.environ[bb._SCALAR_ENV] = "1"
-    else:
-        os.environ.pop(bb._SCALAR_ENV, None)
-    try:
-        return BranchAndBoundBackend().solve(
-            model, SolverOptions(backend="branch-and-bound", time_limit_s=10.0)
-        )
-    finally:
-        os.environ.pop(bb._SCALAR_ENV, None)
+def _solve(model: Model, backend: str = "branch-and-bound"):
+    return model.solve(SolverOptions(backend=backend, time_limit_s=10.0))
+
+
+def _feasible_points(model: Model):
+    """Every integer point of the model's box that satisfies every row.
+
+    Evaluated straight from the constraint expressions, independently of
+    the matrix lowering the solver uses.
+    """
+    ranges = [range(int(v.low), int(v.up) + 1) for v in model.variables]
+    points = []
+    for point in itertools.product(*ranges):
+        value = dict(zip(model.variables, point))
+        if all(_holds(con, value) for con in model.constraints):
+            points.append(np.array(point, dtype=float))
+    return points
+
+
+def _holds(con, value) -> bool:
+    """``expression <sense> 0`` at the integer point ``value``."""
+    lhs = con.expression.constant + sum(a * value[v] for v, a in con.expression.terms.items())
+    if con.sense is ConstraintSense.LE:
+        return lhs <= 0
+    if con.sense is ConstraintSense.GE:
+        return lhs >= 0
+    return lhs == 0
 
 
 # ----------------------------------------------------------------- strategy
@@ -67,7 +94,7 @@ def _solve_with_kernels(model: Model, scalar: bool):
 # Small all-integer models: every variable bound, every coefficient, and
 # every right-hand side is a small integer, so propagation lands on exact
 # integral bounds and the optimum (when one exists) is exactly
-# representable — the two kernel families must agree to the bit, modulo
+# representable — the kernels and the reference must agree to the bit, modulo
 # float tolerance.
 
 @st.composite
@@ -108,22 +135,22 @@ def integer_models(draw) -> Model:
 
 class TestKernelEquivalence:
     @settings(max_examples=120, deadline=None)
-    @given(integer_models())
-    def test_propagation_reaches_the_same_fixpoint(self, model):
-        """Jacobi (vectorized) and Gauss-Seidel (scalar) propagation agree.
+    @given(integer_models(), st.one_of(st.none(), st.integers(min_value=-40, max_value=40)))
+    def test_propagation_reaches_the_same_fixpoint(self, model, cut):
+        """Jacobi (CSR) and Gauss-Seidel (scalar) propagation agree.
 
         Interval narrowing is monotone, so chaotic iteration converges to
         one fixpoint regardless of visit order — the verdicts must match,
         and on feasible boxes the tightened bounds must be identical.
         """
         rows, _c, lo, hi, is_int = _matrices(model)
+        if cut is not None:
+            rows.set_cut(float(cut))
         lo_v, hi_v = lo.copy(), hi.copy()
         lo_s, hi_s = lo.copy(), hi.copy()
 
-        ok_vec = BranchAndBoundBackend._propagate_vec(rows, lo_v, hi_v, is_int)
-        ok_scalar = BranchAndBoundBackend._propagate_scalar(
-            rows.scalar_rows(), lo_s, hi_s, is_int
-        )
+        ok_vec = bb._propagate(rows, lo_v, hi_v, is_int)
+        ok_scalar = bb._propagate_scalar(rows, lo_s, hi_s, is_int)
 
         assert ok_vec == ok_scalar
         if ok_vec:
@@ -133,51 +160,79 @@ class TestKernelEquivalence:
     @settings(max_examples=120, deadline=None)
     @given(integer_models())
     def test_box_bound_matches(self, model):
-        _rows, c, lo, hi, _is_int = _matrices(model)
-        backend = BranchAndBoundBackend()
-        backend._scalar = False
-        vec = backend._box_bound(c, lo, hi)
-        scalar = BranchAndBoundBackend._box_bound_scalar(c, lo, hi)
-        assert vec == pytest.approx(scalar, abs=1e-9)
+        rows, c, lo, hi, _is_int = _matrices(model)
+        expected = sum(cj * (lo[j] if cj > 0 else hi[j]) for j, cj in enumerate(c) if cj)
+        assert bb._box_bound(rows, lo, hi) == pytest.approx(expected, abs=1e-9)
+        assert bb._box_bound_scalar(rows, lo, hi) == pytest.approx(expected, abs=1e-9)
 
     @settings(max_examples=120, deadline=None)
     @given(integer_models(), st.randoms(use_true_random=False))
     def test_verified_matches_on_random_points(self, model, rng):
         rows, _c, lo, hi, _is_int = _matrices(model)
         x = np.array([float(rng.randint(int(l), int(h))) for l, h in zip(lo, hi)])
-        backend = BranchAndBoundBackend()
-        backend._scalar = False
-        assert backend._verified(rows, x) == BranchAndBoundBackend._verified_scalar(
-            rows.rows, x
-        )
+        assert bb._verified(rows, x) == bb._verified_scalar(rows, x)
 
 
-# ---------------------------------------------------------- solve equality
+# ---------------------------------------------------------------- soundness
 
-class TestSolveEquivalence:
+class TestPropagationSoundness:
+    @settings(max_examples=120, deadline=None)
+    @given(integer_models(), st.data())
+    def test_propagation_keeps_every_feasible_point(self, model, data):
+        """No feasible integer point of a box is cut off by tightening it.
+
+        The box is a random sub-box of the model's bounds, and an optional
+        objective cut ``c . x <= cut`` joins the rows; a point is feasible
+        when it lies in the sub-box, satisfies every row and the cut.
+        """
+        rows, c, lo, hi, is_int = _matrices(model)
+        for j in range(len(lo)):
+            a = data.draw(st.integers(min_value=int(lo[j]), max_value=int(hi[j])))
+            b = data.draw(st.integers(min_value=int(lo[j]), max_value=int(hi[j])))
+            lo[j], hi[j] = min(a, b), max(a, b)
+        cut = data.draw(st.one_of(st.none(), st.integers(min_value=-40, max_value=40)))
+        if cut is not None:
+            rows.set_cut(float(cut))
+        survivors = [
+            x for x in _feasible_points(model)
+            if np.all(x >= lo) and np.all(x <= hi) and (cut is None or c @ x <= cut)
+        ]
+
+        lo_p, hi_p = lo.copy(), hi.copy()
+        if not bb._propagate(rows, lo_p, hi_p, is_int):
+            assert survivors == []
+            return
+        for x in survivors:
+            assert np.all(x >= lo_p - 1e-9) and np.all(x <= hi_p + 1e-9), (x, lo_p, hi_p)
+
+
+# ------------------------------------------------------------- solve oracles
+
+class TestSolveOracles:
     @settings(max_examples=60, deadline=None)
     @given(integer_models())
-    def test_full_solves_agree_on_status_and_objective(self, model):
-        """Warm-path invariant of the whole backend, not just the kernels.
+    def test_solve_matches_brute_force_enumeration(self, model):
+        """All-integer bounded boxes always close within the node budget, so
+        the search must prove the enumerated optimum, or infeasibility."""
+        points = _feasible_points(model)
+        c = model.to_matrices()[0]
+        result = _solve(model)
+        if not points:
+            assert result.status is SolverStatus.INFEASIBLE
+            return
+        assert result.status is SolverStatus.OPTIMAL
+        assert result.objective == pytest.approx(min(c @ x for x in points), abs=1e-6)
+        assert model.check_solution() == []
 
-        All-integer models with bounded boxes always close within the node
-        budget, so both runs must return a decisive status; the objective
-        (when one exists) is exactly representable and must match.
-        """
-        vec = _solve_with_kernels(model, scalar=False)
-        scalar = _solve_with_kernels(model, scalar=True)
-
-        assert vec.status == scalar.status
-        if vec.status is SolverStatus.OPTIMAL:
-            assert vec.objective == pytest.approx(scalar.objective, abs=1e-6)
-
-    def test_scalar_env_actually_selects_the_scalar_kernels(self):
-        os.environ[bb._SCALAR_ENV] = "1"
-        try:
-            assert BranchAndBoundBackend()._scalar is True
-        finally:
-            os.environ.pop(bb._SCALAR_ENV, None)
-        assert BranchAndBoundBackend()._scalar is False
+    @needs_scipy
+    @settings(max_examples=60, deadline=None)
+    @given(integer_models())
+    def test_solve_matches_highs(self, model):
+        bnb = _solve(model)
+        highs = _solve(model, backend="highs")
+        assert bnb.status is highs.status
+        if highs.status is SolverStatus.OPTIMAL:
+            assert bnb.objective == pytest.approx(highs.objective, abs=1e-6)
 
 
 # ------------------------------------------------- deterministic regression
@@ -208,34 +263,30 @@ class TestStaleActivityRegression:
         model = self.make_chain()
         rows, _c, lo, hi, is_int = _matrices(model)
         if kernel == "vectorized":
-            ok = BranchAndBoundBackend._propagate_vec(rows, lo, hi, is_int)
+            ok = bb._propagate(rows, lo, hi, is_int)
         else:
-            ok = BranchAndBoundBackend._propagate_scalar(
-                rows.scalar_rows(), lo, hi, is_int
-            )
+            ok = bb._propagate_scalar(rows, lo, hi, is_int)
         assert ok
         np.testing.assert_allclose(lo, [6.0, 0.0, 0.0])
         np.testing.assert_allclose(hi, [10.0, 4.0, 4.0])
 
-    def test_chain_solves_identically_under_both_kernels(self):
-        vec = _solve_with_kernels(self.make_chain(), scalar=False)
-        scalar = _solve_with_kernels(self.make_chain(), scalar=True)
-        assert vec.status is SolverStatus.OPTIMAL
-        assert scalar.status is SolverStatus.OPTIMAL
-        assert vec.objective == pytest.approx(6.0)
-        assert scalar.objective == pytest.approx(6.0)
+    def test_chain_solves_to_the_hand_computed_optimum(self):
+        result = _solve(self.make_chain())
+        assert result.status is SolverStatus.OPTIMAL
+        assert result.objective == pytest.approx(6.0)
 
 
 # ------------------------------------------------------------- tolerances
 
 class TestToleranceConstants:
     def test_tighten_tolerance_is_the_single_named_constant(self):
-        """Both kernel families share ``_TIGHTEN_TOL``; no stray literals.
+        """The kernels and the reference share ``_TIGHTEN_TOL``; no stray literals.
 
         The historical loops compared against a bare ``1e-7`` in four
-        places — if the constant and a literal ever drift apart, the two
-        kernels stop iterating to the same fixpoint, which is exactly the
-        class of bug the differential suite exists to prevent.
+        places — if the constant and a literal ever drift apart, the
+        kernels stop iterating to the same fixpoint as the reference, which
+        is exactly the class of bug the differential suite exists to
+        prevent.
         """
         assert bb._TIGHTEN_TOL == 1e-7
         source = inspect.getsource(bb)

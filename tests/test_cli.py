@@ -1,6 +1,12 @@
 """Tests of the command-line interface."""
 
+import contextlib
 import json
+import os
+import re
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -10,6 +16,7 @@ from repro.explore import FrontierEntry, is_dominance_consistent
 from repro.graph.library import build_pcr
 from repro.ilp import HighsBackend
 from repro.graph.serialization import save_graph
+from repro.service import ServiceClient
 
 
 class TestParser:
@@ -212,3 +219,85 @@ class TestSolverOverride:
         with pytest.raises(SystemExit) as excinfo:
             main(["batch", str(manifest), "--solver", "gurobi"])
         assert excinfo.value.code == 2
+
+
+class TestServe:
+    """``repro serve`` as a subprocess: a cold run, a hot-cache hit, the
+    shutdown flush, and a restart that replays every stage from disk."""
+
+    MANIFEST = {"jobs": [{"assay": "PCR", "config": {"ilp_operation_limit": 0}}]}
+
+    @staticmethod
+    @contextlib.contextmanager
+    def serving(cache_dir):
+        """Start the server; yield its client and process, always reaped."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--cache-dir", str(cache_dir)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+        )
+        # A server that never announces its port is killed, which ends the
+        # read loop below instead of hanging the test.
+        watchdog = threading.Timer(60.0, proc.kill)
+        watchdog.start()
+        try:
+            port = None
+            for line in proc.stdout:
+                match = re.search(r"listening on http://[^:]+:(\d+)", line)
+                if match:
+                    port = int(match.group(1))
+                    break
+            watchdog.cancel()
+            assert port is not None, "the server never announced its port"
+            yield ServiceClient(port=port), proc
+        finally:
+            watchdog.cancel()
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=10)
+            proc.stdout.close()
+
+    @staticmethod
+    def stop(client, proc) -> str:
+        """Shut the server down over HTTP; return the rest of its output."""
+        client.shutdown()
+        out, _ = proc.communicate(timeout=60)
+        assert proc.returncode == 0, out
+        return out
+
+    def test_cold_hot_and_restarted_service(self, tmp_path):
+        cache_dir = tmp_path / "serve-cache"
+        with self.serving(cache_dir) as (client, proc):
+            job = client.submit(self.MANIFEST)
+            status = client.wait(job, timeout=120)
+            assert status["status"] == "done", status
+            stages = status["summary"]["stages"]
+            for name in ("schedule", "archsyn", "physical"):
+                assert stages[name]["ran"] == 1, (name, stages)
+            result = client.result(job)
+            assert result["jobs"][0]["metrics"]["tE"] > 0, result
+
+            # Same server, identical manifest: served from the hot cache.
+            second = client.wait(client.submit(self.MANIFEST), timeout=120)
+            assert second["status"] == "done", second
+            assert second["summary"]["cache_hits"] == 1, second
+
+            out = self.stop(client, proc)
+        # Every put writes through to disk, so the shutdown flush (which
+        # rewrites only entries whose write soft-failed) finds nothing
+        # dirty here; the artifacts are on disk all the same.
+        assert re.search(r"\(\d+ artifact\(s\) flushed\)", out), out
+        assert list(cache_dir.glob("*.pkl")), "stage artifacts must persist"
+
+        # A restarted server replays every stage from the disk cache.
+        with self.serving(cache_dir) as (client, proc):
+            status = client.wait(client.submit(self.MANIFEST), timeout=120)
+            assert status["status"] == "done", status
+            stages = status["summary"]["stages"]
+            for name in ("schedule", "archsyn", "physical"):
+                assert stages[name]["ran"] == 0, (name, stages)
+                assert stages[name]["replayed"] == 1, (name, stages)
+            self.stop(client, proc)

@@ -3,9 +3,8 @@
 The vectorized kernels in :mod:`repro.simulation.montecarlo` (the
 fault-free fast path and the masked fault kernel) and the trial-sharding
 layer replaced per-trial Python replay loops; the scalar reference
-survives behind ``REPRO_MC_SCALAR=1`` (mirroring ``REPRO_BB_SCALAR``)
-precisely so this suite can pin them against each other.  Three levels
-are covered:
+survives behind ``REPRO_MC_SCALAR=1`` precisely so this suite can pin
+them against each other.  Three levels are covered:
 
 * **generator level** — the counter-based draws are addressable: any
   trial slice of a ``uniform_block`` equals the same rows of a block

@@ -14,10 +14,20 @@ Four contracts are pinned here:
 * **Flow threading** — a forced primary timeout completes the synthesis
   flow via the fallback backend instead of aborting, and the winning
   backend's identity travels into artifacts, results, and batch payloads.
+* **Lowering** — ``Model.to_matrices`` yields CSR rows that evaluate like
+  the constraints they come from, on the golden scheduling ILPs and on
+  random models, without importing scipy.
 """
 
 from __future__ import annotations
 
+import random
+import subprocess
+import sys
+import time
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.ilp import (
@@ -35,8 +45,12 @@ from repro.ilp import (
     solve_model,
     unregister_backend,
 )
+from repro.graph.library import assay_by_name
 from repro.ilp.backends.base import SolverBackend
 from repro.ilp.solver import SolveResult
+from repro.scheduling.ilp_scheduler import IlpScheduler, IlpSchedulerConfig
+from repro.synthesis.config import FlowConfig, solver_options_for
+from repro.synthesis.flow import build_library
 
 SCIPY_AVAILABLE = HighsBackend().is_available()
 needs_scipy = pytest.mark.skipif(not SCIPY_AVAILABLE, reason="scipy not installed")
@@ -223,6 +237,147 @@ def test_branch_and_bound_gap_pruning_reports_honest_gap():
         # ...and if pruning kept the worse incumbent, the reported gap must
         # admit it instead of asserting proven optimality.
         assert result.mip_gap is None or result.mip_gap > 0.0
+
+
+def test_branch_and_bound_honours_the_deadline_on_cpa(monkeypatch):
+    """CPA (55 operations): the deadline fires inside the first dive.
+
+    The dive fixes about 1700 integers, far more than a 2 s limit allows;
+    the search must stop there and return the verified warm start.  The
+    time is measured around the backend's solve call.
+    """
+    timings = []
+    original = BranchAndBoundBackend.solve
+
+    def timed(self, model, options=None):
+        start = time.perf_counter()
+        try:
+            return original(self, model, options)
+        finally:
+            timings.append(time.perf_counter() - start)
+
+    monkeypatch.setattr(BranchAndBoundBackend, "solve", timed)
+    schedule = paper_scheduler("CPA", "branch-and-bound", time_limit_s=2.0).schedule(
+        assay_by_name("CPA")
+    )
+    assert len(timings) == 1 and timings[0] < 3.0, timings
+    assert schedule.solve.status is SolverStatus.FEASIBLE
+    assert schedule.solve.warm_start_used
+
+
+# ------------------------------------------------------------------ lowering
+
+def paper_scheduler(assay: str, backend: str, time_limit_s: float = 60.0) -> IlpScheduler:
+    """The exact scheduler of ``assay`` under its paper-default flow config."""
+    config = replace(
+        FlowConfig.paper_defaults_for(assay),
+        scheduler_backend=backend,
+        ilp_time_limit_s=time_limit_s,
+    )
+    return IlpScheduler(
+        build_library(config),
+        IlpSchedulerConfig(
+            transport_time=config.transport_time,
+            alpha=config.alpha,
+            beta=config.beta,
+            solver=solver_options_for(config, "scheduler"),
+        ),
+    )
+
+
+class _Captured(Exception):
+    pass
+
+
+def scheduling_model(assay: str) -> Model:
+    """The paper-default scheduling ILP of ``assay``, captured unsolved."""
+    captured = []
+
+    def capture(model, options=None):
+        captured.append(model)
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Model, "solve", capture)
+        with pytest.raises(_Captured):
+            paper_scheduler(assay, "portfolio").schedule(assay_by_name(assay))
+    return captured[0]
+
+
+def random_model(seed: int) -> Model:
+    """Mixed variable kinds, sparse random rows, all three senses."""
+    rng = random.Random(seed)
+    model = Model(f"random{seed}")
+    variables = [
+        model.add_var(f"x{j}", low=-5, up=5, kind=rng.choice(["continuous", "integer", "binary"]))
+        for j in range(rng.randint(1, 12))
+    ]
+    for _ in range(rng.randint(0, 15)):
+        expr = lin_sum(rng.choice([0, 0, -2.5, 1, 3]) * v for v in variables)
+        expr = expr + variables[rng.randrange(len(variables))] + rng.randint(-4, 4)
+        rhs = rng.randint(-10, 10)
+        con = model.add_constraint(rng.choice([expr <= rhs, expr >= rhs, expr == rhs]))
+        # LinExpr drops zero coefficients itself; plant one to check that
+        # the lowering does not store it either.
+        con.expression.terms.setdefault(variables[-1], 0.0)
+    model.minimize(lin_sum(rng.choice([0, 1, -2]) * v for v in variables))
+    return model
+
+
+LOWERING_MODELS = [
+    pytest.param(lambda: scheduling_model("IVD"), id="IVD"),
+    pytest.param(lambda: scheduling_model("PCR"), id="PCR"),
+] + [pytest.param(lambda seed=seed: random_model(seed), id=f"random{seed}") for seed in range(8)]
+
+
+@pytest.mark.parametrize("build", LOWERING_MODELS)
+def test_csr_rows_evaluate_like_their_constraints(build):
+    model = build()
+    c, A, lower, upper, lb, ub, integrality = model.to_matrices()
+    rows = [con for con in model.constraints if con.expression.terms]
+    assert A.shape == (len(rows), len(model.variables))
+    assert len(A.indptr) == len(rows) + 1 and A.indptr[0] == 0
+    assert A.indptr[-1] == len(A.indices) == len(A.data)
+    assert not np.any(A.data == 0.0)
+
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-10.0, 10.0, size=len(model.variables))
+    for var in model.variables:
+        var.value = float(x[var.index])
+    for r, con in enumerate(rows):
+        start, end = A.indptr[r], A.indptr[r + 1]
+        cols = A.indices[start:end]
+        assert np.all(np.diff(cols) > 0), f"row {r} columns not sorted"
+        own = con.expression.evaluate() - con.expression.constant
+        assert float(A.data[start:end] @ x[cols]) == pytest.approx(own, abs=1e-9)
+        assert (lower[r], upper[r]) == con.bounds()
+
+
+def test_to_matrices_imports_no_scipy():
+    """The lowering runs on an interpreter where scipy cannot be imported."""
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from repro.ilp import Model\n"
+        "m = Model('m')\n"
+        "x = m.add_integer('x', low=0, up=3)\n"
+        "y = m.add_continuous('y', low=0, up=3)\n"
+        "m.add_constraint(x + 2 * y <= 4)\n"
+        "m.minimize(x - y)\n"
+        "c, A, *_ = m.to_matrices()\n"
+        "assert A.indices.tolist() == [0, 1] and A.data.tolist() == [1.0, 2.0]\n"
+        "assert not any(name.startswith('scipy') and mod is not None\n"
+        "               for name, mod in sys.modules.items())\n"
+    )
+    subprocess.run([sys.executable, "-c", script], check=True)
+
+
+@needs_scipy
+@pytest.mark.parametrize("assay, objective", [("IVD", 28060.0), ("PCR", 33010.0)])
+def test_highs_optimum_on_the_sparse_lowering(assay, objective):
+    schedule = paper_scheduler(assay, "highs").schedule(assay_by_name(assay))
+    assert schedule.solve.status is SolverStatus.OPTIMAL
+    assert schedule.solve.objective == pytest.approx(objective)
 
 
 # ------------------------------------------------------------------ registry

@@ -23,9 +23,10 @@ from repro.synthesis.report import format_table2_row, table2_header
 
 
 def _provenance(solve: Optional[SolveRecord]) -> Dict[str, Any]:
-    """A stage's ``backend``/``fallback_used``/``warm_start_used`` keys."""
+    """A stage's ``backend``/``bound``/``fallback_used``/``warm_start_used`` keys."""
     return {
         "backend": solve.backend if solve else None,
+        "bound": solve.bound if solve else None,
         "fallback_used": bool(solve and solve.fallback_used),
         "warm_start_used": bool(solve and solve.warm_start_used),
     }

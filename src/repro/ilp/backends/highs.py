@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.ilp.backends.base import BackendUnavailableError, SolverBackend, empty_model_result
-from repro.ilp.model import Model
+from repro.ilp.model import Model, ObjectiveSense
 from repro.ilp.status import SolverStatus
 
 try:  # scipy is an optional extra since the backend refactor
@@ -153,4 +153,18 @@ class HighsBackend(SolverBackend):
             message=str(getattr(result, "message", "")),
             mip_gap=float(gap) if gap is not None else None,
             backend_name=self.name,
+            bound=_objective_bound(result, model),
         )
+
+
+def _objective_bound(result, model: Model) -> Optional[float]:
+    """HiGHS's MIP dual bound in the model's own objective, or ``None``.
+
+    ``milp`` minimizes ``c @ x``: ``c`` is negated for maximization and
+    leaves out the objective's constant, so both are restored here.
+    """
+    dual = getattr(result, "mip_dual_bound", None)
+    if dual is None or model.objective is None or not np.isfinite(dual):
+        return None
+    sign = -1.0 if model.objective.sense is ObjectiveSense.MAXIMIZE else 1.0
+    return sign * float(dual) + model.objective.expression.constant

@@ -66,6 +66,11 @@ class Model:
         self.variables: List[Variable] = []
         self.constraints: List[Constraint] = []
         self.objective: Optional[Objective] = None
+        #: A proven lower bound on the minimized objective, or ``None``.
+        #: :func:`repro.ilp.solve_model` returns a feasible warm start whose
+        #: objective meets it as OPTIMAL without running a backend, so
+        #: whoever builds the model is responsible for its validity.
+        self.lower_bound: Optional[float] = None
         self._names: Dict[str, Variable] = {}
 
     # ------------------------------------------------------------ variables
@@ -232,6 +237,35 @@ class Model:
     def check_solution(self, tolerance: float = 1e-5) -> List[Constraint]:
         """Return the constraints violated by the current variable values."""
         return [con for con in self.constraints if not con.is_satisfied(tolerance)]
+
+    def feasible_objective(self, values: Dict[str, float],
+                           tolerance: float = 1e-6) -> Optional[float]:
+        """The objective of ``values`` if it is a complete feasible point.
+
+        Complete: every variable is named.  Feasible: every value lies
+        within its bounds, integer and binary values are integral, and
+        every row holds, each up to ``tolerance``.  Returns ``None``
+        otherwise.  Every variable's ``.value`` is ``None`` afterwards.
+        """
+        for var in self.variables:
+            value = values.get(var.name)
+            if value is None:
+                return None
+            if var.kind != "continuous" and abs(value - round(value)) > tolerance:
+                return None
+            if (var.low is not None and value < var.low - tolerance) or (
+                var.up is not None and value > var.up + tolerance
+            ):
+                return None
+        try:
+            for var in self.variables:
+                var.value = values[var.name]
+            if self.check_solution(tolerance):
+                return None
+            return self.objective_value()
+        finally:
+            for var in self.variables:
+                var.value = None
 
     def objective_value(self) -> float:
         if self.objective is None:

@@ -5,16 +5,20 @@ Since the backend refactor the actual solving lives in
 ``"portfolio"``); this module keeps the stable surface every caller uses —
 :class:`SolverOptions`, :class:`SolveResult`, :func:`solve_model` — and
 routes each solve to the backend named by ``options.backend`` (defaulting
-to the portfolio: HiGHS with automatic branch-and-bound fallback).
+to the portfolio: HiGHS with automatic branch-and-bound fallback).  A
+warm start whose objective meets the model's certified lower bound closes
+the solve here, before any backend runs.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.ilp.model import Model
+from repro.ilp.model import Model, ObjectiveSense
 from repro.ilp.status import SolverStatus
+from repro.obs.trace import span as obs_span
 
 
 @dataclass
@@ -27,13 +31,14 @@ class WarmStart:
     fit — callers hand over solutions from *neighboring* configurations
     (e.g. the nearest already-solved exploration candidate), which may
     legitimately be infeasible under the current one.  A valid warm start
-    bounds the search from the start; it never changes the reported status
-    or objective of a search that *completes*, only how many nodes the
-    proof takes.  Under a time or node limit it can change the returned
-    best-effort incumbent and its status.  ``objective`` is an
-    optional advisory bound (backends recompute it from ``values``);
-    ``label`` records provenance for diagnostics, e.g. the neighbor's
-    candidate id.
+    bounds the search from the start.  A solve that *completes* keeps its
+    status and objective, but the point it returns may be the warm start
+    itself: :func:`solve_model` returns a warm start whose objective meets
+    the model's certified :attr:`~repro.ilp.Model.lower_bound` without
+    searching.  Under a time or node limit it can change the returned
+    best-effort incumbent and its status.  ``objective`` is an optional advisory bound (backends
+    recompute it from ``values``); ``label`` records provenance for
+    diagnostics, e.g. the neighbor's candidate id.
     """
 
     values: Dict[str, float]
@@ -70,7 +75,10 @@ class SolveRecord:
 
     The exact engines attach it to their output (``Schedule.solve``,
     ``ChipArchitecture.solve``), so it travels inside cached artifacts.
-    ``backend`` is :attr:`SolveResult.backend_name`.
+    ``backend`` is :attr:`SolveResult.backend_name`.  ``bound`` is a
+    proven bound on the objective in the model's own sense (a lower bound
+    when minimizing): the model's certified lower bound on a bound close,
+    HiGHS's MIP dual bound on a HiGHS solve, ``None`` otherwise.
     """
 
     backend: Optional[str]
@@ -80,6 +88,7 @@ class SolveRecord:
     wall_time_s: float
     fallback_used: bool
     warm_start_used: bool
+    bound: Optional[float] = None
 
 
 @dataclass
@@ -91,8 +100,12 @@ class SolveResult:
     ``fallback_used`` is set when that member was not the portfolio's
     primary.  ``warm_start_used`` records whether the winning backend
     actually consumed a valid :class:`WarmStart` (HiGHS via scipy has no
-    warm-start API, so it always reports ``False``).  :meth:`record`
-    carries all three, with the status and objective, into the artifacts.
+    warm-start API, so it always reports ``False``).  ``bound`` is the
+    proven objective bound of :class:`SolveRecord`.  :meth:`record`
+    carries all of them, with the status and objective, into the
+    artifacts.  A solve that :func:`solve_model` closes at the model's
+    lower bound reports ``backend_name="bound"``: a provenance label, not
+    a registered backend.
     """
 
     status: SolverStatus
@@ -104,6 +117,7 @@ class SolveResult:
     backend_name: Optional[str] = None
     fallback_used: bool = False
     warm_start_used: bool = False
+    bound: Optional[float] = None
 
     def __bool__(self) -> bool:
         return self.status.is_feasible()
@@ -121,16 +135,22 @@ class SolveResult:
             wall_time_s=self.wall_time_s,
             fallback_used=self.fallback_used,
             warm_start_used=self.warm_start_used,
+            bound=self.bound,
         )
 
 
 def solve_model(model: Model, options: Optional[SolverOptions] = None) -> SolveResult:
     """Solve ``model`` with the backend named in ``options``.
 
-    The function dispatches to the registered backend (``options.backend``,
-    or the default portfolio when unset); on a feasible outcome the chosen
-    backend fills each variable's ``.value`` attribute, so downstream code
-    can read ``var.solution`` directly.
+    When the warm start is a complete feasible point whose objective meets
+    the model's certified :attr:`~repro.ilp.Model.lower_bound`, it is
+    optimal: it is returned as OPTIMAL (``backend_name="bound"``) without
+    running any backend.  Otherwise the function dispatches to the
+    registered backend (``options.backend``, or the default portfolio when
+    unset).  On a feasible outcome every variable's ``.value`` is filled,
+    so downstream code can read ``var.solution`` directly.  The whole solve
+    is one ``solver:solve`` span tagged with the producing backend and the
+    status.
     """
     # Imported here: the backends package imports this module for the
     # options/result types, so the dependency must stay one-directional at
@@ -139,4 +159,43 @@ def solve_model(model: Model, options: Optional[SolverOptions] = None) -> SolveR
 
     options = options or SolverOptions()
     backend = get_backend(options.backend or DEFAULT_BACKEND)
-    return backend.solve(model, options)
+    with obs_span("solver:solve", category="solver") as solve_span:
+        result = _close_at_bound(model, options.warm_start)
+        if result is None:
+            result = backend.solve(model, options)
+        solve_span.set(backend=result.backend_name, status=result.status.value)
+    return result
+
+
+def _close_at_bound(model: Model, warm: Optional[WarmStart]) -> Optional[SolveResult]:
+    """The warm start as an OPTIMAL result when it meets the lower bound.
+
+    ``None`` unless the model is minimized, carries a lower bound, and the
+    warm start is a complete feasible point whose objective is within
+    ``1e-6`` of that bound (no feasible point can be lower, so it is an
+    optimum).
+    """
+    if (warm is None or model.lower_bound is None or model.objective is None
+            or model.objective.sense is not ObjectiveSense.MINIMIZE):
+        return None
+    start = time.perf_counter()
+    objective = model.feasible_objective(warm.values)
+    if objective is None or objective > model.lower_bound + 1e-6:
+        return None
+    values = {}
+    for var in model.variables:
+        value = float(warm.values[var.name])
+        if var.kind != "continuous":
+            value = float(round(value))
+        var.value = values[var.name] = value
+    return SolveResult(
+        status=SolverStatus.OPTIMAL,
+        objective=objective,
+        values=values,
+        wall_time_s=time.perf_counter() - start,
+        message="warm start meets the certified lower bound",
+        mip_gap=0.0,
+        backend_name="bound",
+        warm_start_used=True,
+        bound=model.lower_bound,
+    )

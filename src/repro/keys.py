@@ -35,7 +35,10 @@ from typing import Any
 #:     their provenance silently dropped.
 #: v7: counter-based Monte-Carlo draws replace the per-trial Mersenne
 #:     Twister streams, so every cached verification report changes.
-KEY_VERSION = 7
+#: v8: SolveRecord gains ``bound``, and a scheduling solve whose warm start
+#:     meets the certified lower bound returns that warm start, so a stage
+#:     key may now hold a different optimal point than the one cached before.
+KEY_VERSION = 8
 
 
 def stable_digest(payload: Any) -> str:

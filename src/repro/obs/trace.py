@@ -390,7 +390,7 @@ def span(
 def validate_chrome_trace(document: Dict[str, Any]) -> List[str]:
     """Structural problems of an exported trace document (empty = ok).
 
-    The checker CI's ``obs-smoke`` job runs over ``--trace-out`` output:
+    The checker the tests run over ``--trace-out`` output:
     every event must be a closed complete event with a non-negative
     duration, and every non-root parent pointer must resolve to another
     event in the same document.

@@ -45,6 +45,19 @@ and ``ts_i <= floor(Z / alpha) - duration_i``: for ``alpha > 0`` and
 ``beta >= 0``, ``w >= 0`` gives ``alpha * tE* <= Z* <= Z``, so no optimum
 is cut off and the warm point itself stays feasible.  The big-M stays at
 the serial horizon; presolve tightens it from the clamped bounds.
+
+Certified bound.  :func:`schedule_lower_bound` proves a floor on ``tE``
+without an LP: the longest chain of durations, counting a transport on
+every *certain-transport* edge (its ends share no compatible device, so
+``same_ij`` is the constant 0), and, for every group of interchangeable
+devices, the earliest start plus ``ceil(load / devices)`` plus the shortest
+tail.  Each certain-transport edge also forces ``w_ij >= u_c``.  For
+``alpha > 0`` and ``beta >= 0`` the scheduler stores ``alpha * tE_lb +
+beta * u_c * certain_edges`` as ``model.lower_bound``, and
+:func:`repro.ilp.solve_model` returns a verified warm start that meets it
+as OPTIMAL without calling a backend (IVD: 28060, the list heuristic's
+objective).  The bound never enters the model as a row or a variable
+bound: each such form made HiGHS slower on IVD or PCR.
 """
 
 from __future__ import annotations
@@ -95,9 +108,11 @@ class IlpSchedulerConfig:
     #: the caller supplies an external hint.  A warm start that fits the
     #: model bounds ``tE`` by its objective on every backend; the
     #: branch-and-bound backend also seeds its incumbent with it (HiGHS
-    #: through scipy takes no warm start).  A warm start never changes the
-    #: status or objective of a completed search; a time- or node-limited
-    #: one can return another incumbent.
+    #: through scipy takes no warm start).  A warm start whose objective
+    #: meets the model's certified lower bound is returned as the optimum
+    #: without a search.  A warm start never changes the status or
+    #: objective of a completed search; a time- or node-limited one can
+    #: return another incumbent.
     warm_start_heuristic: bool = True
 
     def solver_options(self) -> SolverOptions:
@@ -105,6 +120,61 @@ class IlpSchedulerConfig:
         if self.solver is not None:
             return self.solver
         return SolverOptions(time_limit_s=self.time_limit_s, mip_rel_gap=self.mip_rel_gap)
+
+
+def schedule_lower_bound(graph: SequencingGraph, compatible,
+                         transport_time: int) -> Tuple[int, int]:
+    """A certified floor on the ILP's ``tE`` and the certain-transport edges.
+
+    ``compatible`` maps every device operation to the devices that can
+    execute it.  A device edge is a *certain transport* when its ends share
+    no compatible device: every schedule pays ``transport_time`` on it.
+    Returns ``(tE_floor, certain_edges)`` where ``tE_floor`` is the larger
+    of two floors:
+
+    * the longest chain of durations over device edges, plus
+      ``transport_time`` on each certain-transport edge of the chain;
+    * for every group of devices that is some operation's compatible set,
+      over the operations whose compatible set lies within the group: the
+      smallest head (longest chain into the operation) plus
+      ``ceil(load / len(group))`` plus the smallest tail (longest chain
+      after it).  Those operations run on the group's devices, one at a
+      time per device, after their heads and before ``tE`` less their
+      tails.
+
+    ``tE`` is integral, so rounding each floor up keeps it valid.
+    """
+    devices = {op.op_id: frozenset(d.device_id for d in compatible[op.op_id])
+               for op in graph.device_operations()}
+    if not devices:
+        return 0, 0
+    duration = {op.op_id: op.duration for op in graph.device_operations()}
+    certain = {(p, c): not (devices[p] & devices[c]) for p, c in graph.device_edges()}
+
+    def hop(parent: str, child: str) -> int:
+        return transport_time if certain[(parent, child)] else 0
+
+    order = [op_id for op_id in graph.topological_order() if op_id in devices]
+    head = {op_id: 0 for op_id in order}
+    for parent in order:
+        for child in graph.successors(parent):
+            if child in devices:
+                head[child] = max(head[child], head[parent] + duration[parent] + hop(parent, child))
+    tail = {op_id: 0 for op_id in order}
+    for parent in reversed(order):
+        for child in graph.successors(parent):
+            if child in devices:
+                tail[parent] = max(tail[parent], hop(parent, child) + duration[child] + tail[child])
+
+    floor = max(head[op_id] + duration[op_id] + tail[op_id] for op_id in order)
+    for group in set(devices.values()):
+        members = [op_id for op_id in order if devices[op_id] <= group]
+        load = sum(duration[op_id] for op_id in members)
+        edge = (min(head[op_id] for op_id in members)
+                + min(tail[op_id] for op_id in members))
+        floor = max(floor, edge + load / len(group))
+    # The epsilon only absorbs float error in the division.
+    return math.ceil(floor - 1e-9), sum(certain.values())
 
 
 class IlpScheduler:
@@ -155,8 +225,15 @@ class IlpScheduler:
                 horizon + 1,
             )
             t_end_bound = self._bound_by_incumbent(model, warm, operations, horizon)
+            if cfg.alpha > 0 and cfg.beta >= 0:
+                t_end_floor, certain_edges = schedule_lower_bound(
+                    graph, compatible, cfg.transport_time
+                )
+                model.lower_bound = (cfg.alpha * t_end_floor
+                                     + cfg.beta * cfg.transport_time * certain_edges)
             build_span.set(vars=model.num_variables, rows=model.num_constraints,
-                           horizon=horizon, t_end_bound=t_end_bound)
+                           horizon=horizon, t_end_bound=t_end_bound,
+                           lower_bound=model.lower_bound)
 
         options = cfg.solver_options()
         if warm is not None:
@@ -378,34 +455,10 @@ class IlpScheduler:
                                        ordering, big_m)
             if values is None:
                 continue
-            objective = self._verified_objective(model, values)
+            objective = model.feasible_objective(values)
             if objective is not None and (best is None or objective < best.objective):
                 best = WarmStart(values=values, objective=objective, label=label)
         return best
-
-    @staticmethod
-    def _verified_objective(model, values) -> Optional[float]:
-        """The objective of ``values`` if it is a feasible point of ``model``."""
-        tolerance = 1e-6
-        for var in model.variables:
-            value = values.get(var.name)
-            if value is None:
-                return None
-            if var.kind != "continuous" and abs(value - round(value)) > tolerance:
-                return None
-            if (var.low is not None and value < var.low - tolerance) or (
-                var.up is not None and value > var.up + tolerance
-            ):
-                return None
-        try:
-            for var in model.variables:
-                var.value = values[var.name]
-            if model.check_solution(tolerance):
-                return None
-            return model.objective_value()
-        finally:
-            for var in model.variables:
-                var.value = None
 
     def _heuristic_schedule(self, graph) -> Optional[Schedule]:
         from repro.scheduling.list_scheduler import ListScheduler, ListSchedulerConfig

@@ -20,6 +20,8 @@ from repro.synthesis.config import FlowConfig
 from repro.synthesis.flow import synthesize
 from repro.synthesis.pipeline import STAGES_BY_NAME
 
+from solve_capture import captured_solves
+
 
 @pytest.fixture()
 def diamond_graph() -> SequencingGraph:
@@ -99,6 +101,27 @@ def ra_result():
     graph = random_assay(RandomAssayConfig(num_operations=20, seed=42))
     config = FlowConfig(num_mixers=4, ilp_operation_limit=0)
     return synthesize(graph, config)
+
+
+@pytest.fixture()
+def loose_bound_guard():
+    """A check that every ``Model.solve`` so far ran a backend.
+
+    A solve whose warm start meets the model's certified lower bound never
+    reaches a backend, so a test of backend behaviour calls the returned
+    check to prove that every recorded solve had a lower bound strictly
+    below its warm start's objective, or no warm start at all.
+    """
+    with captured_solves() as calls:
+        def check():
+            assert calls, "no Model.solve call was recorded"
+            for model, options, _ in calls:
+                warm = options.warm_start if options is not None else None
+                bound = model.lower_bound
+                assert bound is not None and (warm is None or bound < warm.objective - 1e-6), (
+                    bound, warm and warm.objective)
+
+        yield check
 
 
 @pytest.fixture()

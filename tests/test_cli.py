@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from repro.explore import FrontierEntry, is_dominance_consistent
 from repro.graph.library import build_pcr
 from repro.ilp import HighsBackend
 from repro.graph.serialization import save_graph
+from repro.obs.trace import validate_chrome_trace
 from repro.service import ServiceClient
 
 
@@ -203,10 +205,14 @@ class TestSolverOverride:
         # Solver-free jobs still carry the per-stage backend fields (null).
         assert all("backend" in row and "fallback_used" in row for row in stages)
 
-    def test_scipy_free_flow_falls_back_to_branch_and_bound(self, monkeypatch, capsys):
+    def test_scipy_free_flow_falls_back_to_branch_and_bound(self, monkeypatch, capsys,
+                                                            loose_bound_guard):
         # HiGHS reported unavailable, as on an interpreter without scipy.
+        # PCR, not IVD: IVD's warm start meets its certified lower bound and
+        # closes without running any backend.
         monkeypatch.setattr(HighsBackend, "is_available", lambda self: False)
-        assert main(["--assay", "IVD", "--detectors", "2", "--time-limit", "1"]) == 0
+        assert main(["--assay", "PCR", "--time-limit", "1"]) == 0
+        loose_bound_guard()
         out = capsys.readouterr().out
         assert "solver backends: schedule=branch-and-bound (fallback)" in out
         assert main([
@@ -221,6 +227,46 @@ class TestSolverOverride:
         assert excinfo.value.code == 2
 
 
+def repro_env():
+    """The environment a ``python -m repro`` subprocess runs in."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+@contextlib.contextmanager
+def launched(*argv):
+    """Run ``python -m repro *argv`` until it announces its port.
+
+    Yields ``(port, proc)``; the process is always reaped.  A process that
+    never announces a port is killed, which ends the read loop instead of
+    hanging the test.
+    """
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=repro_env(),
+    )
+    watchdog = threading.Timer(60.0, proc.kill)
+    watchdog.start()
+    try:
+        port = None
+        for line in proc.stdout:
+            match = re.search(r"listening on http://[^:]+:(\d+)", line)
+            if match:
+                port = int(match.group(1))
+                break
+        watchdog.cancel()
+        assert port is not None, f"{argv[0]} never announced its port"
+        yield port, proc
+    finally:
+        watchdog.cancel()
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+
+
 class TestServe:
     """``repro serve`` as a subprocess: a cold run, a hot-cache hit, the
     shutdown flush, and a restart that replays every stage from disk."""
@@ -231,34 +277,8 @@ class TestServe:
     @contextlib.contextmanager
     def serving(cache_dir):
         """Start the server; yield its client and process, always reaped."""
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--cache-dir", str(cache_dir)],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
-        )
-        # A server that never announces its port is killed, which ends the
-        # read loop below instead of hanging the test.
-        watchdog = threading.Timer(60.0, proc.kill)
-        watchdog.start()
-        try:
-            port = None
-            for line in proc.stdout:
-                match = re.search(r"listening on http://[^:]+:(\d+)", line)
-                if match:
-                    port = int(match.group(1))
-                    break
-            watchdog.cancel()
-            assert port is not None, "the server never announced its port"
+        with launched("serve", "--port", "0", "--cache-dir", str(cache_dir)) as (port, proc):
             yield ServiceClient(port=port), proc
-        finally:
-            watchdog.cancel()
-            if proc.poll() is None:
-                proc.kill()
-            proc.wait(timeout=10)
-            proc.stdout.close()
 
     @staticmethod
     def stop(client, proc) -> str:
@@ -301,3 +321,88 @@ class TestServe:
                 assert stages[name]["ran"] == 0, (name, stages)
                 assert stages[name]["replayed"] == 1, (name, stages)
             self.stop(client, proc)
+
+
+#: One Prometheus text-format sample line (or a bare ``+Inf``).
+PROMETHEUS_SAMPLE = re.compile(
+    r'^[a-zA-Z_:][a-zA-Z0-9_:]*'
+    r'(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"'
+    r'(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})? '
+    r'[0-9eE+.\-]+$|^\+Inf$'
+)
+
+
+def scrape_metrics(port: int) -> str:
+    """GET ``/metrics``; every non-comment line must be a valid sample."""
+    with urllib.request.urlopen(f"http://127.0.0.1:{port}/metrics") as response:
+        assert response.headers["Content-Type"].startswith("text/plain")
+        text = response.read().decode("utf-8")
+    for line in text.strip().splitlines():
+        if not line.startswith("#"):
+            assert PROMETHEUS_SAMPLE.match(line), line
+    return text
+
+
+class TestObservabilityEndToEnd:
+    """The flight recorder through real processes: a traced sweep's Chrome
+    trace and JSON logs, and live ``/metrics`` scrapes of a service replica
+    and a cache daemon after cross-process traffic."""
+
+    SWEEP = Path(__file__).resolve().parent.parent / "examples" / "manifests" / "sweep_physical.json"
+
+    def test_traced_sweep_exports_a_valid_trace_and_json_logs(self, tmp_path):
+        trace_out = tmp_path / "sweep-trace.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", str(self.SWEEP),
+             "--cache-dir", str(tmp_path / "cache"), "--trace-out", str(trace_out),
+             "--log-level", "debug", "--log-json"],
+            capture_output=True, text=True, env=repro_env(), timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
+        document = json.loads(trace_out.read_text())
+        assert validate_chrome_trace(document) == []
+        names = {event["name"] for event in document["traceEvents"]}
+        assert {"stage:schedule", "stage:archsyn", "stage:physical"} <= names, names
+        trace_id = document["otherData"]["trace_id"]
+        assert all(event["args"]["trace_id"] == trace_id for event in document["traceEvents"])
+
+        # Every structured-log line on stderr parses, with the taxonomy
+        # fields (the trailing "trace written to" note is plain text).
+        records = [json.loads(line) for line in done.stderr.splitlines()
+                   if line.startswith("{")]
+        assert records, "no JSON log lines captured"
+        for record in records:
+            assert record["logger"].startswith("repro") and "ts" in record, record
+            assert record["level"] in ("debug", "info", "warning", "error"), record
+
+    def test_replica_and_daemon_serve_prometheus_metrics(self):
+        with launched("cache-daemon", "--port", "0") as (daemon_port, daemon):
+            with launched("serve", "--port", "0", "--cache-backend", "shared",
+                          "--cache-addr", f"127.0.0.1:{daemon_port}") as (port, replica):
+                client = ServiceClient(port=port)
+                job = client.submit(json.loads(self.SWEEP.read_text()))
+                assert client.wait(job, timeout=120)["status"] == "done"
+
+                text = scrape_metrics(port)
+                for name in ("repro_jobs_total", "repro_stage_wall_seconds_bucket",
+                             # A cold sweep records misses and claims; hit
+                             # counters appear only once a tier hits.
+                             "repro_cache_misses_total", "repro_claims_total"):
+                    assert name in text, (name, text[:400])
+                client.shutdown()
+                replica.communicate(timeout=60)
+                assert replica.returncode == 0
+
+            text = scrape_metrics(daemon_port)
+            for name in ("repro_cachedaemon_entries", "repro_cachedaemon_events_total"):
+                assert name in text, (name, text[:400])
+            # /stats and /metrics are views over the same registry.
+            with urllib.request.urlopen(f"http://127.0.0.1:{daemon_port}/stats") as response:
+                assert json.loads(response.read())["puts"] > 0
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{daemon_port}/shutdown", method="POST"
+            )
+            urllib.request.urlopen(request).close()
+            daemon.communicate(timeout=60)
+            assert daemon.returncode == 0

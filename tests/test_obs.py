@@ -284,7 +284,7 @@ class TestPrometheusRendering:
         assert 'repro_wall_seconds_count{stage="s"} 1' in text
 
     def test_every_line_parses_as_prometheus_text_exposition(self):
-        """The structural check the obs-smoke CI job runs over the live
+        """The structural check the end-to-end CLI tests run over the live
         endpoints: every non-comment line is ``name{labels} value``."""
         import re
 

@@ -1,18 +1,26 @@
 """Tests of the exact ILP scheduler (paper constraints (1)-(7))."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.devices.device import default_device_library
 from repro.graph.analysis import critical_path_length
 from repro.graph.generators import RandomAssayConfig, random_assay
 from repro.graph.library import assay_by_name, build_pcr
-from repro.graph.sequencing_graph import SequencingGraph
-from repro.ilp import SolverStatus
-from repro.scheduling.ilp_scheduler import IlpScheduler, IlpSchedulerConfig
+from repro.graph.sequencing_graph import Operation, OperationType, SequencingGraph
+from repro.ilp import HighsBackend, SolverOptions, SolverStatus, WarmStart, solve_model
+from repro.obs import TraceRecorder, install_recorder
+from repro.obs.trace import uninstall_recorder
+from repro.scheduling.ilp_scheduler import IlpScheduler, IlpSchedulerConfig, schedule_lower_bound
 from repro.scheduling.list_scheduler import ListScheduler
 from repro.scheduling.transport import cross_device_gap_sum, total_storage_time
 from repro.synthesis.config import FlowConfig
 from repro.synthesis.flow import build_library
+
+from solve_capture import captured_solves
 
 
 @pytest.fixture(scope="module")
@@ -237,3 +245,133 @@ class TestReferenceFormulationDifferential:
         assert schedule.solve.objective == pytest.approx(
             _reference_objective(graph, library, 10, 100.0, 1.0)
         )
+
+
+needs_scipy = pytest.mark.skipif(not HighsBackend().is_available(), reason="scipy not installed")
+
+
+def _detect_chain():
+    """mix(60) -> detect(30): the edge is a certain transport."""
+    graph = SequencingGraph("mix-detect")
+    graph.add_mix("o1", 60)
+    graph.add_operation(Operation("o2", OperationType.DETECT, 30))
+    graph.add_edge("o1", "o2")
+    return graph
+
+
+class TestCertifiedBound:
+    """``schedule_lower_bound`` and the solves it closes without a backend."""
+
+    @needs_scipy
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.integers(4, 9), seed=st.integers(0, 10**6),
+           mixers=st.integers(1, 4), transport_time=st.sampled_from([0, 5, 10]))
+    def test_bound_never_exceeds_the_optimum(self, size, seed, mixers, transport_time):
+        graph = random_assay(RandomAssayConfig(num_operations=size, seed=seed))
+        library = default_device_library(num_mixers=mixers)
+        config = IlpSchedulerConfig(transport_time=transport_time, time_limit_s=60)
+        with captured_solves(reference=True) as calls:
+            schedule = IlpScheduler(library, config).schedule(graph)
+        [(model, _options, ref)] = calls
+        assert ref.status is SolverStatus.OPTIMAL
+        assert model.lower_bound is not None
+        assert model.lower_bound <= ref.objective + 1e-6
+        if schedule.solve.backend == "bound":
+            assert schedule.solve.objective == pytest.approx(ref.objective)
+            schedule.assert_valid()
+
+    def test_ivd_closes_at_the_bound(self):
+        graph = assay_by_name("IVD")
+        library = build_library(FlowConfig.paper_defaults_for("IVD"))
+        compatible = {op.op_id: library.devices_for(op.kind) for op in graph.device_operations()}
+        assert schedule_lower_bound(graph, compatible, 10) == (280, 6)
+        schedule = IlpScheduler(library, IlpSchedulerConfig(time_limit_s=30)).schedule(graph)
+        record = schedule.solve
+        assert (record.backend, record.status, record.mip_gap) == ("bound", SolverStatus.OPTIMAL, 0.0)
+        assert record.objective == record.bound == 28060
+        assert record.warm_start_used is True
+        assert schedule.makespan == 280
+
+    def test_certain_transport_edges_reach_the_objective_floor(self):
+        library = default_device_library(num_mixers=1, num_detectors=1)
+        graph = _detect_chain()
+        compatible = {op.op_id: library.devices_for(op.kind) for op in graph.device_operations()}
+        assert schedule_lower_bound(graph, compatible, 10) == (100, 1)
+        schedule = IlpScheduler(library, IlpSchedulerConfig(time_limit_s=30)).schedule(graph)
+        assert schedule.solve.backend == "bound"
+        assert schedule.solve.objective == 100.0 * 100 + 1.0 * 10
+
+    def test_load_floor_counts_heads_and_tails(self):
+        # mix o1 -> detects d2, d3, d4 -> mix o5 on one mixer and two
+        # detectors; all six edges are certain transports (u_c = 10).  The
+        # detects start after 60 + 10, need ceil(90 / 2) = 45 on the two
+        # detectors and leave 10 + 60 for o5: 185, above the chain's 170.
+        graph = SequencingGraph("fan")
+        graph.add_mix("o1", 60)
+        graph.add_mix("o5", 60)
+        for detect in ("d2", "d3", "d4"):
+            graph.add_operation(Operation(detect, OperationType.DETECT, 30))
+            graph.add_edge("o1", detect)
+            graph.add_edge(detect, "o5")
+        library = default_device_library(num_mixers=1, num_detectors=2)
+        compatible = {op.op_id: library.devices_for(op.kind) for op in graph.device_operations()}
+        assert schedule_lower_bound(graph, compatible, 10) == (185, 6)
+        assert schedule_lower_bound(graph, compatible, 0) == (165, 6)
+
+    @needs_scipy
+    def test_a_warm_start_that_breaks_one_row_never_closes(self):
+        graph = assay_by_name("IVD")
+        library = build_library(FlowConfig.paper_defaults_for("IVD"))
+        with captured_solves() as calls:
+            IlpScheduler(library, IlpSchedulerConfig(time_limit_s=30)).schedule(graph)
+        [(model, options, _ref)] = calls
+        values = dict(options.warm_start.values)
+        # Zero one positive storage term: the objective drops below the
+        # bound and only that edge's w row is broken.
+        gap = next(name for name, value in values.items()
+                   if name.startswith("w[") and value > 0)
+        values[gap] = 0.0
+        for var in model.variables:
+            var.value = values[var.name]
+        assert len(model.check_solution(1e-6)) == 1
+        assert model.objective_value() < model.lower_bound
+        assert model.feasible_objective(values) is None
+        broken = replace(options, warm_start=WarmStart(values=values), backend="highs")
+        result = solve_model(model, broken)
+        assert result.backend_name == "highs"
+        assert result.status is SolverStatus.OPTIMAL
+        assert result.objective == pytest.approx(28060)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (-1.0, 1.0), (100.0, -1.0)])
+    def test_no_bound_without_a_positive_alpha_and_nonnegative_beta(self, alpha, beta):
+        library = default_device_library(num_mixers=1, num_detectors=1)
+        config = IlpSchedulerConfig(alpha=alpha, beta=beta, time_limit_s=30)
+        with captured_solves() as calls:
+            schedule = IlpScheduler(library, config).schedule(_detect_chain())
+        [(model, _options, _ref)] = calls
+        assert model.lower_bound is None
+        assert schedule.solve.backend != "bound"
+
+    @pytest.mark.parametrize("graph, backend, produced", [
+        pytest.param(_detect_chain(), None, "bound", id="bound-close"),
+        pytest.param(random_assay(RandomAssayConfig(num_operations=4, seed=0)), "highs", "highs",
+                     id="highs", marks=needs_scipy),
+    ])
+    def test_every_solve_is_one_solver_span(self, graph, backend, produced):
+        library = default_device_library(num_mixers=2, num_detectors=1)
+        config = IlpSchedulerConfig(time_limit_s=30, solver=SolverOptions(backend=backend))
+        recorder = TraceRecorder()
+        token = install_recorder(recorder)
+        try:
+            with captured_solves() as calls:
+                IlpScheduler(library, config).schedule(graph)
+        finally:
+            uninstall_recorder(token)
+        [(model, _options, _ref)] = calls
+        assert all(var.value is not None for var in model.variables)
+        [solve_span] = [s for s in recorder.spans() if s.name == "solver:solve"]
+        assert solve_span.attributes["backend"] == produced
+        assert solve_span.attributes["status"] == "optimal"
+        if produced == "bound":
+            # No backend ran, so the portfolio opened no attempt.
+            assert not [s for s in recorder.spans() if s.name == "solver:attempt"]

@@ -45,6 +45,7 @@ from repro.ilp import (
     solve_model,
     unregister_backend,
 )
+from repro.graph.generators import RandomAssayConfig, random_assay
 from repro.graph.library import assay_by_name
 from repro.ilp.backends.base import SolverBackend
 from repro.ilp.solver import SolveResult
@@ -375,9 +376,42 @@ def test_to_matrices_imports_no_scipy():
 @needs_scipy
 @pytest.mark.parametrize("assay, objective", [("IVD", 28060.0), ("PCR", 33010.0)])
 def test_highs_optimum_on_the_sparse_lowering(assay, objective):
-    schedule = paper_scheduler(assay, "highs").schedule(assay_by_name(assay))
-    assert schedule.solve.status is SolverStatus.OPTIMAL
-    assert schedule.solve.objective == pytest.approx(objective)
+    # The backend is called directly: solve_model would close IVD at its
+    # certified lower bound without running HiGHS.
+    result = get_backend("highs").solve(scheduling_model(assay), SolverOptions(time_limit_s=60))
+    assert result.status is SolverStatus.OPTIMAL
+    assert result.objective == pytest.approx(objective)
+    # HiGHS's MIP dual bound, within its default relative gap.
+    assert objective * (1 - 1e-4) - 1e-6 <= result.bound <= objective + 1e-6
+
+
+@needs_scipy
+def test_solve_records_carry_the_objective_bound():
+    """HiGHS reports its dual bound, branch and bound none, a close its own."""
+    highs = paper_scheduler("PCR", "highs").schedule(assay_by_name("PCR")).solve
+    assert highs.backend == "highs"
+    assert highs.bound == pytest.approx(33010.0, rel=1e-4)
+    bb = BranchAndBoundBackend().solve(scheduling_model("PCR"), SolverOptions(time_limit_s=0.1))
+    assert bb.bound is None and bb.record().bound is None
+    closed = paper_scheduler("IVD", "highs").schedule(assay_by_name("IVD")).solve
+    assert (closed.backend, closed.bound, closed.objective) == ("bound", 28060.0, 28060.0)
+
+
+def test_bound_close_reaches_the_batch_payload():
+    """A stage closed at the certified bound reports it next to ``backend``."""
+    from repro.batch.engine import BatchSynthesisEngine
+    from repro.batch.jobs import BatchJob
+
+    report = BatchSynthesisEngine(max_workers=1).run(
+        [BatchJob("ivd", assay_by_name("IVD"), FlowConfig.paper_defaults_for("IVD"))]
+    )
+    assert report.num_failed == 0
+    by_stage = {row["stage"]: row for row in report.outcomes[0].payload()["stages"]}
+    assert by_stage["schedule"]["backend"] == "bound"
+    assert by_stage["schedule"]["bound"] == 28060.0
+    assert by_stage["schedule"]["warm_start_used"] is True
+    assert by_stage["archsyn"]["bound"] is None
+    assert report.stage_summary()["schedule"]["backends"] == {"bound": 1}
 
 
 # ------------------------------------------------------------------ registry
@@ -552,6 +586,13 @@ def small_chain_graph():
     return graph
 
 
+def loose_bound_graph():
+    """Four operations whose list-heuristic warm start (objective 24090)
+    lies above both the certified lower bound (24000) and the optimum
+    (24010), so the solve must run a backend."""
+    return random_assay(RandomAssayConfig(num_operations=4, seed=0))
+
+
 @pytest.fixture()
 def forced_fallback_portfolio(stub_backends):
     """A registered portfolio whose primary deterministically times out."""
@@ -563,7 +604,8 @@ def forced_fallback_portfolio(stub_backends):
 
 
 class TestFlowThreading:
-    def test_forced_primary_timeout_completes_via_fallback(self, forced_fallback_portfolio):
+    def test_forced_primary_timeout_completes_via_fallback(self, forced_fallback_portfolio,
+                                                           loose_bound_guard):
         """The acceptance scenario: where the old code aborted with
         SolverLimitError, the portfolio completes the flow on the fallback
         backend and records exactly that."""
@@ -575,7 +617,8 @@ class TestFlowThreading:
             scheduler_backend=forced_fallback_portfolio,
             ilp_time_limit_s=20.0,
         )
-        result = SynthesisPipeline().run(small_chain_graph(), config)
+        result = SynthesisPipeline().run(loose_bound_graph(), config)
+        loose_bound_guard()
         assert result.schedule.makespan > 0
         assert result.scheduler_engine == "ilp"
         assert result.schedule.solve.backend == "branch-and-bound"
@@ -599,7 +642,8 @@ class TestFlowThreading:
         default = run("portfolio")
         assert forced.schedule.makespan == default.schedule.makespan
 
-    def test_backend_identity_reaches_batch_payload(self, forced_fallback_portfolio):
+    def test_backend_identity_reaches_batch_payload(self, forced_fallback_portfolio,
+                                                    loose_bound_guard):
         """JobOutcome.payload — the one JSON shape of --json and the
         service's result endpoint — carries backend and fallback per stage."""
         from repro.batch.engine import BatchSynthesisEngine
@@ -612,12 +656,14 @@ class TestFlowThreading:
             ilp_time_limit_s=20.0,
         )
         report = BatchSynthesisEngine(max_workers=1).run(
-            [BatchJob("tiny", small_chain_graph(), config)]
+            [BatchJob("tiny", loose_bound_graph(), config)]
         )
+        loose_bound_guard()
         assert report.num_failed == 0
         payload = report.outcomes[0].payload()
         by_stage = {row["stage"]: row for row in payload["stages"]}
         assert by_stage["schedule"]["backend"] == "branch-and-bound"
+        assert by_stage["schedule"]["bound"] is None
         assert by_stage["schedule"]["fallback_used"] is True
         # The heuristic archsyn engine never invokes a MILP backend.
         assert by_stage["archsyn"]["backend"] is None

@@ -15,7 +15,8 @@ corrupting the solve.  Layers covered:
   solve from a neighboring schedule without changing the makespan, and a
   hint that breaks a row never displaces the valid heuristic seed;
 * **flow** — under a 0.1 s budget the warm-started branch-and-bound backend
-  still returns IVD's optimal makespan through ``synthesize()``;
+  still returns a generated graph's optimal makespan through
+  ``synthesize()``;
 * **exploration** — an acceptance-scale 24-config sweep on the
   branch-and-bound backend engages warm starts and leaves the frontier
   exactly as a cold run computes it.
@@ -27,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.devices.device import default_device_library
+from repro.graph.generators import RandomAssayConfig, random_assay
 from repro.graph.library import assay_by_name
 from repro.ilp import (
     BranchAndBoundBackend,
@@ -219,17 +221,21 @@ class TestSchedulerWarmStart:
 
 
 class TestAnytimeBranchAndBound:
-    def test_ivd_returns_the_optimum_within_a_tiny_budget(self):
-        """Anytime quality, not proof time: interval bounds cannot prove
-        IVD's contention-forced optimum, but the list-heuristic warm start
-        is the incumbent from node one, so a 0.1 s budget returns 280."""
-        config = FlowConfig.paper_defaults_for("IVD")
+    def test_pool_graph_returns_the_optimum_within_a_tiny_budget(self, loose_bound_guard):
+        """Anytime quality, not proof time: on this generated 8-operation
+        graph (graph 32 of the ilp-exact benchmark pool at seed 1) the
+        list-heuristic warm start is optimal (objective 25010, tE 250,
+        proven by HiGHS) but the certified lower bound (24000) cannot show
+        it, so the solve reaches branch and bound, whose interval bounds
+        cannot prove it either.  The warm start is the incumbent from node
+        one, so a 0.1 s budget returns tE 250."""
+        graph = random_assay(RandomAssayConfig(num_operations=8, seed=3944564918034806355))
+        config = FlowConfig.paper_defaults_for(graph.name)
         config.ilp_time_limit_s = 0.1
         config.archsyn_time_limit_s = 0.1
-        result = synthesize(
-            assay_by_name("IVD"), apply_solver_override(config, "branch-and-bound")
-        )
-        assert result.execution_time == 280
+        result = synthesize(graph, apply_solver_override(config, "branch-and-bound"))
+        loose_bound_guard()
+        assert result.execution_time == 250
         assert result.schedule.solve.backend == "branch-and-bound"
         assert result.schedule.solve.warm_start_used is True
 

@@ -27,6 +27,14 @@ is replayed, not re-solved.
 Failures are captured per job (``JobOutcome.error``) rather than aborting
 the batch — one infeasible assay must not take down a many-user batch — and
 never poison the cache.
+
+This tier runner resolves stage keys against the cache for every synthesis
+that has one: :meth:`BatchSynthesisEngine.run_one` runs it on a one-job
+batch, and :class:`~repro.synthesis.pipeline.SynthesisPipeline` itself never
+touches a cache.  (The exploration engine's schedule-only triage pass is the
+one other reader and writer.)  Under a single-flight cache a stage-key
+miss *claims* the key; the runner then either stores the artifact with
+``put`` or, on every other exit, releases the claim with ``abandon``.
 """
 
 from __future__ import annotations
@@ -206,15 +214,12 @@ class BatchSynthesisEngine:
     fail_fast:
         When true, the first job failure raises instead of being recorded in
         the report.
-    memoize_failures:
-        When true (the default), a failed job's exception is memoized in the
-        cache's memory tier and replayed for identical jobs instead of
-        re-running the solver.  Only deterministic failures are memoized:
-        limit-induced solver failures (:class:`SolverLimitError`) and worker
-        crashes are load-dependent, so those always re-run.
-    pipeline:
-        The staged pipeline to execute; defaults to the standard
-        schedule → archsyn → physical chain.
+
+    A failed job's exception is memoized in the cache's memory tier and
+    replayed for identical jobs instead of re-running the solver.  Only
+    deterministic failures are memoized: limit-induced solver failures
+    (:class:`SolverLimitError`) and worker crashes are load-dependent, so
+    those always re-run.
     """
 
     def __init__(
@@ -222,21 +227,18 @@ class BatchSynthesisEngine:
         max_workers: int = 1,
         cache: Optional[ResultCache] = None,
         fail_fast: bool = False,
-        memoize_failures: bool = True,
-        pipeline: Optional[SynthesisPipeline] = None,
     ) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
         self.max_workers = max_workers
         self.cache = cache if cache is not None else ResultCache()
         self.fail_fast = fail_fast
-        self.memoize_failures = memoize_failures
-        self.pipeline = pipeline if pipeline is not None else SynthesisPipeline()
+        self.pipeline = SynthesisPipeline()
 
     def _record_failure(self, key: str, exc: BaseException) -> None:
         # A SolverLimitError depends on machine load, not on the job's
         # content — an identical re-run may succeed, so it is never memoized.
-        if self.memoize_failures and not isinstance(exc, SolverLimitError):
+        if not isinstance(exc, SolverLimitError):
             self.cache.put_failure(key, _detached_failure(exc))
 
     def _abandon_claim(self, key: str) -> None:
@@ -273,12 +275,25 @@ class BatchSynthesisEngine:
     # ------------------------------------------------------------------- api
     def run(self, jobs: Sequence[BatchJob]) -> BatchReport:
         """Execute ``jobs`` and return their outcomes in submission order."""
+        return self._run(jobs, self.fail_fast)
+
+    def run_one(self, job: BatchJob) -> SynthesisResult:
+        """Run a single job through :meth:`run`'s tier runner; return its result.
+
+        A cache hit returns the cached :class:`SynthesisResult` object
+        itself.  A failure raises instead of producing a report row, as
+        under ``fail_fast``: a detached copy of the stage's exception, with
+        its original type and message.
+        """
+        return self._run([job], fail_fast=True).outcomes[0].result
+
+    def _run(self, jobs: Sequence[BatchJob], fail_fast: bool) -> BatchReport:
         with obs_span("batch", category="engine", jobs=len(jobs)):
-            report = self._run_traced(jobs)
+            report = self._run_traced(jobs, fail_fast)
         self._attach_span_summaries(report.outcomes)
         return report
 
-    def _run_traced(self, jobs: Sequence[BatchJob]) -> BatchReport:
+    def _run_traced(self, jobs: Sequence[BatchJob], fail_fast: bool) -> BatchReport:
         """The body of :meth:`run`, executed inside the batch span."""
         start = time.perf_counter()
         _LOG.info("batch starting: %d job(s), %d worker(s)", len(jobs), self.max_workers)
@@ -306,7 +321,7 @@ class BatchSynthesisEngine:
             # memoized failure is not also charged as a cache miss.
             known_failure = self.cache.get_failure(run_key)
             if known_failure is not None:
-                if self.fail_fast:
+                if fail_fast:
                     raise _detached_failure(known_failure)
                 outcomes[index] = JobOutcome(
                     job_id=job.job_id,
@@ -350,7 +365,7 @@ class BatchSynthesisEngine:
         tiers = max((len(p.plan) for p in pending), default=0)
         for tier in range(tiers):
             with obs_span(f"tier:{tier}", category="engine", tier=tier):
-                self._run_tier(tier, pending)
+                self._run_tier(tier, pending, fail_fast)
 
         for p in pending:
             outcomes[p.index] = self._finish_pending(p)
@@ -423,45 +438,10 @@ class BatchSynthesisEngine:
                 if e.key[:16] in by_key
             ]
 
-    def run_one(self, job: BatchJob) -> SynthesisResult:
-        """Convenience wrapper: run a single job and return its result.
-
-        Raises the underlying synthesis error on failure (the single-job
-        caller wants the traceback, not a report row).  Execution goes
-        through the staged pipeline against the shared cache, so even a
-        cold run reuses whatever upstream stage artifacts other jobs left
-        behind.
-        """
-        fingerprint = graph_fingerprint(job.graph)
-        run_key = cache_key(job.graph, job.config, graph_hash=fingerprint)
-        # Failure memo first, mirroring run(): a replayed failure must not be
-        # charged as a cache miss.
-        known_failure = self.cache.get_failure(run_key)
-        if known_failure is not None:
-            # Synthesis is deterministic: re-running an identical failed job
-            # would reproduce the same error at full solver cost.  A fresh
-            # detached copy is raised so repeated raises cannot pile
-            # tracebacks onto one shared object.
-            raise _detached_failure(known_failure)
-        cached = self._get_nowait(run_key)
-        if cached is not None:
-            return cached
-        try:
-            result = self.pipeline.run(
-                job.graph, job.config, cache=self.cache, graph_hash=fingerprint
-            )
-        except Exception as exc:
-            # No claims to release here: run-level keys are looked up
-            # claim-free (_get_nowait) and the pipeline releases the stage
-            # claim of a failed stage itself.
-            self._record_failure(run_key, exc)
-            raise
-        # Memory tier only: the stage artifacts persist individually.
-        self.cache.put(run_key, result, disk=False)
-        return result
-
     # -------------------------------------------------------------- internals
-    def _run_tier(self, tier: int, pending: List[_PendingJob]) -> None:
+    def _run_tier(
+        self, tier: int, pending: List[_PendingJob], fail_fast: bool
+    ) -> None:
         """Resolve stage ``tier`` for every live pending job.
 
         Cache hits are replayed; the remaining work is grouped by stage key
@@ -530,14 +510,18 @@ class BatchSynthesisEngine:
         # keys the aborted inline/pool runners never reached.
         stored: set = set()
         try:
-            self._resolve_tier(tier, groups, stored)
+            self._resolve_tier(tier, groups, stored, fail_fast)
         finally:
             for stage_key in groups:
                 if stage_key not in stored:
                     self._abandon_claim(stage_key)
 
     def _resolve_tier(
-        self, tier: int, groups: Dict[str, List[_PendingJob]], stored: set
+        self,
+        tier: int,
+        groups: Dict[str, List[_PendingJob]],
+        stored: set,
+        fail_fast: bool,
     ) -> None:
         """Execute a tier's unique stage keys and distribute the artifacts.
 
@@ -545,9 +529,9 @@ class BatchSynthesisEngine:
         the cache, so the caller knows which claims are already released.
         """
         if self.max_workers > 1 and len(groups) > 1:
-            executed = self._run_tier_pool(tier, groups)
+            executed = self._run_tier_pool(tier, groups, fail_fast)
         else:
-            executed = self._run_tier_inline(tier, groups)
+            executed = self._run_tier_inline(tier, groups, fail_fast)
 
         for stage_key, (ok, value, elapsed, crashed) in executed.items():
             group = groups[stage_key]
@@ -586,11 +570,11 @@ class BatchSynthesisEngine:
                     # so identical future jobs replay the error solver-free.
                     if not crashed:
                         self._record_failure(p.run_key, value)
-                if self.fail_fast:
+                if fail_fast:
                     raise _detached_failure(value)
 
     def _run_tier_inline(
-        self, tier: int, groups: Dict[str, List[_PendingJob]]
+        self, tier: int, groups: Dict[str, List[_PendingJob]], fail_fast: bool
     ) -> Dict[str, Tuple[bool, Any, float, bool]]:
         executed: Dict[str, Tuple[bool, Any, float, bool]] = {}
         for stage_key, group in groups.items():
@@ -615,7 +599,7 @@ class BatchSynthesisEngine:
                     artifact = stage.run(context, upstream)
             except Exception as exc:  # noqa: BLE001 - captured per job
                 executed[stage_key] = (False, exc, time.perf_counter() - start, False)
-                if self.fail_fast:
+                if fail_fast:
                     # The caller memoizes and raises; skip the doomed rest.
                     return executed
             else:
@@ -623,7 +607,7 @@ class BatchSynthesisEngine:
         return executed
 
     def _run_tier_pool(
-        self, tier: int, groups: Dict[str, List[_PendingJob]]
+        self, tier: int, groups: Dict[str, List[_PendingJob]], fail_fast: bool
     ) -> Dict[str, Tuple[bool, Any, float, bool]]:
         executed: Dict[str, Tuple[bool, Any, float, bool]] = {}
         workers = min(self.max_workers, len(groups))
@@ -669,7 +653,7 @@ class BatchSynthesisEngine:
                     crashed = True
                     value = exc
                     elapsed = time.perf_counter() - submit_time
-                if not ok and self.fail_fast:
+                if not ok and fail_fast:
                     # Abort for real: drop queued stages so the pool's
                     # __exit__ does not sit out every remaining solve.
                     # Deterministic failures are still memoized by the

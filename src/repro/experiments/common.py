@@ -27,7 +27,7 @@ from repro.batch.jobs import BatchJob
 from repro.batch.report import BatchReport
 from repro.graph.library import assay_by_name
 from repro.synthesis.config import FlowConfig
-from repro.synthesis.flow import SynthesisResult, synthesize
+from repro.synthesis.flow import SynthesisResult
 
 #: The evaluation order used by the paper's Table 2.
 PAPER_ASSAY_ORDER = ["RA100", "RA70", "CPA", "RA30", "IVD", "PCR"]
@@ -105,7 +105,6 @@ def assay_result(
     name: str,
     settings: Optional[ExperimentSettings] = None,
     storage_aware: bool = True,
-    use_cache: bool = True,
 ) -> SynthesisResult:
     """Synthesize one of the paper's assays (memoized across experiments).
 
@@ -114,8 +113,6 @@ def assay_result(
     figure using the same configuration) is reused as-is.
     """
     job = assay_job(name, settings, storage_aware=storage_aware)
-    if not use_cache:
-        return synthesize(job.graph, job.config)
     engine = BatchSynthesisEngine(max_workers=1, cache=_result_cache)
     return engine.run_one(job)
 

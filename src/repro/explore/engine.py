@@ -45,7 +45,7 @@ from repro.explore.strategies import StrategyContext, get_strategy
 from repro.scheduling.list_scheduler import ListSchedulerWorkspace
 from repro.synthesis.config import apply_solver_override
 from repro.synthesis.flow import build_library
-from repro.synthesis.pipeline import StageContext
+from repro.synthesis.pipeline import SCHEDULE_STAGE, StageContext
 
 
 @dataclass
@@ -463,7 +463,6 @@ class ExplorationEngine:
         Candidates whose scheduling fails are recorded as evaluated
         failures and omitted from the returned map.
         """
-        schedule_stage = self.batch_engine.pipeline.stages[0]
         vectors: Dict[str, Dict[str, float]] = {}
         for candidate in candidates:
             if candidate.candidate_id in self._state.evaluated:
@@ -478,7 +477,7 @@ class ExplorationEngine:
             key = self.batch_engine.pipeline.plan(job.graph, job.config)[0].key
             artifact = self.cache.get(key)
             if artifact is not None:
-                self._bump_stage(schedule_stage.name, "replayed")
+                self._bump_stage(SCHEDULE_STAGE.name, "replayed")
             else:
                 workspace = self._list_workspaces.get(id(job.graph))
                 if workspace is None:
@@ -492,7 +491,7 @@ class ExplorationEngine:
                 )
                 start = time.perf_counter()
                 try:
-                    artifact = schedule_stage.run(context, None)
+                    artifact = SCHEDULE_STAGE.run(context, None)
                 except Exception as exc:  # noqa: BLE001 - recorded per candidate
                     # Under a single-flight cache the miss above claimed the
                     # key; release it so concurrent engines don't wait out
@@ -507,7 +506,7 @@ class ExplorationEngine:
                     continue
                 self.cache.put(key, artifact)
                 self._bump_stage(
-                    schedule_stage.name, "ran",
+                    SCHEDULE_STAGE.name, "ran",
                     wall_time_s=time.perf_counter() - start,
                 )
             vectors[candidate.candidate_id] = schedule_objective_values(

@@ -45,16 +45,6 @@ from repro.ilp.backends import (
     register_backend,
     unregister_backend,
 )
-from repro.ilp.bigm import (
-    BigMContext,
-    add_implication,
-    add_either_or,
-    add_max_of,
-    add_min_of,
-    linearize_and,
-    linearize_or,
-    linearize_product_binary_continuous,
-)
 
 __all__ = [
     "LinExpr",
@@ -81,12 +71,4 @@ __all__ = [
     "get_backend",
     "register_backend",
     "unregister_backend",
-    "BigMContext",
-    "add_implication",
-    "add_either_or",
-    "add_max_of",
-    "add_min_of",
-    "linearize_and",
-    "linearize_or",
-    "linearize_product_binary_continuous",
 ]

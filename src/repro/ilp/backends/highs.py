@@ -100,7 +100,7 @@ class HighsBackend(SolverBackend):
             matrix = csr_array((A.data, A.indices, A.indptr), shape=A.shape)
             constraints.append(LinearConstraint(matrix, lower, upper))
 
-        milp_options = {"disp": options.verbose, "presolve": options.presolve}
+        milp_options = {"disp": False, "presolve": True}
         if options.time_limit_s is not None:
             milp_options["time_limit"] = float(options.time_limit_s)
         if options.mip_rel_gap is not None:

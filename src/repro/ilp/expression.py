@@ -186,7 +186,7 @@ class LinExpr:
 
     def __mul__(self, scalar):
         if isinstance(scalar, (Variable, LinExpr)):
-            raise TypeError("products of variables are not linear; use the bigm helpers to linearize")
+            raise TypeError("products of variables are not linear")
         if not isinstance(scalar, (int, float)):
             return NotImplemented
         return LinExpr({v: c * scalar for v, c in self.terms.items()}, self.constant * scalar)

@@ -62,8 +62,6 @@ class SolverOptions:
 
     time_limit_s: Optional[float] = None
     mip_rel_gap: Optional[float] = None
-    presolve: bool = True
-    verbose: bool = False
     node_limit: Optional[int] = None
     backend: Optional[str] = None
     warm_start: Optional[WarmStart] = None

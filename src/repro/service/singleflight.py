@@ -29,13 +29,18 @@ until the value appears or the remote lease expires and the claim is taken
 over.  An unreachable daemon degrades to process-local single-flight; it
 never blocks or crashes a solve.
 
-The batch engine releases claims on every path (``put`` on success,
-``abandon`` via :meth:`BatchSynthesisEngine._abandon_claim` on failure), so
-under normal operation the timeout never fires.  All inner-cache access is
-serialized under one lock — which also makes the wrapped ``ResultCache``
-(plain dicts, not thread-safe by itself) safe to share between the
-service's worker threads — except the daemon round trips themselves, which
-run outside it so a slow network cannot stall unrelated lookups.
+Whoever takes a claim with a ``get`` miss must release it: ``put`` on
+success, ``abandon`` on every other exit.  Two callers take claims: the
+batch engine's tier runner (:class:`~repro.batch.engine.BatchSynthesisEngine`,
+which every synthesis with a cache goes through, ``run_one`` included) and
+the exploration engine's schedule-only triage pass.  Both release on every
+path, so under normal operation the timeout never fires.
+
+All inner-cache access is serialized under one lock — which also makes the
+wrapped ``ResultCache`` (plain dicts, not thread-safe by itself) safe to
+share between the service's worker threads — except the daemon round trips
+themselves, which run outside it so a slow network cannot stall unrelated
+lookups.
 """
 
 from __future__ import annotations

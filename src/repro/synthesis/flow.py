@@ -191,8 +191,8 @@ def synthesize(
 
     A convenience wrapper over :class:`~repro.synthesis.pipeline.
     SynthesisPipeline` that runs all three stages without a cache.  Callers
-    that want stage-granular reuse (parameter sweeps, warm re-runs) should go
-    through the batch engine or hold a pipeline + cache themselves.
+    that want stage-granular reuse (parameter sweeps, warm re-runs) go
+    through the batch engine, the one code that reads and writes stage keys.
 
     Parameters
     ----------

@@ -415,28 +415,22 @@ def graph_fingerprint(graph: SequencingGraph) -> str:
 
 
 class SynthesisPipeline:
-    """The explicit three-stage flow with optional per-stage caching.
+    """The explicit stage chain: plans keys, runs stages without a cache.
 
-    ``run`` executes the stages in order; with a cache, each stage first
-    looks its key up and replays the artifact on a hit, so e.g. re-running
-    with only a different ``pitch`` performs zero scheduling solves and zero
-    architecture syntheses.  Passing an explicit device ``library`` disables
-    caching for that run: the keys address configs, not ad-hoc libraries.
+    :meth:`plan` derives each stage's content-addressed key; :meth:`run`
+    executes the chain and assembles a :class:`SynthesisResult`.  The stage
+    cache is read and written by the batch engine
+    (:class:`repro.batch.engine.BatchSynthesisEngine`), which resolves every
+    planned key against it tier by tier, and by the exploration engine's
+    schedule-only triage pass; never by this class.
     """
 
-    def __init__(self, stages: Optional[Sequence[Stage]] = None) -> None:
-        self.stages: Tuple[Stage, ...] = tuple(stages) if stages else DEFAULT_STAGES
-
     def stages_for(self, config: FlowConfig) -> Tuple[Stage, ...]:
-        """The stage chain one concrete config runs.
-
-        A config with ``verify=True`` appends the Monte-Carlo verification
-        stage to the default chain; explicitly customized pipelines are
-        left exactly as constructed.
-        """
-        if config.verify and self.stages == DEFAULT_STAGES:
-            return self.stages + (VERIFY_STAGE,)
-        return self.stages
+        """The stage chain one concrete config runs: the default three,
+        plus the Monte-Carlo verification stage when ``config.verify``."""
+        if config.verify:
+            return DEFAULT_STAGES + (VERIFY_STAGE,)
+        return DEFAULT_STAGES
 
     def plan(
         self,
@@ -444,7 +438,7 @@ class SynthesisPipeline:
         config: FlowConfig,
         graph_hash: Optional[str] = None,
     ) -> List[PlannedStage]:
-        """The stage/key chain ``run`` would use, without executing anything.
+        """The stage/key chain of one job, without executing anything.
 
         ``graph_hash`` lets callers that already computed the graph's
         :func:`graph_fingerprint` (the batch engine computes it once per
@@ -472,81 +466,30 @@ class SynthesisPipeline:
         graph: SequencingGraph,
         config: Optional[FlowConfig] = None,
         library: Optional[DeviceLibrary] = None,
-        cache: Optional[Any] = None,
-        executions: Optional[List[StageExecution]] = None,
-        graph_hash: Optional[str] = None,
         warm_start: Optional[Any] = None,
     ) -> SynthesisResult:
-        """Run (or replay) all stages and assemble a :class:`SynthesisResult`.
+        """Run every stage in order and assemble a :class:`SynthesisResult`.
 
-        Parameters
-        ----------
-        cache:
-            A :class:`repro.batch.cache.ResultCache` (or anything with
-            ``get``/``put``); stage artifacts are looked up and stored under
-            their stage keys.  ``None`` runs everything.
-        executions:
-            When given, one :class:`StageExecution` per stage is appended,
-            recording whether the stage ran or replayed and how long it took.
-        graph_hash:
-            Optional precomputed :func:`graph_fingerprint` of ``graph``.
-        warm_start:
-            Optional schedule of the same graph used to seed the schedule
-            stage's solver (see :class:`StageContext`); never keyed.
+        ``library`` overrides the device library built from ``config``;
+        ``warm_start`` is an optional schedule of the same graph that seeds
+        the schedule stage's solver (see :class:`StageContext`).
         """
         config = config or FlowConfig()
         assert_valid(graph)
-        use_cache = cache is not None and library is None
         library = library or build_library(config)
         context = StageContext(
             graph=graph, config=config, library=library, warm_start=warm_start
         )
-
-        planned = self.plan(graph, config, graph_hash=graph_hash) if use_cache else [
-            PlannedStage(stage=stage, key="") for stage in self.stages_for(config)
-        ]
         artifacts: List[Any] = []
-        for planned_stage in planned:
-            stage = planned_stage.stage
+        for stage in self.stages_for(config):
             start = time.perf_counter()
             with obs_span(
-                f"stage:{stage.name}", category="stage", stage=stage.name
-            ) as stage_span:
-                artifact = cache.get(planned_stage.key) if use_cache else None
-                if artifact is not None:
-                    action = "replayed"
-                else:
-                    try:
-                        artifact = stage.run(context, stage.upstream_for(artifacts))
-                    except BaseException:
-                        # Under a single-flight cache the miss above *claimed*
-                        # the key; a failed stage must release exactly that
-                        # claim (and no other) so concurrent waiters can take
-                        # over instead of sitting out the claim timeout.
-                        if use_cache:
-                            abandon = getattr(cache, "abandon", None)
-                            if abandon is not None:
-                                abandon(planned_stage.key)
-                        raise
-                    if use_cache:
-                        cache.put(planned_stage.key, artifact)
-                    action = "ran"
-                stage_span.set(action=action, key=planned_stage.key[:16])
-            wall = time.perf_counter() - start
+                f"stage:{stage.name}", category="stage", stage=stage.name, action="ran"
+            ):
+                artifacts.append(stage.run(context, stage.upstream_for(artifacts)))
             obs_metrics.stage_wall_histogram().observe(
-                wall, stage=stage.name, action=action
+                time.perf_counter() - start, stage=stage.name, action="ran"
             )
-            if executions is not None:
-                executions.append(
-                    StageExecution(
-                        stage=stage.name,
-                        key=planned_stage.key,
-                        action=action,
-                        wall_time_s=wall,
-                        solve=solve_record(artifact),
-                    )
-                )
-            artifacts.append(artifact)
 
         schedule_art, arch_art, physical_art = artifacts[:3]
         return SynthesisResult.from_artifacts(

@@ -1,17 +1,19 @@
 """Tests of the batch-synthesis engine, manifests, sweeps, and the CLI."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.batch.cache import ResultCache
+from repro.batch.cache import ResultCache, cache_key
 from repro.batch.engine import BatchSynthesisEngine
 from repro.batch.jobs import BatchJob, expand_sweep, job_from_spec, load_manifest
-from repro.batch.report import format_batch_report
+from repro.batch.report import BatchReport, JobOutcome, format_batch_report
 from repro.cli import main
 from repro.experiments.common import PAPER_ASSAY_ORDER, ExperimentSettings, assay_job
 from repro.graph.library import assay_by_name, build_pcr
 from repro.graph.serialization import save_graph
+from repro.obs.trace import TraceRecorder, install_recorder, uninstall_recorder
 from repro.synthesis.config import FlowConfig
 from repro.synthesis.pipeline import ScheduleStage
 
@@ -135,7 +137,8 @@ class TestEngine:
             engine.run_one(bad)
 
     def test_limit_failures_are_not_memoized(self, monkeypatch):
-        """A solver-limit failure is load-dependent: identical re-runs retry."""
+        """A solver-limit failure is load-dependent: identical re-runs retry,
+        through run and run_one alike."""
         from repro.ilp import SolverLimitError
 
         calls = []
@@ -152,6 +155,10 @@ class TestEngine:
         assert len(calls) == 2
         assert first.num_failed == second.num_failed == 1
         assert second.outcomes[0].cache_hit is False
+        for _ in range(2):
+            with pytest.raises(SolverLimitError, match="time_limit"):
+                engine.run_one(job)
+        assert len(calls) == 4
 
     def test_alias_jobs_report_their_own_graph_name(self):
         """Content-aliased jobs share a result but keep their own assay label."""
@@ -181,6 +188,59 @@ class TestEngine:
         first = engine.run_one(job)
         second = engine.run_one(job)
         assert first is second
+
+    def test_run_one_resolves_stages_like_run(self):
+        """run_one and run([job]) share one tier runner: the same stage
+        keys and actions (read off the stage spans) and the same summary."""
+        job = fast_jobs(["PCR"])[0]
+
+        def traced(call):
+            rec = TraceRecorder()
+            token = install_recorder(rec)
+            try:
+                value = call()
+            finally:
+                uninstall_recorder(token)
+            stages = [
+                (s.attributes["stage"], s.attributes["key"], s.attributes["action"])
+                for s in rec.spans()
+                if s.category == "stage"
+            ]
+            return value, stages
+
+        result, one_stages = traced(
+            lambda: BatchSynthesisEngine(cache=ResultCache()).run_one(job)
+        )
+        report, batch_stages = traced(
+            lambda: BatchSynthesisEngine(cache=ResultCache()).run([job])
+        )
+        assert one_stages == batch_stages
+        ran = [(e.stage, e.key[:16], e.action) for e in report.outcomes[0].stages]
+        assert [row for row in one_stages if row[2] == "ran"] == ran
+        single = BatchReport(
+            outcomes=[
+                JobOutcome(
+                    job_id=job.job_id,
+                    cache_key=cache_key(job.graph, job.config),
+                    result=result,
+                )
+            ]
+        )
+        assert single.deterministic_summary() == report.deterministic_summary()
+
+    def test_run_one_hands_the_warm_hint_to_the_schedule_stage(self, monkeypatch):
+        seen = []
+        original = ScheduleStage.run
+
+        def spy(self, context, upstream):
+            seen.append(context.warm_start)
+            return original(self, context, upstream)
+
+        monkeypatch.setattr(ScheduleStage, "run", spy)
+        hint = object()  # the list scheduler ignores it; only its delivery counts
+        job = replace(fast_jobs(["PCR"])[0], warm_hint=hint)
+        BatchSynthesisEngine(cache=ResultCache()).run_one(job)
+        assert seen == [hint]
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):

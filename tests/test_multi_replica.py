@@ -174,9 +174,12 @@ class TestTwoReplicaExactlyOnce:
             for replica in replicas:
                 replica.stop()
 
-    def test_replica_restart_replays_warm_from_the_shared_store(self, daemon_addr):
+    def test_replica_restart_replays_warm_from_the_shared_store(
+        self, daemon, daemon_addr
+    ):
         """A replica that restarts (new process, empty memory) replays the
-        whole sweep from the daemon: zero stages run."""
+        whole sweep from the daemon: zero stages run, and both the replica's
+        ``/stats`` and the daemon's counters show the replay as hits."""
         first = ReplicaProcess(daemon_addr)
         try:
             job_id = first.client.submit(fast_sweep([5.0, 6.0]))
@@ -190,8 +193,14 @@ class TestTwoReplicaExactlyOnce:
             result = second.client.result(job_id)
             for stage in ("schedule", "archsyn", "physical"):
                 assert stage_runs(result, stage) == 0, stage
+            with urllib.request.urlopen(
+                f"http://127.0.0.1:{second.port}/stats", timeout=10.0
+            ) as response:
+                stats = json.loads(response.read().decode("utf-8"))
+            assert stats["cache"]["shared_hits"] >= 1, stats["cache"]
         finally:
             second.stop()
+        assert daemon.stats.hits > 0
 
 
 class TestKilledClaimantTakeover:

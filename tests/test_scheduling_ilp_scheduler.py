@@ -157,7 +157,7 @@ def _reference_objective(graph, library, transport_time, alpha, beta):
     """
     import itertools
 
-    from repro.ilp import Model, SolverOptions, lin_sum, linearize_and
+    from repro.ilp import Model, SolverOptions, lin_sum
 
     ops = graph.device_operations()
     devices = {op.op_id: [d.device_id for d in library.devices_for(op.kind)] for op in ops}
@@ -172,12 +172,17 @@ def _reference_objective(graph, library, transport_time, alpha, beta):
     t_end = model.add_integer("tE", low=0, up=horizon)
     for i in duration:
         model.add_constraint(t_end >= ts[i] + duration[i])
+    def both(p, c, k):
+        # z = s[p,k] AND s[c,k], linearized on both sides.
+        z = model.add_binary(f"both[{p},{c},{k}]")
+        model.add_constraint(z <= s[p, k])
+        model.add_constraint(z <= s[c, k])
+        model.add_constraint(z >= s[p, k] + s[c, k] - 1)
+        return z
+
     gaps = []
     for p, c in graph.device_edges():
-        same = lin_sum(
-            linearize_and(model, f"both[{p},{c},{k}]", [s[p, k], s[c, k]])
-            for k in devices[p] if k in devices[c]
-        )
+        same = lin_sum(both(p, c, k) for k in devices[p] if k in devices[c])
         model.add_constraint(ts[c] - ts[p] - duration[p] >= transport_time * (1 - same))
         w = model.add_continuous(f"w[{p},{c}]", low=0, up=None)
         model.add_constraint(w >= ts[c] - ts[p] - duration[p] - big_m * same)

@@ -186,7 +186,7 @@ class TestSingleFlight:
             assay_by_name("IVD"),
             FlowConfig(num_mixers=2, num_detectors=0, ilp_operation_limit=0),
         )
-        with pytest.raises(Exception):
+        with pytest.raises(RuntimeError, match="no device can execute"):
             engine.run_one(bad)
         assert cache._inflight == {}, "a failed stage must release its claim"
         report = engine.run([bad])

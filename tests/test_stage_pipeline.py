@@ -232,18 +232,6 @@ class TestStageReuse:
         else:
             assert replayed_result.schedule.solve is None
 
-    def test_explicit_library_bypasses_the_stage_cache(self):
-        from repro.devices.device import default_device_library
-
-        cache = ResultCache()
-        pipeline = SynthesisPipeline()
-        library = default_device_library(num_mixers=2)
-        result = pipeline.run(
-            build_pcr(), fast_config(), library=library, cache=cache
-        )
-        assert result.schedule.makespan > 0
-        assert len(cache) == 0  # nothing keyed: the key cannot see the library
-
 
 class TestParallelStageGranularity:
     def test_parallel_matches_serial_byte_identical_per_stage(self):

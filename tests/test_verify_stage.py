@@ -22,11 +22,7 @@ from repro.batch.jobs import BatchJob
 from repro.graph.library import assay_by_name, build_pcr
 from repro.synthesis.config import FlowConfig, SchedulerEngine
 from repro.synthesis.flow import synthesize
-from repro.synthesis.pipeline import (
-    DEFAULT_STAGES,
-    SynthesisPipeline,
-    VerificationError,
-)
+from repro.synthesis.pipeline import SynthesisPipeline, VerificationError
 
 
 def verify_config(**overrides) -> FlowConfig:
@@ -54,11 +50,6 @@ class TestStagePlanning:
         assert [p.stage.name for p in on] == [
             "schedule", "archsyn", "physical", "verify",
         ]
-
-    def test_custom_pipelines_are_left_alone(self):
-        pipeline = SynthesisPipeline(stages=DEFAULT_STAGES[:2])
-        planned = pipeline.plan(build_pcr(), verify_config())
-        assert [p.stage.name for p in planned] == ["schedule", "archsyn"]
 
     def test_verify_key_chains_off_archsyn_not_physical(self):
         """A physical-only change (pitch) must keep the verify key; a

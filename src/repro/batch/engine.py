@@ -28,13 +28,14 @@ Failures are captured per job (``JobOutcome.error``) rather than aborting
 the batch — one infeasible assay must not take down a many-user batch — and
 never poison the cache.
 
-This tier runner resolves stage keys against the cache for every synthesis
-that has one: :meth:`BatchSynthesisEngine.run_one` runs it on a one-job
-batch, and :class:`~repro.synthesis.pipeline.SynthesisPipeline` itself never
-touches a cache.  (The exploration engine's schedule-only triage pass is the
-one other reader and writer.)  Under a single-flight cache a stage-key
-miss *claims* the key; the runner then either stores the artifact with
-``put`` or, on every other exit, releases the claim with ``abandon``.
+This tier runner is the only code that resolves stage keys against the
+cache: :meth:`BatchSynthesisEngine.run_one` runs it on a one-job batch,
+:meth:`BatchSynthesisEngine.run_schedule_stage` runs its first tier alone
+(the exploration engine's schedule-only triage pass), and
+:class:`~repro.synthesis.pipeline.SynthesisPipeline` itself never touches a
+cache.  Under a single-flight cache a stage-key miss *claims* the key; the
+runner then either stores the artifact with ``put`` or, on every other
+exit, releases the claim with ``abandon``.
 """
 
 from __future__ import annotations
@@ -286,6 +287,40 @@ class BatchSynthesisEngine:
         its original type and message.
         """
         return self._run([job], fail_fast=True).outcomes[0].result
+
+    def run_schedule_stage(
+        self, jobs: Sequence[BatchJob]
+    ) -> List[Tuple[Any, StageExecution]]:
+        """Resolve only the schedule stage of ``jobs`` through the tier runner.
+
+        Returns, per job in submission order, ``(value, execution)``: the
+        :class:`~repro.synthesis.pipeline.ScheduleArtifact` or the stage's
+        exception, and how the stage was satisfied.  Neither the run-level
+        result tier nor the failure memo is read — a failure memoized under
+        a job's run key may come from a later stage.  A schedule failure
+        fails the whole job, so it is memoized under the run key like any
+        stage failure.
+        """
+        pending: List[_PendingJob] = []
+        for index, job in enumerate(jobs):
+            fingerprint = graph_fingerprint(job.graph)
+            pending.append(
+                _PendingJob(
+                    index=index,
+                    job=job,
+                    run_key=cache_key(job.graph, job.config, graph_hash=fingerprint),
+                    plan=self.pipeline.plan(
+                        job.graph, job.config, graph_hash=fingerprint
+                    )[:1],
+                    library=build_library(job.config),
+                )
+            )
+        with obs_span("batch", category="engine", jobs=len(jobs)):
+            self._run_tier(0, pending, fail_fast=False)
+        return [
+            (p.error if p.failed else p.artifacts[0], p.executions[0])
+            for p in pending
+        ]
 
     def _run(self, jobs: Sequence[BatchJob], fail_fast: bool) -> BatchReport:
         with obs_span("batch", category="engine", jobs=len(jobs)):

@@ -9,8 +9,9 @@ should not have to think about:
   on upstream stage keys (a pitch axis under a fixed schedule slice, two
   workloads sharing a graph) share solves exactly like sweep points do, and
   a warm cache replays stages across whole explorations;
-* **cheap probes** — the schedule stage alone, through the same cache, so a
-  triage pass and the later full pass never solve the same schedule twice;
+* **cheap probes** — the schedule stage alone, through the same tier runner
+  and cache, so a triage pass and the later full pass never solve the same
+  schedule twice;
 * **budget** — the spec's cap on full evaluations, enforced centrally;
 * **the frontier** — every completed candidate's objective vector is offered
   to one incremental :class:`~repro.explore.frontier.ParetoFrontier`;
@@ -29,7 +30,7 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.batch.engine import BatchSynthesisEngine
 from repro.batch.cache import ResultCache
@@ -42,10 +43,8 @@ from repro.explore.spec import (
     enumerate_candidates,
 )
 from repro.explore.strategies import StrategyContext, get_strategy
-from repro.scheduling.list_scheduler import ListSchedulerWorkspace
 from repro.synthesis.config import apply_solver_override
-from repro.synthesis.flow import build_library
-from repro.synthesis.pipeline import SCHEDULE_STAGE, StageContext
+from repro.synthesis.pipeline import StageExecution
 
 
 @dataclass
@@ -233,10 +232,6 @@ class ExplorationEngine:
         #: candidate id — the warm-start neighbor pool.  Deliberately not
         #: persisted: a resumed run re-warms from what it solves itself.
         self._schedules: Dict[str, Any] = {}
-        #: Per-graph list-scheduler workspaces for the cheap triage probes,
-        #: keyed by graph identity (workload graphs are shared objects via
-        #: the generator/assay memo, so identity is stable for a run).
-        self._list_workspaces: Dict[int, Any] = {}
         self._state: Optional[ExplorationState] = None
         self._frontier: Optional[ParetoFrontier] = None
         self._stage_totals: Dict[str, Dict[str, Any]] = {}
@@ -281,7 +276,10 @@ class ExplorationEngine:
             candidate_count=len(candidates),
             evaluated=len(self._state.evaluated),
             failed=len(errors),
-            stage_totals=self._stage_totals,
+            stage_totals={
+                stage: dict(row, wall_time_s=round(row["wall_time_s"], 3))
+                for stage, row in self._stage_totals.items()
+            },
             errors=errors,
             wall_time_s=time.perf_counter() - start,
             resumed=resumed,
@@ -370,28 +368,15 @@ class ExplorationEngine:
                 best_schedule = schedule
         return best_schedule
 
-    def _bump_stage(
-        self, stage: str, action: str, wall_time_s: float = 0.0
-    ) -> None:
-        """Accumulate one stage execution into the exploration totals."""
-        row = self._stage_totals.setdefault(
-            stage, {"ran": 0, "replayed": 0, "shared": 0, "wall_time_s": 0.0}
-        )
-        row[action] += 1
-        if wall_time_s:
-            row["wall_time_s"] = round(row["wall_time_s"] + wall_time_s, 3)
-
-    def _merge_stage_summary(self, summary: Dict[str, Dict[str, Any]]) -> None:
-        """Fold one batch report's per-stage breakdown into the totals."""
-        for stage, row in summary.items():
-            totals = self._stage_totals.setdefault(
-                stage, {"ran": 0, "replayed": 0, "shared": 0, "wall_time_s": 0.0}
+    def _merge_stages(self, executions: Iterable[StageExecution]) -> None:
+        """Fold stage executions (full pass or triage) into the totals."""
+        for execution in executions:
+            row = self._stage_totals.setdefault(
+                execution.stage,
+                {"ran": 0, "replayed": 0, "shared": 0, "wall_time_s": 0.0},
             )
-            for action in ("ran", "replayed", "shared"):
-                totals[action] += row.get(action, 0)
-            totals["wall_time_s"] = round(
-                totals["wall_time_s"] + row.get("wall_time_s", 0.0), 3
-            )
+            row[execution.action] += 1
+            row["wall_time_s"] += execution.wall_time_s
 
     def _evaluate(self, candidates: Sequence[Candidate]) -> None:
         """Fully evaluate candidates (budget capped, resume aware).
@@ -418,7 +403,7 @@ class ExplorationEngine:
                 for candidate, job in zip(chunk, jobs):
                     job.warm_hint = self._neighbor_hint(candidate)
             report = self.batch_engine.run(jobs)
-            self._merge_stage_summary(report.stage_summary())
+            self._merge_stages(e for outcome in report for e in outcome.stages)
             for candidate, outcome in zip(chunk, report):
                 if outcome.ok:
                     values = objective_values(
@@ -456,62 +441,41 @@ class ExplorationEngine:
     ) -> Dict[str, Dict[str, float]]:
         """Run only the schedule stage per candidate; return cheap vectors.
 
-        Goes through the shared stage cache under the schedule stage's real
-        key, so a subsequent full evaluation — or a concurrent service
-        submission — replays these solves instead of re-paying them, and
-        duplicated schedule slices within the candidate set solve once.
-        Candidates whose scheduling fails are recorded as evaluated
-        failures and omitted from the returned map.
+        The probes go through the batch engine's tier runner
+        (:meth:`BatchSynthesisEngine.run_schedule_stage`) under the schedule
+        stage's real key, so a subsequent full evaluation — or a concurrent
+        service submission — replays these solves instead of re-paying
+        them, and duplicated schedule slices within the candidate set solve
+        once (the duplicates count as ``shared``).  Candidates whose
+        scheduling fails are recorded as evaluated failures and omitted
+        from the returned map.
         """
+        todo = [c for c in candidates if c.candidate_id not in self._state.evaluated]
+        jobs = [self._candidate_job(candidate) for candidate in todo]
+        results = self.batch_engine.run_schedule_stage(jobs)
+        self._merge_stages(execution for _, execution in results)
+        probes = {
+            candidate.candidate_id: (job, value)
+            for candidate, job, (value, _) in zip(todo, jobs, results)
+        }
         vectors: Dict[str, Dict[str, float]] = {}
         for candidate in candidates:
-            if candidate.candidate_id in self._state.evaluated:
-                record = self._state.evaluated[candidate.candidate_id]
+            cid = candidate.candidate_id
+            if cid not in probes:
+                record = self._state.evaluated[cid]
                 if "objectives" in record:
-                    vectors[candidate.candidate_id] = {
-                        name: value
-                        for name, value in record["objectives"].items()
-                    }
+                    vectors[cid] = dict(record["objectives"])
                 continue
-            job = self._candidate_job(candidate)
-            key = self.batch_engine.pipeline.plan(job.graph, job.config)[0].key
-            artifact = self.cache.get(key)
-            if artifact is not None:
-                self._bump_stage(SCHEDULE_STAGE.name, "replayed")
+            job, value = probes[cid]
+            if isinstance(value, BaseException):
+                self._state.evaluated[cid] = {
+                    "error": f"{type(value).__name__}: {value}",
+                    "triage": True,
+                }
             else:
-                workspace = self._list_workspaces.get(id(job.graph))
-                if workspace is None:
-                    workspace = ListSchedulerWorkspace()
-                    self._list_workspaces[id(job.graph)] = workspace
-                context = StageContext(
-                    graph=job.graph,
-                    config=job.config,
-                    library=build_library(job.config),
-                    schedule_workspace=workspace,
+                vectors[cid] = schedule_objective_values(
+                    self.spec.objectives, value.schedule, job.config
                 )
-                start = time.perf_counter()
-                try:
-                    artifact = SCHEDULE_STAGE.run(context, None)
-                except Exception as exc:  # noqa: BLE001 - recorded per candidate
-                    # Under a single-flight cache the miss above claimed the
-                    # key; release it so concurrent engines don't wait out
-                    # the claim timeout on an artifact that is never coming.
-                    abandon = getattr(self.cache, "abandon", None)
-                    if abandon is not None:
-                        abandon(key)
-                    self._state.evaluated[candidate.candidate_id] = {
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "triage": True,
-                    }
-                    continue
-                self.cache.put(key, artifact)
-                self._bump_stage(
-                    SCHEDULE_STAGE.name, "ran",
-                    wall_time_s=time.perf_counter() - start,
-                )
-            vectors[candidate.candidate_id] = schedule_objective_values(
-                self.spec.objectives, artifact.schedule, job.config
-            )
         self._persist()
         return vectors
 

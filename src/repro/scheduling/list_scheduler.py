@@ -19,12 +19,6 @@ Priority rules
 Device choice: the compatible device that allows the earliest start; ties are
 broken toward the device already holding one of the operation's parent
 products (avoiding a transport altogether).
-
-For callers that schedule the *same graph* many times — the exploration
-engine's cheap triage probes, the ILP scheduler's warm-start seeding — a
-:class:`ListSchedulerWorkspace` caches the graph-derived structures
-(priorities, predecessor tuples, the operation sets) and reuses the per-run
-containers across calls, so repeated probes pay only for the dispatch loop.
 """
 
 from __future__ import annotations
@@ -49,65 +43,6 @@ class ListSchedulerConfig:
     storage_aware: bool = True
 
 
-class ListSchedulerWorkspace:
-    """Reusable state for repeated list-scheduling runs over one graph.
-
-    Everything the heuristic derives from the graph alone — critical-path
-    priorities, predecessor tuples, the input/device operation id sets — is
-    identical no matter which configuration or device library a probe runs
-    under, so it is computed once per graph and kept.  The per-run
-    containers (finish times, device horizons, the remaining pool, the
-    option scratch list) are reused via ``clear()`` instead of reallocated,
-    which is what makes a triage sweep's probes allocation-light.
-
-    Priorities depend only on operation durations, never on the config, so
-    one workspace safely serves any mix of configs over its graph; binding
-    a *different* graph recomputes everything.  Not safe for concurrent use
-    — give each worker its own workspace.
-    """
-
-    __slots__ = (
-        "graph", "priorities", "predecessors", "input_ops", "device_ops",
-        "finished", "device_free", "remaining", "options", "kind_devices",
-    )
-
-    def __init__(self) -> None:
-        self.graph: Optional[SequencingGraph] = None
-        self.priorities: Dict[str, int] = {}
-        self.predecessors: Dict[str, Tuple[str, ...]] = {}
-        self.input_ops: Tuple[str, ...] = ()
-        self.device_ops: Tuple[str, ...] = ()
-        # Per-run containers, cleared (not reallocated) on every run.
-        self.finished: Dict[str, Tuple[int, Optional[str]]] = {}
-        self.device_free: Dict[str, int] = {}
-        self.remaining: set = set()
-        self.options: List[Tuple[int, int, int, int, str, str]] = []
-        self.kind_devices: Dict[object, list] = {}
-
-    def bind(self, graph: SequencingGraph, priorities: Dict[str, int]) -> None:
-        """Cache ``graph``'s derived structures (no-op when already bound)."""
-        if graph is self.graph:
-            return
-        self.graph = graph
-        self.priorities = priorities
-        self.predecessors = {
-            op.op_id: tuple(graph.predecessors(op.op_id)) for op in graph.operations()
-        }
-        self.input_ops = tuple(op.op_id for op in graph.input_operations())
-        self.device_ops = tuple(op.op_id for op in graph.device_operations())
-
-    def reset_run(self) -> None:
-        """Prepare the reusable containers for one scheduling run."""
-        self.finished.clear()
-        self.device_free.clear()
-        self.remaining.clear()
-        self.remaining.update(self.device_ops)
-        # The device set and its kinds follow the *library*, which can change
-        # between runs of one workspace (a num_mixers axis), so the memo only
-        # lives for a single run.
-        self.kind_devices.clear()
-
-
 class ListScheduler:
     """Deterministic storage-aware list scheduler."""
 
@@ -118,38 +53,24 @@ class ListScheduler:
         self.config = config or ListSchedulerConfig()
 
     # ------------------------------------------------------------------ API
-    def schedule(
-        self,
-        graph: SequencingGraph,
-        workspace: Optional[ListSchedulerWorkspace] = None,
-    ) -> Schedule:
-        """Build and validate a schedule for ``graph``.
-
-        ``workspace`` (optional) reuses graph-derived structures and per-run
-        containers across repeated calls; the returned schedule is identical
-        with or without one.
-        """
+    def schedule(self, graph: SequencingGraph) -> Schedule:
+        """Build and validate a schedule for ``graph``."""
         cfg = self.config
         schedule = Schedule(graph, self.library, cfg.transport_time)
 
-        if workspace is None:
-            workspace = ListSchedulerWorkspace()
-        if workspace.graph is not graph:
-            workspace.bind(graph, self._downstream_priority(graph))
-        workspace.reset_run()
+        priorities = self._downstream_priority(graph)
+        predecessors = {
+            op.op_id: tuple(graph.predecessors(op.op_id)) for op in graph.operations()
+        }
+        device_free = {device.device_id: 0 for device in self.library}
+        finished: Dict[str, Tuple[int, Optional[str]]] = {}
+        remaining = {op.op_id for op in graph.device_operations()}
+        # The devices able to run each operation kind, memoized per run.
+        kind_devices: Dict[object, list] = {}
 
-        priorities = workspace.priorities
-        predecessors = workspace.predecessors
-        device_free = workspace.device_free
-        finished = workspace.finished
-        remaining = workspace.remaining
-        for device in self.library:
-            device_free[device.device_id] = 0
-
-        for op_id in workspace.input_ops:
-            op = graph.operation(op_id)
-            schedule.assign(op_id, None, 0, op.duration)
-            finished[op_id] = (op.duration, None)
+        for op in graph.input_operations():
+            schedule.assign(op.op_id, None, 0, op.duration)
+            finished[op.op_id] = (op.duration, None)
 
         while remaining:
             ready = [
@@ -162,7 +83,8 @@ class ListScheduler:
                     f"no ready operation among {sorted(remaining)}; the graph may be malformed"
                 )
             op_id, device_id, start = self._pick_assignment(
-                graph, ready, workspace
+                graph, ready, priorities, predecessors, finished, device_free,
+                kind_devices,
             )
             op = graph.operation(op_id)
             device = self.library.device(device_id)
@@ -192,7 +114,11 @@ class ListScheduler:
         self,
         graph: SequencingGraph,
         ready: List[str],
-        workspace: ListSchedulerWorkspace,
+        priorities: Dict[str, int],
+        predecessors: Dict[str, Tuple[str, ...]],
+        finished: Dict[str, Tuple[int, Optional[str]]],
+        device_free: Dict[str, int],
+        kind_devices: Dict[object, list],
     ) -> Tuple[str, str, int]:
         """Pick the next (operation, device, start time) to dispatch.
 
@@ -205,11 +131,6 @@ class ListScheduler:
         parent's device avoids a transport and therefore a potential cache).
         """
         uc = self.config.transport_time
-        priorities = workspace.priorities
-        predecessors = workspace.predecessors
-        finished = workspace.finished
-        device_free = workspace.device_free
-        kind_devices = workspace.kind_devices
 
         def freshness(op_id: str) -> int:
             parent_ends = [
@@ -219,8 +140,7 @@ class ListScheduler:
             ]
             return max(parent_ends, default=0)
 
-        options = workspace.options
-        options.clear()
+        options: List[Tuple[int, int, int, int, str, str]] = []
         for op_id in ready:
             op = graph.operation(op_id)
             candidates = kind_devices.get(op.kind)

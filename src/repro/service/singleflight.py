@@ -30,11 +30,11 @@ over.  An unreachable daemon degrades to process-local single-flight; it
 never blocks or crashes a solve.
 
 Whoever takes a claim with a ``get`` miss must release it: ``put`` on
-success, ``abandon`` on every other exit.  Two callers take claims: the
+success, ``abandon`` on every other exit.  One caller takes claims: the
 batch engine's tier runner (:class:`~repro.batch.engine.BatchSynthesisEngine`,
-which every synthesis with a cache goes through, ``run_one`` included) and
-the exploration engine's schedule-only triage pass.  Both release on every
-path, so under normal operation the timeout never fires.
+which every synthesis with a cache goes through, ``run_one`` and the
+exploration engine's schedule-only triage pass included).  It releases on
+every path, so under normal operation the timeout never fires.
 
 All inner-cache access is serialized under one lock — which also makes the
 wrapped ``ResultCache`` (plain dicts, not thread-safe by itself) safe to

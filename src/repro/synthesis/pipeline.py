@@ -131,21 +131,17 @@ class StageContext:
 
     ``warm_start`` is an optional known-good schedule of the same graph
     (from a neighboring configuration) handed to the schedule stage as a
-    solver seed.  ``schedule_workspace`` is an optional
-    :class:`~repro.scheduling.list_scheduler.ListSchedulerWorkspace` the
-    list scheduler reuses across repeated probes of one graph.  Both are
-    runtime advice only and never enter any cache key; a hint that does not
-    fit the current configuration is ignored.  A warm start never changes
-    the status or objective of a completed solve, only its node count;
-    under a time or node limit it can change the returned incumbent (see
-    :class:`~repro.ilp.WarmStart`).
+    solver seed.  It is runtime advice only and never enters any cache key;
+    a hint that does not fit the current configuration is ignored.  A warm
+    start never changes the status or objective of a completed solve, only
+    its node count; under a time or node limit it can change the returned
+    incumbent (see :class:`~repro.ilp.WarmStart`).
     """
 
     graph: SequencingGraph
     config: FlowConfig
     library: DeviceLibrary
     warm_start: Optional[Any] = None  # repro.scheduling.schedule.Schedule
-    schedule_workspace: Optional[Any] = None  # ListSchedulerWorkspace
 
 
 @dataclass(frozen=True)
@@ -244,10 +240,6 @@ class ScheduleStage(Stage):
         start = time.perf_counter()
         if scheduler_name == "ilp" and context.warm_start is not None:
             schedule = scheduler.schedule(context.graph, warm_hint=context.warm_start)
-        elif scheduler_name == "list" and context.schedule_workspace is not None:
-            schedule = scheduler.schedule(
-                context.graph, workspace=context.schedule_workspace
-            )
         else:
             schedule = scheduler.schedule(context.graph)
         elapsed = time.perf_counter() - start
@@ -419,10 +411,9 @@ class SynthesisPipeline:
 
     :meth:`plan` derives each stage's content-addressed key; :meth:`run`
     executes the chain and assembles a :class:`SynthesisResult`.  The stage
-    cache is read and written by the batch engine
+    cache is read and written only by the batch engine's tier runner
     (:class:`repro.batch.engine.BatchSynthesisEngine`), which resolves every
-    planned key against it tier by tier, and by the exploration engine's
-    schedule-only triage pass; never by this class.
+    planned key against it tier by tier; never by this class.
     """
 
     def stages_for(self, config: FlowConfig) -> Tuple[Stage, ...]:

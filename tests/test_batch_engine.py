@@ -11,6 +11,8 @@ from repro.batch.jobs import BatchJob, expand_sweep, job_from_spec, load_manifes
 from repro.batch.report import BatchReport, JobOutcome, format_batch_report
 from repro.cli import main
 from repro.experiments.common import PAPER_ASSAY_ORDER, ExperimentSettings, assay_job
+from repro.explore import ExplorationEngine, ExplorationSpec
+from repro.explore.spec import candidate_job, enumerate_candidates
 from repro.graph.library import assay_by_name, build_pcr
 from repro.graph.serialization import save_graph
 from repro.obs.trace import TraceRecorder, install_recorder, uninstall_recorder
@@ -159,6 +161,20 @@ class TestEngine:
             with pytest.raises(SolverLimitError, match="time_limit"):
                 engine.run_one(job)
         assert len(calls) == 4
+        # The exploration engine's triage pass does not memoize one either.
+        spec = ExplorationSpec.from_payload({
+            "workloads": [{"assay": "PCR"}],
+            "axes": {"num_mixers": [2]},
+            "base": {"ilp_operation_limit": 0},
+            "objectives": ["makespan", "storage_cells"],
+            "strategy": "successive-halving",
+        })
+        report = ExplorationEngine(spec, batch_engine=engine).run()
+        assert "time_limit" in report.errors["PCR/num_mixers=2"]
+        assert len(calls) == 5
+        triaged = candidate_job(spec, enumerate_candidates(spec)[0])
+        assert engine.run([triaged]).num_failed == 1
+        assert len(calls) == 6
 
     def test_alias_jobs_report_their_own_graph_name(self):
         """Content-aliased jobs share a result but keep their own assay label."""

@@ -8,10 +8,12 @@ exploration machinery, not the solvers.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from repro.batch.cache import ResultCache
+from repro.batch.engine import BatchSynthesisEngine
 from repro.explore import (
     ExplorationEngine,
     ExplorationSpec,
@@ -22,6 +24,10 @@ from repro.explore import (
     strategy_names,
     unregister_strategy,
 )
+from repro.explore.spec import candidate_job, enumerate_candidates
+from repro.obs.trace import TraceRecorder, install_recorder, uninstall_recorder
+from repro.service.singleflight import SingleFlightCache
+from repro.synthesis.pipeline import ScheduleStage, SynthesisPipeline
 
 
 def make_spec(**overrides):
@@ -39,6 +45,25 @@ def make_spec(**overrides):
     }
     payload.update(overrides)
     return ExplorationSpec.from_payload(payload)
+
+
+def triage_failure_spec():
+    """An IVD spec whose no-detector candidate fails in the triage pass."""
+    return ExplorationSpec.from_payload({
+        "workloads": [{"assay": "IVD"}],
+        "axes": {"num_detectors": [0, 2]},
+        "base": {"ilp_operation_limit": 0},
+        "strategy": "successive-halving",
+    })
+
+
+def failing_job(spec):
+    """The job of ``triage_failure_spec``'s no-detector candidate."""
+    candidate = next(
+        c for c in enumerate_candidates(spec)
+        if c.candidate_id == "IVD/num_detectors=0"
+    )
+    return candidate_job(spec, candidate)
 
 
 class TestExhaustiveExploration:
@@ -195,6 +220,66 @@ class TestSuccessiveHalving:
         # One full evaluation happened (the survivor) plus the recorded
         # triage failure; the run is a success, not 'all failed'.
         assert report.failed < report.evaluated
+
+    def test_duplicate_triage_keys_count_as_shared(self):
+        """Candidates differing only in pitch share a schedule key: the
+        triage pass solves each key once and the duplicates ride along."""
+        report = ExplorationEngine(make_spec(strategy="successive-halving")).run()
+        schedule_row = report.stage_totals["schedule"]
+        assert schedule_row["ran"] == 4
+        assert schedule_row["shared"] == 4
+        # Only the full pass replays: one schedule per evaluated candidate.
+        assert schedule_row["replayed"] == report.evaluated
+
+    def test_triage_solves_are_traced_as_stage_spans(self):
+        rec = TraceRecorder()
+        token = install_recorder(rec)
+        try:
+            ExplorationEngine(make_spec(strategy="successive-halving")).run()
+        finally:
+            uninstall_recorder(token)
+        ran = [
+            s for s in rec.spans()
+            if s.name == "stage:schedule" and s.attributes.get("action") == "ran"
+        ]
+        # The four triage solves; the full pass replays every schedule.
+        assert len(ran) == 4
+        assert all(len(s.attributes["key"]) == 16 for s in ran)
+
+    def test_triage_failure_is_memoized_for_the_full_job(self, monkeypatch):
+        spec = triage_failure_spec()
+        engine = ExplorationEngine(spec)
+        engine.run()
+        calls = []
+        original = ScheduleStage.run
+
+        def counting(self, context, upstream):
+            calls.append(context.config.num_detectors)
+            return original(self, context, upstream)
+
+        monkeypatch.setattr(ScheduleStage, "run", counting)
+        outcome = engine.batch_engine.run([failing_job(spec)]).outcomes[0]
+        assert "no device can execute" in outcome.error
+        assert outcome.cache_hit is True
+        assert outcome.stages == []
+        assert calls == []
+
+    def test_failing_triage_probe_releases_its_claim(self):
+        cache = SingleFlightCache(ResultCache(), claim_timeout_s=30.0)
+        spec = triage_failure_spec()
+        report = ExplorationEngine(
+            spec, batch_engine=BatchSynthesisEngine(cache=cache)
+        ).run()
+        assert "IVD/num_detectors=0" in report.errors
+        job = failing_job(spec)
+        key = SynthesisPipeline().plan(job.graph, job.config)[0].key
+        start = time.monotonic()
+        # A second engine's lookup claims the key at once instead of
+        # waiting out the 30 s claim timeout.
+        assert BatchSynthesisEngine(cache=cache).cache.get(key) is None
+        assert time.monotonic() - start < 5.0
+        assert key in cache._inflight
+        cache.abandon(key)
 
 
 class TestResume:

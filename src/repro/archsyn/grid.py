@@ -4,11 +4,18 @@ The connection grid is a regular ``rows x cols`` mesh.  Every node can host
 either a device or a switch; every edge is a channel segment able to carry a
 transport or cache one fluid sample.  Architectural synthesis selects which
 nodes become devices and which edges are kept in the final chip.
+
+The router's inner loops read a grid through :class:`GridTables`: static
+lookup tables built once per grid shape and shared by every grid of that
+shape.  They are not part of a grid's pickled state — a decoded grid
+finds the tables of its shape again on first use.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 #: An undirected grid edge is identified by the frozenset of its two node ids.
@@ -51,20 +58,21 @@ class ConnectionGrid:
         self.cols = cols
         self._nodes: Dict[str, GridNode] = {}
         self._adjacency: Dict[str, List[str]] = {}
+        # Node ids are interned, so every grid, path and table of a run
+        # shares one string object per id (pickles store each id once).
+        ids = [[sys.intern(GridNode(row, col).node_id) for col in range(cols)]
+               for row in range(rows)]
         for row in range(rows):
             for col in range(cols):
-                node = GridNode(row, col)
-                self._nodes[node.node_id] = node
-                self._adjacency[node.node_id] = []
+                self._nodes[ids[row][col]] = GridNode(row, col)
+                self._adjacency[ids[row][col]] = []
         for row in range(rows):
             for col in range(cols):
-                node = GridNode(row, col)
                 for dr, dc in ((0, 1), (1, 0)):
                     nr, nc = row + dr, col + dc
                     if nr < rows and nc < cols:
-                        neighbour = GridNode(nr, nc)
-                        self._adjacency[node.node_id].append(neighbour.node_id)
-                        self._adjacency[neighbour.node_id].append(node.node_id)
+                        self._adjacency[ids[row][col]].append(ids[nr][nc])
+                        self._adjacency[ids[nr][nc]].append(ids[row][col])
 
     # --------------------------------------------------------------- queries
     @property
@@ -93,15 +101,7 @@ class ConnectionGrid:
         return list(self._adjacency[node_id])
 
     def edges(self) -> List[EdgeId]:
-        seen: set = set()
-        result: List[EdgeId] = []
-        for node_id, neighbours in self._adjacency.items():
-            for other in neighbours:
-                eid = edge_id(node_id, other)
-                if eid not in seen:
-                    seen.add(eid)
-                    result.append(eid)
-        return result
+        return [eid for eid, _, _ in self.tables.edges]
 
     def num_edges(self) -> int:
         return self.rows * (self.cols - 1) + self.cols * (self.rows - 1)
@@ -132,5 +132,53 @@ class ConnectionGrid:
         a, b = self.edge_endpoints(eid)
         return min(self.manhattan(a, node_id), self.manhattan(b, node_id))
 
+    @property
+    def tables(self) -> "GridTables":
+        """The static lookup tables of this grid's shape (never pickled)."""
+        return grid_tables(self.rows, self.cols)
+
     def __repr__(self) -> str:
         return f"ConnectionGrid({self.rows}x{self.cols})"
+
+
+@dataclass(frozen=True)
+class GridTables:
+    """Static lookup tables of one grid shape, for the router's inner loops.
+
+    One instance is shared by every grid of the shape, so callers only read
+    it.  Edge ids in the tables are shared objects too: a path that takes
+    its edge ids from here shares them with every other such path.
+    """
+
+    #: Node id -> ``((neighbour, edge id), ...)`` sorted by neighbour id.
+    neighbours: Dict[str, Tuple[Tuple[str, EdgeId], ...]]
+    #: ``(node, node)`` -> edge id, for both orders of the endpoints.
+    edge_ids: Dict[Tuple[str, str], EdgeId]
+    #: ``(edge id, a, b)`` per edge with ``a < b``, in
+    #: :meth:`ConnectionGrid.edges` order.
+    edges: Tuple[Tuple[EdgeId, str, str], ...]
+    #: Node id -> ``(row, col)``.
+    coords: Dict[str, Tuple[int, int]]
+
+
+@lru_cache(maxsize=64)
+def grid_tables(rows: int, cols: int) -> GridTables:
+    """Build (once per shape) the :class:`GridTables` of a ``rows x cols`` grid."""
+    grid = ConnectionGrid(rows, cols)
+    edge_ids: Dict[Tuple[str, str], EdgeId] = {}
+    edges: List[Tuple[EdgeId, str, str]] = []
+    for node_id, others in grid._adjacency.items():
+        for other in others:
+            if (node_id, other) not in edge_ids:
+                eid = edge_id(node_id, other)
+                edge_ids[(node_id, other)] = edge_ids[(other, node_id)] = eid
+                edges.append((eid, *sorted(eid)))
+    return GridTables(
+        neighbours={
+            node_id: tuple((other, edge_ids[(node_id, other)]) for other in sorted(others))
+            for node_id, others in grid._adjacency.items()
+        },
+        edge_ids=edge_ids,
+        edges=tuple(edges),
+        coords={node_id: (node.row, node.col) for node_id, node in grid._nodes.items()},
+    )

@@ -12,6 +12,7 @@ cached fluid sample.  The rules implement the paper's constraint (10):
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
@@ -46,7 +47,12 @@ class Interval:
 
 
 class OccupancyTracker:
-    """Tracks busy intervals for an arbitrary set of resources."""
+    """Tracks busy intervals for an arbitrary set of resources.
+
+    Each resource's intervals are kept sorted by start time, so a scan for
+    conflicts with ``[start, end)`` stops at the first interval starting at
+    or after ``end``.
+    """
 
     def __init__(self) -> None:
         self._intervals: Dict[Hashable, List[Interval]] = {}
@@ -67,17 +73,19 @@ class OccupancyTracker:
         """
         interval = Interval(start, end, purpose, owner, group)
         existing = self._intervals.setdefault(resource, [])
+        shared_group = group if purpose == "transport" else ""
         for busy in existing:
-            if not busy.overlaps(start, end):
+            if busy.start >= end:
+                break  # sorted by start: no later interval overlaps
+            if busy.end <= start:
                 continue
-            if purpose == "transport" and busy.shares_group_with(group):
+            if shared_group and busy.group == shared_group and busy.purpose == "transport":
                 continue
             raise ValueError(
                 f"resource {resource!r}: [{start}, {end}) for {owner or purpose} overlaps "
                 f"[{busy.start}, {busy.end}) held by {busy.owner or busy.purpose}"
             )
-        existing.append(interval)
-        existing.sort(key=lambda iv: iv.start)
+        bisect.insort(existing, interval, key=lambda iv: iv.start)
         return interval
 
     def is_free(
@@ -95,13 +103,16 @@ class OccupancyTracker:
         endpoint exemption of constraint (10).  Reservations of the same
         non-empty ``group`` never conflict.
         """
-        for busy in self._intervals.get(resource, []):
+        for busy in self._intervals.get(resource, ()):
+            if busy.start >= end:
+                return True  # sorted by start: no later interval overlaps
+            if busy.end <= start:
+                continue
             if ignore_storage and busy.purpose == "storage":
                 continue
-            if busy.shares_group_with(group):
-                continue
-            if busy.overlaps(start, end):
-                return False
+            if group and busy.group == group and busy.purpose == "transport":
+                continue  # split volumes of one producer move together
+            return False
         return True
 
     def intervals(self, resource: Hashable) -> List[Interval]:

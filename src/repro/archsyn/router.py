@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.archsyn.architecture import ChipArchitecture, RoutedSubPath, RoutedTask
-from repro.archsyn.grid import ConnectionGrid, EdgeId, edge_id
+from repro.archsyn.grid import ConnectionGrid, EdgeId, GridTables
 from repro.archsyn.occupancy import OccupancyTracker
 from repro.archsyn.placement import GreedyPlacer
 from repro.keys import derive_seed
+from repro.obs.trace import span as obs_span
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.transport import TransportTask, extract_transport_tasks
 
@@ -69,6 +70,39 @@ class SynthesisConfig:
     max_grid_dim: int = 9
     device_spacing: int = 2
     seed: int = 0
+
+
+class RoutingState:
+    """Everything one grid attempt's routing reads and updates.
+
+    Built once per grid attempt, after placement, and passed to every
+    routing helper:
+
+    * the architecture under construction, its grid's static
+      :class:`~repro.archsyn.grid.GridTables`, its device nodes and, per
+      node, the device nodes next to it;
+    * the edge and node occupancy of the tasks routed so far;
+    * ``used_edges``, the segments earlier tasks already kept (reusing one
+      costs nothing extra: objective (12) keeps few edges);
+    * ``storage_orders``, the memoized static part of the storage-candidate
+      order per ``(source, target)`` node pair
+      (see :meth:`HeuristicSynthesizer._storage_candidates`).
+    """
+
+    def __init__(self, architecture: ChipArchitecture, transport_time: int) -> None:
+        self.architecture = architecture
+        self.tables: GridTables = architecture.grid.tables
+        self.device_nodes: FrozenSet[str] = frozenset(architecture.placement.values())
+        #: Node id -> the device nodes next to it (whose ports it touches).
+        self.device_ports: Dict[str, Tuple[str, ...]] = {
+            node: tuple(nb for nb, _ in pairs if nb in self.device_nodes)
+            for node, pairs in self.tables.neighbours.items()
+        }
+        self.transport_time = transport_time
+        self.edge_occ = OccupancyTracker()
+        self.node_occ = OccupancyTracker()
+        self.used_edges: Set[EdgeId] = set()
+        self.storage_orders: Dict[Tuple[str, str], Tuple[List[EdgeId], List[EdgeId]]] = {}
 
 
 class HeuristicSynthesizer:
@@ -126,11 +160,11 @@ class HeuristicSynthesizer:
         rewrites the task list (all caching traffic is redirected to a storage
         unit pseudo-device) before synthesizing the comparison chip.
         """
-        self._transport_time = max(1, transport_time)
+        transport_time = max(1, transport_time)
         rows, cols = self.config.grid_rows, self.config.grid_cols
         while True:
             try:
-                return self._synthesize_on_grid(tasks, devices, rows, cols)
+                return self._synthesize_on_grid(tasks, devices, rows, cols, transport_time)
             except SynthesisError as exc:
                 if not self.config.auto_expand_grid:
                     raise
@@ -148,93 +182,69 @@ class HeuristicSynthesizer:
         devices: Sequence[str],
         rows: int,
         cols: int,
+        transport_time: int,
     ) -> ChipArchitecture:
         grid = ConnectionGrid(rows, cols)
-        if len(devices) > grid.num_nodes():
-            raise SynthesisError(
-                f"{len(devices)} devices do not fit on a {rows}x{cols} connection grid"
-            )
-        placer = GreedyPlacer(grid, spacing=self.config.device_spacing)
-        placement = placer.place(devices, tasks).placement
-        architecture = ChipArchitecture(grid, placement)
+        with obs_span("archsyn:place", category="archsyn", rows=rows, cols=cols,
+                      ok=False) as place_span:
+            if len(devices) > grid.num_nodes():
+                raise SynthesisError(
+                    f"{len(devices)} devices do not fit on a {rows}x{cols} connection grid"
+                )
+            placer = GreedyPlacer(grid, spacing=self.config.device_spacing)
+            placement = placer.place(devices, tasks).placement
+            architecture = ChipArchitecture(grid, placement)
+            place_span.set(ok=True)
 
-        edge_occ = OccupancyTracker()
-        node_occ = OccupancyTracker()
-        device_nodes = set(placement.values())
-        #: Edges already claimed by earlier tasks; reusing them costs nothing
-        #: extra, so the router prefers them (objective (12): keep few edges).
-        self._used_edges: Set[EdgeId] = set()
+        with obs_span("archsyn:route", category="archsyn", rows=rows, cols=cols,
+                      ok=False) as route_span:
+            state = RoutingState(architecture, transport_time)
+            for task in sorted(tasks, key=lambda t: (t.depart_time, t.task_id)):
+                routed = self._route_task(task, state)
+                architecture.add_routed_task(routed)
+                state.used_edges.update(routed.all_edges())
 
-        for task in sorted(tasks, key=lambda t: (t.depart_time, t.task_id)):
-            routed = self._route_task(task, architecture, edge_occ, node_occ, device_nodes)
-            architecture.add_routed_task(routed)
-            self._used_edges.update(routed.all_edges())
-
-        problems = architecture.validate()
-        if problems:
-            raise SynthesisError(
-                "synthesized architecture failed validation: " + "; ".join(problems[:5])
-            )
+            problems = architecture.validate()
+            if problems:
+                raise SynthesisError(
+                    "synthesized architecture failed validation: " + "; ".join(problems[:5])
+                )
+            route_span.set(ok=True)
         return architecture
 
     # ----------------------------------------------------------- task routing
-    def _route_task(
-        self,
-        task: TransportTask,
-        architecture: ChipArchitecture,
-        edge_occ: OccupancyTracker,
-        node_occ: OccupancyTracker,
-        device_nodes: Set[str],
-    ) -> RoutedTask:
-        source = architecture.device_node(task.source_device)
-        target = architecture.device_node(task.target_device)
+    def _route_task(self, task: TransportTask, state: RoutingState) -> RoutedTask:
+        source = state.architecture.device_node(task.source_device)
+        target = state.architecture.device_node(task.target_device)
 
         if not task.needs_storage:
-            return self._route_direct(task, architecture, source, target, edge_occ, node_occ, device_nodes)
-        return self._route_with_storage(task, architecture, source, target, edge_occ, node_occ, device_nodes)
+            return self._route_direct(task, state, source, target)
+        return self._route_with_storage(task, state, source, target)
 
     def _route_direct(
-        self,
-        task: TransportTask,
-        architecture: ChipArchitecture,
-        source: str,
-        target: str,
-        edge_occ: OccupancyTracker,
-        node_occ: OccupancyTracker,
-        device_nodes: Set[str],
+        self, task: TransportTask, state: RoutingState, source: str, target: str
     ) -> RoutedTask:
         window = (task.depart_time, max(task.arrive_time, task.depart_time + 1))
         group = task.sample.producer
-        path = self._find_path(
-            architecture.grid, source, {target}, window, edge_occ, node_occ, device_nodes,
-            group=group,
-        )
+        path = self._find_path(state, source, {target}, window, group=group)
         if path is None:
             raise SynthesisError(
                 f"no conflict-free path for task {task.task_id!r} "
                 f"({task.source_device}->{task.target_device}) in window {window}"
             )
-        sub = self._commit_transport(path, window, task.task_id, edge_occ, node_occ, device_nodes, group=group)
+        sub = self._commit_transport(state, path, window, task.task_id, group=group)
         return RoutedTask(task=task, subpaths=[sub])
 
     def _route_with_storage(
-        self,
-        task: TransportTask,
-        architecture: ChipArchitecture,
-        source: str,
-        target: str,
-        edge_occ: OccupancyTracker,
-        node_occ: OccupancyTracker,
-        device_nodes: Set[str],
+        self, task: TransportTask, state: RoutingState, source: str, target: str
     ) -> RoutedTask:
-        grid = architecture.grid
         depart, arrive = task.depart_time, task.arrive_time
         gap = arrive - depart
         if gap < 3:
             raise SynthesisError(
                 f"task {task.task_id!r}: gap {gap} is too short to store a sample along the way"
             )
-        uc = getattr(self, "_transport_time", 10)
+        uc = state.transport_time
         leg_out = min(uc, max(1, (gap - 1) // 2))
         leg_back = min(uc, max(1, gap - leg_out - 1))
         storage_start = depart + leg_out
@@ -243,12 +253,10 @@ class HeuristicSynthesizer:
             storage_end = storage_start + 1
             leg_back = arrive - storage_end
 
-        candidates = self._storage_candidates(grid, source, target, device_nodes)
-        for eid in candidates:
+        for eid in self._storage_candidates(state, source, target):
             routed = self._try_storage_edge(
-                task, grid, eid, source, target,
+                task, state, eid, source, target,
                 depart, storage_start, storage_end, arrive,
-                edge_occ, node_occ, device_nodes,
             )
             if routed is not None:
                 return routed
@@ -259,45 +267,67 @@ class HeuristicSynthesizer:
         )
 
     def _storage_candidates(
-        self,
-        grid: ConnectionGrid,
-        source: str,
-        target: str,
-        device_nodes: Set[str],
+        self, state: RoutingState, source: str, target: str
     ) -> List[EdgeId]:
         """Candidate storage segments, nearest to the target device first.
 
         Segments between two switches are preferred over segments touching a
         device node: a sample parked directly on a device port would block
         that port for the whole caching interval and can wall the device in
-        (the paper's Fig. 11 likewise caches between two switches).
+        (the paper's Fig. 11 likewise caches between two switches).  Within
+        each of those two classes, segments already kept by earlier tasks
+        come first; then the order is distance to the target, distance to
+        the source, the seeded tie-break rank and the endpoint names.
+
+        Only the "already kept" term changes during a grid attempt, so the
+        rest of the order is sorted once per ``(source, target)`` pair and
+        each call just partitions it, stably, into kept and not-yet-kept.
         """
+        classes = state.storage_orders.get((source, target))
+        if classes is None:
+            classes = state.storage_orders[(source, target)] = self._storage_order(
+                state, source, target
+            )
+        used = state.used_edges
+        ordered: List[EdgeId] = []
+        for edges in classes:
+            ordered.extend(eid for eid in edges if eid in used)
+            ordered.extend(eid for eid in edges if eid not in used)
+        return ordered
 
-        used_edges = getattr(self, "_used_edges", set())
+    def _storage_order(
+        self, state: RoutingState, source: str, target: str
+    ) -> Tuple[List[EdgeId], List[EdgeId]]:
+        """The static part of :meth:`_storage_candidates`' order.
 
-        def key(eid: EdgeId) -> Tuple[int, int, int, int, int, Tuple[str, str]]:
-            a, b = grid.edge_endpoints(eid)
-            touches_device = 1 if (a in device_nodes or b in device_nodes) else 0
-            already_used = 0 if eid in used_edges else 1
-            to_target = grid.edge_distance_to_node(eid, target)
-            to_source = grid.edge_distance_to_node(eid, source)
-            return (touches_device, already_used, to_target, to_source,
-                    self._tiebreak(a, b), (a, b))
-
-        candidates = []
-        for eid in grid.edges():
-            a, b = grid.edge_endpoints(eid)
-            # A segment whose both ends are devices cannot be sealed for
-            # storage without blocking both device ports; skip it.
-            if a in device_nodes and b in device_nodes:
+        Returns the segments between two switches and the segments touching
+        one device, each sorted by ``(to_target, to_source, tiebreak,
+        (a, b))``.  A segment whose both ends are devices cannot be sealed
+        for storage without blocking both device ports, so it is left out.
+        """
+        coords = state.tables.coords
+        device_nodes = state.device_nodes
+        (tr, tc), (sr, sc) = coords[target], coords[source]
+        keyed: Tuple[list, list] = ([], [])
+        for eid, a, b in state.tables.edges:
+            touches_a, touches_b = a in device_nodes, b in device_nodes
+            if touches_a and touches_b:
                 continue
-            candidates.append(eid)
-        return sorted(candidates, key=key)
+            (ar, ac), (br, bc) = coords[a], coords[b]
+            to_target = min(abs(ar - tr) + abs(ac - tc), abs(br - tr) + abs(bc - tc))
+            to_source = min(abs(ar - sr) + abs(ac - sc), abs(br - sr) + abs(bc - sc))
+            keyed[touches_a or touches_b].append(
+                ((to_target, to_source, self._tiebreak(a, b), (a, b)), eid)
+            )
+        switch_only, touching = (
+            [eid for _, eid in sorted(edges, key=lambda item: item[0])] for edges in keyed
+        )
+        return switch_only, touching
 
     def _try_storage_edge(
         self,
         task: TransportTask,
-        grid: ConnectionGrid,
+        state: RoutingState,
         eid: EdgeId,
         source: str,
         target: str,
@@ -305,12 +335,10 @@ class HeuristicSynthesizer:
         storage_start: int,
         storage_end: int,
         arrive: int,
-        edge_occ: OccupancyTracker,
-        node_occ: OccupancyTracker,
-        device_nodes: Set[str],
     ) -> Optional[RoutedTask]:
-        node_a, node_b = grid.edge_endpoints(eid)
+        node_a, node_b = state.architecture.grid.edge_endpoints(eid)
         group = task.sample.producer
+        edge_occ, node_occ = state.edge_occ, state.node_occ
         # The storage edge must be exclusively available from the moment the
         # sample starts moving into it until it has fully left it.
         if not edge_occ.is_free(eid, depart, storage_end):
@@ -319,35 +347,28 @@ class HeuristicSynthesizer:
         for entry, exit_node in ((node_a, node_b), (node_b, node_a)):
             # The exit node is reserved together with leg 1 (the sample moves
             # into the segment), so it must be free during that window too.
-            if exit_node not in device_nodes and not node_occ.is_free(
+            if exit_node not in state.device_nodes and not node_occ.is_free(
                 exit_node, depart, storage_start, group=group
             ):
                 continue
             # Leg 1: source device -> entry node, then into the storage edge.
             leg1_path = self._find_path(
-                grid, source, {entry},
-                (depart, storage_start),
-                edge_occ, node_occ, device_nodes,
-                forbidden_edges={eid}, forbidden_nodes={exit_node},
-                group=group,
+                state, source, {entry}, (depart, storage_start),
+                forbidden_edges={eid}, forbidden_nodes={exit_node}, group=group,
             )
             if leg1_path is None:
                 continue
             # Leg 3: out of the storage edge at the far end -> target device.
             leg3_path = self._find_path(
-                grid, exit_node, {target},
-                (storage_end, arrive),
-                edge_occ, node_occ, device_nodes,
-                forbidden_edges={eid},
-                group=group,
+                state, exit_node, {target}, (storage_end, arrive),
+                forbidden_edges={eid}, group=group,
             )
             if leg3_path is None:
                 continue
 
             full_leg1 = leg1_path + [exit_node]
             sub1 = self._commit_transport(
-                full_leg1, (depart, storage_start), task.task_id, edge_occ, node_occ, device_nodes,
-                group=group,
+                state, full_leg1, (depart, storage_start), task.task_id, group=group,
             )
             edge_occ.reserve(eid, storage_start, storage_end, "storage", owner=task.task_id)
             sub2 = RoutedSubPath(
@@ -358,8 +379,7 @@ class HeuristicSynthesizer:
                 purpose="storage",
             )
             sub3 = self._commit_transport(
-                leg3_path, (storage_end, arrive), task.task_id, edge_occ, node_occ, device_nodes,
-                group=group,
+                state, leg3_path, (storage_end, arrive), task.task_id, group=group,
             )
             return RoutedTask(task=task, subpaths=[sub1, sub2, sub3])
         return None
@@ -367,13 +387,10 @@ class HeuristicSynthesizer:
     # -------------------------------------------------------------- pathfind
     def _find_path(
         self,
-        grid: ConnectionGrid,
+        state: RoutingState,
         source: str,
         targets: Set[str],
         window: Tuple[int, int],
-        edge_occ: OccupancyTracker,
-        node_occ: OccupancyTracker,
-        device_nodes: Set[str],
         forbidden_edges: Set[EdgeId] = frozenset(),
         forbidden_nodes: Set[str] = frozenset(),
         group: str = "",
@@ -388,15 +405,18 @@ class HeuristicSynthesizer:
         start, end = window
         if end <= start:
             end = start + 1
-        used_edges = getattr(self, "_used_edges", set())
+        device_nodes = state.device_nodes
+        edge_free = state.edge_occ.is_free
+        node_free = state.node_occ.is_free
+        used_edges = state.used_edges
+        neighbours = state.tables.neighbours
+        device_ports = state.device_ports
+        tiebreak = self._tiebreak
 
-        def node_available(node: str) -> bool:
-            """Switch nodes must be free; device nodes are serialized by the schedule."""
-            if node in device_nodes:
-                return True
-            return node_occ.is_free(node, start, end, group=group)
-
-        if source in forbidden_nodes or not node_available(source):
+        # Switch nodes must be free; device nodes are serialized by the schedule.
+        if source in forbidden_nodes or (
+            source not in device_nodes and not node_free(source, start, end, group=group)
+        ):
             return None
         if source in targets:
             return [source]
@@ -409,16 +429,13 @@ class HeuristicSynthesizer:
         # devices in.
         foreign_devices = device_nodes - set(targets) - {source}
 
-        def port_touch(node: str) -> int:
-            return sum(1 for nb in grid.neighbors(node) if nb in foreign_devices)
-
         # Heap entries carry the seeded tie-break rank just before the node
         # name: with seed 0 the rank is uniformly 0 and selection falls back
         # to the name order (the pinned behavior); a non-zero seed explores
         # equal-cost frontiers in a reproducibly shuffled order.
         distance: Dict[str, Tuple[int, int, int]] = {source: (0, 0, 0)}
         parent: Dict[str, str] = {}
-        heap: List[Tuple[int, int, int, int, str]] = [(0, 0, 0, self._tiebreak(source), source)]
+        heap: List[Tuple[int, int, int, int, str]] = [(0, 0, 0, tiebreak(source), source)]
         settled: Set[str] = set()
         while heap:
             new_edges, ports, hops, _rank, current = heapq.heappop(heap)
@@ -433,24 +450,24 @@ class HeuristicSynthesizer:
                 return path
             if current in device_nodes and current != source:
                 continue  # never route through a foreign device
-            for neighbour in sorted(grid.neighbors(current)):
+            for neighbour, eid in neighbours[current]:
                 if neighbour in settled or neighbour in forbidden_nodes:
                     continue
-                eid = edge_id(current, neighbour)
                 if eid in forbidden_edges:
                     continue
-                if not edge_occ.is_free(eid, start, end, group=group):
+                if not edge_free(eid, start, end, group=group):
                     continue
-                if neighbour in targets:
-                    if not node_available(neighbour):
+                if neighbour in device_nodes:
+                    if neighbour not in targets:
                         continue
                     touch = 0
+                elif not node_free(neighbour, start, end, group=group):
+                    continue
+                elif neighbour in targets:
+                    touch = 0
                 else:
-                    if neighbour in device_nodes:
-                        continue
-                    if not node_occ.is_free(neighbour, start, end, group=group):
-                        continue
-                    touch = port_touch(neighbour)
+                    ports_here = device_ports[neighbour]
+                    touch = sum(1 for nb in ports_here if nb in foreign_devices) if ports_here else 0
                 cost = (
                     new_edges + (0 if eid in used_edges else 1),
                     ports + touch,
@@ -460,34 +477,31 @@ class HeuristicSynthesizer:
                     distance[neighbour] = cost
                     parent[neighbour] = current
                     heapq.heappush(
-                        heap, (cost[0], cost[1], cost[2], self._tiebreak(neighbour), neighbour)
+                        heap, (cost[0], cost[1], cost[2], tiebreak(neighbour), neighbour)
                     )
         return None
 
     def _commit_transport(
         self,
+        state: RoutingState,
         path: List[str],
         window: Tuple[int, int],
         owner: str,
-        edge_occ: OccupancyTracker,
-        node_occ: OccupancyTracker,
-        device_nodes: Set[str],
         group: str = "",
     ) -> RoutedSubPath:
         start, end = window
         if end <= start:
             end = start + 1
-        edges: List[EdgeId] = []
-        for node_a, node_b in zip(path, path[1:]):
-            eid = edge_id(node_a, node_b)
-            edges.append(eid)
-            edge_occ.reserve(eid, start, end, "transport", owner=owner, group=group)
+        edge_ids = state.tables.edge_ids
+        edges = tuple(edge_ids[pair] for pair in zip(path, path[1:]))
+        for eid in edges:
+            state.edge_occ.reserve(eid, start, end, "transport", owner=owner, group=group)
         for node in path:
-            if node not in device_nodes:
-                node_occ.reserve(node, start, end, "transport", owner=owner, group=group)
+            if node not in state.device_nodes:
+                state.node_occ.reserve(node, start, end, "transport", owner=owner, group=group)
         return RoutedSubPath(
             nodes=tuple(path),
-            edges=tuple(edges),
+            edges=edges,
             start=start,
             end=end,
             purpose="transport",

@@ -24,11 +24,15 @@ products (avoiding a transport altogether).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.devices.device import DeviceLibrary
 from repro.graph.sequencing_graph import SequencingGraph
 from repro.scheduling.schedule import Schedule
+
+#: A ready operation's dispatch terms:
+#: ``(-priority, -freshness, ((device_id, start_floor, locality), ...))``.
+ReadyRow = Tuple[int, int, Tuple[Tuple[str, int, int], ...]]
 
 
 @dataclass
@@ -54,7 +58,14 @@ class ListScheduler:
 
     # ------------------------------------------------------------------ API
     def schedule(self, graph: SequencingGraph) -> Schedule:
-        """Build and validate a schedule for ``graph``."""
+        """Build and validate a schedule for ``graph``.
+
+        The ready set is kept incrementally: an operation joins it when its
+        last parent finishes, and at that moment — its parents' ends and
+        devices being final — its per-device terms are computed once (see
+        :meth:`_ready_row`).  Each dispatch then only combines those rows
+        with the current ``device_free`` times.
+        """
         cfg = self.config
         schedule = Schedule(graph, self.library, cfg.transport_time)
 
@@ -65,27 +76,37 @@ class ListScheduler:
         device_free = {device.device_id: 0 for device in self.library}
         finished: Dict[str, Tuple[int, Optional[str]]] = {}
         remaining = {op.op_id for op in graph.device_operations()}
+        # Parents each remaining operation still waits for.
+        waiting = {op_id: len(predecessors[op_id]) for op_id in remaining}
+        ready: Dict[str, ReadyRow] = {}
         # The devices able to run each operation kind, memoized per run.
         kind_devices: Dict[object, list] = {}
 
+        def finish(op_id: str, end: int, device_id: Optional[str]) -> None:
+            finished[op_id] = (end, device_id)
+            for child in graph.successors(op_id):
+                if child in waiting:
+                    waiting[child] -= 1
+                    if waiting[child] == 0:
+                        ready[child] = self._ready_row(
+                            graph, child, priorities, predecessors, finished, kind_devices,
+                        )
+
         for op in graph.input_operations():
             schedule.assign(op.op_id, None, 0, op.duration)
-            finished[op.op_id] = (op.duration, None)
+            finish(op.op_id, op.duration, None)
+        for op_id in remaining:
+            if not predecessors[op_id]:
+                ready[op_id] = self._ready_row(
+                    graph, op_id, priorities, predecessors, finished, kind_devices,
+                )
 
         while remaining:
-            ready = [
-                op_id
-                for op_id in remaining
-                if all(parent in finished for parent in predecessors[op_id])
-            ]
             if not ready:
                 raise RuntimeError(
                     f"no ready operation among {sorted(remaining)}; the graph may be malformed"
                 )
-            op_id, device_id, start = self._pick_assignment(
-                graph, ready, priorities, predecessors, finished, device_free,
-                kind_devices,
-            )
+            op_id, device_id, start = self._pick_assignment(ready, device_free)
             op = graph.operation(op_id)
             device = self.library.device(device_id)
             duration = device.execution_time(op.duration)
@@ -93,8 +114,9 @@ class ListScheduler:
 
             schedule.assign(op_id, device_id, start, end)
             device_free[device_id] = end
-            finished[op_id] = (end, device_id)
+            del ready[op_id]
             remaining.remove(op_id)
+            finish(op_id, end, device_id)
 
         schedule.assert_valid()
         return schedule
@@ -110,15 +132,48 @@ class ListScheduler:
             priority[op_id] = op.duration + downstream
         return priority
 
-    def _pick_assignment(
+    def _ready_row(
         self,
         graph: SequencingGraph,
-        ready: List[str],
+        op_id: str,
         priorities: Dict[str, int],
         predecessors: Dict[str, Tuple[str, ...]],
         finished: Dict[str, Tuple[int, Optional[str]]],
-        device_free: Dict[str, int],
         kind_devices: Dict[object, list],
+    ) -> ReadyRow:
+        """The dispatch terms of an operation whose parents have all finished.
+
+        Per compatible device: the start floor its parents impose (each
+        parent's end, plus one transport time unless the parent is an input
+        or ran on that device) and its locality (0 when a parent's product
+        already sits on the device).  Per operation: the negated critical-
+        path priority and the negated freshness (the latest end among its
+        device-bound parents).
+        """
+        op = graph.operation(op_id)
+        candidates = kind_devices.get(op.kind)
+        if candidates is None:
+            candidates = kind_devices[op.kind] = self.library.devices_for(op.kind)
+        if not candidates:
+            raise RuntimeError(f"no device can execute operation {op_id!r} ({op.kind.value})")
+        uc = self.config.transport_time
+        parents = [finished[p] for p in predecessors[op_id]]
+        parent_devices = {device for _, device in parents if device is not None}
+        freshness = max((end for end, device in parents if device is not None), default=0)
+        rows = []
+        for device in candidates:
+            device_id = device.device_id
+            floor = 0
+            for parent_end, parent_device in parents:
+                hop = 0 if (parent_device is None or parent_device == device_id) else uc
+                floor = max(floor, parent_end + hop)
+            rows.append((device_id, floor, 0 if device_id in parent_devices else 1))
+        return (-priorities[op_id], -freshness, tuple(rows))
+
+    def _pick_assignment(
+        self,
+        ready: Dict[str, ReadyRow],
+        device_free: Dict[str, int],
     ) -> Tuple[str, str, int]:
         """Pick the next (operation, device, start time) to dispatch.
 
@@ -129,49 +184,29 @@ class ListScheduler:
         work (critical path), then — when storage awareness is on — by
         freshness of the parents' products and by locality (running on the
         parent's device avoids a transport and therefore a potential cache).
+        Every tie-break ends on ``(op_id, device_id)``, so the choice is
+        unique whatever order ``ready`` iterates in.
         """
-        uc = self.config.transport_time
-
-        def freshness(op_id: str) -> int:
-            parent_ends = [
-                finished[p][0]
-                for p in predecessors[op_id]
-                if finished[p][1] is not None
-            ]
-            return max(parent_ends, default=0)
-
-        options: List[Tuple[int, int, int, int, str, str]] = []
-        for op_id in ready:
-            op = graph.operation(op_id)
-            candidates = kind_devices.get(op.kind)
-            if candidates is None:
-                candidates = kind_devices[op.kind] = self.library.devices_for(op.kind)
-            if not candidates:
-                raise RuntimeError(f"no device can execute operation {op_id!r} ({op.kind.value})")
-            parent_devices = {
-                finished[p][1] for p in predecessors[op_id] if finished[p][1] is not None
-            }
-            for device in candidates:
-                earliest = device_free[device.device_id]
-                for parent in predecessors[op_id]:
-                    parent_end, parent_device = finished[parent]
-                    hop = 0 if (parent_device is None or parent_device == device.device_id) else uc
-                    earliest = max(earliest, parent_end + hop)
-                locality = 0 if device.device_id in parent_devices else 1
-                options.append(
-                    (earliest, locality, -priorities[op_id], -freshness(op_id), op_id, device.device_id)
-                )
-
         if not self.config.storage_aware:
-            best = min(options, key=lambda o: (o[0], o[2], o[4], o[5]))
-            return (best[4], best[5], best[0])
+            best = min(
+                (max(device_free[device_id], floor), neg_priority, op_id, device_id)
+                for op_id, (neg_priority, _, rows) in ready.items()
+                for device_id, floor, _ in rows
+            )
+            return (best[2], best[3], best[0])
 
         # Storage-aware selection: losing up to one transport time of start
         # slack is acceptable if it lets the operation run on the device that
         # already holds its parent's product — no transport, no cached sample
         # (the Fig. 2(c) trade-off: slightly longer schedules, far less
-        # storage and therefore fewer segments and valves).
-        t_star = min(option[0] for option in options)
-        window = [o for o in options if o[0] <= t_star + uc]
-        best = min(window, key=lambda o: (o[1], o[0], o[2], o[3], o[4], o[5]))
-        return (best[4], best[5], best[0])
+        # storage and therefore fewer segments and valves).  Options are
+        # ordered (locality, earliest, -priority, -freshness, op, device).
+        options = [
+            (locality, max(device_free[device_id], floor), neg_priority, neg_freshness,
+             op_id, device_id)
+            for op_id, (neg_priority, neg_freshness, rows) in ready.items()
+            for device_id, floor, locality in rows
+        ]
+        limit = min(option[1] for option in options) + self.config.transport_time
+        best = min(option for option in options if option[1] <= limit)
+        return (best[4], best[5], best[1])

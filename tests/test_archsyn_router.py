@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from repro.archsyn.router import HeuristicSynthesizer, SynthesisConfig, SynthesisError
 from repro.devices.channel import FluidSample
 from repro.devices.device import default_device_library
+from repro.obs import TraceRecorder, install_recorder
+from repro.obs.trace import uninstall_recorder
 from repro.graph.generators import RandomAssayConfig, random_assay
 from repro.scheduling.list_scheduler import ListScheduler
 from repro.scheduling.transport import TransportTask, extract_transport_tasks
@@ -89,6 +91,35 @@ class TestSynthesizeTasks:
             [direct_task("a->b", "m1", "m2", 0, 10)], ["m1", "m2", "m3", "m4", "m5"]
         )
         assert arch.grid.rows > 2
+
+    def test_grid_attempts_emit_place_and_route_spans(self):
+        synthesizer = HeuristicSynthesizer(
+            SynthesisConfig(grid_rows=2, grid_cols=2, auto_expand_grid=True, max_grid_dim=4)
+        )
+        recorder = TraceRecorder()
+        token = install_recorder(recorder)
+        try:
+            synthesizer.synthesize_tasks(
+                [direct_task("a->b", "m1", "m2", 0, 10)], ["m1", "m2", "m3", "m4", "m5"]
+            )
+            with pytest.raises(SynthesisError):
+                HeuristicSynthesizer(
+                    SynthesisConfig(grid_rows=3, grid_cols=3, auto_expand_grid=False)
+                ).synthesize_tasks([storage_task("a->b", "m1", "m1", 0, 2)], ["m1"])
+        finally:
+            uninstall_recorder(token)
+        attempts = [
+            (s.name, s.attributes["rows"], s.attributes["cols"], s.attributes["ok"])
+            for s in sorted(recorder.spans(), key=lambda s: s.start_s)
+        ]
+        # Five devices do not fit 2x2, so that attempt never routes.
+        assert attempts == [
+            ("archsyn:place", 2, 2, False),
+            ("archsyn:place", 3, 3, True),
+            ("archsyn:route", 3, 3, True),
+            ("archsyn:place", 3, 3, True),
+            ("archsyn:route", 3, 3, False),
+        ]
 
     def test_short_eviction_gap_rejected(self):
         synthesizer = HeuristicSynthesizer(SynthesisConfig(grid_rows=3, grid_cols=3, auto_expand_grid=False))

@@ -51,12 +51,17 @@ def start_server(cache_dir: Path) -> "tuple[subprocess.Popen, ServiceClient]":
         text=True,
         env=env,
     )
-    # The first stdout line announces the bound port.
-    line = process.stdout.readline()
-    match = re.search(r"http://[\d.]+:(\d+)", line)
-    if not match:
+    # Log lines share the pipe with the banner that announces the bound
+    # port, so read until the banner shows up.
+    seen = []
+    for line in process.stdout:
+        seen.append(line)
+        match = re.search(r"listening on http://[^:]+:(\d+)", line)
+        if match:
+            break
+    else:
         process.terminate()
-        raise RuntimeError(f"unexpected server banner: {line!r}")
+        raise RuntimeError(f"server exited without announcing its port: {''.join(seen)!r}")
     client = ServiceClient(port=int(match.group(1)))
     for _ in range(100):
         try:

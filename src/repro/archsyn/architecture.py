@@ -16,10 +16,10 @@ It also owns the resource accounting used throughout the evaluation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.archsyn.grid import ConnectionGrid, EdgeId, edge_id
+from repro.archsyn.grid import ConnectionGrid, EdgeId
 from repro.scheduling.transport import TransportTask
 
 
@@ -87,12 +87,6 @@ class RoutedTask:
         for sub in self.subpaths:
             edges.update(sub.edges)
         return edges
-
-    def all_nodes(self) -> Set[str]:
-        nodes: Set[str] = set()
-        for sub in self.subpaths:
-            nodes.update(sub.nodes)
-        return nodes
 
 
 class ChipArchitecture:
@@ -216,17 +210,6 @@ class ChipArchitecture:
             if edge is not None and window is not None:
                 segments.append((edge, window))
         return segments
-
-    def channel_utilization(self, makespan: int) -> Dict[EdgeId, float]:
-        """Fraction of the makespan each kept segment is busy."""
-        busy: Dict[EdgeId, int] = {eid: 0 for eid in self.used_edges()}
-        for routed in self.routed_tasks:
-            for sub in routed.subpaths:
-                for eid in sub.edges:
-                    busy[eid] = busy.get(eid, 0) + sub.duration
-        if makespan <= 0:
-            return {eid: 0.0 for eid in busy}
-        return {eid: min(1.0, value / makespan) for eid, value in busy.items()}
 
     # ------------------------------------------------------------ validation
     def validate(self) -> List[str]:

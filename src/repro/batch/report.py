@@ -67,14 +67,6 @@ class JobOutcome:
         """Whether the job produced a result (as opposed to an error)."""
         return self.result is not None
 
-    def stages_ran(self) -> List[str]:
-        """Names of the stages this job executed itself (pipeline order)."""
-        return [e.stage for e in self.stages if e.action == "ran"]
-
-    def stages_reused(self) -> List[str]:
-        """Names of the stages served from the cache or shared in-batch."""
-        return [e.stage for e in self.stages if e.action != "ran"]
-
     def stage_tag(self) -> str:
         """Compact per-job stage trail, e.g. ``S=hit A=ran P=ran``."""
         if not self.stages:

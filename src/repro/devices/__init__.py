@@ -1,37 +1,28 @@
-"""Component models of flow-based (continuous-flow) microfluidic biochips.
+"""Device library, channel segments and the dedicated storage unit.
 
-Flow-based biochips are built from two PDMS layers: a *flow layer* carrying
-the fluids and a *control layer* carrying pressurized air that squeezes the
-flow channels shut (Section 1, Fig. 1 of the paper).  The primitive is the
-:class:`Valve`; valves compose into :class:`Switch` crossings (4 valves at a
-channel intersection), :class:`Mixer` devices (9 valves: 3 pumping + 6 I/O)
-and the conventional :class:`DedicatedStorageUnit` (a bank of side-by-side
-channel cells behind a multiplexer).
-
-These models carry the resource accounting (valve counts, footprints,
-access timing) used by the architectural synthesis and the dedicated-storage
-baseline comparison (Fig. 10).
+* :class:`Device` / :class:`DeviceLibrary` — the mixers, heaters, detectors
+  and filters that execute sequencing-graph operations: which operation
+  kinds each supports, its footprint for the layout stage and its internal
+  valve count.
+* :class:`ChannelSegment` / :class:`FluidSample` — the piece of flow channel
+  between two grid nodes and the samples it carries; the simulator replays
+  transport and storage on them.
+* :class:`DedicatedStorageUnit` / :func:`storage_unit_valve_count` — the
+  conventional storage unit the dedicated-storage baseline (Fig. 10) is
+  built on.
 """
 
-from repro.devices.valve import Valve, ValveState
 from repro.devices.channel import ChannelSegment, FluidSample
-from repro.devices.switch import Switch, SwitchConfiguration
 from repro.devices.device import Device, DeviceKind, DeviceLibrary, default_device_library
-from repro.devices.mixer import Mixer
 from repro.devices.storage import DedicatedStorageUnit, StorageAccess, storage_unit_valve_count
 
 __all__ = [
-    "Valve",
-    "ValveState",
     "ChannelSegment",
     "FluidSample",
-    "Switch",
-    "SwitchConfiguration",
     "Device",
     "DeviceKind",
     "DeviceLibrary",
     "default_device_library",
-    "Mixer",
     "DedicatedStorageUnit",
     "StorageAccess",
     "storage_unit_valve_count",

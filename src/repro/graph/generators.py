@@ -267,20 +267,6 @@ def generator_names() -> Tuple[str, ...]:
     return tuple(sorted(GENERATORS))
 
 
-def register_generator(
-    name: str, builder: Callable[[Dict[str, Any]], SequencingGraph]
-) -> None:
-    """Register a custom synthetic-graph generator under ``name``."""
-    if not name:
-        raise ValueError("generator name must be non-empty")
-    GENERATORS[name] = builder
-
-
-def unregister_generator(name: str) -> None:
-    """Remove a registered generator (tests clean up after themselves)."""
-    GENERATORS.pop(name, None)
-
-
 def generated_graph(spec: Dict[str, Any]) -> SequencingGraph:
     """Build a graph from an inline generator spec.
 

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 
 class OperationType(enum.Enum):
@@ -136,9 +136,6 @@ class SequencingGraph:
         """All operations in insertion order."""
         return list(self._operations.values())
 
-    def operation_ids(self) -> List[str]:
-        return list(self._operations.keys())
-
     def device_operations(self) -> List[Operation]:
         """Operations that must be bound to a device (the paper's set ``O``)."""
         return [op for op in self._operations.values() if op.needs_device]
@@ -196,17 +193,6 @@ class SequencingGraph:
         for op_id in self.topological_order():
             yield self._operations[op_id]
 
-    def descendants(self, op_id: str) -> Set[str]:
-        result: Set[str] = set()
-        stack = list(self._successors[op_id])
-        while stack:
-            node = stack.pop()
-            if node in result:
-                continue
-            result.add(node)
-            stack.extend(self._successors[node])
-        return result
-
     def ancestors(self, op_id: str) -> Set[str]:
         result: Set[str] = set()
         stack = list(self._predecessors[op_id])
@@ -222,22 +208,6 @@ class SequencingGraph:
     def total_duration(self) -> int:
         """Sum of all operation durations (a trivial upper bound on t_E)."""
         return sum(op.duration for op in self._operations.values())
-
-    def device_operation_count(self) -> int:
-        return len(self.device_operations())
-
-    def subgraph_without_inputs(self) -> "SequencingGraph":
-        """Copy of the graph restricted to device operations.
-
-        Edges from inputs are dropped; transitive dependencies between device
-        operations are preserved because inputs are always leaves.
-        """
-        sub = SequencingGraph(name=f"{self.name}-device-ops")
-        for op in self.device_operations():
-            sub.add_operation(Operation(op.op_id, op.kind, op.duration, op.label))
-        for parent, child in self.device_edges():
-            sub.add_edge(parent, child)
-        return sub
 
     def copy(self) -> "SequencingGraph":
         clone = SequencingGraph(name=self.name)

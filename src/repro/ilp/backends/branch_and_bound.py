@@ -25,10 +25,9 @@ Instead of an LP relaxation, nodes are bounded by *interval propagation*:
   invalid solution.
 
 The propagation, bounding and verification kernels run over the nonzeros
-of the CSR rows only.  Per-term loops over the same rows
-(:func:`_propagate_scalar` et al.) stay in this module as the reference the
-tests compare the kernels against; the solver never calls them.  Both share
-the tolerances (:data:`_TIGHTEN_TOL` et al.) and reach the same fixpoint.
+of the CSR rows only.  Their per-term reference loops live in
+``tests/test_bb_differential.py``, which imports this module's tolerances
+(:data:`_TIGHTEN_TOL` et al.) and checks both reach the same fixpoint.
 
 A :class:`~repro.ilp.solver.WarmStart` in ``SolverOptions.warm_start`` is
 verified against the model and, when valid, seeds the search: nodes whose
@@ -75,8 +74,8 @@ _INT_TOL = 1e-6
 #: Objective epsilon under which two incumbents are considered equal.
 _OBJ_TOL = 1e-9
 #: Minimum improvement for a propagation pass to book a bound as tightened.
-#: Shared by the CSR kernels and the scalar reference — a private literal in
-#: either would make them disagree on marginal tightenings.
+#: Shared by the CSR kernels and the tests' scalar reference — a private
+#: literal in either would make them disagree on marginal tightenings.
 _TIGHTEN_TOL = 1e-7
 #: Fixpoint cap: propagation passes per node before settling for the
 #: current (still valid, just less tight) box.
@@ -115,11 +114,6 @@ class _RowSystem:
     # The cut bound lives in ``upper[-1]``; nothing precomputed depends on it.
     def set_cut(self, cut_hi: float) -> None:
         self.upper[-1] = cut_hi
-
-    def terms(self, r: int) -> List[Tuple[int, float]]:
-        """Row ``r`` as ``[(var_index, coefficient), ...]``."""
-        start, end = self.indptr[r], self.indptr[r + 1]
-        return list(zip(self.indices[start:end].tolist(), self.data[start:end].tolist()))
 
 
 # ------------------------------------------------------------- CSR kernels
@@ -203,132 +197,6 @@ def _verified(sys: _RowSystem, x) -> bool:
         np.all(activity <= sys.upper[: sys.m] + _FEAS_TOL)
         and np.all(activity >= sys.lower[: sys.m] - _FEAS_TOL)
     )
-
-
-# -------------------------------------------------------- scalar reference
-#
-# Per-term loops over the same CSR rows: the reference the kernels above are
-# tested against.  Nothing in the solver calls them.
-
-def _propagate_scalar(sys: _RowSystem, lo, hi, is_int) -> bool:
-    """Reference propagation, Gauss-Seidel over the rows.
-
-    Row activities are updated incrementally as bounds tighten mid-pass
-    (a ``hi`` move feeds the max-activity sums, a ``lo`` move the min
-    sums), so the residual bounds later terms see are never stale — both
-    kernels therefore iterate to the same propagation fixpoint, this one
-    just visits it row by row.
-    """
-    rows = [(sys.terms(r), float(sys.lower[r]), float(sys.upper[r])) for r in range(sys.m + 1)]
-    for _ in range(_MAX_PASSES):
-        changed = False
-        for terms, row_lo, row_hi in rows:
-            min_fin = max_fin = 0.0
-            min_inf = max_inf = 0
-            for j, a in terms:
-                cmin = a * lo[j] if a > 0 else a * hi[j]
-                cmax = a * hi[j] if a > 0 else a * lo[j]
-                if cmin == -_INF:
-                    min_inf += 1
-                else:
-                    min_fin += cmin
-                if cmax == _INF:
-                    max_inf += 1
-                else:
-                    max_fin += cmax
-            if min_inf == 0 and min_fin > row_hi + _FEAS_TOL:
-                return False
-            if max_inf == 0 and max_fin < row_lo - _FEAS_TOL:
-                return False
-            for j, a in terms:
-                # a * x_j <= row_hi - rest_min (min side reads, max side
-                # absorbs the move: for a > 0 the capped hi only changes
-                # this term's cmax, and symmetrically for a < 0).
-                if row_hi < _INF:
-                    cmin = a * lo[j] if a > 0 else a * hi[j]
-                    if cmin == -_INF:
-                        rest_min = min_fin if min_inf == 1 else -_INF
-                    else:
-                        rest_min = (min_fin - cmin) if min_inf == 0 else -_INF
-                    if rest_min > -_INF:
-                        limit = (row_hi - rest_min) / a
-                        if a > 0:
-                            if is_int[j]:
-                                limit = math.floor(limit + _INT_TOL)
-                            if limit < hi[j] - _TIGHTEN_TOL:
-                                old = hi[j]
-                                hi[j] = limit
-                                changed = True
-                                if old == _INF:
-                                    max_inf -= 1
-                                    max_fin += a * limit
-                                else:
-                                    max_fin += a * (limit - old)
-                        else:
-                            if is_int[j]:
-                                limit = math.ceil(limit - _INT_TOL)
-                            if limit > lo[j] + _TIGHTEN_TOL:
-                                old = lo[j]
-                                lo[j] = limit
-                                changed = True
-                                if old == -_INF:
-                                    max_inf -= 1
-                                    max_fin += a * limit
-                                else:
-                                    max_fin += a * (limit - old)
-                # a * x_j >= row_lo - rest_max (max side reads — fresh,
-                # including any move just made above — min side absorbs).
-                if row_lo > -_INF:
-                    cmax = a * hi[j] if a > 0 else a * lo[j]
-                    if cmax == _INF:
-                        rest_max = max_fin if max_inf == 1 else _INF
-                    else:
-                        rest_max = (max_fin - cmax) if max_inf == 0 else _INF
-                    if rest_max < _INF:
-                        limit = (row_lo - rest_max) / a
-                        if a > 0:
-                            if is_int[j]:
-                                limit = math.ceil(limit - _INT_TOL)
-                            if limit > lo[j] + _TIGHTEN_TOL:
-                                old = lo[j]
-                                lo[j] = limit
-                                changed = True
-                                if old == -_INF:
-                                    min_inf -= 1
-                                    min_fin += a * limit
-                                else:
-                                    min_fin += a * (limit - old)
-                        else:
-                            if is_int[j]:
-                                limit = math.floor(limit + _INT_TOL)
-                            if limit < hi[j] - _TIGHTEN_TOL:
-                                old = hi[j]
-                                hi[j] = limit
-                                changed = True
-                                if old == _INF:
-                                    min_inf -= 1
-                                    min_fin += a * limit
-                                else:
-                                    min_fin += a * (limit - old)
-                if lo[j] > hi[j] + _FEAS_TOL:
-                    return False
-        if not changed:
-            break
-    return True
-
-
-def _box_bound_scalar(sys: _RowSystem, lo, hi) -> float:
-    """Reference box bound over the cut row's terms (no term can be +inf)."""
-    return float(sum(cj * (lo[j] if cj > 0 else hi[j]) for j, cj in sys.terms(sys.m)))
-
-
-def _verified_scalar(sys: _RowSystem, x) -> bool:
-    """Reference verification, one row at a time."""
-    for r in range(sys.m):
-        activity = sum(a * x[j] for j, a in sys.terms(r))
-        if activity > sys.upper[r] + _FEAS_TOL or activity < sys.lower[r] - _FEAS_TOL:
-            return False
-    return True
 
 
 class BranchAndBoundBackend(SolverBackend):

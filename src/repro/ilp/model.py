@@ -9,11 +9,11 @@ pure-Python branch and bound).
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.ilp.constraint import Constraint, ConstraintSense
+from repro.ilp.constraint import Constraint
 from repro.ilp.expression import LinExpr, Number, Variable, lin_sum
 
 
@@ -123,13 +123,6 @@ class Model:
         if not constraint.is_trivially_satisfied() or constraint.expression.terms:
             self.constraints.append(constraint)
         return constraint
-
-    def add_constraints(self, constraints: Iterable[Constraint], prefix: str = "") -> List[Constraint]:
-        added = []
-        for idx, con in enumerate(constraints):
-            label = f"{prefix}[{idx}]" if prefix else None
-            added.append(self.add_constraint(con, name=label))
-        return added
 
     # ------------------------------------------------------------ objective
     def set_objective(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.archsyn.architecture import ChipArchitecture
 from repro.archsyn.grid import EdgeId
@@ -86,12 +86,6 @@ class PhysicalLayout:
     def area(self) -> float:
         box = self.bounding_box()
         return box.area
-
-    def total_channel_length(self) -> float:
-        return sum(c.length for c in self.channels)
-
-    def total_bends(self) -> int:
-        return sum(c.bends for c in self.channels)
 
     # ------------------------------------------------------------ validation
     def validate(self) -> List[str]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.archsyn.architecture import ChipArchitecture
 from repro.archsyn.grid import EdgeId
@@ -28,10 +28,6 @@ class SimulationResult:
     def is_valid(self) -> bool:
         """True when the replay hit no resource conflicts (``problems`` empty)."""
         return not self.problems
-
-    def events_at(self, time: int) -> List[SimulationEvent]:
-        """All events happening at exactly ``time``."""
-        return [e for e in self.events if e.time == time]
 
     def segment_utilization(self) -> Dict[EdgeId, float]:
         """Busy-time fraction of each channel segment over the makespan."""

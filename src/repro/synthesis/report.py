@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import List
 
 from repro.scheduling.binding import binding_summary
 from repro.synthesis.flow import SynthesisResult
@@ -46,13 +46,6 @@ def format_table2_row(metrics: FlowMetrics) -> str:
         f"{metrics.physical_time_s:.2f}",
     ]
     return " ".join(value.ljust(width) for value, (_, width) in zip(values, _TABLE2_COLUMNS))
-
-
-def format_table(metrics: Iterable[FlowMetrics]) -> str:
-    """Full Table 2 style text table for several assays."""
-    lines = [table2_header()]
-    lines.extend(format_table2_row(m) for m in metrics)
-    return "\n".join(lines)
 
 
 def result_report(result: SynthesisResult) -> str:

@@ -99,12 +99,6 @@ class TestAccounting:
         assert arch.storage_segments() == [(storage_edge, (10, 40))]
         assert arch.validate() == []
 
-    def test_channel_utilization(self, grid, placement):
-        arch = ChipArchitecture(grid, placement)
-        arch.add_routed_task(RoutedTask(make_task(), [transport(["n0_0", "n0_1"], 0, 10)]))
-        utilization = arch.channel_utilization(makespan=100)
-        assert utilization[edge_id("n0_0", "n0_1")] == pytest.approx(0.1)
-
 
 class TestConflictValidation:
     def test_valid_disjoint_paths(self, grid, placement):

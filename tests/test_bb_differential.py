@@ -1,8 +1,9 @@
 """Differential tests of the branch-and-bound kernels and solver.
 
 The CSR kernels of :mod:`repro.ilp.backends.branch_and_bound` are pinned
-against the per-term reference loops kept next to them in the module, and
-the whole solver against independent oracles.  Four levels are covered:
+against the per-term reference loops below, which import the module's
+tolerances, and the whole solver against independent oracles.  Four levels
+are covered:
 
 * **kernel level** — ``_propagate``, ``_box_bound`` and ``_verified``
   reach identical verdicts (and, for propagation, the identical bound
@@ -26,6 +27,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+from typing import List, Tuple
 
 import numpy as np
 import pytest
@@ -41,6 +43,14 @@ from repro.ilp import (
     lin_sum,
 )
 from repro.ilp.backends import branch_and_bound as bb
+from repro.ilp.backends.branch_and_bound import (
+    _FEAS_TOL,
+    _INF,
+    _INT_TOL,
+    _MAX_PASSES,
+    _TIGHTEN_TOL,
+    _RowSystem,
+)
 
 needs_scipy = pytest.mark.skipif(
     not HighsBackend().is_available(), reason="scipy not installed"
@@ -87,6 +97,139 @@ def _holds(con, value) -> bool:
     if con.sense is ConstraintSense.GE:
         return lhs >= 0
     return lhs == 0
+
+
+# -------------------------------------------------------- scalar reference
+#
+# Per-term loops over the same CSR rows: the plain statement of what the
+# module's kernels compute.  They share its tolerances, so a bound move one
+# side books as a tightening the other books too.
+
+def _terms(sys: _RowSystem, r: int) -> List[Tuple[int, float]]:
+    """Row ``r`` as ``[(var_index, coefficient), ...]``."""
+    start, end = sys.indptr[r], sys.indptr[r + 1]
+    return list(zip(sys.indices[start:end].tolist(), sys.data[start:end].tolist()))
+
+
+def _propagate_scalar(sys: _RowSystem, lo, hi, is_int) -> bool:
+    """Reference propagation, Gauss-Seidel over the rows.
+
+    Row activities are updated incrementally as bounds tighten mid-pass
+    (a ``hi`` move feeds the max-activity sums, a ``lo`` move the min
+    sums), so the residual bounds later terms see are never stale — both
+    kernels therefore iterate to the same propagation fixpoint, this one
+    just visits it row by row.
+    """
+    rows = [(_terms(sys, r), float(sys.lower[r]), float(sys.upper[r])) for r in range(sys.m + 1)]
+    for _ in range(_MAX_PASSES):
+        changed = False
+        for terms, row_lo, row_hi in rows:
+            min_fin = max_fin = 0.0
+            min_inf = max_inf = 0
+            for j, a in terms:
+                cmin = a * lo[j] if a > 0 else a * hi[j]
+                cmax = a * hi[j] if a > 0 else a * lo[j]
+                if cmin == -_INF:
+                    min_inf += 1
+                else:
+                    min_fin += cmin
+                if cmax == _INF:
+                    max_inf += 1
+                else:
+                    max_fin += cmax
+            if min_inf == 0 and min_fin > row_hi + _FEAS_TOL:
+                return False
+            if max_inf == 0 and max_fin < row_lo - _FEAS_TOL:
+                return False
+            for j, a in terms:
+                # a * x_j <= row_hi - rest_min (min side reads, max side
+                # absorbs the move: for a > 0 the capped hi only changes
+                # this term's cmax, and symmetrically for a < 0).
+                if row_hi < _INF:
+                    cmin = a * lo[j] if a > 0 else a * hi[j]
+                    if cmin == -_INF:
+                        rest_min = min_fin if min_inf == 1 else -_INF
+                    else:
+                        rest_min = (min_fin - cmin) if min_inf == 0 else -_INF
+                    if rest_min > -_INF:
+                        limit = (row_hi - rest_min) / a
+                        if a > 0:
+                            if is_int[j]:
+                                limit = math.floor(limit + _INT_TOL)
+                            if limit < hi[j] - _TIGHTEN_TOL:
+                                old = hi[j]
+                                hi[j] = limit
+                                changed = True
+                                if old == _INF:
+                                    max_inf -= 1
+                                    max_fin += a * limit
+                                else:
+                                    max_fin += a * (limit - old)
+                        else:
+                            if is_int[j]:
+                                limit = math.ceil(limit - _INT_TOL)
+                            if limit > lo[j] + _TIGHTEN_TOL:
+                                old = lo[j]
+                                lo[j] = limit
+                                changed = True
+                                if old == -_INF:
+                                    max_inf -= 1
+                                    max_fin += a * limit
+                                else:
+                                    max_fin += a * (limit - old)
+                # a * x_j >= row_lo - rest_max (max side reads — fresh,
+                # including any move just made above — min side absorbs).
+                if row_lo > -_INF:
+                    cmax = a * hi[j] if a > 0 else a * lo[j]
+                    if cmax == _INF:
+                        rest_max = max_fin if max_inf == 1 else _INF
+                    else:
+                        rest_max = (max_fin - cmax) if max_inf == 0 else _INF
+                    if rest_max < _INF:
+                        limit = (row_lo - rest_max) / a
+                        if a > 0:
+                            if is_int[j]:
+                                limit = math.ceil(limit - _INT_TOL)
+                            if limit > lo[j] + _TIGHTEN_TOL:
+                                old = lo[j]
+                                lo[j] = limit
+                                changed = True
+                                if old == -_INF:
+                                    min_inf -= 1
+                                    min_fin += a * limit
+                                else:
+                                    min_fin += a * (limit - old)
+                        else:
+                            if is_int[j]:
+                                limit = math.floor(limit + _INT_TOL)
+                            if limit < hi[j] - _TIGHTEN_TOL:
+                                old = hi[j]
+                                hi[j] = limit
+                                changed = True
+                                if old == _INF:
+                                    min_inf -= 1
+                                    min_fin += a * limit
+                                else:
+                                    min_fin += a * (limit - old)
+                if lo[j] > hi[j] + _FEAS_TOL:
+                    return False
+        if not changed:
+            break
+    return True
+
+
+def _box_bound_scalar(sys: _RowSystem, lo, hi) -> float:
+    """Reference box bound over the cut row's terms (no term can be +inf)."""
+    return float(sum(cj * (lo[j] if cj > 0 else hi[j]) for j, cj in _terms(sys, sys.m)))
+
+
+def _verified_scalar(sys: _RowSystem, x) -> bool:
+    """Reference verification, one row at a time."""
+    for r in range(sys.m):
+        activity = sum(a * x[j] for j, a in _terms(sys, r))
+        if activity > sys.upper[r] + _FEAS_TOL or activity < sys.lower[r] - _FEAS_TOL:
+            return False
+    return True
 
 
 # ----------------------------------------------------------------- strategy
@@ -150,7 +293,7 @@ class TestKernelEquivalence:
         lo_s, hi_s = lo.copy(), hi.copy()
 
         ok_vec = bb._propagate(rows, lo_v, hi_v, is_int)
-        ok_scalar = bb._propagate_scalar(rows, lo_s, hi_s, is_int)
+        ok_scalar = _propagate_scalar(rows, lo_s, hi_s, is_int)
 
         assert ok_vec == ok_scalar
         if ok_vec:
@@ -163,14 +306,14 @@ class TestKernelEquivalence:
         rows, c, lo, hi, _is_int = _matrices(model)
         expected = sum(cj * (lo[j] if cj > 0 else hi[j]) for j, cj in enumerate(c) if cj)
         assert bb._box_bound(rows, lo, hi) == pytest.approx(expected, abs=1e-9)
-        assert bb._box_bound_scalar(rows, lo, hi) == pytest.approx(expected, abs=1e-9)
+        assert _box_bound_scalar(rows, lo, hi) == pytest.approx(expected, abs=1e-9)
 
     @settings(max_examples=120, deadline=None)
     @given(integer_models(), st.randoms(use_true_random=False))
     def test_verified_matches_on_random_points(self, model, rng):
         rows, _c, lo, hi, _is_int = _matrices(model)
         x = np.array([float(rng.randint(int(l), int(h))) for l, h in zip(lo, hi)])
-        assert bb._verified(rows, x) == bb._verified_scalar(rows, x)
+        assert bb._verified(rows, x) == _verified_scalar(rows, x)
 
 
 # ---------------------------------------------------------------- soundness
@@ -265,7 +408,7 @@ class TestStaleActivityRegression:
         if kernel == "vectorized":
             ok = bb._propagate(rows, lo, hi, is_int)
         else:
-            ok = bb._propagate_scalar(rows, lo, hi, is_int)
+            ok = _propagate_scalar(rows, lo, hi, is_int)
         assert ok
         np.testing.assert_allclose(lo, [6.0, 0.0, 0.0])
         np.testing.assert_allclose(hi, [10.0, 4.0, 4.0])

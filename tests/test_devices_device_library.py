@@ -1,9 +1,8 @@
-"""Tests of devices, the device library and the ring-mixer model."""
+"""Tests of devices and the device library."""
 
 import pytest
 
 from repro.devices.device import Device, DeviceKind, DeviceLibrary, default_device_library
-from repro.devices.mixer import IO_VALVES, PUMP_VALVES, Mixer
 from repro.graph.sequencing_graph import OperationType
 
 
@@ -62,44 +61,3 @@ class TestDeviceLibrary:
         library = default_device_library(num_mixers=2)
         assert library.total_internal_valves() == 18
 
-
-class TestMixer:
-    def test_mixer_valve_inventory(self):
-        mixer = Mixer("m1")
-        assert mixer.internal_valve_count == 9
-        assert set(mixer.valves) == set(PUMP_VALVES + IO_VALVES)
-
-    def test_pumping_sequence_length(self):
-        mixer = Mixer("m1", pump_period_s=0.5)
-        events = mixer.pumping_sequence(3)
-        assert len(events) == 6
-        # Rotating actuation pattern.
-        assert [name for _, name in events[:3]] == list(PUMP_VALVES)
-
-    def test_actuations_for_mix(self):
-        mixer = Mixer("m1", pump_period_s=1.0)
-        assert mixer.actuations_for_mix(10) == 10
-
-    def test_negative_mix_time_rejected(self):
-        with pytest.raises(ValueError):
-            Mixer("m1").pumping_sequence(-5)
-
-    def test_invalid_pump_period(self):
-        with pytest.raises(ValueError):
-            Mixer("m1", pump_period_s=0)
-
-    def test_load_seal_drain_cycle(self):
-        mixer = Mixer("m1")
-        mixer.load_inputs(time=0.0)
-        assert mixer.valves["in_top"].is_open
-        assert mixer.valves["out_top"].is_closed
-        mixer.seal(time=1.0)
-        assert all(mixer.valves[name].is_closed for name in IO_VALVES)
-        mixer.drain(time=2.0)
-        assert mixer.valves["out_top"].is_open
-        assert mixer.valves["in_top"].is_closed
-
-    def test_mixer_is_a_device(self):
-        mixer = Mixer("m1")
-        assert mixer.kind is DeviceKind.MIXER
-        assert mixer.supports(OperationType.MIX)

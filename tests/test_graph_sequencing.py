@@ -76,9 +76,8 @@ class TestGraphQueries:
         assert order.index("o2") < order.index("o4")
         assert order.index("o3") < order.index("o4")
 
-    def test_ancestors_and_descendants(self, diamond_graph):
+    def test_ancestors(self, diamond_graph):
         assert diamond_graph.ancestors("o4") == {"o1", "o2", "o3", "i1", "i2"}
-        assert diamond_graph.descendants("o1") == {"o2", "o3", "o4"}
 
     def test_total_duration(self, diamond_graph):
         assert diamond_graph.total_duration() == 240
@@ -88,12 +87,6 @@ class TestGraphQueries:
         clone.add_mix("o99", 10)
         assert "o99" not in diamond_graph
         assert len(clone.edges()) == len(diamond_graph.edges())
-
-    def test_subgraph_without_inputs(self, diamond_graph):
-        sub = diamond_graph.subgraph_without_inputs()
-        assert len(sub) == 4
-        assert not sub.input_operations()
-        assert ("o1", "o2") in sub.edges()
 
     def test_iter_topological_yields_operations(self, chain_graph):
         ops = list(chain_graph.iter_topological())

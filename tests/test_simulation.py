@@ -52,12 +52,6 @@ class TestSimulationRun:
         for value in result.segment_utilization().values():
             assert 0.0 <= value <= 1.0
 
-    def test_events_at(self, simulation):
-        _, result = simulation
-        if result.events:
-            first = result.events[0]
-            assert first in result.events_at(first.time)
-
 
 class TestSnapshots:
     def test_snapshot_reports_active_devices(self, simulation, pcr_result):

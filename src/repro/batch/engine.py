@@ -177,6 +177,23 @@ def _detached_failure(exc: BaseException) -> BaseException:
     return clone
 
 
+def _graph_fingerprints(jobs: Sequence[BatchJob]) -> List[str]:
+    """Each job's :func:`graph_fingerprint`, one canonicalization per graph.
+
+    Manifest jobs built from one spec share a graph object (a sweep's points
+    all do), so the memo is keyed by identity; ``jobs`` keeps every graph
+    alive for the call, so no id is reused.
+    """
+    memo: Dict[int, str] = {}
+    fingerprints = []
+    for job in jobs:
+        key = id(job.graph)
+        if key not in memo:
+            memo[key] = graph_fingerprint(job.graph)
+        fingerprints.append(memo[key])
+    return fingerprints
+
+
 @dataclass
 class _PendingJob:
     """Book-keeping for one job that was not fully resolved up front."""
@@ -302,8 +319,7 @@ class BatchSynthesisEngine:
         stage failure.
         """
         pending: List[_PendingJob] = []
-        for index, job in enumerate(jobs):
-            fingerprint = graph_fingerprint(job.graph)
+        for index, (job, fingerprint) in enumerate(zip(jobs, _graph_fingerprints(jobs))):
             pending.append(
                 _PendingJob(
                     index=index,
@@ -341,10 +357,9 @@ class BatchSynthesisEngine:
         # duplicates are aliases of the first.
         pending: List[_PendingJob] = []
         aliases: Dict[str, List[Tuple[int, BatchJob]]] = {}
-        for index, job in enumerate(jobs):
-            # One canonicalization per job: the fingerprint feeds both the
+        for index, (job, fingerprint) in enumerate(zip(jobs, _graph_fingerprints(jobs))):
+            # One canonicalization per graph: the fingerprint feeds both the
             # run-level key and (for misses) the stage plan.
-            fingerprint = graph_fingerprint(job.graph)
             run_key = cache_key(job.graph, job.config, graph_hash=fingerprint)
             if run_key in aliases:
                 # Intra-batch duplicate of a job already planned: it never

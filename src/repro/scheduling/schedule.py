@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.devices.device import DeviceLibrary
 from repro.graph.sequencing_graph import SequencingGraph
@@ -124,16 +124,6 @@ class Schedule:
             self._entries[parent_id].device_id is not None
             and self._entries[parent_id].device_id == self._entries[child_id].device_id
         )
-
-    def device_busy_between(self, device_id: str, start: int, end: int, exclude: Iterable[str] = ()) -> bool:
-        """True when another operation runs on ``device_id`` inside ``(start, end)``."""
-        excluded = set(exclude)
-        for entry in self.device_entries(device_id):
-            if entry.op_id in excluded:
-                continue
-            if entry.start < end and start < entry.end:
-                return True
-        return False
 
     # ------------------------------------------------------------ validation
     def validate(self) -> List[str]:

@@ -17,8 +17,9 @@ extraction here handles both.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.devices.channel import FluidSample
 from repro.scheduling.schedule import Schedule
@@ -91,6 +92,19 @@ class StorageRequirement:
         return self.start < other.end and other.start < self.end
 
 
+def _device_timelines(schedule: Schedule) -> Dict[str, Tuple[List[int], List[int]]]:
+    """Per device: its operations' start times in order, and the running
+    maximum of their end times (``max_ends[i]`` covers ``starts[:i + 1]``)."""
+    timelines: Dict[str, Tuple[List[int], List[int]]] = {}
+    for entry in schedule.entries():
+        if entry.device_id is None:
+            continue
+        starts, max_ends = timelines.setdefault(entry.device_id, ([], []))
+        starts.append(entry.start)
+        max_ends.append(max(entry.end, max_ends[-1]) if max_ends else entry.end)
+    return timelines
+
+
 def extract_transport_tasks(schedule: Schedule) -> List[TransportTask]:
     """Derive all transportation tasks implied by a schedule.
 
@@ -104,8 +118,14 @@ def extract_transport_tasks(schedule: Schedule) -> List[TransportTask]:
       not spent on the two transports;
     * same-device edge without intervening work: no task (the product waits
       inside the device).
+
+    An operation intervenes exactly when it starts before ``child.start``
+    and ends after ``parent.end``.  Neither endpoint can pass that test
+    itself, so one bisection into the device's start-sorted timeline and
+    one comparison against the running maximum end time decide it.
     """
     uc = schedule.transport_time
+    timelines = _device_timelines(schedule)
     tasks: List[TransportTask] = []
     for parent_id, child_id in schedule.graph.device_edges():
         if parent_id not in schedule or child_id not in schedule:
@@ -133,11 +153,11 @@ def extract_transport_tasks(schedule: Schedule) -> List[TransportTask]:
                     storage_duration=storage_duration,
                 )
             )
-        else:
+        elif gap > 0:
             device_id = parent.device_id
-            if gap > 0 and schedule.device_busy_between(
-                device_id, parent.end, child.start, exclude=(parent_id, child_id)
-            ):
+            starts, max_ends = timelines[device_id]
+            before = bisect_left(starts, child.start)
+            if before and max_ends[before - 1] > parent.end:
                 transports = min(gap, 2 * uc)
                 tasks.append(
                     TransportTask(
@@ -154,36 +174,28 @@ def extract_transport_tasks(schedule: Schedule) -> List[TransportTask]:
     return sorted(tasks, key=lambda t: (t.depart_time, t.task_id))
 
 
-def storage_requirements(schedule: Schedule) -> List[StorageRequirement]:
-    """Storage intervals implied by the schedule (one per caching task).
+def requirements_of(tasks: List[TransportTask], transport_time: int) -> List[StorageRequirement]:
+    """Storage intervals of the caching tasks among ``tasks``, in task order.
 
     The cache window starts once the sample has been transported away from
     its producer (``depart + u_c``) and ends when it must start moving toward
     its consumer (``arrive - u_c``), clamped to a non-empty sensible window
     for short gaps.
     """
-    uc = schedule.transport_time
     requirements: List[StorageRequirement] = []
-    for task in extract_transport_tasks(schedule):
+    for task in tasks:
         if not task.needs_storage:
             continue
-        start = task.depart_time + min(uc, task.duration // 2)
-        end = max(start, task.arrive_time - min(uc, task.duration // 2))
+        start = task.depart_time + min(transport_time, task.duration // 2)
+        end = max(start, task.arrive_time - min(transport_time, task.duration // 2))
         if end == start:
             end = start + 1  # zero-length cache still occupies a cell/segment briefly
         requirements.append(StorageRequirement(sample=task.sample, start=start, end=end))
     return requirements
 
 
-def peak_storage_demand(schedule: Schedule) -> int:
-    """Maximum number of samples stored simultaneously.
-
-    This is the capacity a dedicated storage unit would need for this
-    schedule (the "required storage capacity" of the paper's Fig. 2), and the
-    number of channel segments that must be simultaneously devoted to caching
-    in the distributed architecture.
-    """
-    requirements = storage_requirements(schedule)
+def peak_of(requirements: List[StorageRequirement]) -> int:
+    """Maximum number of ``requirements`` cached at the same time."""
     events: List[Tuple[int, int]] = []
     for req in requirements:
         events.append((req.start, 1))
@@ -196,14 +208,25 @@ def peak_storage_demand(schedule: Schedule) -> int:
     return peak
 
 
+def storage_requirements(schedule: Schedule) -> List[StorageRequirement]:
+    """Storage intervals implied by the schedule (one per caching task)."""
+    return requirements_of(extract_transport_tasks(schedule), schedule.transport_time)
+
+
+def peak_storage_demand(schedule: Schedule) -> int:
+    """Maximum number of samples stored simultaneously.
+
+    This is the capacity a dedicated storage unit would need for this
+    schedule (the "required storage capacity" of the paper's Fig. 2), and the
+    number of channel segments that must be simultaneously devoted to caching
+    in the distributed architecture.
+    """
+    return peak_of(storage_requirements(schedule))
+
+
 def total_storage_time(schedule: Schedule) -> int:
     """Sum of all cache durations — the quantity the paper's objective (6) minimizes."""
     return sum(req.duration for req in storage_requirements(schedule))
-
-
-def transport_count(schedule: Schedule) -> int:
-    """Number of transportation tasks (store + fetch movements count once each)."""
-    return len(extract_transport_tasks(schedule))
 
 
 def cross_device_gap_sum(schedule: Schedule) -> int:

@@ -7,10 +7,9 @@ from typing import Dict, Tuple
 
 from repro.scheduling.transport import (
     cross_device_gap_sum,
-    peak_storage_demand,
-    storage_requirements,
-    total_storage_time,
-    transport_count,
+    extract_transport_tasks,
+    peak_of,
+    requirements_of,
 )
 from repro.synthesis.flow import SynthesisResult
 
@@ -69,6 +68,8 @@ def collect_metrics(result: SynthesisResult) -> FlowMetrics:
     """Derive all evaluation metrics from a :class:`SynthesisResult`."""
     schedule = result.schedule
     architecture = result.architecture
+    tasks = extract_transport_tasks(schedule)
+    requirements = requirements_of(tasks, schedule.transport_time)
     return FlowMetrics(
         assay=result.graph.name,
         num_operations=len(result.graph.device_operations()),
@@ -84,10 +85,10 @@ def collect_metrics(result: SynthesisResult) -> FlowMetrics:
         physical_time_s=result.physical_time_s,
         edge_ratio=architecture.edge_ratio(),
         valve_ratio=architecture.valve_ratio(),
-        num_transport_tasks=transport_count(schedule),
-        num_storage_requirements=len(storage_requirements(schedule)),
-        peak_storage=peak_storage_demand(schedule),
-        total_storage_time=total_storage_time(schedule),
+        num_transport_tasks=len(tasks),
+        num_storage_requirements=len(requirements),
+        peak_storage=peak_of(requirements),
+        total_storage_time=sum(req.duration for req in requirements),
         cross_device_gap=cross_device_gap_sum(schedule),
         scheduler_engine=result.scheduler_engine,
         synthesis_engine=result.synthesis_engine,

@@ -82,11 +82,6 @@ class TestScheduleQueries:
         fill_valid(empty_schedule)
         assert empty_schedule.is_complete()
 
-    def test_device_busy_between(self, empty_schedule):
-        fill_valid(empty_schedule)
-        assert empty_schedule.device_busy_between("mixer1", 60, 140, exclude=("o1", "o4"))
-        assert not empty_schedule.device_busy_between("mixer2", 0, 70)
-
     def test_as_table(self, empty_schedule):
         fill_valid(empty_schedule)
         rows = empty_schedule.as_table()

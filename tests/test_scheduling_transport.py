@@ -11,7 +11,6 @@ from repro.scheduling.transport import (
     peak_storage_demand,
     storage_requirements,
     total_storage_time,
-    transport_count,
 )
 from repro.devices.channel import FluidSample
 
@@ -107,7 +106,7 @@ class TestStorageAnalysis:
         assert total_storage_time(schedule) > 0
 
     def test_transport_count(self, schedule):
-        assert transport_count(schedule) == 2
+        assert len(extract_transport_tasks(schedule)) == 2
 
     def test_cross_device_gap_sum(self, schedule):
         # o1->o3 gap 70, o2->o4 gap 80.

@@ -16,6 +16,8 @@ import time
 import pytest
 
 from repro.batch.cache import ResultCache
+from repro.batch.engine import BatchSynthesisEngine
+from repro.batch.jobs import manifest_jobs
 from repro.keys import derive_job_id
 from repro.service import (
     ServiceClient,
@@ -488,6 +490,24 @@ class TestServiceEndToEnd:
             for name in ("schedule", "archsyn", "physical"):
                 assert stages[name]["ran"] == 0
                 assert stages[name]["replayed"] == 1
+
+    def test_result_metrics_equal_the_engine_payload(self, tmp_path):
+        # The engine fills a disk cache first; the service replays every
+        # stage from it, so even the stage timings inside the metrics match.
+        manifest = {
+            "defaults": {"ilp_operation_limit": 0},
+            "jobs": [{"assay": "PCR"}, {"assay": "CPA"}],
+        }
+        cache_dir = tmp_path / "cache"
+        engine = BatchSynthesisEngine(cache=ResultCache(cache_dir=cache_dir))
+        expected = engine.run(manifest_jobs(manifest)).to_json_payload()
+        with ServiceUnderTest(workers=1, cache_dir=cache_dir) as running:
+            job_id = running.client.submit(manifest)
+            assert running.client.wait(job_id, timeout=60)["status"] == "done"
+            result = running.client.result(job_id)
+        assert [row["metrics"] for row in result["jobs"]] == [
+            row["metrics"] for row in expected["jobs"]
+        ]
 
     def test_submit_after_shutdown_is_rejected(self):
         running = ServiceUnderTest(workers=1)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.graph.library import build_pcr
+from repro.graph.library import assay_by_name, build_pcr
 from repro.synthesis.config import FlowConfig, SchedulerEngine, SynthesisEngine
 from repro.synthesis.flow import build_library, synthesize
 from repro.synthesis.metrics import collect_metrics
@@ -98,6 +98,35 @@ class TestMetricsAndReport:
         row = format_table2_row(metrics)
         assert "Assay" in header
         assert metrics.assay in row
+
+    #: (assay, scheduler) -> (transports, storages, peak_storage,
+    #: total_storage_time, cross_device_gap) on the paper's per-assay
+    #: defaults with a 20 s ILP cap.
+    STORAGE_PINS = {
+        ("RA30", SchedulerEngine.LIST): (9, 9, 5, 701, 130),
+        ("IVD", SchedulerEngine.LIST): (6, 0, 0, 0, 60),
+        ("PCR", SchedulerEngine.LIST): (3, 2, 2, 190, 160),
+        ("CPA", SchedulerEngine.LIST): (45, 22, 16, 7350, 2260),
+        ("RA70", SchedulerEngine.LIST): (15, 13, 6, 2681, 2690),
+        ("RA100", SchedulerEngine.LIST): (28, 24, 10, 8860, 6630),
+        ("IVD", SchedulerEngine.ILP): (6, 0, 0, 0, 60),
+        ("PCR", SchedulerEngine.ILP): (3, 2, 2, 120, 10),
+    }
+
+    @pytest.mark.parametrize(
+        "assay,scheduler",
+        list(STORAGE_PINS),
+        ids=[f"{assay}-{scheduler.value}" for assay, scheduler in STORAGE_PINS],
+    )
+    def test_storage_metrics_are_pinned(self, assay, scheduler):
+        config = FlowConfig.paper_defaults_for(assay)
+        config.scheduler = scheduler
+        config.ilp_time_limit_s = 20.0
+        metrics = collect_metrics(synthesize(assay_by_name(assay), config))
+        data = metrics.as_dict()
+        measured = (data["transports"], data["storages"], data["peak_storage"],
+                    metrics.total_storage_time, metrics.cross_device_gap)
+        assert measured == self.STORAGE_PINS[(assay, scheduler)]
 
     def test_result_report_mentions_key_sections(self, pcr_result):
         report = result_report(pcr_result)

@@ -223,10 +223,7 @@ class ResultCache:
     def get(self, key: str) -> Optional[Any]:
         """Look ``key`` up through the tier chain; ``None`` on a miss."""
         if key in self._memory:
-            self._memory.move_to_end(key)
-            self.stats.memory_hits += 1
-            obs_metrics.cache_hits_counter().inc(tier="memory")
-            return self._memory[key]
+            return self._memory_hit(key)
         for tier in self.tiers:
             with obs_span("cache:get", category="cache", tier=tier.kind) as tier_span:
                 value = tier.get(key)
@@ -239,8 +236,19 @@ class ResultCache:
                 obs_metrics.cache_hits_counter().inc(tier=tier.kind)
                 self._store_memory(key, value)
                 return value
-        self.stats.misses += 1
-        obs_metrics.cache_misses_counter().inc()
+        self._count_miss()
+        return None
+
+    def get_memory(self, key: str) -> Optional[Any]:
+        """Look ``key`` up in the memory tier only; ``None`` on a miss.
+
+        For entries stored with ``put(..., disk=False)`` (run-level result
+        views), which no durable tier ever holds: asking one would only
+        cost a disk probe or a daemon round trip.  Counts like :meth:`get`.
+        """
+        if key in self._memory:
+            return self._memory_hit(key)
+        self._count_miss()
         return None
 
     def put(self, key: str, value: Any, disk: bool = True) -> None:
@@ -328,6 +336,16 @@ class ResultCache:
         return len(self._memory)
 
     # -------------------------------------------------------------- internals
+    def _memory_hit(self, key: str) -> Any:
+        self._memory.move_to_end(key)
+        self.stats.memory_hits += 1
+        obs_metrics.cache_hits_counter().inc(tier="memory")
+        return self._memory[key]
+
+    def _count_miss(self) -> None:
+        self.stats.misses += 1
+        obs_metrics.cache_misses_counter().inc()
+
     def _store_memory(self, key: str, value: Any) -> None:
         self._memory[key] = value
         self._memory.move_to_end(key)

@@ -28,9 +28,10 @@ import http.client
 import json
 import os
 import socket
+import threading
 import uuid
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.batch.cache_backends.base import (
     CacheBackend,
@@ -45,6 +46,38 @@ from repro.obs.trace import TRACE_HEADER, current_context
 #: Default lease on a cross-process claim; a claimant that neither
 #: publishes nor releases within the lease is presumed dead and taken over.
 DEFAULT_LEASE_S = 300.0
+
+#: Idle daemon connections one tier keeps for reuse; a connection returned
+#: beyond this is closed.
+MAX_IDLE_CONNECTIONS = 8
+
+
+def send_request(
+    connection: http.client.HTTPConnection,
+    method: str,
+    path: str,
+    body: Optional[bytes],
+    headers: Dict[str, str],
+) -> http.client.HTTPResponse:
+    """Send one request on a keep-alive connection; the response, unread.
+
+    When a connection that already carried a request fails before any
+    response byte arrives, the server closed it while it sat idle (a
+    restart, or its shutdown) and never saw the request, so the request
+    is sent once more on a fresh connection.  Any other failure
+    propagates; the caller closes ``connection``.
+    """
+    reused = connection.sock is not None
+    try:
+        connection.request(method, path, body=body, headers=headers)
+        return connection.getresponse()
+    except ConnectionError:
+        if not reused:
+            raise
+    # http.client opens a fresh socket on the next request after close().
+    connection.close()
+    connection.request(method, path, body=body, headers=headers)
+    return connection.getresponse()
 
 
 def parse_cache_addr(addr: str) -> Tuple[str, int]:
@@ -70,8 +103,9 @@ class ClaimOutcome:
     * ``"granted"`` — this process owns the claim and must compute the
       value (``takeover`` marks grants that displaced an expired lease);
     * ``"present"`` — the value is already in the shared store, just read it;
-    * ``"claimed"`` — another live process holds the claim; poll again in
-      at most ``retry_after_s`` seconds;
+    * ``"claimed"`` — another live process holds the claim, whose lease
+      has ``retry_after_s`` seconds left; ask again (a held ask returns
+      as soon as the claim ends);
     * ``"unavailable"`` — the daemon could not be reached; degrade to
       process-local single-flight and compute.
 
@@ -90,9 +124,12 @@ class ClaimOutcome:
 class SharedCacheTier(CacheTier):
     """Key-value + claim client speaking to one ``repro cache-daemon``.
 
-    One short-lived connection per request (the daemon, like the synthesis
-    service, closes after every response), so the tier is safe to call from
-    any number of threads without pooling or locking.
+    Requests go over keep-alive connections kept in a small idle list:
+    a call takes one (or opens one), and returns it after a complete
+    response.  The list is shared under a lock, not kept per thread: the
+    service's job threads live for one submission each, so per-thread
+    connections would never be reused.  The tier is safe to call from any
+    number of threads; :meth:`close` closes the idle connections.
     """
 
     kind = "shared"
@@ -106,6 +143,8 @@ class SharedCacheTier(CacheTier):
         #: Stable claim-owner identity of this process; the daemon uses it
         #: to make claim/release idempotent per owner.
         self.owner = f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:8]}"
+        self._idle: List[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
 
     # ------------------------------------------------------------------- tier
     def get(self, key: str) -> Optional[Any]:
@@ -140,16 +179,30 @@ class SharedCacheTier(CacheTier):
         self._request("POST", "/clear")
         self._clean.clear()
 
+    def close(self) -> None:
+        """Close the idle pooled connections."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
     # ------------------------------------------------------------------ claims
-    def claim(self, key: str, lease_s: float = DEFAULT_LEASE_S) -> ClaimOutcome:
+    def claim(
+        self, key: str, lease_s: float = DEFAULT_LEASE_S, wait_s: float = 0.0
+    ) -> ClaimOutcome:
         """Try to acquire the cross-process claim on ``key``.
 
         Re-claiming a key this owner already holds refreshes the lease and
         is granted again — which is what lets a process-local takeover
         (original thread presumed dead, same process) inherit the remote
-        claim without a round of lease expiry.
+        claim without a round of lease expiry.  A positive ``wait_s`` asks
+        the daemon to hold a ``claimed`` answer until the claim ends, for
+        at most ``wait_s`` seconds, capped at half the request timeout.
         """
-        payload = json.dumps({"owner": self.owner, "lease_s": lease_s}).encode("utf-8")
+        request = {"owner": self.owner, "lease_s": lease_s}
+        if wait_s > 0:
+            request["wait_s"] = min(wait_s, self.request_timeout_s / 2)
+        payload = json.dumps(request).encode("utf-8")
         status, body = self._request("POST", f"/claim/{key}", body=payload)
         if status != 200 or body is None:
             return ClaimOutcome(state="unavailable")
@@ -179,27 +232,44 @@ class SharedCacheTier(CacheTier):
     ) -> Tuple[Optional[int], Optional[bytes]]:
         """One request/response; ``(None, None)`` on any transport failure.
 
+        A pooled connection the daemon closed while idle gets the one
+        fresh-connection retry of :func:`send_request`: every daemon
+        endpoint is idempotent per owner (a re-claim refreshes the lease,
+        ``PUT`` overwrites, release is owner-checked).
+
         When the calling context is tracing, the request carries the active
         span context in the :data:`TRACE_HEADER` header — on claim requests
         the daemon stores it with the claim record and echoes it to waiting
         replicas, which links a cross-replica claim wait to the claimant's
         trace.
         """
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.request_timeout_s
-        )
         headers = {}
         ctx = current_context()
         if ctx is not None:
             headers[TRACE_HEADER] = ctx.serialize()
+        with self._idle_lock:
+            connection = self._idle.pop() if self._idle else None
+        if connection is None:
+            connection = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.request_timeout_s
+            )
         try:
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            return response.status, response.read()
+            response = send_request(connection, method, path, body, headers)
+            data = response.read()
         except (OSError, http.client.HTTPException):
+            connection.close()
             return None, None
-        finally:
-            conn.close()
+        with self._idle_lock:
+            # A socket-less connection is one the daemon closed after this
+            # response; it is not worth keeping.
+            pooled = (
+                connection.sock is not None and len(self._idle) < MAX_IDLE_CONNECTIONS
+            )
+            if pooled:
+                self._idle.append(connection)
+        if not pooled:
+            connection.close()
+        return response.status, data
 
 
 class SharedBackend(CacheBackend):

@@ -13,10 +13,15 @@ extend single-flight semantics across processes:
 * ``POST /claim/{key}`` — claim arbitration.  The reply is ``present``
   when the value already exists, ``granted`` when the caller may compute
   (with ``takeover: true`` when it displaced an expired lease), or
-  ``claimed`` with a ``retry_after_s`` hint while another live owner
-  holds the claim.  A claim carries a lease; an owner that neither
-  publishes nor releases within it is presumed dead, so a crashed replica
-  delays its waiters by at most one lease.
+  ``claimed`` with ``retry_after_s`` (the seconds left on the holder's
+  lease) while another live owner holds the claim.  A claim carries a
+  lease; an owner that neither publishes nor releases within it is
+  presumed dead, so a crashed replica delays its waiters by at most one
+  lease.  A claim body with a positive ``wait_s`` is *held* while the key
+  stays claimed by a live owner: the answer goes out when the key is
+  published, released or cleared, when the lease expires (a takeover
+  grant), after ``wait_s`` seconds, or at shutdown — so a waiting replica
+  learns of the publish at once instead of at its next poll.
 * ``POST /release/{key}`` — voluntary release (owner-checked, idempotent).
 * ``GET /stats``, ``GET /metrics`` (Prometheus text exposition),
   ``GET /healthz``, ``POST /clear``, ``POST /shutdown``.
@@ -31,8 +36,9 @@ process metrics registry (:class:`DaemonStats` is a view over it), which
 Everything runs on the event-loop thread — requests are tiny and the store
 is in memory, so there are no worker threads and no locks.  Like the
 synthesis service, the daemon reuses the hand-rolled HTTP framing of
-:mod:`repro.service.http` (one request per connection) and binds loopback
-by default: entries are pickles, so only trusted replicas may reach it.
+:mod:`repro.service.http` (keep-alive connections, so a replica's pooled
+connections each carry many requests) and binds loopback by default:
+entries are pickles, so only trusted replicas may reach it.
 """
 
 from __future__ import annotations
@@ -42,8 +48,8 @@ import re
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional, Tuple
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.logs import get_logger
@@ -51,10 +57,11 @@ from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from repro.obs.trace import TRACE_HEADER
 from repro.service.http import (
     MAX_BODY_BYTES,
+    Connections,
     HttpError,
+    RawBody,
     Request,
-    read_request,
-    response_bytes,
+    Routed,
 )
 
 _LOG = get_logger("cachedaemon")
@@ -93,12 +100,15 @@ class _Claim:
 
     ``trace`` is the claimant's serialized span context (when it sent one),
     echoed to waiting replicas so their claim-wait spans can reference the
-    trace doing the work.
+    trace doing the work.  ``ended`` is set when the record stops being the
+    key's claim (published, released, replaced or cleared) or the daemon
+    shuts down; held claim requests wait on it.
     """
 
     owner: str
     deadline: float = 0.0
     trace: Optional[str] = None
+    ended: asyncio.Event = field(default_factory=asyncio.Event)
 
 
 class DaemonStats:
@@ -174,6 +184,7 @@ class CacheDaemon:
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown_event: Optional[asyncio.Event] = None
         self._started_at: Optional[float] = None
+        self._connections = Connections()
 
     # ------------------------------------------------------------- lifecycle
     async def start(self) -> None:
@@ -201,6 +212,9 @@ class CacheDaemon:
             await self._shutdown_event.wait()
         finally:
             self._server.close()
+            for claim in self._claims.values():
+                claim.ended.set()  # held claim requests answer now
+            await self._connections.close()
             await self._server.wait_closed()
             _LOG.info("cache daemon stopped")
 
@@ -218,91 +232,64 @@ class CacheDaemon:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Serve one request on one connection, then close it."""
-        after_send: Optional[Callable[[], None]] = None
-        try:
-            try:
-                request = await read_request(
-                    reader, max_body_bytes=self.config.max_body_bytes
-                )
-                if request is None:
-                    return
-                response, after_send = self._route(request)
-            except HttpError as exc:
-                response = response_bytes(exc.status, {"error": exc.message})
-            except Exception as exc:  # noqa: BLE001 - never kill the listener
-                response = response_bytes(
-                    500, {"error": f"{type(exc).__name__}: {exc}"}
-                )
-            writer.write(response)
-            await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            raise
-        except Exception:  # noqa: BLE001 - a broken transport is not fatal
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            if after_send is not None:
-                after_send()
+        """Serve the requests of one keep-alive connection."""
+        await self._connections.serve(
+            reader, writer, self._route, max_body_bytes=self.config.max_body_bytes
+        )
 
-    def _route(
-        self, request: Request
-    ) -> Tuple[bytes, Optional[Callable[[], None]]]:
-        """Dispatch one request; returns the serialized response."""
+    async def _route(self, request: Request) -> Routed:
+        """Dispatch one request: status, payload and an after-send callback."""
         method, path = request.method, request.path.rstrip("/") or "/"
         if path == "/healthz" and method == "GET":
-            return response_bytes(200, self._healthz_payload()), None
+            return 200, self._healthz_payload(), None
         if path == "/stats" and method == "GET":
-            return response_bytes(200, self._stats_payload()), None
+            return 200, self._stats_payload(), None
         if path == "/metrics" and method == "GET":
             self._update_gauges()
             return (
-                response_bytes(
-                    200,
-                    raw=render_prometheus().encode("utf-8"),
-                    content_type=PROMETHEUS_CONTENT_TYPE,
-                ),
+                200,
+                RawBody(render_prometheus().encode("utf-8"), PROMETHEUS_CONTENT_TYPE),
                 None,
             )
         if path == "/shutdown" and method == "POST":
             # The response is written before shutdown fires, so the
             # requesting client always hears the acknowledgement.
-            return (
-                response_bytes(202, {"status": "shutting down"}),
-                self.request_shutdown,
-            )
+            return 202, {"status": "shutting down"}, self.request_shutdown
         if path == "/clear" and method == "POST":
             self._store.clear()
-            self._claims.clear()
-            return response_bytes(200, {"status": "cleared"}), None
+            for key in list(self._claims):
+                self._drop_claim(key)
+            return 200, {"status": "cleared"}, None
         if path.startswith("/kv/"):
-            return self._kv_endpoint(method, path[len("/kv/"):], request), None
+            return (*self._kv_endpoint(method, path[len("/kv/"):], request), None)
         if path.startswith("/claim/"):
-            return self._claim_endpoint(method, path[len("/claim/"):], request), None
+            return (
+                *await self._claim_endpoint(method, path[len("/claim/"):], request),
+                None,
+            )
         if path.startswith("/release/"):
             return (
-                self._release_endpoint(method, path[len("/release/"):], request),
+                *self._release_endpoint(method, path[len("/release/"):], request),
                 None,
             )
         raise HttpError(404, f"no such endpoint: {method} {request.path}")
 
-    def _kv_endpoint(self, method: str, key: str, request: Request) -> bytes:
+    def _kv_endpoint(self, method: str, key: str, request: Request) -> Tuple[int, Any]:
         """``GET``/``HEAD``/``PUT /kv/{key}``: the raw-envelope store."""
         key = self._check_key(key)
         if method in ("GET", "HEAD"):
             self.stats.inc("gets")
             data = self._store.get(key)
             if data is None:
-                return response_bytes(404, {"error": f"no such key: {key}"})
+                # A HEAD answer carries no body: the client reads none, and
+                # a stray body would corrupt the next response on the
+                # connection.
+                return 404, None if method == "HEAD" else {"error": f"no such key: {key}"}
             self.stats.inc("hits")
             self._store.move_to_end(key)
-            if method == "HEAD":
-                return response_bytes(200, raw=b"", content_type="application/octet-stream")
-            return response_bytes(200, raw=data, content_type="application/octet-stream")
+            return 200, RawBody(
+                data if method == "GET" else b"", "application/octet-stream"
+            )
         if method == "PUT":
             if not request.body:
                 raise HttpError(400, "PUT /kv/{key} requires a non-empty body")
@@ -313,13 +300,20 @@ class CacheDaemon:
                 self._store.popitem(last=False)
                 self.stats.inc("evictions")
             # Publishing the value is the definitive release: every replica
-            # polling the claim now sees "present" and just reads.
-            self._claims.pop(key, None)
-            return response_bytes(200, {"status": "stored"})
+            # waiting on the claim now sees "present" and just reads.
+            self._drop_claim(key)
+            return 200, {"status": "stored"}
         raise HttpError(405, f"{method} not supported on /kv/{{key}}")
 
-    def _claim_endpoint(self, method: str, key: str, request: Request) -> bytes:
-        """``POST /claim/{key}``: single-flight claim arbitration."""
+    async def _claim_endpoint(
+        self, method: str, key: str, request: Request
+    ) -> Tuple[int, Any]:
+        """``POST /claim/{key}``: single-flight claim arbitration.
+
+        A positive ``wait_s`` in the body holds a ``claimed`` answer for up
+        to that many seconds, re-deciding whenever the holder's record ends
+        or its lease runs out.
+        """
         if method != "POST":
             raise HttpError(405, f"{method} not supported on /claim/{{key}}")
         key = self._check_key(key)
@@ -331,40 +325,57 @@ class CacheDaemon:
         if not isinstance(lease_s, (int, float)) or lease_s <= 0:
             lease_s = self.config.default_lease_s
         lease_s = min(float(lease_s), MAX_LEASE_S)
+        wait_s = body.get("wait_s", 0.0)
+        if not isinstance(wait_s, (int, float)):
+            wait_s = 0.0  # answer at once, like a claim without a bound
+        hold_until = time.monotonic() + wait_s
 
-        if key in self._store:
-            self.stats.inc("claims_present")
-            return response_bytes(200, {"state": "present"})
-        now = time.monotonic()
-        claim = self._claims.get(key)
-        if claim is None or claim.owner == owner:
-            takeover = False
-        elif claim.deadline <= now:
-            # The lease ran out: the claimant is presumed dead, and the
-            # caller inherits the claim instead of waiting forever.
-            takeover = True
-            self.stats.inc("takeovers")
-            _LOG.warning(
-                "claim on %s taken over from expired owner %s", key[:16], claim.owner
-            )
-        else:
-            self.stats.inc("claims_denied")
-            answer = {
-                "state": "claimed",
-                "retry_after_s": round(claim.deadline - now, 3),
-            }
-            if claim.trace is not None:
-                answer["claimant_trace"] = claim.trace
-            return response_bytes(200, answer)
+        while True:
+            if key in self._store:
+                self.stats.inc("claims_present")
+                return 200, {"state": "present"}
+            now = time.monotonic()
+            claim = self._claims.get(key)
+            if claim is None or claim.owner == owner:
+                takeover = False
+                break
+            if claim.deadline <= now:
+                # The lease ran out: the claimant is presumed dead, and the
+                # caller inherits the claim instead of waiting forever.
+                takeover = True
+                self.stats.inc("takeovers")
+                _LOG.warning(
+                    "claim on %s taken over from expired owner %s",
+                    key[:16],
+                    claim.owner,
+                )
+                break
+            hold_s = min(hold_until, claim.deadline) - now
+            if hold_s <= 0 or self._shutdown_event.is_set():
+                self.stats.inc("claims_denied")
+                answer = {
+                    "state": "claimed",
+                    "retry_after_s": round(claim.deadline - now, 3),
+                }
+                if claim.trace is not None:
+                    answer["claimant_trace"] = claim.trace
+                return 200, answer
+            try:
+                await asyncio.wait_for(claim.ended.wait(), hold_s)
+            except asyncio.TimeoutError:
+                pass
+        self._drop_claim(key)
         self._claims[key] = _Claim(
             owner=owner,
             deadline=now + lease_s,
             trace=request.headers.get(TRACE_HEADER) or None,
         )
         self.stats.inc("claims_granted")
-        return response_bytes(200, {"state": "granted", "takeover": takeover})
+        return 200, {"state": "granted", "takeover": takeover}
 
-    def _release_endpoint(self, method: str, key: str, request: Request) -> bytes:
+    def _release_endpoint(
+        self, method: str, key: str, request: Request
+    ) -> Tuple[int, Any]:
         """``POST /release/{key}``: owner-checked voluntary claim release."""
         if method != "POST":
             raise HttpError(405, f"{method} not supported on /release/{{key}}")
@@ -373,10 +384,16 @@ class CacheDaemon:
         owner = body.get("owner") if isinstance(body, dict) else None
         claim = self._claims.get(key)
         if claim is not None and claim.owner == owner:
-            del self._claims[key]
+            self._drop_claim(key)
             self.stats.inc("releases")
-            return response_bytes(200, {"status": "released"})
-        return response_bytes(200, {"status": "ignored"})
+            return 200, {"status": "released"}
+        return 200, {"status": "ignored"}
+
+    def _drop_claim(self, key: str) -> None:
+        """Remove ``key``'s claim record, waking the requests held on it."""
+        claim = self._claims.pop(key, None)
+        if claim is not None:
+            claim.ended.set()
 
     def _healthz_payload(self) -> Any:
         """``GET /healthz``: liveness plus store gauges."""

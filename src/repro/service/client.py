@@ -1,9 +1,9 @@
 """Small blocking client for the synthesis service (stdlib ``http.client``).
 
 The counterpart of :mod:`repro.service.server` for scripts and tests: one
-class wrapping the four endpoints plus a poll-until-done helper.  Each call
-opens a fresh connection (the server closes connections after every
-response), so a client object is cheap, stateless, and safe to share.
+class wrapping the four endpoints plus a poll-until-done helper.  A client
+keeps one keep-alive connection, used by one call at a time under a lock,
+so a client object is cheap and safe to share between threads.
 
 >>> client = ServiceClient("127.0.0.1", 8642)
 >>> job_id = client.submit({"jobs": [{"assay": "PCR"}]})
@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 from typing import Any, Dict, Optional
 
+from repro.batch.cache_backends.shared import send_request
 from repro.obs.trace import TRACE_HEADER, current_context, recorder
 
 
@@ -36,6 +38,13 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._lock = threading.Lock()
+        self._connection = http.client.HTTPConnection(host, port, timeout=timeout)
+
+    def close(self) -> None:
+        """Close the kept connection (the next call opens a new one)."""
+        with self._lock:
+            self._connection.close()
 
     # ------------------------------------------------------------- endpoints
     def healthz(self) -> Dict[str, Any]:
@@ -107,26 +116,25 @@ class ServiceClient:
     def _request(
         self, method: str, path: str, body: Optional[Any] = None
     ) -> Dict[str, Any]:
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        try:
-            encoded = None
-            headers = {}
-            if body is not None:
-                encoded = json.dumps(body).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            ctx = current_context()
-            if ctx is not None:
-                # Propagate the active span context; the server parents the
-                # job's recorder on it, so the submission's remote work
-                # shows up in this process's exported trace.
-                headers[TRACE_HEADER] = ctx.serialize()
-            connection.request(method, path, body=encoded, headers=headers)
-            response = connection.getresponse()
-            raw = response.read()
-        finally:
-            connection.close()
+        encoded = None
+        headers = {}
+        if body is not None:
+            encoded = json.dumps(body).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        ctx = current_context()
+        if ctx is not None:
+            # Propagate the active span context; the server parents the
+            # job's recorder on it, so the submission's remote work
+            # shows up in this process's exported trace.
+            headers[TRACE_HEADER] = ctx.serialize()
+        with self._lock:
+            connection = self._connection
+            try:
+                response = send_request(connection, method, path, encoded, headers)
+                raw = response.read()
+            except BaseException:
+                connection.close()
+                raise
         try:
             payload = json.loads(raw.decode("utf-8")) if raw else {}
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -52,23 +52,16 @@ from repro.obs.trace import (
 )
 from repro.service.http import (
     MAX_BODY_BYTES,
+    Connections,
     HttpError,
+    RawBody,
     Request,
-    read_request,
-    response_bytes,
+    Routed,
 )
 from repro.service.singleflight import SingleFlightCache
 from repro.service.state import DONE, FAILED, JobRecord, JobRegistry
 
 _LOG = get_logger("service")
-
-
-@dataclass
-class _RawBody:
-    """A non-JSON response body (``GET /metrics``) with its content type."""
-
-    data: bytes
-    content_type: str
 
 
 def _submission_specs(payload: Any) -> List[Any]:
@@ -297,6 +290,7 @@ class SynthesisService:
         self._worker_tasks: List[asyncio.Task] = []
         self._stopping = False
         self._started_at: Optional[float] = None
+        self._connections = Connections()
 
     # ------------------------------------------------------------- lifecycle
     async def start(self) -> None:
@@ -351,6 +345,7 @@ class SynthesisService:
         self._stopping = True
         if self._server is not None:
             self._server.close()
+            await self._connections.close()
             await self._server.wait_closed()
         # Idle workers block on the queue; a sentinel per worker wakes them.
         for _ in self._worker_tasks:
@@ -506,45 +501,12 @@ class SynthesisService:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Serve one request on one connection, then close it."""
-        after_send: Optional[Callable[[], None]] = None
-        try:
-            try:
-                request = await read_request(
-                    reader, max_body_bytes=self.config.max_body_bytes
-                )
-                if request is None:
-                    return
-                status, payload, after_send = await self._route(request)
-            except HttpError as exc:
-                status, payload = exc.status, {"error": exc.message}
-            except Exception as exc:  # noqa: BLE001 - never kill the listener
-                status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-            if isinstance(payload, _RawBody):
-                writer.write(
-                    response_bytes(
-                        status, raw=payload.data, content_type=payload.content_type
-                    )
-                )
-            else:
-                writer.write(response_bytes(status, payload))
-            await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            raise
-        except Exception:  # noqa: BLE001 - a broken transport is not fatal
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            if after_send is not None:
-                after_send()
+        """Serve the requests of one keep-alive connection."""
+        await self._connections.serve(
+            reader, writer, self._route, max_body_bytes=self.config.max_body_bytes
+        )
 
-    async def _route(
-        self, request: Request
-    ) -> Tuple[int, Any, Optional[Callable[[], None]]]:
+    async def _route(self, request: Request) -> Routed:
         """Dispatch one request to its handler; raises :class:`HttpError`.
 
         A coroutine because submission building awaits a worker thread;
@@ -559,7 +521,7 @@ class SynthesisService:
             self._update_gauges()
             return (
                 200,
-                _RawBody(
+                RawBody(
                     render_prometheus().encode("utf-8"), PROMETHEUS_CONTENT_TYPE
                 ),
                 None,

@@ -24,10 +24,16 @@ same protocol extends **across processes**: a local miss-claim additionally
 negotiates with the cache daemon before computing.  ``granted`` means this
 process solves; ``present`` means another replica already published, just
 read it; ``claimed`` means another *live* replica is mid-solve — one
-thread per process polls (everyone else queues on the local claim event)
+thread per process re-asks (everyone else queues on the local claim event)
 until the value appears or the remote lease expires and the claim is taken
-over.  An unreachable daemon degrades to process-local single-flight; it
-never blocks or crashes a solve.
+over.  Each re-ask is *held* by the daemon until the claim ends, so the
+waiter learns of the publish at once; re-asks the daemon answers at once
+are paced to one per ``poll_interval_s``.  An unreachable daemon degrades
+to process-local single-flight; it never blocks or crashes a solve.
+
+Run-level keys (:meth:`SingleFlightCache.get_nowait` lookups and
+``put(..., disk=False)`` stores) never leave the process: they live in the
+memory tier only, so they are neither looked up nor released remotely.
 
 Whoever takes a claim with a ``get`` miss must release it: ``put`` on
 success, ``abandon`` on every other exit.  One caller takes claims: the
@@ -72,8 +78,9 @@ class SingleFlightCache:
         requested on cross-process claims.  Generous by default — a
         legitimate claimant is mid-solve — and short in tests.
     poll_interval_s:
-        How often the (single) polling thread re-asks the daemon about a
-        key another replica has claimed.
+        The shortest spacing between two re-asks of the (single) waiting
+        thread about a key another replica has claimed, for re-asks the
+        daemon answers without holding them.
     """
 
     def __init__(
@@ -166,16 +173,17 @@ class SingleFlightCache:
         return self._negotiate_shared_claim(key)
 
     def get_nowait(self, key: str) -> Optional[Any]:
-        """Plain thread-safe lookup: no claiming, no waiting.
+        """Thread-safe memory-tier lookup: no claiming, no waiting.
 
         Used by the batch engine for run-level keys, which stay held for a
         job's whole run — blocking on (or claiming) those from concurrent
         engines could chain into hold-and-wait cycles, and nothing waits on
-        them anyway.  Misses are simply misses; deduplication happens at
-        the stage keys.
+        them anyway.  They are stored memory-only, so no durable tier (and
+        no daemon) is asked.  Misses are simply misses; deduplication
+        happens at the stage keys.
         """
         with self._lock:
-            return self._inner.get(key)
+            return self._inner.get_memory(key)
 
     def put(self, key: str, value: Any, disk: bool = True) -> None:
         """Store ``value`` and release the claim on ``key`` (waking waiters).
@@ -183,12 +191,14 @@ class SingleFlightCache:
         Under a shared backend the write-through publish is itself the
         remote release (the daemon drops the claim when the value arrives);
         when that publish soft-failed, the claim is released explicitly so
-        other replicas stop waiting and compute.
+        other replicas stop waiting and compute.  A memory-only store
+        (``disk=False``, run-level keys) was never claimed remotely and
+        sends nothing.
         """
         with self._lock:
             self._inner.put(key, value, disk=disk)
             self._release(key)
-        if self._claims is not None and (not disk or not self._claims.is_clean(key)):
+        if self._claims is not None and disk and not self._claims.is_clean(key):
             self._claims.release(key)
 
     def abandon(self, key: str) -> None:
@@ -257,6 +267,10 @@ class SingleFlightCache:
         """
         present_misses = 0
         waiting_counted = False
+        # The first ask is answered at once; once another replica holds the
+        # claim, every re-ask carries a hold bound (the tier caps it below
+        # its request timeout) and the daemon answers when the claim ends.
+        wait_s = 0.0
         # The claim-wait span is opened lazily on the first "claimed" answer
         # and closed on whatever path ends the negotiation, so a wait on a
         # foreign replica's solve is one visible interval.  It carries the
@@ -266,7 +280,10 @@ class SingleFlightCache:
         wait_span = None
         try:
             while True:
-                outcome = self._claims.claim(key, lease_s=self._claim_timeout_s)
+                asked_at = time.monotonic()
+                outcome = self._claims.claim(
+                    key, lease_s=self._claim_timeout_s, wait_s=wait_s
+                )
                 if outcome.state in ("granted", "unavailable"):
                     with self._lock:
                         self._bump("claims")
@@ -293,9 +310,9 @@ class SingleFlightCache:
                             self._bump("claims")
                         return None
                     continue
-                # Another live replica holds the claim: poll until its put makes
-                # the key "present", its release/expiry grants it to us, or the
-                # daemon vanishes.
+                # Another live replica holds the claim: re-ask until its put
+                # makes the key "present", its release/expiry grants it to
+                # us, or the daemon vanishes.
                 if not waiting_counted:
                     with self._lock:
                         self._bump("claim_waits")
@@ -308,10 +325,14 @@ class SingleFlightCache:
                 claimant = getattr(outcome, "claimant_trace", None)
                 if claimant:
                     wait_span.set(claimant=claimant)
-                delay = self._poll_interval_s
-                if outcome.retry_after_s > 0:
-                    delay = min(delay, outcome.retry_after_s)
-                time.sleep(max(delay, 0.01))
+                if wait_s > 0:
+                    # A re-ask came back (held or not): never ask more often
+                    # than once per poll interval, so a daemon that answers
+                    # at once is not spun on.
+                    time.sleep(
+                        max(0.0, asked_at + self._poll_interval_s - time.monotonic())
+                    )
+                wait_s = self._claim_timeout_s
         finally:
             if wait_cm is not None:
                 wait_cm.__exit__(None, None, None)

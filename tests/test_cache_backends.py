@@ -7,6 +7,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 import pickle
 import socket
 import threading
@@ -16,6 +17,8 @@ import pytest
 
 from repro import keys
 from repro.batch.cache import ResultCache
+from repro.batch.engine import BatchSynthesisEngine
+from repro.batch.jobs import manifest_jobs
 from repro.batch.cache_backends import (
     cache_backend_names,
     get_cache_backend,
@@ -30,6 +33,7 @@ from repro.batch.cache_backends.base import (
 )
 from repro.batch.cache_backends.disk import DiskCacheTier
 from repro.batch.cache_backends.shared import (
+    ClaimOutcome,
     SharedCacheTier,
     parse_cache_addr,
 )
@@ -448,3 +452,161 @@ class TestCrossCacheSingleFlight:
         assert cache.inner.stats.claims == 1
         cache.put(KEY_A, {"v": 1})  # soft write-through failure
         assert cache.get(KEY_A) == {"v": 1}  # memory tier still serves
+
+
+def held_claim(tier, key, wait_s=4.0):
+    """Start ``tier.claim(key, wait_s=...)`` on a thread; ``(thread, out)``.
+
+    ``out`` receives ``(outcome, seconds the claim took)``.
+    """
+    out = []
+
+    def ask():
+        start = time.monotonic()
+        outcome = tier.claim(key, lease_s=30.0, wait_s=wait_s)
+        out.append((outcome, time.monotonic() - start))
+
+    thread = threading.Thread(target=ask)
+    thread.start()
+    return thread, out
+
+
+class TestHeldClaim:
+    """A re-ask with a wait bound is held by the daemon until the claim
+    ends, instead of being answered at once and re-polled."""
+
+    def test_waiter_wakes_on_the_publish_not_the_poll(self, daemon_addr):
+        # With a 5 s poll interval only the held re-ask can return quickly.
+        claimant = SingleFlightCache(
+            ResultCache(backend="shared", cache_addr=daemon_addr),
+            poll_interval_s=5.0,
+        )
+        waiter = SingleFlightCache(
+            ResultCache(backend="shared", cache_addr=daemon_addr),
+            poll_interval_s=5.0,
+        )
+        assert claimant.get(KEY_A) is None
+        results = []
+        thread = threading.Thread(
+            target=lambda: results.append((waiter.get(KEY_A), time.monotonic()))
+        )
+        thread.start()
+        time.sleep(0.3)  # the waiter is now inside a held re-ask
+        published_at = time.monotonic()
+        claimant.put(KEY_A, {"solved": True})
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        value, returned_at = results[0]
+        assert value == {"solved": True}
+        assert returned_at - published_at < 1.0
+        assert waiter.inner.stats.claim_waits == 1
+        assert waiter.inner.stats.claims == 0
+
+    def test_held_reask_returns_on_abandon(self, daemon_addr):
+        claimant = SingleFlightCache(
+            ResultCache(backend="shared", cache_addr=daemon_addr)
+        )
+        assert claimant.get(KEY_A) is None
+        thread, out = held_claim(SharedCacheTier(daemon_addr), KEY_A)
+        time.sleep(0.3)
+        claimant.abandon(KEY_A)
+        thread.join(timeout=10.0)
+        outcome, took = out[0]
+        assert outcome.state == "granted" and not outcome.takeover
+        assert took < 1.5
+
+    def test_held_reask_returns_a_takeover_when_the_lease_expires(
+        self, daemon, daemon_addr
+    ):
+        assert SharedCacheTier(daemon_addr).claim(KEY_A, lease_s=0.5).state == "granted"
+        thread, out = held_claim(SharedCacheTier(daemon_addr), KEY_A)
+        thread.join(timeout=10.0)
+        outcome, took = out[0]
+        assert outcome.state == "granted" and outcome.takeover
+        assert 0.3 < took < 2.0
+        assert daemon.stats.takeovers == 1
+
+    def test_held_reask_returns_on_daemon_shutdown(self):
+        with running_daemon() as daemon:
+            addr = f"127.0.0.1:{daemon.bound_port}"
+            assert SharedCacheTier(addr).claim(KEY_A, lease_s=30.0).state == "granted"
+            thread, out = held_claim(SharedCacheTier(addr), KEY_A)
+            time.sleep(0.3)
+            daemon.request_shutdown_threadsafe()
+            thread.join(timeout=10.0)
+        outcome, took = out[0]
+        assert outcome.state == "claimed"  # answered, not cut off
+        assert took < 1.5
+
+    def test_held_reask_stays_below_the_request_timeout(self, daemon_addr):
+        assert SharedCacheTier(daemon_addr).claim(KEY_A, lease_s=30.0).state == "granted"
+        waiter = SharedCacheTier(daemon_addr, request_timeout_s=0.6)
+        start = time.monotonic()
+        outcome = waiter.claim(KEY_A, lease_s=30.0, wait_s=60.0)
+        assert outcome.state == "claimed"  # the hold ended, the socket did not time out
+        assert 0.2 < time.monotonic() - start < 0.6
+
+    def test_immediate_answers_are_paced_to_the_poll_interval(self):
+        window_s, poll_s = 1.05, 0.1
+
+        class AlwaysClaimed:
+            """A claim tier that answers "claimed" at once for a while."""
+
+            def __init__(self):
+                self.calls = []
+
+            def claim(self, key, lease_s, wait_s=0.0):
+                now = time.monotonic()
+                self.calls.append((now, wait_s))
+                if now - self.calls[0][0] < window_s:
+                    return ClaimOutcome(state="claimed", retry_after_s=0.001)
+                return ClaimOutcome(state="granted")
+
+            def release(self, key):
+                pass
+
+            def is_clean(self, key):
+                return False
+
+        tier = AlwaysClaimed()
+
+        class StubbedCache(ResultCache):
+            claim_tier = tier
+
+        cache = SingleFlightCache(StubbedCache(), poll_interval_s=poll_s)
+        assert cache.get(KEY_A) is None  # granted once the window ends
+        first = tier.calls[0][0]
+        in_window = [t for t, _ in tier.calls if t - first < window_s]
+        assert len(in_window) <= math.ceil(window_s / poll_s) + 1
+        assert tier.calls[0][1] == 0.0  # the first ask is answered at once
+        assert all(wait_s > 0 for _, wait_s in tier.calls[1:])
+
+
+class TestRunKeysStayLocal:
+    def test_run_level_keys_never_reach_the_daemon(self, daemon, daemon_addr):
+        paths = []
+        route = daemon._route
+
+        async def recording_route(request):
+            paths.append(request.path)
+            return await route(request)
+
+        daemon._route = recording_route
+        manifest = {
+            "defaults": {"ilp_operation_limit": 0},
+            "jobs": [{"assay": "PCR"}, {"assay": "IVD"}],
+        }
+        jobs = manifest_jobs(manifest, source="test manifest")
+        cache = SingleFlightCache(ResultCache(backend="shared", cache_addr=daemon_addr))
+        engine = BatchSynthesisEngine(max_workers=1, cache=cache)
+        first = engine.run(jobs)
+        second = engine.run(jobs)  # the run keys now hit memory
+        assert first.num_failed == 0 and second.num_failed == 0
+        assert all(outcome.cache_hit for outcome in second.outcomes)
+        run_keys = {outcome.cache_key for outcome in first.outcomes}
+        assert len(run_keys) == 2
+        assert paths, "the stage keys did go through the daemon"
+        assert not [p for p in paths if any(key in p for key in run_keys)]
+        assert daemon.stats.releases == 0
+        # Two memory misses on the first run, two hits on the second.
+        assert cache.stats.misses >= 2

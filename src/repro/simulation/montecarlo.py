@@ -61,16 +61,23 @@ Performance architecture (three stacked layers, all bit-identical):
   lists — so no trial ever calls ``graph.predecessors()``, hashes a string
   key, or sorts.
 * All trials in a block advance entry by entry as numpy vector operations
-  across the trial axis: plain elementwise max/add passes over a
-  ``(trials x entries)`` duration matrix when
+  across the trial axis.  Every per-trial state matrix is entry-major —
+  ``(entries x trials)`` durations and finish times, ``(devices x
+  trials)`` availability — so one entry's read or write touches one
+  contiguous row.  Plain elementwise max/add passes replay the block when
   ``fault_rate == channel_fault_rate == 0``, and a masked variant (per
   trial fault/retry/migration masks) when faults are enabled.  Each block
-  draws its uniforms as whole matrices with :func:`uniform_block`; the
-  scalar engine computes the same doubles one at a time with the
-  pure-Python twin :func:`_draw`.  Normal jitter goes through the one
-  numpy helper :func:`_fold_normal` in both engines, and
-  ``round``/``np.rint`` agree on float64 (both round half to even), so
-  every reported value is bit-identical to the scalar engine.
+  draws its uniforms as whole ``(counters x trials)`` matrices with
+  :func:`uniform_block` before its kernel runs; the scalar engine computes
+  the same doubles one at a time with the pure-Python twin :func:`_draw`.
+  Normal jitter goes through the one numpy helper :func:`_fold_normal` in
+  both engines, and ``round``/``np.rint`` agree on float64 (both round half
+  to even), so every reported value is bit-identical to the scalar engine.
+  A kernel flags its diagnostics in one ``(kind, entry, trial)`` mask
+  (their payloads in a twin array); per block, one count gives their
+  uncapped number and one ``np.flatnonzero`` over the ``(trial, entry,
+  kind)`` view of the first noted trials gives the first
+  :data:`MAX_DIAGNOSTICS` in the scalar engine's order.
 * ``workers > 1`` shards trial index ranges across a process pool.  Draws
   are addressed by the trial *index*, so any shard boundary reproduces the
   exact same draws and the merged report is byte-identical for every
@@ -93,10 +100,9 @@ pins the fast paths against.
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -111,7 +117,6 @@ from repro.obs.trace import (
     install_recorder,
     recorder,
     span as obs_span,
-    tracing_enabled,
     uninstall_recorder,
 )
 from repro.scheduling.schedule import Schedule
@@ -128,7 +133,7 @@ _SCALAR_ENV = "REPRO_MC_SCALAR"
 #: below this many trials; larger runs report aggregates only.
 TRIAL_DETAIL_LIMIT = 2048
 
-#: Trials per vectorized block — bounds the ``(block x entries)``
+#: Trials per vectorized block — bounds the ``(entries x block)``
 #: matrices a batched pass materializes.
 VECTOR_BLOCK_TRIALS = 4096
 
@@ -182,9 +187,13 @@ def derive_seed_block(root_seed: int, stream: str, lo: int, hi: int) -> np.ndarr
 
 
 def uniform_block(keys: np.ndarray, counters: Any) -> np.ndarray:
-    """``(len(keys) x len(counters))`` doubles: ``_draw(keys[t], counters[c])``."""
+    """``(len(counters) x len(keys))`` doubles: ``_draw(keys[t], counters[c])``.
+
+    Counter-major, so the kernels read each draw address as one contiguous
+    row across the block's trials.
+    """
     steps = (np.asarray(counters, dtype=np.uint64) + np.uint64(1)) * np.uint64(_PHI)
-    z = _mix_block(keys[:, None] + steps[None, :])
+    z = _mix_block(steps[:, None] + keys[None, :])
     return (z >> np.uint64(11)).astype(np.float64) * _TWO_NEG_53
 
 
@@ -236,9 +245,13 @@ class MonteCarloConfig:
         )
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    """Outcome of one stochastic replay."""
+class TrialResult(NamedTuple):
+    """Outcome of one stochastic replay.
+
+    A named tuple rather than a frozen dataclass: the batched engine builds
+    a run's detail with one ``map(TrialResult._make, rows)``, where a
+    frozen dataclass pays one ``object.__setattr__`` per field.
+    """
 
     trial: int
     makespan: int
@@ -422,8 +435,9 @@ class ReplayPlan:
       sequence is schedule-determined, so "previous occupant is not a
       direct predecessor" is a compile-time fact per entry);
     * per-entry spare candidate lists (compatible devices minus the
-      scheduled one, sorted by id so the scalar ``min`` tie-break is
-      reproduced by a linear strict-less scan);
+      scheduled one, sorted by id so ``np.argmin``'s first-minimum rule
+      reproduces the scalar ``min`` tie-break), built from one sorted
+      compatible-device list per operation kind;
     * the static makespan floor contributed by entries without a device.
     """
 
@@ -476,6 +490,7 @@ class ReplayPlan:
 
         pred_sets: List[FrozenSet[int]] = []
         spares: List[np.ndarray] = []
+        compatible: Dict[Any, List[int]] = {}  # op kind -> device indices, by id
         flat_pos: List[int] = []
         flat_min: List[int] = []
         flat_counter: List[int] = []
@@ -496,19 +511,15 @@ class ReplayPlan:
                     else self.transport_time
                 )
             indptr.append(len(flat_pos))
-            op = graph.operation(entry.op_id)
+            kind = graph.operation(entry.op_id).kind
+            if kind not in compatible:
+                compatible[kind] = [
+                    index_of[d]
+                    for d in sorted(device.device_id for device in library.devices_for(kind))
+                ]
+            own = self.device[i]
             spares.append(
-                np.asarray(
-                    [
-                        index_of[d]
-                        for d in sorted(
-                            device.device_id
-                            for device in library.devices_for(op.kind)
-                            if device.device_id != entry.device_id
-                        )
-                    ],
-                    dtype=np.int64,
-                )
+                np.asarray([d for d in compatible[kind] if d != own], dtype=np.int64)
             )
         self.pred_sets = pred_sets
         self.spares = spares
@@ -555,28 +566,18 @@ class _ShardOutcome:
     spans: List[Dict[str, Any]] = field(default_factory=list)
 
 
-#: One batched-kernel diagnostic: (trial, entry, kind, payload), where kind
-#: 0 is a wash (payload: the pushed start) and kind 1 an unrecovered fault
+#: Diagnostic kinds of the batched kernels' ``(kind, entry, trial)`` note
+#: arrays: a wash (payload: the pushed start) and an unrecovered fault
 #: (payload: the faulted spare's device index, or -1 when none existed).
-_Note = Tuple[int, int, int, int]
-
-
-def _note_rows(
-    notes: List[_Note], mask: np.ndarray, lo: int, e: int, kind: int,
-    payload: np.ndarray,
-) -> int:
-    """Record the first :data:`MAX_DIAGNOSTICS` rows of ``mask``; return all."""
-    rows = np.nonzero(mask)[0]
-    for t in rows[:MAX_DIAGNOSTICS]:
-        notes.append((lo + int(t), e, kind, int(payload[t])))
-    return int(rows.size)
+#: Wash sorts first, as the scalar engine notes it first.
+_WASH, _FAULT = 0, 1
 
 
 def _format_note(plan: ReplayPlan, trial: int, e: int, kind: int, payload: int) -> str:
     """The scalar engine's wording of one batched-kernel diagnostic."""
     device = plan.device_ids[plan.device[e]]
     op_id = plan.entry_op_ids[e]
-    if kind == 0:
+    if kind == _WASH:
         return (
             f"trial {trial}: wash on {device!r} pushes {op_id!r} past its "
             f"scheduled start ({plan.starts[e]} -> {payload})"
@@ -674,17 +675,7 @@ class MonteCarloEngine:
         bounds = _shard_bounds(cfg.trials, cfg.workers)
         with obs_span(
             "verify:mc", category="verify", trials=cfg.trials, shards=len(bounds)
-        ) as mc_span:
-            # Phase split: compiling the replay plan vs. replaying trials.
-            # The plan is lazy and shard-local, so timing it here is only
-            # meaningful (and only paid for) when a recorder is active; the
-            # scalar reference engine never builds a plan at all.
-            compile_s = 0.0
-            if tracing_enabled() and os.environ.get(_SCALAR_ENV) != "1":
-                compile_start = time.perf_counter()
-                self.plan()
-                compile_s = time.perf_counter() - compile_start
-            replay_start = time.perf_counter()
+        ):
             if len(bounds) <= 1:
                 outcomes = [self._run_range(0, cfg.trials)]
             else:
@@ -704,17 +695,11 @@ class MonteCarloEngine:
                         for lo, hi in bounds
                     ]
                     outcomes = [f.result() for f in futures]
-            replay_s = time.perf_counter() - replay_start
             rec = recorder()
             if rec is not None:
                 for outcome in outcomes:
                     rec.absorb(outcome.spans)
             obs_metrics.mc_trials_counter().inc(cfg.trials)
-            mc_span.set(
-                plan_compile_s=round(compile_s, 6),
-                replay_s=round(replay_s, 6),
-                trials_per_s=round(cfg.trials / replay_s, 3) if replay_s else 0.0,
-            )
 
         aggregate = TrialAggregate.merged([o.aggregate for o in outcomes])
         detail: List[TrialResult] = []
@@ -744,7 +729,8 @@ class MonteCarloEngine:
     def plan(self) -> ReplayPlan:
         """The compiled replay plan (built lazily, reused across shards)."""
         if self._plan is None:
-            self._plan = ReplayPlan(self.schedule, self.library)
+            with obs_span("verify:plan", category="verify"):
+                self._plan = ReplayPlan(self.schedule, self.library)
         return self._plan
 
     def _run_range(self, lo: int, hi: int) -> _ShardOutcome:
@@ -788,9 +774,34 @@ class MonteCarloEngine:
             notes_per_trial.append(notes)
         return self._collect(trials, notes_per_trial, keep_detail)
 
-    # -------------------------------------------------------- draw matrix
+    # -------------------------------------------------------------- draws
+    def _block_draws(
+        self, plan: ReplayPlan, lo: int, hi: int
+    ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+        """Every draw of trials ``[lo, hi)``, trial-minor.
+
+        Returns the jittered ``(entries x trials)`` durations and the
+        ``"fault"`` and ``"channel"`` uniforms, one row per draw address:
+        attempt ``a`` of entry ``e`` is row ``e * (max_retries + 2) + a``
+        of the fault matrix and precedence edge ``k`` row ``k`` of the
+        channel matrix — the doubles the scalar engine draws.  A stream
+        whose rate is zero is not drawn (``None``).
+        """
+        cfg = self.config
+        fault_u = channel_u = None
+        if cfg.fault_rate > 0:
+            fault_u = uniform_block(
+                derive_seed_block(cfg.seed, "fault", lo, hi),
+                np.arange(plan.num_entries * (cfg.max_retries + 2)),
+            )
+        if cfg.channel_fault_rate > 0:
+            channel_u = uniform_block(
+                derive_seed_block(cfg.seed, "channel", lo, hi), plan.edge_counters
+            )
+        return self._duration_matrix(plan, lo, hi), fault_u, channel_u
+
     def _duration_matrix(self, plan: ReplayPlan, lo: int, hi: int) -> np.ndarray:
-        """Jittered ``(trials x entries)`` durations for ``[lo, hi)``.
+        """Jittered ``(entries x trials)`` durations for ``[lo, hi)``.
 
         Bit-identical to the scalar ``_jittered``: the same ``"jitter"``
         draws, inflation factors applied in float64, and half-to-even
@@ -798,25 +809,25 @@ class MonteCarloEngine:
         duration.  Returns a read-only broadcast when jitter is off.
         """
         cfg = self.config
-        block = hi - lo
+        nominal = plan.durations_np[:, None]
         positions = plan.jitter_positions
         if cfg.jitter == "none" or positions.size == 0:
-            return np.broadcast_to(plan.durations_np, (block, plan.num_entries))
+            return np.broadcast_to(nominal, (plan.num_entries, hi - lo))
         keys = derive_seed_block(cfg.seed, "jitter", lo, hi)
         if cfg.jitter == "uniform":
             factors = 1.0 + cfg.jitter_spread * uniform_block(keys, 2 * positions)
         else:
             u = uniform_block(keys, np.concatenate([2 * positions, 2 * positions + 1]))
             factors = 1.0 + _fold_normal(
-                u[:, : positions.size], u[:, positions.size :], cfg.jitter_spread
+                u[: positions.size], u[positions.size :], cfg.jitter_spread
             )
-        base = plan.durations_np[positions]
+        base = nominal[positions]
         inflated = np.rint(base.astype(np.float64) * factors).astype(np.int64)
         np.maximum(inflated, base, out=inflated)
-        durations = np.broadcast_to(
-            plan.durations_np, (block, plan.num_entries)
-        ).copy()
-        durations[:, positions] = inflated
+        if positions.size == plan.num_entries:  # no zero-duration entry
+            return inflated
+        durations = np.repeat(nominal, hi - lo, axis=1)
+        durations[positions] = inflated
         return durations
 
     # ------------------------------------------------------ batched kernels
@@ -825,11 +836,12 @@ class MonteCarloEngine:
     ) -> _ShardOutcome:
         """Replay ``[lo, hi)`` in blocks of :data:`VECTOR_BLOCK_TRIALS`.
 
-        A block kernel returns the block's ``(trials x entries)`` finish
-        times, its ``(6 x trials)`` counters (faults, recovered, retries,
-        migrations, reroutes, washes — the :class:`TrialResult` field
-        order) and its diagnostics as ``(trial, entry, kind, payload)``
-        tuples plus their uncapped count; this loop merges the blocks.
+        A block kernel takes the block's draws and returns its ``(entries
+        x trials)`` finish times, its ``(6 x trials)`` counters (faults,
+        recovered, retries, migrations, reroutes, washes — the
+        :class:`TrialResult` field order) and its diagnostics as a
+        ``(kind, entry, trial)`` mask plus payloads of the same shape; this
+        loop merges the blocks.
         """
         cfg = self.config
         plan = self.plan()
@@ -844,21 +856,36 @@ class MonteCarloEngine:
         notes_total = 0
         for block_lo in range(lo, hi, VECTOR_BLOCK_TRIALS):
             block_hi = min(block_lo + VECTOR_BLOCK_TRIALS, hi)
-            finish, counts, block_notes, block_total = kernel(plan, block_lo, block_hi)
-            makespan_parts.append(finish.max(axis=1, initial=plan.static_floor))
+            with obs_span("verify:draws", category="verify", lo=block_lo, hi=block_hi):
+                draws = self._block_draws(plan, block_lo, block_hi)
+            with obs_span("verify:replay", category="verify", lo=block_lo, hi=block_hi):
+                finish, counts, flagged, payload = kernel(plan, *draws)
+            makespan_parts.append(finish.max(axis=0, initial=plan.static_floor))
             count_parts.append(counts)
-            notes_total += block_total
-            # Re-emit the block's notes in the scalar order (by trial, then
-            # entry, wash before fault), formatting only up to the cap.
-            for note in sorted(block_notes)[: MAX_DIAGNOSTICS - len(notes)]:
-                notes.append(_format_note(plan, *note))
+            notes_total += int(np.count_nonzero(flagged))
+            room = MAX_DIAGNOSTICS - len(notes)
+            if room > 0:
+                # Only the first ``room`` trials with a note can be kept, and
+                # flat indices over their (trial, entry, kind) view come out
+                # in the scalar engine's note order: by trial, then entry,
+                # wash before fault.  Viewing just those trials avoids a
+                # strided copy of the whole block's mask.
+                noted = np.flatnonzero(flagged.any(axis=(0, 1)))[:room]
+                hits = np.flatnonzero(flagged[:, :, noted].transpose(2, 1, 0))
+                for flat in hits[:room].tolist():
+                    i, rest = divmod(flat, 2 * plan.num_entries)
+                    e, kind = divmod(rest, 2)
+                    t = int(noted[i])
+                    notes.append(
+                        _format_note(plan, block_lo + t, e, kind, int(payload[kind, e, t]))
+                    )
 
         makespans = np.concatenate(makespan_parts)
         counts = np.concatenate(count_parts, axis=1)
         detail: List[TrialResult] = []
         if keep_detail:
-            rows = np.vstack([makespans, counts]).T.tolist()
-            detail = [TrialResult(lo + t, *row) for t, row in enumerate(rows)]
+            rows = np.vstack([np.arange(lo, hi), makespans, counts]).T.tolist()
+            detail = list(map(TrialResult._make, rows))
         aggregate = TrialAggregate(
             hi - lo,
             np.sort(makespans).tolist(),
@@ -868,164 +895,158 @@ class MonteCarloEngine:
         return _ShardOutcome(aggregate, detail, notes, notes_total)
 
     def _block_fault_free(
-        self, plan: ReplayPlan, lo: int, hi: int
-    ) -> Tuple[np.ndarray, np.ndarray, List[_Note], int]:
+        self, plan: ReplayPlan, durations: np.ndarray, *_no_fault_draws: None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Fault-free block: elementwise numpy passes over the trial axis.
 
         Without faults the device bindings never move, so every trial
         shares the plan's static precedence minima and wash predicates and
         only the jittered durations differ — which makes the whole replay
         a sequence of max/add vector operations, one short pass per entry.
+        Its only diagnostics are washes, whose payload row is the pushed
+        availability itself.
         """
         wash_time = self.config.wash_time
-        block = hi - lo
+        num_entries, block = durations.shape
         indptr, pred_pos, pred_min = plan.pred_indptr, plan.pred_pos, plan.pred_min
-        dur = self._duration_matrix(plan, lo, hi)
-        finish = np.empty((block, plan.num_entries), dtype=np.int64)
-        avail = np.zeros((block, plan.num_devices), dtype=np.int64)
+        finish = np.empty((num_entries, block), dtype=np.int64)
+        avail = np.zeros((plan.num_devices, block), dtype=np.int64)
+        flagged = np.zeros((2, num_entries, block), dtype=bool)
+        payload = np.empty((2, num_entries, block), dtype=np.int64)
         ready = np.empty(block, dtype=np.int64)
-        notes: List[_Note] = []
-        notes_total = 0
-        for e in range(plan.num_entries):
+        for e in range(num_entries):
             ready.fill(plan.starts[e])
             for k in range(indptr[e], indptr[e + 1]):
-                np.maximum(ready, finish[:, pred_pos[k]] + pred_min[k], out=ready)
+                np.maximum(ready, finish[pred_pos[k]] + pred_min[k], out=ready)
             d = plan.device[e]
-            entry_avail = avail[:, d]
+            entry_avail = avail[d]
             if wash_time > 0 and plan.wash_static[e]:
-                entry_avail = entry_avail + wash_time
-                over = entry_avail > plan.starts[e]
-                notes_total += _note_rows(notes, over, lo, e, 0, entry_avail)
-            end = np.maximum(ready, entry_avail) + dur[:, e]
-            finish[:, e] = end
+                entry_avail = payload[_WASH, e]
+                np.add(avail[d], wash_time, out=entry_avail)
+                np.greater(entry_avail, plan.starts[e], out=flagged[_WASH, e])
+            end = finish[e]
+            np.maximum(ready, entry_avail, out=end)
+            end += durations[e]
             # end >= entry_avail >= the previous availability, so a
             # straight assignment preserves the max semantics.
-            avail[:, d] = end
+            avail[d] = end
         counts = np.zeros((6, block), dtype=np.int64)
         if wash_time > 0:
             counts[5] = plan.static_wash_count
-        return finish, counts, notes, notes_total
+        return finish, counts, flagged, payload
 
     def _block_masked(
-        self, plan: ReplayPlan, lo: int, hi: int
-    ) -> Tuple[np.ndarray, np.ndarray, List[_Note], int]:
+        self,
+        plan: ReplayPlan,
+        durations: np.ndarray,
+        fault_u: Optional[np.ndarray],
+        channel_u: Optional[np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Fault-path block: per-trial masks over the trial axis.
 
         Faults migrate operations, so bindings, washes and precedence
         minima are dynamic — but each entry's update is still the same
         arithmetic for every trial, just gated by that trial's draws.
-        The kernel walks entries once, keeping per-trial state matrices
-        (finish, device availability, bindings, last occupant).  The
-        block's ``"fault"`` and ``"channel"`` uniforms are drawn up front,
-        one column per draw address: attempt ``a`` of entry ``e`` reads
-        column ``e * (max_retries + 2) + a`` and precedence edge ``k``
-        reads column ``k`` — the doubles the scalar engine draws.
+        The kernel walks entries once, keeping per-trial state rows
+        (finish, device availability, bindings, last occupant) and
+        reading each draw address as one row of ``fault_u``/``channel_u``.
         """
         cfg = self.config
-        num_entries = plan.num_entries
         transport = plan.transport_time
         fault_rate = cfg.fault_rate
         channel_rate = cfg.channel_fault_rate
         wash_time = cfg.wash_time
         attempts = cfg.max_retries + 2
         indptr, pred_pos = plan.pred_indptr, plan.pred_pos
-        block = hi - lo
-        rows = np.arange(block)
+        num_entries, block = durations.shape
+        cols = np.arange(block)
 
-        durations = self._duration_matrix(plan, lo, hi)
-        if fault_rate > 0:
-            fault_u = uniform_block(
-                derive_seed_block(cfg.seed, "fault", lo, hi),
-                np.arange(num_entries * attempts),
-            )
-        if channel_rate > 0:
-            channel_u = uniform_block(
-                derive_seed_block(cfg.seed, "channel", lo, hi), plan.edge_counters
-            )
-
-        finish = np.empty((block, num_entries), dtype=np.int64)
-        avail = np.zeros((block, plan.num_devices), dtype=np.int64)
-        bound = np.empty((block, num_entries), dtype=np.int64)
-        last = np.full((block, plan.num_devices), num_entries, np.int64)
+        finish = np.empty((num_entries, block), dtype=np.int64)
+        avail = np.zeros((plan.num_devices, block), dtype=np.int64)
+        bound = np.empty((num_entries, block), dtype=np.int64)
+        last = np.full((plan.num_devices, block), num_entries, np.int64)
         counts = np.zeros((6, block), dtype=np.int64)
         cnt_faults, cnt_recovered, cnt_retries, cnt_migrations, cnt_reroutes, cnt_washes = counts
-        notes: List[_Note] = []
-        notes_total = 0
+        flagged = np.zeros((2, num_entries, block), dtype=bool)
+        payload = np.empty((2, num_entries, block), dtype=np.int64)
 
         for e in range(num_entries):
             dev = plan.device[e]
-            dur_e = durations[:, e]
+            dur_e = durations[e]
             ready = np.full(block, plan.starts[e], dtype=np.int64)
             for k in range(indptr[e], indptr[e + 1]):
                 p = pred_pos[k]
-                same = bound[:, p] == dev
-                minimum = np.where(same, 0, transport)
-                if channel_rate > 0:
-                    hit = ~same & (channel_u[:, k] < channel_rate)
-                    minimum = minimum + np.where(hit, transport, 0)
+                moved = bound[p] != dev
+                minimum = moved * transport
+                if channel_u is not None:
+                    hit = moved & (channel_u[k] < channel_rate)
+                    minimum += hit * transport
                     cnt_reroutes += hit
-                np.maximum(ready, finish[:, p] + minimum, out=ready)
+                minimum += finish[p]
+                np.maximum(ready, minimum, out=ready)
 
             if wash_time > 0:
-                need = ~plan.wash_skip[e][last[:, dev]]
-                entry_avail = avail[:, dev] + np.where(need, wash_time, 0)
+                need = ~plan.wash_skip[e][last[dev]]
+                entry_avail = payload[_WASH, e]
+                np.add(avail[dev], need * wash_time, out=entry_avail)
                 cnt_washes += need
-                over = need & (entry_avail > plan.starts[e])
-                notes_total += _note_rows(notes, over, lo, e, 0, entry_avail)
+                np.greater(entry_avail, plan.starts[e], out=flagged[_WASH, e])
+                flagged[_WASH, e] &= need
             else:
-                entry_avail = avail[:, dev]
-            end = np.maximum(ready, entry_avail) + dur_e
+                entry_avail = avail[dev]
+            end = np.maximum(ready, entry_avail)
+            end += dur_e
 
             cur_dev: Optional[np.ndarray] = None
-            if fault_rate > 0:
+            if fault_u is not None:
                 first = e * attempts
-                faulted = fault_u[:, first] < fault_rate
+                faulted = fault_u[first] < fault_rate
                 cnt_faults += faulted
                 ok = np.zeros(block, dtype=bool)
                 active = faulted.copy()
                 for a in range(1, cfg.max_retries + 1):
                     if not active.any():
                         break
-                    end = end + np.where(active, dur_e, 0)
+                    end += active * dur_e
                     cnt_retries += active
-                    succeeded = active & (fault_u[:, first + a] >= fault_rate)
+                    succeeded = active & (fault_u[first + a] >= fault_rate)
                     ok |= succeeded
-                    active = active & ~succeeded
+                    active &= ~succeeded
                 cnt_recovered += ok
                 unresolved = faulted & ~ok
                 candidates = plan.spares[e]
                 if unresolved.any() and candidates.size:
-                    spare_avail = avail[:, candidates]
-                    spare_col = candidates[np.argmin(spare_avail, axis=1)]
+                    spare_avail = avail[candidates]
+                    pick = np.argmin(spare_avail, axis=0)
+                    spare_col = candidates[pick]
                     cnt_migrations += unresolved
-                    migrated_end = (
-                        np.maximum(end + transport, spare_avail.min(axis=1)) + dur_e
-                    )
-                    bad = unresolved & (fault_u[:, first + attempts - 1] < fault_rate)
+                    migrated_end = np.maximum(end + transport, spare_avail[pick, cols])
+                    migrated_end += dur_e
+                    bad = unresolved & (fault_u[first + attempts - 1] < fault_rate)
                     cnt_recovered += unresolved & ~bad
-                    migrated_end = migrated_end + np.where(bad, dur_e, 0)
-                    notes_total += _note_rows(notes, bad, lo, e, 1, spare_col)
+                    migrated_end += bad * dur_e
+                    flagged[_FAULT, e] = bad
+                    payload[_FAULT, e] = spare_col
                     end = np.where(unresolved, migrated_end, end)
-                    # Repair window on the faulted (scheduled) device.
-                    avail[:, dev] = np.where(
-                        unresolved, np.maximum(avail[:, dev], end), avail[:, dev]
-                    )
+                    # Repair window on the faulted (scheduled) device; a
+                    # resolved trial maxes with 0, as times are never negative.
+                    np.maximum(avail[dev], unresolved * end, out=avail[dev])
                     cur_dev = np.where(unresolved, spare_col, dev)
                 elif unresolved.any():
-                    end = end + np.where(unresolved, dur_e, 0)
-                    no_spare = np.full(block, -1)
-                    notes_total += _note_rows(notes, unresolved, lo, e, 1, no_spare)
+                    end += unresolved * dur_e
+                    flagged[_FAULT, e] = unresolved
+                    payload[_FAULT, e] = -1
 
-            finish[:, e] = end
+            finish[e] = end
             if cur_dev is None:
-                bound[:, e] = dev
-                np.maximum(avail[:, dev], end, out=avail[:, dev])
-                last[:, dev] = e
+                bound[e] = dev
+                np.maximum(avail[dev], end, out=avail[dev])
+                last[dev] = e
             else:
-                bound[:, e] = cur_dev
-                avail[rows, cur_dev] = np.maximum(avail[rows, cur_dev], end)
-                last[rows, cur_dev] = e
-        return finish, counts, notes, notes_total
+                bound[e] = cur_dev
+                avail[cur_dev, cols] = np.maximum(avail[cur_dev, cols], end)
+                last[cur_dev, cols] = e
+        return finish, counts, flagged, payload
 
     # ---------------------------------------------------------------- trial
     def _jittered(self, key: int, e: int, duration: int) -> int:

@@ -12,9 +12,11 @@ them against each other.  Three levels are covered:
   (trial, counter); the uniforms and the folded normal have the expected
   moments;
 * **engine level** — hypothesis-generated configurations (jitter mode and
-  spread, wash, fault and channel-fault rates, retry budgets, seeds)
-  produce byte-identical ``VerificationReport.as_dict()`` payloads and
-  identical per-trial detail from the vectorized and scalar engines;
+  spread, wash, fault and channel-fault rates, retry budgets, seeds) on
+  PCR and on generated assays over two to four mixers produce
+  byte-identical ``VerificationReport.as_dict()`` payloads and identical
+  per-trial detail from the vectorized and scalar engines, and the
+  diagnostics cap cuts identically when it falls across vector blocks;
 * **sharding level** — the report is invariant under the worker count,
   both in-process (``MonteCarloConfig(workers=...)``) and through the
   ``repro simulate --workers N --json`` subcommand in a fresh process.
@@ -36,6 +38,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.devices.device import default_device_library
+from repro.graph.generators import RandomAssayConfig, random_assay
+from repro.scheduling.list_scheduler import ListScheduler, ListSchedulerConfig
 from repro.simulation import MonteCarloConfig, MonteCarloEngine
 from repro.simulation import montecarlo
 
@@ -87,10 +91,12 @@ class TestCounterGenerator:
         part = montecarlo.uniform_block(
             montecarlo.derive_seed_block(root, stream, lo, hi), counters
         )
-        assert part.tolist() == full[lo:hi].tolist()
+        # Counter-major: row c holds counter c's draw for every trial.
+        assert part.shape == (len(counters), span)
+        assert part.tolist() == full[:, lo:hi].tolist()
         for t in range(lo, hi):
             key = montecarlo._trial_key(root, stream, t)
-            assert part[t - lo].tolist() == [
+            assert part[:, t - lo].tolist() == [
                 montecarlo._draw(key, c) for c in counters
             ]
 
@@ -108,7 +114,7 @@ class TestCounterGenerator:
             montecarlo.derive_seed_block(7, "jitter", 0, 256), np.arange(512)
         )
         sigma = 0.3
-        folded = montecarlo._fold_normal(u[:, 0::2], u[:, 1::2], sigma)
+        folded = montecarlo._fold_normal(u[0::2], u[1::2], sigma)
         assert (folded >= 0.0).all()
         expected = sigma * math.sqrt(2.0 / math.pi)
         assert abs(folded.mean() - expected) < 0.02 * expected
@@ -174,6 +180,65 @@ class TestVectorizedScalarDifferential:
             fast = _run(pcr_schedule, library, config)
             ref = _run(pcr_schedule, library, config, scalar=True)
             assert fast.as_dict() == ref.as_dict()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        num_operations=st.integers(min_value=8, max_value=30),
+        graph_seed=st.integers(min_value=0, max_value=10_000),
+        num_mixers=st.integers(min_value=2, max_value=4),
+        kind=st.sampled_from(["uniform", "normal", "fault"]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_generated_designs_are_byte_identical(
+        self, num_operations, graph_seed, num_mixers, kind, seed
+    ):
+        # Beyond PCR on two mixers: three or four mixers give every
+        # operation more than one spare, which the per-kind spare lists and
+        # the migration's least-loaded pick must order like the scalar min.
+        library = default_device_library(num_mixers=num_mixers)
+        graph = random_assay(
+            RandomAssayConfig(num_operations=num_operations, seed=graph_seed)
+        )
+        schedule = ListScheduler(
+            library, ListSchedulerConfig(transport_time=10)
+        ).schedule(graph)
+        knobs = {
+            "uniform": {"jitter": "uniform"},
+            "normal": {"jitter": "normal"},
+            "fault": {"jitter": "uniform", "fault_rate": 0.3,
+                      "channel_fault_rate": 0.2},
+        }[kind]
+        config = MonteCarloConfig(
+            trials=24, seed=seed, jitter_spread=0.2, wash_time=8, **knobs
+        )
+        fast = _run(schedule, library, config)
+        ref = _run(schedule, library, config, scalar=True)
+        assert fast.as_dict() == ref.as_dict()
+        assert _detail(fast) == _detail(ref)
+
+    @pytest.mark.parametrize("block_trials", [1, 2])
+    def test_diagnostics_cap_cut_across_blocks_matches_scalar(
+        self, pcr_schedule, monkeypatch, block_trials
+    ):
+        # Every PCR trial here notes 12 washes and faults, so the 32 kept
+        # notes cover trials 0-2: blocks of one or two trials make them
+        # span several blocks, and the cap is cut inside a later block.
+        monkeypatch.setattr(montecarlo, "VECTOR_BLOCK_TRIALS", block_trials)
+        library = default_device_library(num_mixers=2)
+        config = MonteCarloConfig(
+            trials=64, seed=3, fault_rate=1.0, channel_fault_rate=0.5,
+            max_retries=1, wash_time=10,
+        )
+        fast = _run(pcr_schedule, library, config)
+        ref = _run(pcr_schedule, library, config, scalar=True)
+        assert fast.violations == ref.violations
+        assert fast.violations[-1].startswith("... +")
+        noted_trials = {
+            int(note.split(":")[0].split()[1]) for note in fast.violations[:-1]
+        }
+        assert len({t // block_trials for t in noted_trials}) > 1
+        assert fast.as_dict() == ref.as_dict()
+        assert _detail(fast) == _detail(ref)
 
     def test_diagnostics_cap_appends_a_truncation_marker(self, pcr_schedule):
         # Saturating fault rates with washes produce far more diagnostics

@@ -18,11 +18,17 @@ import pytest
 
 from repro.batch.engine import BatchSynthesisEngine
 from repro.batch.cache import ResultCache
+from repro.batch.cache_backends import decode_envelope, encode_envelope
 from repro.batch.jobs import BatchJob
 from repro.graph.library import assay_by_name, build_pcr
+from repro.simulation import montecarlo
 from repro.synthesis.config import FlowConfig, SchedulerEngine
 from repro.synthesis.flow import synthesize
-from repro.synthesis.pipeline import SynthesisPipeline, VerificationError
+from repro.synthesis.pipeline import (
+    SynthesisPipeline,
+    VerificationArtifact,
+    VerificationError,
+)
 
 
 def verify_config(**overrides) -> FlowConfig:
@@ -240,3 +246,54 @@ class TestBatchIntegration:
         a = report.outcome("p6").result.verification
         b = report.outcome("p8").result.verification
         assert a.as_dict() == b.as_dict()
+
+
+class TestArtifactCompatibility:
+    def test_report_pickled_with_the_dataclass_trial_result_is_a_miss(
+        self, monkeypatch
+    ):
+        """``TrialResult`` was a frozen dataclass before it became a named
+        tuple.  A verify artifact written then must decode as a miss — and
+        be recomputed — never as a report holding wrong objects.  The stage
+        keys name the same computation, so no key version bump is needed
+        for this."""
+
+        @dataclasses.dataclass(frozen=True)
+        class TrialResult:  # the pre-named-tuple definition, field for field
+            trial: int
+            makespan: int
+            faults_injected: int
+            faults_recovered: int
+            retries: int
+            migrations: int
+            reroutes: int
+            washes: int
+
+        TrialResult.__module__ = montecarlo.__name__
+        TrialResult.__qualname__ = "TrialResult"
+        artifact = VerificationArtifact(
+            report=montecarlo.VerificationReport(
+                trials=[TrialResult(t, 330 + t, 0, 0, 0, 0, 0, 0) for t in range(4)],
+                deterministic_makespan=330,
+            ),
+            verification_time_s=0.01,
+        )
+        with monkeypatch.context() as patched:
+            # pickle stores classes by reference: make the reference the
+            # old class, as it was when such entries were written.
+            patched.setattr(montecarlo, "TrialResult", TrialResult)
+            old_entry = encode_envelope(artifact)
+        assert decode_envelope(old_entry) == (False, None)
+
+        current = VerificationArtifact(
+            report=montecarlo.VerificationReport(
+                trials=[montecarlo.TrialResult(t, 330 + t, 0, 0, 0, 0, 0, 0)
+                        for t in range(4)],
+                deterministic_makespan=330,
+            ),
+            verification_time_s=0.01,
+        )
+        ok, decoded = decode_envelope(encode_envelope(current))
+        assert ok
+        assert decoded.report.trials == current.report.trials
+        assert decoded.report.as_dict() == current.report.as_dict()

@@ -23,11 +23,15 @@ from repro.synthesis.report import format_table2_row, table2_header
 
 
 def _provenance(solve: Optional[SolveRecord]) -> Dict[str, Any]:
-    """A stage's ``backend``/``bound``/``fallback_used``/``warm_start_used`` keys."""
+    """A stage's ``backend``/``status``/``objective``/``bound``/``mip_gap``/
+    ``warm_start_used`` keys, from its :class:`SolveRecord` (``None`` and
+    ``False`` for a solver-free stage)."""
     return {
         "backend": solve.backend if solve else None,
+        "status": solve.status.value if solve else None,
+        "objective": solve.objective if solve else None,
         "bound": solve.bound if solve else None,
-        "fallback_used": bool(solve and solve.fallback_used),
+        "mip_gap": solve.mip_gap if solve else None,
         "warm_start_used": bool(solve and solve.warm_start_used),
     }
 
@@ -198,9 +202,8 @@ class BatchReport:
         entries — the real cost of the stage across the batch.
         ``backends`` counts, per solver backend, how many of the stage's
         artifacts it produced (heuristic stages report no backend and are
-        absent from the map); ``fallbacks`` counts artifacts the portfolio
-        only obtained by abandoning its primary; ``warm_starts`` counts
-        artifacts whose solve consumed a warm-start incumbent.
+        absent from the map); ``warm_starts`` counts artifacts whose solve
+        consumed or returned a warm-start incumbent.
         """
         summary: Dict[str, Dict[str, Any]] = {}
         for outcome in self.outcomes:
@@ -208,17 +211,15 @@ class BatchReport:
                 row = summary.setdefault(
                     execution.stage,
                     {"ran": 0, "replayed": 0, "shared": 0, "wall_time_s": 0.0,
-                     "backends": {}, "fallbacks": 0, "warm_starts": 0},
+                     "backends": {}, "warm_starts": 0},
                 )
                 row[execution.action] += 1
                 if execution.action == "ran":
                     row["wall_time_s"] += execution.wall_time_s
-                provenance = _provenance(execution.solve)
-                backend = provenance["backend"]
-                if backend is not None:
-                    row["backends"][backend] = row["backends"].get(backend, 0) + 1
-                row["fallbacks"] += provenance["fallback_used"]
-                row["warm_starts"] += provenance["warm_start_used"]
+                solve = execution.solve
+                if solve is not None and solve.backend is not None:
+                    row["backends"][solve.backend] = row["backends"].get(solve.backend, 0) + 1
+                row["warm_starts"] += bool(solve and solve.warm_start_used)
         for row in summary.values():
             row["wall_time_s"] = round(row["wall_time_s"], 3)
         return summary

@@ -65,9 +65,8 @@ fault-recovery rate instead of a single deterministic number::
         --fault-rate 0.05
 
 Every job-running mode accepts ``--solver`` to force both ILPs onto one
-registered solver backend (``highs``, ``branch-and-bound``, or the default
-``portfolio`` which falls back from HiGHS to the dependency-free branch
-and bound when no usable incumbent arrives within the time cap).
+registered solver backend: ``highs`` (the default when scipy is installed)
+or the dependency-free ``branch-and-bound`` (the default otherwise).
 
 Batch manifests and sweep specs are then submitted over HTTP
 (``POST /jobs``) and share one hot in-process stage cache across requests,
@@ -86,7 +85,7 @@ from typing import List, Optional
 
 from repro.graph.library import PAPER_ASSAYS, assay_by_name
 from repro.graph.serialization import load_graph
-from repro.ilp.backends import backend_names
+from repro.ilp.backends import DEFAULT_BACKEND, backend_names
 from repro.synthesis.config import (
     FlowConfig,
     SchedulerEngine,
@@ -111,8 +110,7 @@ def _add_solver_argument(parser: argparse.ArgumentParser) -> None:
         choices=sorted(backend_names()),
         default=None,
         help="solver backend for both ILPs (default: each config's own "
-        "backends, normally 'portfolio' = HiGHS with branch-and-bound "
-        "fallback)",
+        f"backends, normally {DEFAULT_BACKEND!r})",
     )
 
 

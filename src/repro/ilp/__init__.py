@@ -4,9 +4,9 @@ The paper solves its scheduling and architectural-synthesis formulations with
 Gurobi.  This package provides an in-repo substitute: a small, PuLP-like
 modeling API (:class:`Variable`, :class:`LinExpr`, :class:`Constraint`,
 :class:`Model`) whose instances are solved by a pluggable backend
-(:mod:`repro.ilp.backends`): scipy's HiGHS branch and cut when available,
-a dependency-free pure-Python branch and bound otherwise, with the default
-``portfolio`` backend falling from the first to the second automatically.
+(:mod:`repro.ilp.backends`): scipy's HiGHS branch and cut, or a
+dependency-free pure-Python branch and bound — the default when scipy is
+not installed.
 
 The layer intentionally mirrors the modeling idioms used in the paper:
 
@@ -38,7 +38,6 @@ from repro.ilp.backends import (
     BackendUnavailableError,
     BranchAndBoundBackend,
     HighsBackend,
-    PortfolioBackend,
     SolverBackend,
     backend_names,
     get_backend,
@@ -66,7 +65,6 @@ __all__ = [
     "BackendUnavailableError",
     "HighsBackend",
     "BranchAndBoundBackend",
-    "PortfolioBackend",
     "backend_names",
     "get_backend",
     "register_backend",

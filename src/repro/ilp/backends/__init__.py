@@ -1,6 +1,6 @@
 """Pluggable solver backends for the MILP layer.
 
-Three backends ship registered out of the box:
+Two backends ship registered out of the box:
 
 ``"highs"``
     The historical scipy/HiGHS branch-and-cut path
@@ -10,11 +10,12 @@ Three backends ship registered out of the box:
     A dependency-free pure-Python best-first branch and bound
     (:class:`~repro.ilp.backends.branch_and_bound.BranchAndBoundBackend`),
     exact on the small golden models and always available.
-``"portfolio"``
-    The default (:data:`~repro.ilp.backends.base.DEFAULT_BACKEND`): HiGHS
-    under the paper's time cap with automatic fallback to branch and bound
-    whenever the primary is unavailable or returns no usable incumbent
-    (:class:`~repro.ilp.backends.portfolio.PortfolioBackend`).
+
+:data:`DEFAULT_BACKEND` — the backend of every solve and config that names
+none — is ``"highs"`` when scipy imports and ``"branch-and-bound"``
+otherwise.  Whichever runs, a time limit that leaves no incumbent better
+than the caller's verified warm start returns that warm start
+(:func:`repro.ilp.solve_model`).
 
 Custom backends register with :func:`register_backend`; any string a
 :class:`~repro.synthesis.config.FlowConfig` or ``--solver`` flag names is
@@ -22,7 +23,6 @@ resolved through :func:`get_backend` at solve time.
 """
 
 from repro.ilp.backends.base import (
-    DEFAULT_BACKEND,
     BackendUnavailableError,
     SolverBackend,
     backend_names,
@@ -33,11 +33,14 @@ from repro.ilp.backends.base import (
 )
 from repro.ilp.backends.branch_and_bound import BranchAndBoundBackend
 from repro.ilp.backends.highs import HighsBackend
-from repro.ilp.backends.portfolio import PortfolioBackend
 
 register_backend(HighsBackend())
 register_backend(BranchAndBoundBackend())
-register_backend(PortfolioBackend())
+
+#: Registry key of the backend used when options or configs name none.
+DEFAULT_BACKEND = (
+    HighsBackend.name if HighsBackend().is_available() else BranchAndBoundBackend.name
+)
 
 __all__ = [
     "DEFAULT_BACKEND",
@@ -45,7 +48,6 @@ __all__ = [
     "SolverBackend",
     "HighsBackend",
     "BranchAndBoundBackend",
-    "PortfolioBackend",
     "backend_names",
     "empty_model_result",
     "get_backend",

@@ -4,8 +4,8 @@ The paper solves its two ILPs (scheduling, architecture synthesis) with a
 commercial solver behind a wall-clock cap; this repository treats the solve
 step as a *seam* instead of a hard-wired call.  A :class:`SolverBackend`
 turns a :class:`repro.ilp.Model` into a :class:`repro.ilp.SolveResult`; the
-registry maps stable string keys (``"highs"``, ``"branch-and-bound"``,
-``"portfolio"``) to backend instances so every layer above — engine
+registry maps stable string keys (``"highs"``, ``"branch-and-bound"``) to
+backend instances so every layer above — engine
 configs, :class:`~repro.synthesis.config.FlowConfig`, batch manifests, the
 CLI's ``--solver`` flag — can name a backend without importing it.
 
@@ -32,8 +32,9 @@ class BackendUnavailableError(RuntimeError):
 
     Raised by :meth:`SolverBackend.solve` when the backend cannot run at all
     (e.g. :class:`~repro.ilp.backends.highs.HighsBackend` without scipy) —
-    as opposed to a solve that ran and failed.  The portfolio backend treats
-    it like a skip and moves on to the next backend in its chain.
+    as opposed to a solve that ran and failed.  It is never caught: a config
+    naming an unavailable backend fails, and a config naming none runs on
+    :data:`~repro.ilp.backends.DEFAULT_BACKEND`, which is always available.
     """
 
 
@@ -55,7 +56,8 @@ class SolverBackend(abc.ABC):
         """Whether the backend can run in this environment.
 
         The default is ``True``; backends with optional dependencies
-        override this so the portfolio can skip them instead of crashing.
+        override this, and :data:`~repro.ilp.backends.DEFAULT_BACKEND`
+        names an available one.
         """
         return True
 
@@ -91,11 +93,6 @@ def empty_model_result(model: "Model") -> Optional["SolveResult"]:
 # ------------------------------------------------------------------- registry
 
 _REGISTRY: Dict[str, SolverBackend] = {}
-
-#: Registry key of the backend used when options name none: the portfolio,
-#: whose primary is HiGHS with the paper's time cap and whose fallback keeps
-#: the flow running when the primary returns no usable incumbent.
-DEFAULT_BACKEND = "portfolio"
 
 
 def register_backend(backend: SolverBackend, *, replace: bool = False) -> SolverBackend:

@@ -3,7 +3,7 @@
 The backend solves a :class:`repro.ilp.Model` with nothing beyond numpy and
 the sparse matrices the model already knows how to produce
 (:meth:`Model.to_matrices`).  It exists so the whole synthesis flow runs on
-an interpreter without scipy — as the portfolio's fallback, and as an
+an interpreter without scipy — as the default backend there, and as an
 explicitly selectable ``"branch-and-bound"`` backend in tests and CI.
 
 Instead of an LP relaxation, nodes are bounded by *interval propagation*:

@@ -3,9 +3,9 @@
 This is the historical solve path of ``repro.ilp.solver``, lowered into a
 :class:`~repro.ilp.backends.base.SolverBackend` so it is one option among
 several instead of a hard dependency.  scipy is imported behind a guard:
-without it the backend reports itself unavailable (and the default
-portfolio backend falls through to the dependency-free branch-and-bound),
-so the repository imports and runs on a scipy-free interpreter.
+without it the backend reports itself unavailable (and the default backend
+is the dependency-free branch-and-bound instead), so the repository
+imports and runs on a scipy-free interpreter.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ class HighsBackend(SolverBackend):
         Raises
         ------
         BackendUnavailableError
-            When scipy is not installed; select ``branch-and-bound`` or the
-            ``portfolio`` backend (which skips unavailable members) instead.
+            When scipy is not installed; select ``branch-and-bound``
+            instead (the default on such an interpreter).
         """
         from repro.ilp.solver import SolveResult, SolverOptions
 
@@ -88,8 +88,7 @@ class HighsBackend(SolverBackend):
         if not self.is_available():
             raise BackendUnavailableError(
                 "the 'highs' backend needs scipy (pip install 'repro[highs]'); "
-                "use the 'branch-and-bound' or 'portfolio' backend on scipy-free "
-                "environments"
+                "use the 'branch-and-bound' backend on scipy-free environments"
             )
         start = time.perf_counter()
 
@@ -108,13 +107,22 @@ class HighsBackend(SolverBackend):
         if options.node_limit is not None:
             milp_options["node_limit"] = int(options.node_limit)
 
-        result = milp(
-            c=c,
-            constraints=constraints,
-            integrality=integrality,
-            bounds=Bounds(lb, ub),
-            options=milp_options,
-        )
+        def run():
+            return milp(c=c, constraints=constraints, integrality=integrality,
+                        bounds=Bounds(lb, ub), options=milp_options)
+
+        result = run()
+        if _STATUS_BY_CODE.get(result.status) is SolverStatus.ERROR:
+            # HiGHS's presolve can fail on models it solves without it
+            # (scipy 1.17.1 reports "Solve error" on a tiny infeasible
+            # equality model), so retry once without presolve within what
+            # is left of the time limit.
+            milp_options["presolve"] = False
+            if options.time_limit_s is not None:
+                milp_options["time_limit"] = max(
+                    0.0, float(options.time_limit_s) - (time.perf_counter() - start)
+                )
+            result = run()
         elapsed = time.perf_counter() - start
 
         status = _STATUS_BY_CODE.get(result.status, SolverStatus.ERROR)
@@ -123,8 +131,8 @@ class HighsBackend(SolverBackend):
             # Code 1 covers both "limit hit, incumbent available" (a feasible
             # best-effort result, the paper's 30-minute practice) and "limit
             # hit with no usable incumbent" — the latter must stay
-            # non-feasible so callers raise a clear error (or, under the
-            # portfolio backend, fall back) instead of consuming garbage.
+            # non-feasible so callers raise a clear error (or return a
+            # verified warm start) instead of consuming garbage.
             status = SolverStatus.FEASIBLE if has_solution else SolverStatus.TIME_LIMIT
         if status is SolverStatus.OPTIMAL and not has_solution:
             status = SolverStatus.ERROR

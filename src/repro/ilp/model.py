@@ -218,9 +218,10 @@ class Model:
     def solve(self, options: Optional["SolverOptions"] = None) -> "SolveResult":
         """Solve the model with the backend named in ``options``.
 
-        Defaults to the portfolio backend (HiGHS with branch-and-bound
-        fallback).  On a feasible outcome every variable's ``.value`` is
-        populated.
+        A thin delegate to :func:`repro.ilp.solve_model` (the default
+        backend, the warm-start rules); kept as the one call path so that
+        wrapping this method observes every solve.  On a feasible outcome
+        every variable's ``.value`` is populated.
         """
         from repro.ilp.solver import solve_model
 

@@ -1,13 +1,14 @@
 """Solve entry point: options, result type, and backend dispatch.
 
 Since the backend refactor the actual solving lives in
-:mod:`repro.ilp.backends` (``"highs"``, ``"branch-and-bound"``,
-``"portfolio"``); this module keeps the stable surface every caller uses —
-:class:`SolverOptions`, :class:`SolveResult`, :func:`solve_model` — and
-routes each solve to the backend named by ``options.backend`` (defaulting
-to the portfolio: HiGHS with automatic branch-and-bound fallback).  A
-warm start whose objective meets the model's certified lower bound closes
-the solve here, before any backend runs.
+:mod:`repro.ilp.backends` (``"highs"``, ``"branch-and-bound"``); this
+module keeps the stable surface every caller uses — :class:`SolverOptions`,
+:class:`SolveResult`, :func:`solve_model` — and routes each solve to the
+backend named by ``options.backend`` (defaulting to
+:data:`~repro.ilp.backends.DEFAULT_BACKEND`).  The warm-start rules apply
+here, once for every backend: a warm start whose objective meets the
+model's certified lower bound closes the solve before any backend runs,
+and a limited solve that found nothing better returns the warm start.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ class WarmStart:
     status and objective, but the point it returns may be the warm start
     itself: :func:`solve_model` returns a warm start whose objective meets
     the model's certified :attr:`~repro.ilp.Model.lower_bound` without
-    searching.  Under a time or node limit it can change the returned
-    best-effort incumbent and its status.  ``objective`` is an optional advisory bound (backends
-    recompute it from ``values``); ``label`` records provenance for
-    diagnostics, e.g. the neighbor's candidate id.
+    searching.  Under a time or node limit it is the fallback incumbent:
+    a solve that ends with nothing better returns it as ``FEASIBLE``.
+    ``objective`` is an optional advisory bound (backends recompute it
+    from ``values``); ``label`` records provenance for diagnostics, e.g.
+    the neighbor's candidate id.
     """
 
     values: Dict[str, float]
@@ -51,13 +53,13 @@ class SolverOptions:
     """Backend options.
 
     ``time_limit_s`` mirrors the paper's 30-minute cap on the scheduling and
-    synthesis ILPs; when the limit is reached the backend returns its best
-    incumbent which is reported as :attr:`SolverStatus.FEASIBLE`.
-    ``backend`` names a registered solver backend
-    (:func:`repro.ilp.backends.get_backend`); ``None`` selects the default
-    portfolio.  ``warm_start`` optionally seeds the search with a known
-    incumbent; it is runtime advice, not part of the problem, and must
-    never enter cache keys.
+    synthesis ILPs; when the limit is reached the best incumbent — the
+    backend's, or the warm start when that is better — is reported as
+    :attr:`SolverStatus.FEASIBLE`.  ``backend`` names a registered solver
+    backend (:func:`repro.ilp.backends.get_backend`); ``None`` selects
+    :data:`~repro.ilp.backends.DEFAULT_BACKEND`.  ``warm_start`` optionally
+    seeds the search with a known incumbent; it is runtime advice, not part
+    of the problem, and must never enter cache keys.
     """
 
     time_limit_s: Optional[float] = None
@@ -76,7 +78,8 @@ class SolveRecord:
     ``backend`` is :attr:`SolveResult.backend_name`.  ``bound`` is a
     proven bound on the objective in the model's own sense (a lower bound
     when minimizing): the model's certified lower bound on a bound close,
-    HiGHS's MIP dual bound on a HiGHS solve, ``None`` otherwise.
+    HiGHS's MIP dual bound on a HiGHS solve, the stronger of the two when
+    a limited solve returned the warm start, ``None`` otherwise.
     """
 
     backend: Optional[str]
@@ -84,7 +87,6 @@ class SolveRecord:
     objective: Optional[float]
     mip_gap: Optional[float]
     wall_time_s: float
-    fallback_used: bool
     warm_start_used: bool
     bound: Optional[float] = None
 
@@ -93,12 +95,11 @@ class SolveRecord:
 class SolveResult:
     """Outcome of a solve.
 
-    ``backend_name`` records which backend actually produced the outcome
-    (for a portfolio solve: the member that won, never ``"portfolio"``);
-    ``fallback_used`` is set when that member was not the portfolio's
-    primary.  ``warm_start_used`` records whether the winning backend
-    actually consumed a valid :class:`WarmStart` (HiGHS via scipy has no
-    warm-start API, so it always reports ``False``).  ``bound`` is the
+    ``backend_name`` records which backend produced the outcome.
+    ``warm_start_used`` records whether the returned point is, or the
+    search consumed, a valid :class:`WarmStart` (HiGHS via scipy has no
+    warm-start API, so it reports ``True`` only when :func:`solve_model`
+    returned the warm start at a limit).  ``bound`` is the
     proven objective bound of :class:`SolveRecord`.  :meth:`record`
     carries all of them, with the status and objective, into the
     artifacts.  A solve that :func:`solve_model` closes at the model's
@@ -113,7 +114,6 @@ class SolveResult:
     message: str = ""
     mip_gap: Optional[float] = None
     backend_name: Optional[str] = None
-    fallback_used: bool = False
     warm_start_used: bool = False
     bound: Optional[float] = None
 
@@ -131,7 +131,6 @@ class SolveResult:
             objective=self.objective,
             mip_gap=self.mip_gap,
             wall_time_s=self.wall_time_s,
-            fallback_used=self.fallback_used,
             warm_start_used=self.warm_start_used,
             bound=self.bound,
         )
@@ -144,11 +143,14 @@ def solve_model(model: Model, options: Optional[SolverOptions] = None) -> SolveR
     the model's certified :attr:`~repro.ilp.Model.lower_bound`, it is
     optimal: it is returned as OPTIMAL (``backend_name="bound"``) without
     running any backend.  Otherwise the function dispatches to the
-    registered backend (``options.backend``, or the default portfolio when
-    unset).  On a feasible outcome every variable's ``.value`` is filled,
-    so downstream code can read ``var.solution`` directly.  The whole solve
-    is one ``solver:solve`` span tagged with the producing backend and the
-    status.
+    registered backend (``options.backend``, or
+    :data:`~repro.ilp.backends.DEFAULT_BACKEND` when unset).  When that
+    solve ends at a limit with no incumbent better than a feasible warm
+    start, the warm start is returned as FEASIBLE instead (see
+    :func:`_warm_at_limit`).  On a feasible outcome every variable's
+    ``.value`` is filled, so downstream code can read ``var.solution``
+    directly.  The whole solve is one ``solver:solve`` span tagged with
+    the producing backend and the status.
     """
     # Imported here: the backends package imports this module for the
     # options/result types, so the dependency must stay one-directional at
@@ -157,43 +159,84 @@ def solve_model(model: Model, options: Optional[SolverOptions] = None) -> SolveR
 
     options = options or SolverOptions()
     backend = get_backend(options.backend or DEFAULT_BACKEND)
+    warm = options.warm_start
     with obs_span("solver:solve", category="solver") as solve_span:
-        result = _close_at_bound(model, options.warm_start)
+        start = time.perf_counter()
+        # Both warm-start rules need a minimized model and a verified warm
+        # start.  It is verified once, before the backend fills (and the
+        # check would clear) the variables' values.
+        warm_objective = None
+        if (warm is not None and model.objective is not None
+                and model.objective.sense is ObjectiveSense.MINIMIZE):
+            warm_objective = model.feasible_objective(warm.values)
+        result = _close_at_bound(model, warm, warm_objective, start)
         if result is None:
             result = backend.solve(model, options)
+            result = _warm_at_limit(model, warm, warm_objective, result) or result
         solve_span.set(backend=result.backend_name, status=result.status.value)
     return result
 
 
-def _close_at_bound(model: Model, warm: Optional[WarmStart]) -> Optional[SolveResult]:
+def _close_at_bound(model: Model, warm: Optional[WarmStart], objective: Optional[float],
+                    start: float) -> Optional[SolveResult]:
     """The warm start as an OPTIMAL result when it meets the lower bound.
 
-    ``None`` unless the model is minimized, carries a lower bound, and the
-    warm start is a complete feasible point whose objective is within
-    ``1e-6`` of that bound (no feasible point can be lower, so it is an
-    optimum).
+    ``objective`` is the warm start's verified objective on a minimized
+    model (``None`` otherwise).  ``None`` unless the model carries a lower
+    bound and that objective is within ``1e-6`` of it (no feasible point
+    can be lower, so it is an optimum).
     """
-    if (warm is None or model.lower_bound is None or model.objective is None
-            or model.objective.sense is not ObjectiveSense.MINIMIZE):
+    if (objective is None or model.lower_bound is None
+            or objective > model.lower_bound + 1e-6):
         return None
-    start = time.perf_counter()
-    objective = model.feasible_objective(warm.values)
-    if objective is None or objective > model.lower_bound + 1e-6:
+    return _warm_result(
+        model, warm, objective, SolverStatus.OPTIMAL,
+        wall_time_s=time.perf_counter() - start,
+        message="warm start meets the certified lower bound",
+        backend_name="bound",
+        bound=model.lower_bound,
+        mip_gap=0.0,
+    )
+
+
+def _warm_at_limit(model: Model, warm: Optional[WarmStart], objective: Optional[float],
+                   result: SolveResult) -> Optional[SolveResult]:
+    """The warm start as a FEASIBLE result when a limited solve found no better.
+
+    ``objective`` is the warm start's verified objective, as for
+    :func:`_close_at_bound`.  ``None`` unless there is one and the backend
+    stopped at a limit (``FEASIBLE`` or ``TIME_LIMIT``) with no incumbent,
+    or one strictly worse than the warm start.  The result
+    keeps the backend's name and wall time; its ``bound`` is the higher of
+    the model's certified lower bound and the backend's own, and
+    ``mip_gap`` is ``(objective - bound) / |objective|`` (HiGHS's
+    definition), or ``None`` without a bound or at objective 0.
+    """
+    if (objective is None
+            or result.status not in (SolverStatus.FEASIBLE, SolverStatus.TIME_LIMIT)
+            or (result.objective is not None and result.objective <= objective + 1e-6)):
         return None
+    bounds = [b for b in (result.bound, model.lower_bound) if b is not None]
+    bound = max(bounds) if bounds else None
+    gap = (objective - bound) / abs(objective) if bound is not None and objective else None
+    return _warm_result(
+        model, warm, objective, SolverStatus.FEASIBLE,
+        wall_time_s=result.wall_time_s,
+        message=f"{result.message} [returned the warm start]",
+        backend_name=result.backend_name,
+        bound=bound,
+        mip_gap=gap,
+    )
+
+
+def _warm_result(model: Model, warm: WarmStart, objective: float, status: SolverStatus,
+                 **fields) -> SolveResult:
+    """A ``status`` result returning the verified ``warm`` point, values filled."""
     values = {}
     for var in model.variables:
         value = float(warm.values[var.name])
         if var.kind != "continuous":
             value = float(round(value))
         var.value = values[var.name] = value
-    return SolveResult(
-        status=SolverStatus.OPTIMAL,
-        objective=objective,
-        values=values,
-        wall_time_s=time.perf_counter() - start,
-        message="warm start meets the certified lower bound",
-        mip_gap=0.0,
-        backend_name="bound",
-        warm_start_used=True,
-        bound=model.lower_bound,
-    )
+    return SolveResult(status=status, objective=objective, values=values,
+                       warm_start_used=True, **fields)

@@ -38,7 +38,10 @@ from typing import Any
 #: v8: SolveRecord gains ``bound``, and a scheduling solve whose warm start
 #:     meets the certified lower bound returns that warm start, so a stage
 #:     key may now hold a different optimal point than the one cached before.
-KEY_VERSION = 8
+#: v9: SolveRecord loses ``fallback_used``, and the default backend becomes
+#:     ``highs`` (``branch-and-bound`` without scipy), so v8 artifact
+#:     pickles no longer match the record's shape.
+KEY_VERSION = 9
 
 
 def stable_digest(payload: Any) -> str:

@@ -7,7 +7,6 @@ The logger taxonomy hangs off the ``repro`` root:
 * ``repro.batch`` — batch engine runs and tier execution;
 * ``repro.cache`` — result-cache flushes and tier degradation;
 * ``repro.singleflight`` — cross-process claim negotiation;
-* ``repro.solver`` — backend selection and fallback events;
 * ``repro.verify`` — Monte-Carlo verification runs;
 * ``repro.obs`` — the observability layer itself (trace exports).
 

@@ -204,9 +204,12 @@ class IlpScheduler:
 
         Raises
         ------
+        SolverLimitError
+            If the time limit expires with no incumbent and no usable warm
+            start; with one (the list heuristic's, or a fitting
+            ``warm_hint``) the limit returns it as a ``FEASIBLE`` schedule.
         RuntimeError
-            If the solver proves infeasibility or returns no usable solution
-            within the time limit.
+            If the solver proves infeasibility or fails.
         """
         cfg = self.config
         operations = graph.device_operations()

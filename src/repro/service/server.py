@@ -239,7 +239,7 @@ class ServiceConfig:
     max_generator_operations: int = 2000
     #: Force every submitted job's two ILPs onto this registered solver
     #: backend (``repro serve --solver``).  ``None`` keeps each job's own
-    #: config (normally the portfolio).  Applied server-side *after* config
+    #: config (normally the default backend).  Applied server-side *after* config
     #: validation, so it participates in the jobs' stage cache keys exactly
     #: like a manifest-level backend choice would.
     solver: Optional[str] = None

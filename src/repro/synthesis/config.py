@@ -6,6 +6,8 @@ import enum
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
+from repro.ilp.backends import DEFAULT_BACKEND, backend_names
+
 
 def _check_value_type(name: str, value: Any, expected: Any) -> Any:
     """Validate a config value loaded from JSON against its field's type.
@@ -100,12 +102,12 @@ class FlowConfig:
     ilp_time_limit_s: float = 60.0
     ilp_operation_limit: int = 14
     #: Registered solver backend the scheduling ILP runs on (see
-    #: :mod:`repro.ilp.backends`).  The default portfolio solves with
-    #: HiGHS under the time cap and falls back to the dependency-free
-    #: branch and bound when HiGHS is unavailable or returns no usable
-    #: incumbent, so the limit case degrades to best-effort instead of
-    #: aborting.  Participates in the schedule stage's cache key.
-    scheduler_backend: str = "portfolio"
+    #: :mod:`repro.ilp.backends`): by default HiGHS, or the dependency-free
+    #: branch and bound without scipy.  On either, a time limit that leaves
+    #: no better incumbent returns the list-schedule warm start as a
+    #: best-effort result instead of aborting.  Participates in the
+    #: schedule stage's cache key.
+    scheduler_backend: str = DEFAULT_BACKEND
     #: Relative MIP gap passed to *both* ILPs (scheduling and architecture
     #: synthesis); ``None`` solves to optimality within the time caps.
     mip_rel_gap: Optional[float] = None
@@ -120,7 +122,7 @@ class FlowConfig:
     #: Registered solver backend the architecture-synthesis ILP runs on;
     #: same semantics as :attr:`scheduler_backend`, keyed into the archsyn
     #: stage's cache key.
-    archsyn_backend: str = "portfolio"
+    archsyn_backend: str = DEFAULT_BACKEND
     #: Root seed threaded through the heuristic router's tie-breaking (and
     #: available to synthetic-graph generation via the same derivation
     #: helper, :func:`repro.keys.derive_seed`).  ``0`` keeps the canonical
@@ -179,11 +181,9 @@ class FlowConfig:
             raise ValueError("transport_time must be non-negative")
         if self.grid_rows < 2 or self.grid_cols < 2:
             raise ValueError("the connection grid must be at least 2x2")
-        # Imported lazily so custom backends registered at runtime are
-        # visible; a config naming an unknown backend must fail at
-        # construction (manifest load, CLI parse), not mid-solve.
-        from repro.ilp.backends import backend_names
-
+        # A config naming an unknown backend (custom ones registered at
+        # runtime included) must fail at construction (manifest load, CLI
+        # parse), not mid-solve.
         known = backend_names()
         for field_name in ("scheduler_backend", "archsyn_backend"):
             backend = getattr(self, field_name)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.ilp.solver import SolveRecord
 from repro.scheduling.binding import binding_summary
 from repro.synthesis.flow import SynthesisResult
 from repro.synthesis.metrics import FlowMetrics, collect_metrics
@@ -48,6 +49,15 @@ def format_table2_row(metrics: FlowMetrics) -> str:
     return " ".join(value.ljust(width) for value, (_, width) in zip(values, _TABLE2_COLUMNS))
 
 
+def _solve_note(solve: SolveRecord) -> str:
+    """`` (feasible, gap X%)`` for a solve that stopped short of optimal."""
+    if solve.status.is_optimal():
+        return ""
+    if solve.mip_gap is None:
+        return f" ({solve.status.value})"
+    return f" ({solve.status.value}, gap {100 * solve.mip_gap:.2f}%)"
+
+
 def result_report(result: SynthesisResult) -> str:
     """Multi-section report of a single synthesis run, for examples/CLI use."""
     metrics = collect_metrics(result)
@@ -58,7 +68,7 @@ def result_report(result: SynthesisResult) -> str:
         f"scheduler: {metrics.scheduler_engine}, synthesizer: {metrics.synthesis_engine}"
     )
     parts = [
-        f"{stage}={solve.backend}" + (" (fallback)" if solve.fallback_used else "")
+        f"{stage}={solve.backend}" + _solve_note(solve)
         for stage, solve in (
             ("schedule", result.schedule.solve),
             ("archsyn", result.architecture.solve),

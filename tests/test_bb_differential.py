@@ -31,7 +31,7 @@ from typing import List, Tuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ilp import (
@@ -274,6 +274,22 @@ def integer_models(draw) -> Model:
     return model
 
 
+def _presolve_error_model() -> Model:
+    """Infeasible, yet HiGHS's presolve reports "Solve error" on it.
+
+    Found by ``integer_models``; scipy 1.17.1's HiGHS needs a re-solve
+    without presolve to prove the infeasibility branch and bound reports.
+    """
+    model = Model("presolve-error")
+    x0 = model.add_integer("x0", low=0, up=2)
+    x1 = model.add_integer("x1", low=0, up=0)
+    x2 = model.add_integer("x2", low=1, up=1)
+    model.add_integer("x3", low=0, up=0)
+    model.add_constraint(-2 * x0 + 2 * x1 + x2 == 0)
+    model.minimize(0 * x0)
+    return model
+
+
 # --------------------------------------------------------- kernel equality
 
 class TestKernelEquivalence:
@@ -370,6 +386,7 @@ class TestSolveOracles:
     @needs_scipy
     @settings(max_examples=60, deadline=None)
     @given(integer_models())
+    @example(_presolve_error_model())
     def test_solve_matches_highs(self, model):
         bnb = _solve(model)
         highs = _solve(model, backend="highs")

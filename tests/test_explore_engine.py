@@ -25,6 +25,7 @@ from repro.explore import (
     unregister_strategy,
 )
 from repro.explore.spec import candidate_job, enumerate_candidates
+from repro.ilp.backends import DEFAULT_BACKEND
 from repro.obs.trace import TraceRecorder, install_recorder, uninstall_recorder
 from repro.service.singleflight import SingleFlightCache
 from repro.synthesis.pipeline import ScheduleStage, SynthesisPipeline
@@ -398,7 +399,8 @@ class TestEngineValidation:
 
     def test_solver_override_threads_into_candidates(self):
         spec = make_spec(budget=1)
-        engine = ExplorationEngine(spec, solver="branch-and-bound")
+        other_backend = "branch-and-bound" if DEFAULT_BACKEND == "highs" else "highs"
+        engine = ExplorationEngine(spec, solver=other_backend)
         report = engine.run()
         assert report.evaluated == 1
         # The override participates in the stage keys exactly like a

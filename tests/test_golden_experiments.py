@@ -37,9 +37,8 @@ class Golden:
 #: (assay, scheduler) -> pinned result.  The random assays are list-only:
 #: their 30/70/100 operations are far beyond any practical exact-ILP
 #: horizon.  RA70/RA100 were pinned with the PR-5 generator (layer cap off
-#: by default, so the historical graphs are unchanged) on the default
-#: portfolio backend; the grids reflect auto-expansion from the paper
-#: defaults.
+#: by default, so the historical graphs are unchanged); the grids reflect
+#: auto-expansion from the paper defaults.
 GOLDEN = {
     ("RA30", SchedulerEngine.LIST): Golden(650, (5, 5), 23, 37, 9),
     ("RA70", SchedulerEngine.LIST): Golden(1390, (6, 6), 36, 62, 15),

@@ -169,8 +169,7 @@ class TestLimitStatusMapping:
 
     def solve_with_fake(self, monkeypatch, fake):
         # The mapping under test is the HiGHS backend's, so the solve pins
-        # backend="highs" — the default portfolio would (correctly) fall
-        # back to branch and bound on a no-incumbent limit and hide it.
+        # backend="highs" whatever the default backend is.
         import repro.ilp.backends.highs as highs_module
 
         model, x = limit_model()
@@ -208,6 +207,23 @@ class TestLimitStatusMapping:
     def test_optimal_without_vector_is_an_error(self, monkeypatch):
         result, _ = self.solve_with_fake(monkeypatch, FakeMilpResult(0, None))
         assert result.status is SolverStatus.ERROR
+
+    def test_a_solve_error_retries_once_without_presolve(self, monkeypatch):
+        import repro.ilp.backends.highs as highs_module
+
+        calls = []
+        outcomes = [FakeMilpResult(4, None, "Solve error"), FakeMilpResult(2, None, "infeasible")]
+
+        def fake_milp(**kwargs):
+            calls.append(dict(kwargs["options"]))
+            return outcomes[len(calls) - 1]
+
+        monkeypatch.setattr(highs_module, "milp", fake_milp)
+        model, _ = limit_model()
+        result = model.solve(SolverOptions(backend="highs", time_limit_s=5.0))
+        assert result.status is SolverStatus.INFEASIBLE
+        assert [options["presolve"] for options in calls] == [True, False]
+        assert 0.0 <= calls[1]["time_limit"] <= 5.0
 
 
 class TestWeightedObjective:

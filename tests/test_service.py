@@ -305,9 +305,8 @@ class TestServiceEndToEnd:
                 "ran": 1, "replayed": 0, "shared": 2,
                 "wall_time_s": stages["schedule"]["wall_time_s"],
                 # Solver-free sweep: the list scheduler reports no backend
-                # and the portfolio never runs, let alone falls back — or
-                # consumes a warm start.
-                "backends": {}, "fallbacks": 0, "warm_starts": 0,
+                # and consumes no warm start.
+                "backends": {}, "warm_starts": 0,
             }
             assert stages["physical"]["ran"] == 3
 

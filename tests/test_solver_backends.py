@@ -1,19 +1,20 @@
 """Tests of the pluggable solver-backend subsystem.
 
-Four contracts are pinned here:
+Five contracts are pinned here:
 
 * **Parity** — the HiGHS and branch-and-bound backends agree (status, and
   objective within tolerance) on a matrix of small ``ilp.Model`` fixtures,
-  so the dependency-free fallback is a real substitute, not a different
+  so the dependency-free backend is a real substitute, not a different
   answer.
 * **Registry** — backends resolve by string key, unknown names fail loudly,
   and duplicate registration is rejected.
-* **Portfolio** — the fallback triggers deterministically under a forced
-  no-incumbent primary, decisive proofs (infeasibility) end the chain, and
-  unavailable members are skipped.
-* **Flow threading** — a forced primary timeout completes the synthesis
-  flow via the fallback backend instead of aborting, and the winning
-  backend's identity travels into artifacts, results, and batch payloads.
+* **Limits** — a backend that stops at its limit with no better incumbent
+  returns the caller's verified warm start as FEASIBLE, with the stronger
+  bound and its gap; an unverifiable warm start keeps the limit status.
+* **Flow threading** — a forced backend timeout completes the synthesis
+  flow on the warm start instead of aborting, and the backend's identity
+  and the solve's status, bound and gap travel into artifacts, results,
+  and batch payloads.
 * **Lowering** — ``Model.to_matrices`` yields CSR rows that evaluate like
   the constraints they come from, on the golden scheduling ILPs and on
   random models, without importing scipy.
@@ -35,9 +36,9 @@ from repro.ilp import (
     BranchAndBoundBackend,
     HighsBackend,
     Model,
-    PortfolioBackend,
     SolverOptions,
     SolverStatus,
+    WarmStart,
     backend_names,
     get_backend,
     lin_sum,
@@ -47,6 +48,7 @@ from repro.ilp import (
 )
 from repro.graph.generators import RandomAssayConfig, random_assay
 from repro.graph.library import assay_by_name
+from repro.ilp.backends import DEFAULT_BACKEND
 from repro.ilp.backends.base import SolverBackend
 from repro.ilp.solver import SolveResult
 from repro.scheduling.ilp_scheduler import IlpScheduler, IlpSchedulerConfig
@@ -172,7 +174,7 @@ def test_backend_parity_on_small_models(build):
 
 @pytest.mark.parametrize("build", PARITY_FIXTURES, ids=lambda f: f.__name__)
 def test_branch_and_bound_standalone(build):
-    """The fallback backend needs no scipy: every fixture solves (or proves
+    """The dependency-free backend needs no scipy: every fixture solves (or proves
     infeasibility) on its own."""
     model = build()
     result = model.solve(SolverOptions(backend="branch-and-bound"))
@@ -301,7 +303,7 @@ def scheduling_model(assay: str) -> Model:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Model, "solve", capture)
         with pytest.raises(_Captured):
-            paper_scheduler(assay, "portfolio").schedule(assay_by_name(assay))
+            paper_scheduler(assay, DEFAULT_BACKEND).schedule(assay_by_name(assay))
     return captured[0]
 
 
@@ -417,9 +419,39 @@ def test_bound_close_reaches_the_batch_payload():
 # ------------------------------------------------------------------ registry
 
 def test_registry_resolves_builtins():
-    for name in ("highs", "branch-and-bound", "portfolio"):
-        assert name in backend_names()
+    assert backend_names() == ("branch-and-bound", "highs")
+    for name in backend_names():
         assert get_backend(name).name == name
+
+
+def test_default_backend_is_highs_exactly_when_scipy_imports():
+    try:
+        import scipy.optimize  # noqa: F401
+    except ImportError:
+        expected = "branch-and-bound"
+    else:
+        expected = "highs"
+    assert DEFAULT_BACKEND == expected
+    config = FlowConfig()
+    assert config.scheduler_backend == config.archsyn_backend == expected
+
+
+def test_default_backend_without_scipy_is_branch_and_bound():
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from repro.ilp.backends import DEFAULT_BACKEND\n"
+        "from repro.synthesis.config import FlowConfig\n"
+        "assert DEFAULT_BACKEND == 'branch-and-bound', DEFAULT_BACKEND\n"
+        "config = FlowConfig()\n"
+        "assert config.scheduler_backend == config.archsyn_backend == DEFAULT_BACKEND\n"
+    )
+    subprocess.run([sys.executable, "-c", script], check=True)
+
+
+def test_a_config_naming_the_deleted_portfolio_fails_at_construction():
+    with pytest.raises(ValueError, match="unknown solver backend 'portfolio'"):
+        FlowConfig(scheduler_backend="portfolio")
 
 
 def test_unknown_backend_fails_loudly():
@@ -448,20 +480,24 @@ def test_register_and_unregister_custom_backend():
     assert "custom-bnb" not in backend_names()
 
 
-# ----------------------------------------------------------------- portfolio
+# ------------------------------------------------------------------- limits
 
 class StubTimeoutBackend(SolverBackend):
     """Always hits its 'cap' with no usable incumbent (deterministically)."""
 
     name = "stub-timeout"
+    #: The proven bound the stub reports with its limit.
+    bound = None
 
     def solve(self, model, options=None):
         for var in model.variables:
             var.value = None
         return SolveResult(
             status=SolverStatus.TIME_LIMIT,
+            wall_time_s=0.5,
             message="stub: limit reached with no incumbent",
             backend_name=self.name,
+            bound=self.bound,
         )
 
 
@@ -473,7 +509,7 @@ class StubUnavailableBackend(SolverBackend):
     def is_available(self):
         return False
 
-    def solve(self, model, options=None):  # pragma: no cover - never reached
+    def solve(self, model, options=None):
         raise BackendUnavailableError("stub")
 
 
@@ -487,75 +523,79 @@ def stub_backends():
     unregister_backend("stub-unavailable")
 
 
-class TestPortfolio:
-    @needs_scipy
-    def test_primary_win_records_no_fallback(self):
-        result = knapsack().solve(SolverOptions(backend="portfolio"))
-        assert result.status.is_optimal()
-        assert result.backend_name == "highs"
-        assert result.fallback_used is False
+def bounded_cover(lower_bound=None) -> Model:
+    """:func:`covering_pair` (optimum 5 at a=b=1) with a certified floor."""
+    model = covering_pair()
+    model.lower_bound = lower_bound
+    return model
 
-    def test_forced_no_incumbent_primary_falls_back(self, stub_backends):
-        portfolio = PortfolioBackend(chain=("stub-timeout", "branch-and-bound"))
-        model = knapsack()
-        result = portfolio.solve(model, SolverOptions())
-        assert result.status.is_optimal()
-        assert result.backend_name == "branch-and-bound"
-        assert result.fallback_used is True
-        assert "stub-timeout" in result.message  # the attempt is recorded
-        assert model.check_solution() == []
 
-    def test_infeasibility_proof_is_decisive(self, stub_backends):
-        """An INFEASIBLE primary ends the chain — no fallback can change a
-        mathematical proof."""
-        portfolio = PortfolioBackend(chain=("branch-and-bound", "stub-timeout"))
-        result = portfolio.solve(infeasible_box(), SolverOptions())
-        assert result.status is SolverStatus.INFEASIBLE
-        assert result.backend_name == "branch-and-bound"
-        assert result.fallback_used is False
+COVER_ALL = {"a": 1.0, "b": 1.0, "c": 1.0}
 
-    def test_unavailable_primary_is_skipped(self, stub_backends):
-        portfolio = PortfolioBackend(chain=("stub-unavailable", "branch-and-bound"))
-        result = portfolio.solve(knapsack(), SolverOptions())
-        assert result.status.is_optimal()
-        assert result.backend_name == "branch-and-bound"
-        assert result.fallback_used is True
 
-    def test_all_members_unavailable_raises(self, stub_backends):
-        portfolio = PortfolioBackend(chain=("stub-unavailable",))
-        with pytest.raises(BackendUnavailableError):
-            portfolio.solve(knapsack(), SolverOptions())
+class TestWarmStartAtLimit:
+    def test_limit_returns_the_verified_warm_start(self, stub_backends):
+        model = bounded_cover(lower_bound=4.0)
+        result = solve_model(model, SolverOptions(backend="stub-timeout",
+                                                  warm_start=WarmStart(COVER_ALL)))
+        assert result.status is SolverStatus.FEASIBLE
+        assert result.backend_name == "stub-timeout"
+        assert result.warm_start_used is True
+        assert result.objective == 9.0
+        assert result.bound == 4.0
+        assert result.mip_gap == pytest.approx((9.0 - 4.0) / 9.0)
+        assert result.wall_time_s == 0.5
+        assert "stub-timeout" not in result.message and "stub:" in result.message
+        assert {var.name: var.value for var in model.variables} == COVER_ALL
+        assert result.record().status is SolverStatus.FEASIBLE
 
-    def test_no_decisive_outcome_returns_last_attempt(self, stub_backends):
-        portfolio = PortfolioBackend(chain=("stub-timeout",))
-        result = portfolio.solve(knapsack(), SolverOptions())
+    def test_the_stronger_of_the_two_bounds_wins(self, stub_backends, monkeypatch):
+        monkeypatch.setattr(StubTimeoutBackend, "bound", 6.0)
+        result = solve_model(bounded_cover(lower_bound=4.0),
+                             SolverOptions(backend="stub-timeout",
+                                           warm_start=WarmStart(COVER_ALL)))
+        assert result.bound == 6.0
+        assert result.mip_gap == pytest.approx((9.0 - 6.0) / 9.0)
+
+    def test_no_bound_means_no_gap(self, stub_backends):
+        result = solve_model(bounded_cover(), SolverOptions(backend="stub-timeout",
+                                                            warm_start=WarmStart(COVER_ALL)))
+        assert result.status is SolverStatus.FEASIBLE
+        assert result.bound is None and result.mip_gap is None
+
+    def test_an_unverifiable_warm_start_keeps_the_limit(self, stub_backends):
+        model = bounded_cover(lower_bound=4.0)
+        infeasible = {"a": 0.0, "b": 0.0, "c": 1.0}
+        result = solve_model(model, SolverOptions(backend="stub-timeout",
+                                                  warm_start=WarmStart(infeasible)))
         assert result.status is SolverStatus.TIME_LIMIT
-        assert not result.status.is_feasible()
-        # A lone primary that failed is not a fallback result.
-        assert result.fallback_used is False
+        assert result.warm_start_used is False
+        assert all(var.value is None for var in model.variables)
 
-    def test_trailing_unavailable_member_does_not_relabel_the_primary(self, stub_backends):
-        """Regression: a skipped member *after* the returned attempt must
-        not mark the primary's own result as a fallback (or annotate it
-        with its own failure)."""
-        portfolio = PortfolioBackend(chain=("stub-timeout", "stub-unavailable"))
-        result = portfolio.solve(knapsack(), SolverOptions())
+    def test_no_warm_start_keeps_the_limit(self, stub_backends):
+        result = solve_model(bounded_cover(), SolverOptions(backend="stub-timeout"))
         assert result.status is SolverStatus.TIME_LIMIT
         assert result.backend_name == "stub-timeout"
-        assert result.fallback_used is False
-        # The annotation lists the other attempts, not the result's own.
-        assert "stub-unavailable: unavailable" in result.message
-        assert "stub-timeout:" not in result.message
+
+    def test_a_completed_search_keeps_its_own_optimum(self):
+        model = bounded_cover(lower_bound=4.0)
+        result = solve_model(model, SolverOptions(backend="branch-and-bound",
+                                                  warm_start=WarmStart(COVER_ALL)))
+        assert result.status is SolverStatus.OPTIMAL
+        assert result.objective == 5.0
+        assert model.check_solution() == []
+
+    def test_an_unavailable_backend_raises(self, stub_backends):
+        with pytest.raises(BackendUnavailableError):
+            solve_model(knapsack(), SolverOptions(backend="stub-unavailable"))
 
 
 # ------------------------------------------------------------------ dispatch
 
-def test_solve_model_default_is_the_portfolio():
+def test_solve_model_runs_the_default_backend():
     result = solve_model(knapsack())
-    # Whichever member won, the result is decisive and stamped.
     assert result.status.is_optimal()
-    expected = "highs" if SCIPY_AVAILABLE else "branch-and-bound"
-    assert result.backend_name == expected
+    assert result.backend_name == DEFAULT_BACKEND
 
 
 def test_options_backend_is_respected():
@@ -567,7 +607,7 @@ def test_options_backend_is_respected():
 def test_explicit_highs_backend_unchanged():
     result = knapsack().solve(SolverOptions(backend="highs"))
     assert result.backend_name == "highs"
-    assert result.fallback_used is False
+    assert result.warm_start_used is False
 
 
 # ------------------------------------------------------- flow-level threading
@@ -593,66 +633,45 @@ def loose_bound_graph():
     return random_assay(RandomAssayConfig(num_operations=4, seed=0))
 
 
-@pytest.fixture()
-def forced_fallback_portfolio(stub_backends):
-    """A registered portfolio whose primary deterministically times out."""
-    register_backend(
-        PortfolioBackend(chain=("stub-timeout", "branch-and-bound"), name="test-portfolio")
-    )
-    yield "test-portfolio"
-    unregister_backend("test-portfolio")
-
-
 class TestFlowThreading:
-    def test_forced_primary_timeout_completes_via_fallback(self, forced_fallback_portfolio,
-                                                           loose_bound_guard):
-        """The acceptance scenario: where the old code aborted with
-        SolverLimitError, the portfolio completes the flow on the fallback
-        backend and records exactly that."""
+    def test_forced_timeout_completes_on_the_warm_start(self, stub_backends,
+                                                        loose_bound_guard):
+        """Where a limit without an incumbent used to abort the flow with
+        SolverLimitError, the list schedule's warm start completes it, and
+        the result records the backend that ran."""
         from repro.synthesis.config import FlowConfig, SchedulerEngine
         from repro.synthesis.pipeline import SynthesisPipeline
+        from repro.synthesis.report import result_report
 
         config = FlowConfig(
             scheduler=SchedulerEngine.ILP,
-            scheduler_backend=forced_fallback_portfolio,
+            scheduler_backend="stub-timeout",
             ilp_time_limit_s=20.0,
         )
         result = SynthesisPipeline().run(loose_bound_graph(), config)
         loose_bound_guard()
         assert result.schedule.makespan > 0
         assert result.scheduler_engine == "ilp"
-        assert result.schedule.solve.backend == "branch-and-bound"
-        assert result.schedule.solve.fallback_used is True
+        solve = result.schedule.solve
+        assert (solve.backend, solve.status) == ("stub-timeout", SolverStatus.FEASIBLE)
+        assert solve.warm_start_used is True
+        assert solve.objective == 24090.0
+        # 90 / 24090 against the certified lower bound 24000.
+        assert "solver backends: schedule=stub-timeout (feasible, gap 0.37%)" in (
+            result_report(result)
+        )
 
-    def test_fallback_matches_default_backend_result(self, forced_fallback_portfolio):
-        """The fallback's schedule is as good as the primary's: the small
-        chain solves to the same makespan either way."""
-        from repro.synthesis.config import FlowConfig, SchedulerEngine
-        from repro.synthesis.pipeline import SynthesisPipeline
-
-        def run(backend):
-            config = FlowConfig(
-                scheduler=SchedulerEngine.ILP,
-                scheduler_backend=backend,
-                ilp_time_limit_s=20.0,
-            )
-            return SynthesisPipeline().run(small_chain_graph(), config)
-
-        forced = run(forced_fallback_portfolio)
-        default = run("portfolio")
-        assert forced.schedule.makespan == default.schedule.makespan
-
-    def test_backend_identity_reaches_batch_payload(self, forced_fallback_portfolio,
-                                                    loose_bound_guard):
+    def test_backend_identity_reaches_batch_payload(self, stub_backends, loose_bound_guard):
         """JobOutcome.payload — the one JSON shape of --json and the
-        service's result endpoint — carries backend and fallback per stage."""
+        service's result endpoint — carries each stage's backend, status,
+        objective, bound and gap."""
         from repro.batch.engine import BatchSynthesisEngine
         from repro.batch.jobs import BatchJob
         from repro.synthesis.config import FlowConfig, SchedulerEngine
 
         config = FlowConfig(
             scheduler=SchedulerEngine.ILP,
-            scheduler_backend=forced_fallback_portfolio,
+            scheduler_backend="stub-timeout",
             ilp_time_limit_s=20.0,
         )
         report = BatchSynthesisEngine(max_workers=1).run(
@@ -662,15 +681,37 @@ class TestFlowThreading:
         assert report.num_failed == 0
         payload = report.outcomes[0].payload()
         by_stage = {row["stage"]: row for row in payload["stages"]}
-        assert by_stage["schedule"]["backend"] == "branch-and-bound"
-        assert by_stage["schedule"]["bound"] is None
-        assert by_stage["schedule"]["fallback_used"] is True
+        schedule = by_stage["schedule"]
+        assert schedule["backend"] == "stub-timeout"
+        assert schedule["status"] == "feasible"
+        assert schedule["objective"] == 24090.0
+        assert schedule["bound"] == 24000.0
+        assert schedule["mip_gap"] == pytest.approx(90.0 / 24090.0)
+        assert schedule["warm_start_used"] is True
+        assert "fallback_used" not in schedule
         # The heuristic archsyn engine never invokes a MILP backend.
-        assert by_stage["archsyn"]["backend"] is None
-        assert by_stage["archsyn"]["fallback_used"] is False
+        archsyn = by_stage["archsyn"]
+        assert (archsyn["backend"], archsyn["status"], archsyn["mip_gap"]) == (None, None, None)
         summary = report.stage_summary()
-        assert summary["schedule"]["backends"] == {"branch-and-bound": 1}
-        assert summary["schedule"]["fallbacks"] == 1
+        assert summary["schedule"]["backends"] == {"stub-timeout": 1}
+        assert summary["schedule"]["warm_starts"] == 1
+        assert "fallbacks" not in summary["schedule"]
+
+    @needs_scipy
+    def test_highs_at_a_tight_limit_returns_a_schedule(self):
+        """PCR on HiGHS with a 50 ms limit: no incumbent in time used to
+        raise SolverLimitError; now the list schedule comes back."""
+        from repro.scheduling.list_scheduler import ListScheduler, ListSchedulerConfig
+
+        scheduler = paper_scheduler("PCR", "highs", time_limit_s=0.05)
+        graph = assay_by_name("PCR")
+        schedule = scheduler.schedule(graph)
+        assert schedule.solve.backend == "highs"
+        assert schedule.solve.status in (SolverStatus.FEASIBLE, SolverStatus.OPTIMAL)
+        listed = ListScheduler(
+            scheduler.library, ListSchedulerConfig(transport_time=10)
+        ).schedule(graph)
+        assert schedule.makespan <= listed.makespan
 
     def test_unknown_backend_rejected_at_config_time(self):
         from repro.synthesis.config import FlowConfig
@@ -727,4 +768,4 @@ class TestFlowThreading:
         options = synthesizer.config.solver_options()
         assert options.mip_rel_gap == 0.25
         assert options.time_limit_s == 33.0
-        assert options.backend == "portfolio"
+        assert options.backend == DEFAULT_BACKEND

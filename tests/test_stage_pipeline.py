@@ -22,6 +22,7 @@ from repro.batch.engine import BatchSynthesisEngine
 from repro.batch.jobs import BatchJob, expand_sweep
 from repro.graph.library import assay_by_name, build_pcr
 from repro.ilp import HighsBackend, SolverLimitError, SolverStatus
+from repro.ilp.backends import DEFAULT_BACKEND
 from repro.synthesis.config import RUNTIME_ADVICE_FIELDS, FlowConfig, SchedulerEngine
 from repro.synthesis.pipeline import (
     ArchSynthStage,
@@ -29,6 +30,10 @@ from repro.synthesis.pipeline import (
     covered_config_fields,
     graph_fingerprint,
 )
+
+
+#: A registered backend other than the default, whichever that is.
+OTHER_BACKEND = "branch-and-bound" if DEFAULT_BACKEND == "highs" else "highs"
 
 
 def fast_config(**overrides) -> FlowConfig:
@@ -95,16 +100,16 @@ class TestStageKeys:
         """Acceptance: switching scheduler_backend on an otherwise-identical
         job is a cache miss (schedule key changes, downstream cascades)."""
         base = plan_keys(fast_config())
-        rebackended = plan_keys(fast_config(scheduler_backend="branch-and-bound"))
+        rebackended = plan_keys(fast_config(scheduler_backend=OTHER_BACKEND))
         assert rebackended[0] != base[0]
         assert rebackended[1] != base[1]
         assert rebackended[2] != base[2]
         # Re-planning the same backend is key-identical (a cache hit).
-        assert plan_keys(fast_config(scheduler_backend="branch-and-bound")) == rebackended
+        assert plan_keys(fast_config(scheduler_backend=OTHER_BACKEND)) == rebackended
 
     def test_archsyn_backend_only_touches_downstream_keys(self):
         base = plan_keys(fast_config())
-        rebackended = plan_keys(fast_config(archsyn_backend="branch-and-bound"))
+        rebackended = plan_keys(fast_config(archsyn_backend=OTHER_BACKEND))
         assert rebackended[0] == base[0]  # schedule untouched
         assert rebackended[1] != base[1]
         assert rebackended[2] != base[2]
@@ -156,7 +161,7 @@ class TestStageReuse:
         engine = BatchSynthesisEngine(max_workers=1, cache=cache)
         engine.run([BatchJob("a", build_pcr(), fast_config())])
         assert stage_runs == {"schedule": 1, "archsyn": 1, "physical": 1}
-        switched = fast_config(scheduler_backend="branch-and-bound")
+        switched = fast_config(scheduler_backend=OTHER_BACKEND)
         report = engine.run([BatchJob("b", build_pcr(), switched)])
         assert stage_runs == {"schedule": 2, "archsyn": 2, "physical": 2}
         assert [e.action for e in report.outcomes[0].stages] == ["ran", "ran", "ran"]

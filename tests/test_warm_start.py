@@ -154,7 +154,7 @@ class TestHighsWarmStart:
         # scipy's milp has no warm-start API: the flag must stay honest.
         assert warm.warm_start_used is False
 
-    def test_portfolio_reports_the_winning_backends_consumption(self):
+    def test_default_backend_reports_its_own_consumption(self):
         result = solve_model(
             knapsack(),
             SolverOptions(warm_start=WarmStart(values=KNAPSACK_OPT)),

@@ -38,7 +38,7 @@ import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro import keys
 from repro.batch.cache_backends import (
@@ -220,21 +220,29 @@ class ResultCache:
                 return tier
         return None
 
-    def get(self, key: str) -> Optional[Any]:
-        """Look ``key`` up through the tier chain; ``None`` on a miss."""
+    def get(
+        self, key: str, claim: Optional[Callable[[str], Optional[Any]]] = None
+    ) -> Optional[Any]:
+        """Look ``key`` up through the tier chain; ``None`` on a miss.
+
+        ``claim`` stands in for the :attr:`claim_tier`'s ``get``: the
+        caller's claim request, whose answer carries the value when the
+        daemon holds the key, so a lookup that reaches the daemon costs one
+        round trip (:class:`~repro.service.singleflight.SingleFlightCache`
+        passes one).  It is called last, once memory and every other tier
+        missed, and counts like the read it replaces.
+        """
         if key in self._memory:
             return self._memory_hit(key)
+        claim_tier = self.claim_tier if claim is not None else None
         for tier in self.tiers:
-            with obs_span("cache:get", category="cache", tier=tier.kind) as tier_span:
-                value = tier.get(key)
-                tier_span.set(hit=value is not None, key=key[:16])
+            if tier is not claim_tier:
+                value = self._read_tier(tier, tier.get, key)
+                if value is not None:
+                    return value
+        if claim_tier is not None:
+            value = self._read_tier(claim_tier, claim, key)
             if value is not None:
-                if tier.kind == "shared":
-                    self.stats.shared_hits += 1
-                else:
-                    self.stats.disk_hits += 1
-                obs_metrics.cache_hits_counter().inc(tier=tier.kind)
-                self._store_memory(key, value)
                 return value
         self._count_miss()
         return None
@@ -336,6 +344,23 @@ class ResultCache:
         return len(self._memory)
 
     # -------------------------------------------------------------- internals
+    def _read_tier(
+        self, tier: CacheTier, read: Callable[[str], Optional[Any]], key: str
+    ) -> Optional[Any]:
+        """``read(key)`` as ``tier``'s lookup: traced, and on a hit counted
+        and promoted into memory."""
+        with obs_span("cache:get", category="cache", tier=tier.kind) as tier_span:
+            value = read(key)
+            tier_span.set(hit=value is not None, key=key[:16])
+        if value is not None:
+            if tier.kind == "shared":
+                self.stats.shared_hits += 1
+            else:
+                self.stats.disk_hits += 1
+            obs_metrics.cache_hits_counter().inc(tier=tier.kind)
+            self._store_memory(key, value)
+        return value
+
     def _memory_hit(self, key: str) -> Any:
         self._memory.move_to_end(key)
         self.stats.memory_hits += 1

@@ -41,7 +41,7 @@ from repro.batch.cache_backends.base import (
     encode_envelope,
 )
 from repro.batch.cache_backends.disk import DiskCacheTier
-from repro.obs.trace import TRACE_HEADER, current_context
+from repro.obs.trace import TRACE_HEADER, SpanContext, current_context
 
 #: Default lease on a cross-process claim; a claimant that neither
 #: publishes nor releases within the lease is presumed dead and taken over.
@@ -50,6 +50,11 @@ DEFAULT_LEASE_S = 300.0
 #: Idle daemon connections one tier keeps for reuse; a connection returned
 #: beyond this is closed.
 MAX_IDLE_CONNECTIONS = 8
+
+#: Content type of a response body that is a raw value envelope (``GET
+#: /kv/{key}``, and a claim answer for a stored key); every other answer
+#: is JSON.
+ENVELOPE_CONTENT_TYPE = "application/octet-stream"
 
 
 def send_request(
@@ -102,7 +107,9 @@ class ClaimOutcome:
 
     * ``"granted"`` — this process owns the claim and must compute the
       value (``takeover`` marks grants that displaced an expired lease);
-    * ``"present"`` — the value is already in the shared store, just read it;
+    * ``"present"`` — the value is already in the shared store: the answer
+      carried its envelope, decoded into ``value`` (``None`` when this
+      process cannot read it, e.g. another key version wrote it);
     * ``"claimed"`` — another live process holds the claim, whose lease
       has ``retry_after_s`` seconds left; ask again (a held ask returns
       as soon as the claim ends);
@@ -119,6 +126,7 @@ class ClaimOutcome:
     takeover: bool = False
     retry_after_s: float = 0.0
     claimant_trace: Optional[str] = None
+    value: Any = None
 
 
 class SharedCacheTier(CacheTier):
@@ -188,7 +196,11 @@ class SharedCacheTier(CacheTier):
 
     # ------------------------------------------------------------------ claims
     def claim(
-        self, key: str, lease_s: float = DEFAULT_LEASE_S, wait_s: float = 0.0
+        self,
+        key: str,
+        lease_s: float = DEFAULT_LEASE_S,
+        wait_s: float = 0.0,
+        trace: Optional[SpanContext] = None,
     ) -> ClaimOutcome:
         """Try to acquire the cross-process claim on ``key``.
 
@@ -198,18 +210,30 @@ class SharedCacheTier(CacheTier):
         claim without a round of lease expiry.  A positive ``wait_s`` asks
         the daemon to hold a ``claimed`` answer until the claim ends, for
         at most ``wait_s`` seconds, capped at half the request timeout.
+        ``trace`` is the span context a granted claim records for waiting
+        replicas (by default the active span's).
+
+        The claim doubles as the lookup: when the daemon holds ``key`` it
+        answers with the stored envelope itself (an ``application/
+        octet-stream`` body), returned decoded as a ``"present"`` outcome's
+        ``value`` — so no ``GET`` has to follow.
         """
         request = {"owner": self.owner, "lease_s": lease_s}
         if wait_s > 0:
             request["wait_s"] = min(wait_s, self.request_timeout_s / 2)
         payload = json.dumps(request).encode("utf-8")
-        status, body = self._request("POST", f"/claim/{key}", body=payload)
-        if status != 200 or body is None:
+        response, body = self._exchange("POST", f"/claim/{key}", payload, trace)
+        if response is None or response.status != 200:
             return ClaimOutcome(state="unavailable")
+        if response.getheader("Content-Type") == ENVELOPE_CONTENT_TYPE:
+            ok, value = decode_envelope(body)
+            if ok:
+                self._note_observed(key)
+            return ClaimOutcome(state="present", value=value)
         try:
             answer = json.loads(body.decode("utf-8"))
             state = answer["state"]
-            if state not in ("granted", "present", "claimed"):
+            if state not in ("granted", "claimed"):
                 raise ValueError(state)
             claimant = answer.get("claimant_trace")
             return ClaimOutcome(
@@ -230,21 +254,33 @@ class SharedCacheTier(CacheTier):
     def _request(
         self, method: str, path: str, body: Optional[bytes] = None
     ) -> Tuple[Optional[int], Optional[bytes]]:
-        """One request/response; ``(None, None)`` on any transport failure.
+        """One request/response; ``(None, None)`` on any transport failure."""
+        response, data = self._exchange(method, path, body)
+        return (response.status if response is not None else None), data
+
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        body: Optional[bytes] = None,
+        trace: Optional[SpanContext] = None,
+    ) -> Tuple[Optional[http.client.HTTPResponse], Optional[bytes]]:
+        """One request; the (read) response and its body, ``(None, None)``
+        on any transport failure.
 
         A pooled connection the daemon closed while idle gets the one
         fresh-connection retry of :func:`send_request`: every daemon
         endpoint is idempotent per owner (a re-claim refreshes the lease,
         ``PUT`` overwrites, release is owner-checked).
 
-        When the calling context is tracing, the request carries the active
-        span context in the :data:`TRACE_HEADER` header — on claim requests
-        the daemon stores it with the claim record and echoes it to waiting
-        replicas, which links a cross-replica claim wait to the claimant's
-        trace.
+        When the calling context is tracing, the request carries ``trace``,
+        or else the active span context, in the :data:`TRACE_HEADER` header
+        — on claim requests the daemon stores it with the claim record and
+        echoes it to waiting replicas, which links a cross-replica claim
+        wait to the claimant's trace.
         """
         headers = {}
-        ctx = current_context()
+        ctx = trace or current_context()
         if ctx is not None:
             headers[TRACE_HEADER] = ctx.serialize()
         with self._idle_lock:
@@ -269,7 +305,7 @@ class SharedCacheTier(CacheTier):
                 self._idle.append(connection)
         if not pooled:
             connection.close()
-        return response.status, data
+        return response, data
 
 
 class SharedBackend(CacheBackend):

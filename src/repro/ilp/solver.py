@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.ilp.model import Model, ObjectiveSense
 from repro.ilp.status import SolverStatus
@@ -147,7 +147,9 @@ def solve_model(model: Model, options: Optional[SolverOptions] = None) -> SolveR
     :data:`~repro.ilp.backends.DEFAULT_BACKEND` when unset).  When that
     solve ends at a limit with no incumbent better than a feasible warm
     start, the warm start is returned as FEASIBLE instead (see
-    :func:`_warm_at_limit`).  On a feasible outcome every variable's
+    :func:`_warm_at_limit`).  A FEASIBLE result of a minimized model that
+    carries no bound gets the model's lower bound and the gap to it (see
+    :func:`_bound_limited`).  On a feasible outcome every variable's
     ``.value`` is filled, so downstream code can read ``var.solution``
     directly.  The whole solve is one ``solver:solve`` span tagged with
     the producing backend and the status.
@@ -173,6 +175,7 @@ def solve_model(model: Model, options: Optional[SolverOptions] = None) -> SolveR
         if result is None:
             result = backend.solve(model, options)
             result = _warm_at_limit(model, warm, warm_objective, result) or result
+            _bound_limited(model, result)
         solve_span.set(backend=result.backend_name, status=result.status.value)
     return result
 
@@ -207,18 +210,14 @@ def _warm_at_limit(model: Model, warm: Optional[WarmStart], objective: Optional[
     :func:`_close_at_bound`.  ``None`` unless there is one and the backend
     stopped at a limit (``FEASIBLE`` or ``TIME_LIMIT``) with no incumbent,
     or one strictly worse than the warm start.  The result
-    keeps the backend's name and wall time; its ``bound`` is the higher of
-    the model's certified lower bound and the backend's own, and
-    ``mip_gap`` is ``(objective - bound) / |objective|`` (HiGHS's
-    definition), or ``None`` without a bound or at objective 0.
+    keeps the backend's name and wall time; its ``bound`` and ``mip_gap``
+    are those of :func:`_limit_bound`.
     """
     if (objective is None
             or result.status not in (SolverStatus.FEASIBLE, SolverStatus.TIME_LIMIT)
             or (result.objective is not None and result.objective <= objective + 1e-6)):
         return None
-    bounds = [b for b in (result.bound, model.lower_bound) if b is not None]
-    bound = max(bounds) if bounds else None
-    gap = (objective - bound) / abs(objective) if bound is not None and objective else None
+    bound, gap = _limit_bound(model, result.bound, objective)
     return _warm_result(
         model, warm, objective, SolverStatus.FEASIBLE,
         wall_time_s=result.wall_time_s,
@@ -227,6 +226,35 @@ def _warm_at_limit(model: Model, warm: Optional[WarmStart], objective: Optional[
         bound=bound,
         mip_gap=gap,
     )
+
+
+def _bound_limited(model: Model, result: SolveResult) -> None:
+    """Give a FEASIBLE minimizing result that carries no bound the model's.
+
+    A backend may stop at a limit on an incumbent of its own, or on the
+    warm start it was handed (branch and bound returns it as its own
+    incumbent, so :func:`_warm_at_limit` never fires).  Without this the
+    result would carry no bound and no gap although the model's certified
+    :attr:`~repro.ilp.Model.lower_bound` is one.
+    """
+    if (result.status is SolverStatus.FEASIBLE and result.bound is None
+            and result.objective is not None and model.objective is not None
+            and model.objective.sense is ObjectiveSense.MINIMIZE):
+        result.bound, result.mip_gap = _limit_bound(model, None, result.objective)
+
+
+def _limit_bound(model: Model, backend_bound: Optional[float],
+                 objective: float) -> Tuple[Optional[float], Optional[float]]:
+    """``(bound, mip_gap)`` of a solve that stopped at a limit on ``objective``.
+
+    The bound is the higher of the model's certified lower bound and the
+    backend's own; the gap is ``(objective - bound) / |objective|``
+    (HiGHS's definition), or ``None`` without a bound or at objective 0.
+    """
+    bounds = [b for b in (backend_bound, model.lower_bound) if b is not None]
+    bound = max(bounds) if bounds else None
+    gap = (objective - bound) / abs(objective) if bound is not None and objective else None
+    return bound, gap
 
 
 def _warm_result(model: Model, warm: WarmStart, objective: float, status: SolverStatus,

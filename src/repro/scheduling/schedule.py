@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.devices.device import DeviceLibrary
 from repro.graph.sequencing_graph import SequencingGraph
+
+T = TypeVar("T")
 
 
 class ScheduleValidationError(ValueError):
@@ -84,7 +86,30 @@ class Schedule:
                 raise KeyError(f"unknown device {device_id!r}")
         entry = ScheduledOperation(op_id, device_id, start, end)
         self._entries[op_id] = entry
+        self.__dict__.pop("_derived", None)
         return entry
+
+    def derived(self, compute: Callable[["Schedule"], T]) -> T:
+        """``compute(self)``, memoized on this schedule per function.
+
+        For pure functions of the entries (the transport figures of
+        :func:`~repro.synthesis.metrics.collect_metrics`): :meth:`assign`
+        drops every memoized value, and pickling leaves them out, so a memo
+        changes neither a schedule's envelope bytes nor its cache keys.
+        """
+        memo = self.__dict__.get("_derived")
+        if memo is None:
+            memo = self._derived = {}
+        if compute not in memo:
+            memo[compute] = compute(self)
+        return memo[compute]
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """The pickled state: every attribute but the memo."""
+        state = self.__dict__
+        if "_derived" in state:
+            state = {k: v for k, v in state.items() if k != "_derived"}
+        return state
 
     # --------------------------------------------------------------- queries
     def entry(self, op_id: str) -> ScheduledOperation:

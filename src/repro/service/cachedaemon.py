@@ -10,8 +10,12 @@ extend single-flight semantics across processes:
 * ``GET/HEAD/PUT /kv/{key}`` — the key-value store (raw envelope bodies);
   a ``PUT`` also releases any claim on its key, which is how "the solve
   finished" is announced to every waiting replica.
-* ``POST /claim/{key}`` — claim arbitration.  The reply is ``present``
-  when the value already exists, ``granted`` when the caller may compute
+* ``POST /claim/{key}`` — claim arbitration, and the lookup itself: when
+  the value already exists the reply *is* the value — the stored envelope
+  as an opaque ``application/octet-stream`` body, exactly what ``GET``
+  would return (counted as a get and a hit, and as ``claims_present``) —
+  so a replica's lookup costs one round trip whether it hits or misses.
+  Otherwise the JSON reply is ``granted`` when the caller may compute
   (with ``takeover: true`` when it displaced an expired lease), or
   ``claimed`` with ``retry_after_s`` (the seconds left on the holder's
   lease) while another live owner holds the claim.  A claim carries a
@@ -19,9 +23,10 @@ extend single-flight semantics across processes:
   presumed dead, so a crashed replica delays its waiters by at most one
   lease.  A claim body with a positive ``wait_s`` is *held* while the key
   stays claimed by a live owner: the answer goes out when the key is
-  published, released or cleared, when the lease expires (a takeover
-  grant), after ``wait_s`` seconds, or at shutdown — so a waiting replica
-  learns of the publish at once instead of at its next poll.
+  published (carrying the value), released or cleared, when the lease
+  expires (a takeover grant), after ``wait_s`` seconds, or at shutdown —
+  so a waiting replica receives the publish at once instead of at its
+  next poll.
 * ``POST /release/{key}`` — voluntary release (owner-checked, idempotent).
 * ``GET /stats``, ``GET /metrics`` (Prometheus text exposition),
   ``GET /healthz``, ``POST /clear``, ``POST /shutdown``.
@@ -51,6 +56,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+from repro.batch.cache_backends.shared import ENVELOPE_CONTENT_TYPE
 from repro.obs import metrics as obs_metrics
 from repro.obs.logs import get_logger
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, render_prometheus
@@ -287,9 +293,7 @@ class CacheDaemon:
                 return 404, None if method == "HEAD" else {"error": f"no such key: {key}"}
             self.stats.inc("hits")
             self._store.move_to_end(key)
-            return 200, RawBody(
-                data if method == "GET" else b"", "application/octet-stream"
-            )
+            return 200, RawBody(data if method == "GET" else b"", ENVELOPE_CONTENT_TYPE)
         if method == "PUT":
             if not request.body:
                 raise HttpError(400, "PUT /kv/{key} requires a non-empty body")
@@ -310,9 +314,10 @@ class CacheDaemon:
     ) -> Tuple[int, Any]:
         """``POST /claim/{key}``: single-flight claim arbitration.
 
-        A positive ``wait_s`` in the body holds a ``claimed`` answer for up
-        to that many seconds, re-deciding whenever the holder's record ends
-        or its lease runs out.
+        A stored key is answered with its envelope (the ``present`` answer
+        carries the value).  A positive ``wait_s`` in the body holds a
+        ``claimed`` answer for up to that many seconds, re-deciding
+        whenever the holder's record ends or its lease runs out.
         """
         if method != "POST":
             raise HttpError(405, f"{method} not supported on /claim/{{key}}")
@@ -331,9 +336,13 @@ class CacheDaemon:
         hold_until = time.monotonic() + wait_s
 
         while True:
-            if key in self._store:
+            data = self._store.get(key)
+            if data is not None:
                 self.stats.inc("claims_present")
-                return 200, {"state": "present"}
+                self.stats.inc("gets")
+                self.stats.inc("hits")
+                self._store.move_to_end(key)
+                return 200, RawBody(data, ENVELOPE_CONTENT_TYPE)
             now = time.monotonic()
             claim = self._claims.get(key)
             if claim is None or claim.owner == owner:

@@ -20,16 +20,21 @@ object:
 
 When the wrapped cache exposes a claim-arbitrating tier
 (:attr:`ResultCache.claim_tier`, present under the ``shared`` backend), the
-same protocol extends **across processes**: a local miss-claim additionally
-negotiates with the cache daemon before computing.  ``granted`` means this
-process solves; ``present`` means another replica already published, just
-read it; ``claimed`` means another *live* replica is mid-solve — one
-thread per process re-asks (everyone else queues on the local claim event)
-until the value appears or the remote lease expires and the claim is taken
-over.  Each re-ask is *held* by the daemon until the claim ends, so the
-waiter learns of the publish at once; re-asks the daemon answers at once
-are paced to one per ``poll_interval_s``.  An unreachable daemon degrades
-to process-local single-flight; it never blocks or crashes a solve.
+same protocol extends **across processes**, and the claim *is* the daemon
+lookup: a lookup that misses memory and any disk tier takes the local
+claim and sends one claim request in place of the daemon read
+(:meth:`ResultCache.get`'s ``claim`` argument).  When the daemon holds the
+key the answer is the value itself (``present``), so a hit costs one
+round trip and a miss no more.  ``granted`` means this process solves;
+``claimed`` means another *live* replica is mid-solve — one thread per
+process re-asks (everyone else queues on the local claim event) until an
+answer carries the value or the remote lease expires and the claim is
+taken over.  Each re-ask is *held* by the daemon until the claim ends, so
+the waiter receives the publish at once; re-asks the daemon answers at
+once are paced to one per ``poll_interval_s``.  An envelope this process
+cannot read (another key version) is a miss, and after three of them the
+process computes.  An unreachable daemon degrades to process-local
+single-flight; it never blocks or crashes a solve.
 
 Run-level keys (:meth:`SingleFlightCache.get_nowait` lookups and
 ``put(..., disk=False)`` stores) never leave the process: they live in the
@@ -44,8 +49,12 @@ every path, so under normal operation the timeout never fires.
 
 All inner-cache access is serialized under one lock — which also makes the
 wrapped ``ResultCache`` (plain dicts, not thread-safe by itself) safe to
-share between the service's worker threads — except the daemon round trips
-themselves, which run outside it so a slow network cannot stall unrelated
+share between the service's worker threads.  Two daemon round trips run
+inside it: a lookup's first claim request (answered at once, never held),
+and the write-through ``PUT`` of :meth:`put` (as do the tier calls of
+``flush_to_disk`` and ``close``).  The re-asks of a claim wait, which the
+daemon holds until the foreign claim ends, and ``release`` requests run
+outside it, so a wait on another replica's solve never stalls unrelated
 lookups.
 """
 
@@ -57,6 +66,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.logs import get_logger
+from repro.obs.trace import current_context
 from repro.obs.trace import span as obs_span
 
 _LOG = get_logger("singleflight")
@@ -124,53 +134,38 @@ class SingleFlightCache:
         is expected to compute and ``put`` (or ``abandon``).
         """
         waited = 0.0
-        last_event: Optional[threading.Event] = None
+        watched: Optional[threading.Event] = None
         while True:
+            # A claim waited on for the whole timeout is presumed dead.
+            stale = watched if waited >= self._claim_timeout_s else None
             with self._lock:
-                value = self._inner.get(key)
-                if value is not None:
-                    return value
-                event = self._inflight.get(key)
-                if event is None:
-                    self._inflight[key] = threading.Event()
-                    if self._claims is None:
+                if self._claims is None:
+                    value = self._inner.get(key)
+                    if value is None and self._take_local(key, stale):
                         self._bump("claims")
                         return None
-                    break  # holds the local claim; negotiate remotely below
-                if event is not last_event:
-                    if last_event is None:
+                else:
+                    ask = _FirstAsk(self, stale)
+                    value = self._inner.get(key, claim=ask)
+                    if value is None and ask.outcome is not None:
+                        break  # holds the local claim; settle the remote one below
+                if value is not None:
+                    return value
+                event = self._inflight[key]
+                if event is not watched:
+                    if watched is None:
                         self._bump("claim_waits")
                     # A different claimant than the one we were timing: give
                     # the new one a full patience window.  Without this
                     # reset, every waiter's accumulated wait would instantly
                     # "expire" the replacement claim after one takeover and
                     # the whole herd would solve the key concurrently.
-                    last_event = event
+                    watched = event
                     waited = 0.0
-            remaining = self._claim_timeout_s - waited
-            if remaining <= 0:
-                with self._lock:
-                    value = self._inner.get(key)
-                    if value is not None:
-                        return value
-                    if self._inflight.get(key) is event:
-                        # The claimant is presumed dead: take the claim over
-                        # and wake the other waiters so they re-queue behind
-                        # the replacement instead of the orphaned event.
-                        self._inflight[key] = threading.Event()
-                        event.set()
-                        self._bump("takeovers")
-                        if self._claims is None:
-                            self._bump("claims")
-                            return None
-                        # Inherit the remote claim too: re-claiming under
-                        # this process's owner id refreshes the lease.
-                        break
-                    continue  # the claim changed hands; re-time the claimant
             start = time.monotonic()
-            event.wait(timeout=remaining)
+            event.wait(timeout=self._claim_timeout_s - waited)
             waited += time.monotonic() - start
-        return self._negotiate_shared_claim(key)
+        return self._negotiate_shared_claim(key, ask.outcome)
 
     def get_nowait(self, key: str) -> Optional[Any]:
         """Thread-safe memory-tier lookup: no claiming, no waiting.
@@ -256,21 +251,42 @@ class SingleFlightCache:
             return len(self._inner)
 
     # -------------------------------------------------------------- internals
-    def _negotiate_shared_claim(self, key: str) -> Optional[Any]:
-        """Resolve a local miss-claim against the cross-process arbiter.
+    def _take_local(self, key: str, stale: Optional[threading.Event]) -> bool:
+        """Take the local claim on ``key`` (lock held); whether it was taken.
+
+        It is taken when no caller holds it, or taken over when ``stale``
+        — a claim waited on for the whole timeout, presumed dead — still
+        does: the other waiters wake and re-queue behind the replacement
+        instead of the orphaned event.
+        """
+        event = self._inflight.get(key)
+        if event is not None:
+            if event is not stale:
+                return False
+            event.set()
+            self._bump("takeovers")
+        self._inflight[key] = threading.Event()
+        return True
+
+    def _negotiate_shared_claim(self, key: str, outcome: Any) -> Optional[Any]:
+        """Settle a local miss-claim the daemon answered without the value.
 
         Runs while *holding* the local claim event — concurrent local
         threads queue on it, so each process sends one poller, however many
-        worker threads want the key.  Returns the remotely-published value,
-        or ``None`` once this process owns the cross-process claim (or the
-        daemon is unreachable, which degrades to local-only single-flight).
+        worker threads want the key.  Re-asks run outside the lock; one
+        whose answer carries an envelope goes through the inner cache's
+        ``get`` like the first ask did, so it is counted and promoted into
+        memory.  Returns the remotely-published value, or ``None`` once
+        this process owns the cross-process claim (or the daemon is
+        unreachable, which degrades to local-only single-flight).
         """
         present_misses = 0
         waiting_counted = False
-        # The first ask is answered at once; once another replica holds the
+        # The first ask was answered at once; once another replica holds the
         # claim, every re-ask carries a hold bound (the tier caps it below
         # its request timeout) and the daemon answers when the claim ends.
         wait_s = 0.0
+        asked_at = 0.0
         # The claim-wait span is opened lazily on the first "claimed" answer
         # and closed on whatever path ends the negotiation, so a wait on a
         # foreign replica's solve is one visible interval.  It carries the
@@ -280,10 +296,6 @@ class SingleFlightCache:
         wait_span = None
         try:
             while True:
-                asked_at = time.monotonic()
-                outcome = self._claims.claim(
-                    key, lease_s=self._claim_timeout_s, wait_s=wait_s
-                )
                 if outcome.state in ("granted", "unavailable"):
                     with self._lock:
                         self._bump("claims")
@@ -295,44 +307,51 @@ class SingleFlightCache:
                         )
                     return None
                 if outcome.state == "present":
-                    with self._lock:
-                        value = self._inner.get(key)
-                        if value is not None:
-                            self._release(key)
-                            return value
+                    # The daemon holds an envelope this process cannot read
+                    # (a different key version): after three such answers,
+                    # stop ping-ponging and compute locally — the eventual
+                    # put simply overwrites the unreadable entry.
                     present_misses += 1
                     if present_misses >= 3:
-                        # The daemon holds an envelope this process cannot read
-                        # (a different key version, or it evicted between
-                        # answers): stop ping-ponging and compute locally — the
-                        # eventual put simply overwrites the unreadable entry.
                         with self._lock:
                             self._bump("claims")
                         return None
-                    continue
-                # Another live replica holds the claim: re-ask until its put
-                # makes the key "present", its release/expiry grants it to
-                # us, or the daemon vanishes.
-                if not waiting_counted:
+                else:
+                    # Another live replica holds the claim: re-ask until its
+                    # put answers with the value, its release/expiry grants
+                    # it to us, or the daemon vanishes.
+                    if not waiting_counted:
+                        with self._lock:
+                            self._bump("claim_waits")
+                        waiting_counted = True
+                    if wait_cm is None:
+                        wait_cm = obs_span(
+                            "cache:claim-wait", category="cache", key=key[:16]
+                        )
+                        wait_span = wait_cm.__enter__()
+                    claimant = getattr(outcome, "claimant_trace", None)
+                    if claimant:
+                        wait_span.set(claimant=claimant)
+                    if wait_s > 0:
+                        # A re-ask came back (held or not): never ask more
+                        # often than once per poll interval, so a daemon that
+                        # answers at once is not spun on.
+                        time.sleep(
+                            max(0.0, asked_at + self._poll_interval_s - time.monotonic())
+                        )
+                    wait_s = self._claim_timeout_s
+                asked_at = time.monotonic()
+                outcome = self._claims.claim(
+                    key, lease_s=self._claim_timeout_s, wait_s=wait_s
+                )
+                if outcome.state == "present":
                     with self._lock:
-                        self._bump("claim_waits")
-                    waiting_counted = True
-                if wait_cm is None:
-                    wait_cm = obs_span(
-                        "cache:claim-wait", category="cache", key=key[:16]
-                    )
-                    wait_span = wait_cm.__enter__()
-                claimant = getattr(outcome, "claimant_trace", None)
-                if claimant:
-                    wait_span.set(claimant=claimant)
-                if wait_s > 0:
-                    # A re-ask came back (held or not): never ask more often
-                    # than once per poll interval, so a daemon that answers
-                    # at once is not spun on.
-                    time.sleep(
-                        max(0.0, asked_at + self._poll_interval_s - time.monotonic())
-                    )
-                wait_s = self._claim_timeout_s
+                        value = self._inner.get(
+                            key, claim=lambda _key, answer=outcome: answer.value
+                        )
+                        if value is not None:
+                            self._release(key)
+                            return value
         finally:
             if wait_cm is not None:
                 wait_cm.__exit__(None, None, None)
@@ -348,3 +367,39 @@ class SingleFlightCache:
         event = self._inflight.pop(key, None)
         if event is not None:
             event.set()
+
+
+class _FirstAsk:
+    """The claim tier's read in one :meth:`SingleFlightCache.get` lookup.
+
+    :meth:`ResultCache.get` calls it, with the lock held, once memory and
+    every tier in front of the daemon missed.  When another caller of this
+    process holds the local claim it sends nothing: the lookup is a miss and
+    the caller queues on that claim.  Otherwise it takes the local claim
+    and asks the daemon; an answer that carries the value also releases the
+    local claim.  After a local takeover the ask inherits the remote claim
+    too: re-claiming under this process's owner id refreshes the lease.
+    The claim carries the caller's span context, not that of the
+    ``cache:get`` span it is sent from, so a replica waiting on it links to
+    the span doing the work.
+    """
+
+    def __init__(
+        self, flight: SingleFlightCache, stale: Optional[threading.Event]
+    ) -> None:
+        self.flight = flight
+        self.stale = stale
+        self.trace = current_context()
+        #: The daemon's answer, once this lookup asked.
+        self.outcome: Any = None
+
+    def __call__(self, key: str) -> Optional[Any]:
+        flight = self.flight
+        if not flight._take_local(key, self.stale):
+            return None
+        self.outcome = flight._claims.claim(
+            key, lease_s=flight._claim_timeout_s, trace=self.trace
+        )
+        if self.outcome.value is not None:
+            flight._release(key)
+        return self.outcome.value

@@ -3,10 +3,35 @@
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints
+from types import MappingProxyType
+from typing import (
+    Any,
+    Dict,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from repro.ilp.backends import DEFAULT_BACKEND, backend_names
+
+
+@functools.lru_cache(maxsize=None)
+def _field_types(cls: type) -> Mapping[str, Any]:
+    """Each dataclass field of ``cls`` mapped to its resolved annotation.
+
+    Expected types come from the field annotations (``from __future__
+    import annotations`` makes them strings, resolved here once per class),
+    not ``type(field.default)`` — the latter would misfire on any future
+    Optional or default_factory field.
+    """
+    hints = get_type_hints(cls)
+    return MappingProxyType({spec.name: hints[spec.name] for spec in fields(cls)})
 
 
 def _check_value_type(name: str, value: Any, expected: Any) -> Any:
@@ -240,13 +265,8 @@ class FlowConfig:
             defaults (or silently flipping behavior — a JSON string like
             ``"false"`` is truthy and must not pass for a bool).
         """
-        # Expected types come from the field annotations (resolved once per
-        # call; ``from __future__ import annotations`` makes them strings),
-        # not ``type(field.default)`` — the latter would misfire on any
-        # future Optional or default_factory field.
-        hints = get_type_hints(cls)
-        known = {spec.name for spec in fields(cls)}
-        unknown = set(data) - known
+        hints = _field_types(cls)
+        unknown = set(data) - hints.keys()
         if unknown:
             raise ValueError(f"unknown flow-config keys: {sorted(unknown)}")
         kwargs: Dict[str, Any] = {}

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from repro.scheduling.transport import (
     cross_device_gap_sum,
@@ -11,6 +11,7 @@ from repro.scheduling.transport import (
     peak_of,
     requirements_of,
 )
+from repro.scheduling.schedule import Schedule
 from repro.synthesis.flow import SynthesisResult
 
 
@@ -64,15 +65,43 @@ class FlowMetrics:
         }
 
 
-def collect_metrics(result: SynthesisResult) -> FlowMetrics:
-    """Derive all evaluation metrics from a :class:`SynthesisResult`."""
-    schedule = result.schedule
-    architecture = result.architecture
+class _ScheduleFigures(NamedTuple):
+    """The part of :class:`FlowMetrics` that depends on the schedule alone."""
+
+    num_operations: int
+    num_transport_tasks: int
+    num_storage_requirements: int
+    peak_storage: int
+    total_storage_time: int
+    cross_device_gap: int
+
+
+def _schedule_figures(schedule: Schedule) -> _ScheduleFigures:
     tasks = extract_transport_tasks(schedule)
     requirements = requirements_of(tasks, schedule.transport_time)
+    return _ScheduleFigures(
+        num_operations=len(schedule.graph.device_operations()),
+        num_transport_tasks=len(tasks),
+        num_storage_requirements=len(requirements),
+        peak_storage=peak_of(requirements),
+        total_storage_time=sum(req.duration for req in requirements),
+        cross_device_gap=cross_device_gap_sum(schedule),
+    )
+
+
+def collect_metrics(result: SynthesisResult) -> FlowMetrics:
+    """Derive all evaluation metrics from a :class:`SynthesisResult`.
+
+    The schedule-derived figures are computed once per schedule object
+    (:meth:`Schedule.derived`): the jobs of a sweep that differ only in
+    downstream knobs share one cached schedule.
+    """
+    schedule = result.schedule
+    architecture = result.architecture
+    figures = schedule.derived(_schedule_figures)
     return FlowMetrics(
         assay=result.graph.name,
-        num_operations=len(result.graph.device_operations()),
+        num_operations=figures.num_operations,
         execution_time=schedule.makespan,
         scheduling_time_s=result.scheduling_time_s,
         grid_shape=architecture.grid.shape,
@@ -85,11 +114,11 @@ def collect_metrics(result: SynthesisResult) -> FlowMetrics:
         physical_time_s=result.physical_time_s,
         edge_ratio=architecture.edge_ratio(),
         valve_ratio=architecture.valve_ratio(),
-        num_transport_tasks=len(tasks),
-        num_storage_requirements=len(requirements),
-        peak_storage=peak_of(requirements),
-        total_storage_time=sum(req.duration for req in requirements),
-        cross_device_gap=cross_device_gap_sum(schedule),
+        num_transport_tasks=figures.num_transport_tasks,
+        num_storage_requirements=figures.num_storage_requirements,
+        peak_storage=figures.peak_storage,
+        total_storage_time=figures.total_storage_time,
+        cross_device_gap=figures.cross_device_gap,
         scheduler_engine=result.scheduler_engine,
         synthesis_engine=result.synthesis_engine,
     )

@@ -552,10 +552,12 @@ class TestHeldClaim:
         class AlwaysClaimed:
             """A claim tier that answers "claimed" at once for a while."""
 
+            kind = "shared"
+
             def __init__(self):
                 self.calls = []
 
-            def claim(self, key, lease_s, wait_s=0.0):
+            def claim(self, key, lease_s, wait_s=0.0, trace=None):
                 now = time.monotonic()
                 self.calls.append((now, wait_s))
                 if now - self.calls[0][0] < window_s:
@@ -610,3 +612,133 @@ class TestRunKeysStayLocal:
         assert daemon.stats.releases == 0
         # Two memory misses on the first run, two hits on the second.
         assert cache.stats.misses >= 2
+
+
+def record_requests(daemon):
+    """Record ``(method, path)`` of every request ``daemon`` answers."""
+    requests = []
+    route = daemon._route
+
+    async def recording_route(request):
+        requests.append((request.method, request.path))
+        return await route(request)
+
+    daemon._route = recording_route
+    return requests
+
+
+class TestClaimCarriesTheValue:
+    """A claim on a stored key is answered with the value, so a lookup that
+    reaches the daemon costs one round trip whether it hits or misses."""
+
+    def test_tier_claim_on_a_stored_key_returns_the_value(self, daemon, daemon_addr):
+        SharedCacheTier(daemon_addr).put(KEY_A, {"v": 1})
+        reader = SharedCacheTier(daemon_addr)
+        outcome = reader.claim(KEY_A)
+        assert outcome.state == "present" and outcome.value == {"v": 1}
+        assert reader.is_clean(KEY_A)  # observed, so the shutdown flush skips it
+        assert daemon.stats.claims_present == 1
+        assert daemon.stats.hits == 1  # a value served in a claim is a hit
+
+    def test_lookup_of_a_stored_key_is_one_request(self, daemon, daemon_addr):
+        SharedCacheTier(daemon_addr).put(KEY_A, {"v": 1})
+        requests = record_requests(daemon)
+        cache = SingleFlightCache(ResultCache(backend="shared", cache_addr=daemon_addr))
+        assert cache.get(KEY_A) == {"v": 1}
+        assert requests == [("POST", f"/claim/{KEY_A}")]
+        assert cache.stats.shared_hits == 1 and cache.stats.misses == 0
+        assert cache.get(KEY_A) == {"v": 1}  # now from memory: no request
+        assert len(requests) == 1
+        # The local claim taken for the ask was released with the value.
+        assert cache.get_nowait(KEY_A) == {"v": 1}
+        assert not cache._inflight
+
+    def test_lookup_of_a_missing_key_is_one_request(self, daemon, daemon_addr):
+        requests = record_requests(daemon)
+        cache = SingleFlightCache(ResultCache(backend="shared", cache_addr=daemon_addr))
+        assert cache.get(KEY_A) is None
+        assert requests == [("POST", f"/claim/{KEY_A}")]
+        assert cache.stats.misses == 1 and cache.stats.claims == 1
+
+    def test_disk_tier_is_read_before_the_daemon(self, daemon, daemon_addr, tmp_path):
+        DiskCacheTier(tmp_path).put(KEY_A, {"v": "disk"})
+        requests = record_requests(daemon)
+        cache = SingleFlightCache(
+            ResultCache(backend="shared", cache_dir=tmp_path, cache_addr=daemon_addr)
+        )
+        assert cache.get(KEY_A) == {"v": "disk"}
+        assert requests == []
+        assert cache.stats.disk_hits == 1
+
+    def test_unreadable_envelope_is_a_present_miss_then_computed(self, daemon, daemon_addr):
+        skewed = pickle.dumps((keys.KEY_VERSION + 1, {"other": True}))
+        status, _ = SharedCacheTier(daemon_addr)._request("PUT", f"/kv/{KEY_A}", body=skewed)
+        assert status == 200
+        requests = record_requests(daemon)
+        cache = SingleFlightCache(ResultCache(backend="shared", cache_addr=daemon_addr))
+        assert cache.get(KEY_A) is None  # three present-misses: compute
+        assert requests == [("POST", f"/claim/{KEY_A}")] * 3
+        assert daemon.stats.claims_present == 3
+        assert cache.stats.claims == 1 and cache.stats.shared_hits == 0
+        cache.put(KEY_A, {"mine": True})  # overwrites the unreadable entry
+        assert SharedCacheTier(daemon_addr).get(KEY_A) == {"mine": True}
+
+    def test_a_held_reask_receives_the_published_value(self, daemon, daemon_addr):
+        claimant = SharedCacheTier(daemon_addr)
+        assert claimant.claim(KEY_A, lease_s=30.0).state == "granted"
+        thread, out = held_claim(SharedCacheTier(daemon_addr), KEY_A)
+        time.sleep(0.3)
+        claimant.put(KEY_A, {"solved": True})
+        thread.join(timeout=10.0)
+        outcome, took = out[0]
+        assert outcome.state == "present" and outcome.value == {"solved": True}
+        assert took < 1.5
+
+
+#: One PCR job on the list scheduler: three stage keys and one run key.
+ONE_JOB = {"defaults": {"ilp_operation_limit": 0}, "jobs": [{"assay": "PCR"}]}
+STAT_FIELDS = ("memory_hits", "shared_hits", "disk_hits", "misses", "claims", "claim_waits")
+
+
+def batch_stats(cache):
+    """The lookup and claim counters of one one-job batch on ``cache``."""
+    engine = BatchSynthesisEngine(max_workers=1, cache=cache)
+    report = engine.run(manifest_jobs(ONE_JOB, source="test manifest"))
+    assert report.num_failed == 0
+    return {name: getattr(report.cache_stats, name) for name in STAT_FIELDS}
+
+
+class TestOneJobBatchStats:
+    """The counters a one-job batch reports are those of a ``GET`` before
+    every claim: the claim answer that carries the value counts as the
+    same shared hit, a granted claim as the same miss."""
+
+    def test_cold_warm_and_repeated_batches(self, daemon_addr):
+        def replica():
+            return SingleFlightCache(ResultCache(backend="shared", cache_addr=daemon_addr))
+
+        first = replica()
+        assert batch_stats(first) == {
+            "memory_hits": 0, "shared_hits": 0, "disk_hits": 0,
+            "misses": 4, "claims": 3, "claim_waits": 0,
+        }
+        assert batch_stats(first) == {
+            "memory_hits": 1, "shared_hits": 0, "disk_hits": 0,
+            "misses": 0, "claims": 0, "claim_waits": 0,
+        }
+        assert batch_stats(replica()) == {
+            "memory_hits": 0, "shared_hits": 3, "disk_hits": 0,
+            "misses": 1, "claims": 0, "claim_waits": 0,
+        }
+
+    def test_disk_tier_in_front(self, daemon_addr, tmp_path):
+        def replica():
+            return SingleFlightCache(
+                ResultCache(backend="shared", cache_dir=tmp_path, cache_addr=daemon_addr)
+            )
+
+        assert batch_stats(replica())["claims"] == 3
+        assert batch_stats(replica()) == {
+            "memory_hits": 0, "shared_hits": 0, "disk_hits": 3,
+            "misses": 1, "claims": 0, "claim_waits": 0,
+        }

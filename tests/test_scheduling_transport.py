@@ -122,3 +122,76 @@ class TestStorageAnalysis:
         sched.assign("o4", "mixer1", 140, 200)
         assert storage_requirements(sched) == []
         assert peak_storage_demand(sched) == 0
+
+
+class TestScheduleFiguresMemo:
+    """``collect_metrics`` derives the schedule's transport figures once per
+    schedule object; the memo never reaches a pickle and ``assign`` drops it."""
+
+    @staticmethod
+    def synthesized(seed):
+        from repro.graph.generators import RandomAssayConfig, random_assay
+        from repro.synthesis.config import FlowConfig
+        from repro.synthesis.flow import synthesize
+
+        graph = random_assay(RandomAssayConfig(num_operations=14, seed=seed))
+        return synthesize(graph, FlowConfig(ilp_operation_limit=0))
+
+    def test_derived_is_computed_once_until_the_next_assign(self, schedule):
+        calls = []
+
+        def count(sched):
+            calls.append(sched)
+            return len(calls)
+
+        assert schedule.derived(count) == 1
+        assert schedule.derived(count) == 1
+        schedule.assign("o4", "mixer2", 210, 270)
+        assert schedule.derived(count) == 2
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_memoized_metrics_equal_fresh_ones(self, seed):
+        import pickle
+
+        from repro.synthesis.metrics import collect_metrics
+
+        result = self.synthesized(seed)
+        collect_metrics(result)
+        memoized = collect_metrics(result)
+        fresh = collect_metrics(pickle.loads(pickle.dumps(result)))
+        assert memoized == fresh
+        schedule = result.schedule
+        assert memoized.num_operations == len(result.graph.device_operations())
+        assert memoized.num_transport_tasks == len(extract_transport_tasks(schedule))
+        assert memoized.num_storage_requirements == len(storage_requirements(schedule))
+        assert memoized.peak_storage == peak_storage_demand(schedule)
+        assert memoized.total_storage_time == total_storage_time(schedule)
+        assert memoized.cross_device_gap == cross_device_gap_sum(schedule)
+
+    def test_envelope_bytes_do_not_change_with_the_memo(self):
+        from repro.batch.cache_backends.base import encode_envelope
+        from repro.synthesis.metrics import collect_metrics
+        from repro.synthesis.pipeline import ScheduleArtifact
+
+        result = self.synthesized(5)
+        artifact = ScheduleArtifact(result.schedule, result.scheduler_engine, 0.25)
+        before = encode_envelope(artifact)
+        collect_metrics(result)
+        assert "_derived" in vars(result.schedule)  # the memo exists...
+        assert encode_envelope(artifact) == before  # ...and is not pickled
+
+    def test_assign_after_a_metrics_call_invalidates_the_memo(self):
+        from repro.synthesis.metrics import collect_metrics
+
+        result = self.synthesized(6)
+        schedule = result.schedule
+        before = collect_metrics(result)
+        # Push the last-finishing operation later: every edge into it waits
+        # 100 s longer, so the cross-device gap sum or the storage grows.
+        last = max(schedule.entries(), key=lambda e: (e.end, e.op_id))
+        schedule.assign(last.op_id, last.device_id, last.start + 100, last.end + 100)
+        after = collect_metrics(result)
+        assert (after.cross_device_gap, after.total_storage_time) != (
+            before.cross_device_gap, before.total_storage_time)
+        assert after.cross_device_gap == cross_device_gap_sum(schedule)
+        assert after.total_storage_time == total_storage_time(schedule)

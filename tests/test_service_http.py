@@ -161,6 +161,34 @@ class TestKeepAlive:
                 assert stream.read() == b""
 
 
+class TestClaimAnswerOnTheWire:
+    def test_stored_key_claim_is_the_raw_envelope_then_json_on_one_connection(self):
+        daemon = build("daemon")
+        with running(daemon):
+            envelope = b"\x80opaque envelope bytes"
+            claim = b'{"owner": "test"}'
+            with socket.create_connection(("127.0.0.1", daemon.bound_port), timeout=5.0) as sock:
+                with sock.makefile("rb") as stream:
+                    sock.sendall(
+                        b"PUT /kv/%s HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                        % (KEY_A.encode(), len(envelope), envelope)
+                    )
+                    assert read_response(stream)[0] == 200
+                    for key in (KEY_A, KEY_B):
+                        sock.sendall(
+                            b"POST /claim/%s HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                            % (key.encode(), len(claim), claim)
+                        )
+                    status, headers, body = read_response(stream)
+                    assert status == 200
+                    assert headers["content-type"] == "application/octet-stream"
+                    assert body == envelope  # stored bytes, not wrapped
+                    status, headers, body = read_response(stream)
+                    assert status == 200 and headers["content-type"] == "application/json"
+                    assert b'"granted"' in body
+            assert daemon.stats.claims_present == 1 and daemon.stats.hits == 1
+
+
 class TestShutdownWithIdleConnections:
     def test_daemon_stops_promptly_with_a_pooled_idle_connection(self):
         daemon = build("daemon")

@@ -577,6 +577,19 @@ class TestWarmStartAtLimit:
         assert result.status is SolverStatus.TIME_LIMIT
         assert result.backend_name == "stub-timeout"
 
+    def test_branch_and_bound_returning_the_warm_start_carries_the_bound(self):
+        # With no node to explore, branch and bound returns the warm start
+        # as its own FEASIBLE incumbent; the model's floor still bounds it.
+        model = bounded_cover(lower_bound=4.0)
+        result = solve_model(model, SolverOptions(backend="branch-and-bound", node_limit=0,
+                                                  warm_start=WarmStart(COVER_ALL)))
+        assert result.status is SolverStatus.FEASIBLE
+        assert result.backend_name == "branch-and-bound"
+        assert result.objective == 9.0
+        assert result.bound == 4.0
+        assert result.mip_gap == pytest.approx((9.0 - 4.0) / 9.0)
+        assert result.record().bound == 4.0
+
     def test_a_completed_search_keeps_its_own_optimum(self):
         model = bounded_cover(lower_bound=4.0)
         result = solve_model(model, SolverOptions(backend="branch-and-bound",

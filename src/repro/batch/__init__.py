@@ -9,9 +9,9 @@ structures:
   request, loadable from a JSON manifest (``repro batch manifest.json``) or
   expanded from a parameter grid (``repro sweep spec.json``,
   :func:`~repro.batch.jobs.expand_sweep`);
-* :class:`~repro.batch.cache.ResultCache` — a content-addressed cache with
-  an in-memory LRU tier and pluggable durable tiers behind it (the
-  ``memory``/``disk``/``shared`` backends of
+* :class:`~repro.batch.cache.ResultCache` — a single-flight,
+  content-addressed cache with an in-memory LRU tier and durable tiers
+  behind it (the ``memory``/``disk``/``shared`` backends of
   :mod:`repro.batch.cache_backends`), holding per-stage artifacts (keyed
   by ``hash(upstream hash + the config slice the stage consumes)``) as
   well as assembled results;
@@ -29,11 +29,7 @@ performs exactly one scheduling solve.
 """
 
 from repro.batch.cache import CacheStats, ResultCache, cache_key
-from repro.batch.cache_backends import (
-    cache_backend_names,
-    get_cache_backend,
-    register_cache_backend,
-)
+from repro.batch.cache_backends import CACHE_BACKENDS, cache_tiers
 from repro.batch.engine import BatchSynthesisEngine
 from repro.batch.jobs import (
     BatchJob,
@@ -51,17 +47,16 @@ from repro.batch.report import (
 )
 
 __all__ = [
+    "CACHE_BACKENDS",
     "BatchJob",
     "BatchReport",
     "BatchSynthesisEngine",
     "CacheStats",
     "JobOutcome",
     "ResultCache",
-    "cache_backend_names",
     "cache_key",
+    "cache_tiers",
     "expand_sweep",
-    "get_cache_backend",
-    "register_cache_backend",
     "format_batch_report",
     "format_stage_summary",
     "job_from_spec",

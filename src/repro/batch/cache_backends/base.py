@@ -1,15 +1,9 @@
-"""Cache-tier protocol, the string-keyed backend registry, and envelopes.
+"""The cache-tier protocol and the durable-entry envelope.
 
 The :class:`~repro.batch.cache.ResultCache` always owns an in-memory LRU
-front tier; everything *behind* that tier is pluggable.  A
-:class:`CacheBackend` turns one :class:`CacheBackendOptions` into the
-ordered list of durable :class:`CacheTier` instances the cache consults on
-a memory miss — lookups walk the tiers front to back, writes go through to
-every tier.  The registry maps stable string keys (``"memory"``,
-``"disk"``, ``"shared"``) to backend instances so every layer above —
-:class:`ResultCache`, :class:`~repro.service.server.ServiceConfig`, the
-CLI's ``--cache-backend`` flag — can name a backend without importing it,
-exactly like the solver-backend registry of :mod:`repro.ilp.backends`.
+front tier; behind it sit zero or more durable :class:`CacheTier`
+instances, built by :func:`~repro.batch.cache_backends.cache_tiers` — lookups
+walk the tiers front to back, writes go through to every tier.
 
 Durable entries share one wire/disk format: the ``(KEY_VERSION, payload)``
 pickle envelope of :func:`encode_envelope`, validated symmetrically by
@@ -22,15 +16,10 @@ from __future__ import annotations
 
 import abc
 import pickle
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Optional, Set, Tuple
 
 from repro import keys
-
-#: Registry key of the backend used when nothing is configured: the plain
-#: in-memory LRU with no durable tier behind it.
-DEFAULT_CACHE_BACKEND = "memory"
+from repro.obs.trace import span as obs_span
 
 
 def encode_envelope(value: Any) -> bytes:
@@ -40,9 +29,10 @@ def encode_envelope(value: Any) -> bytes:
     disk tier has always written, now shared with the networked tier so a
     key-version bump invalidates every durable copy at once.
     """
-    return pickle.dumps(
-        (keys.KEY_VERSION, value), protocol=pickle.HIGHEST_PROTOCOL
-    )
+    with obs_span("cache:encode", category="cache") as encode_span:
+        data = pickle.dumps((keys.KEY_VERSION, value), protocol=pickle.HIGHEST_PROTOCOL)
+        encode_span.set(bytes=len(data))
+    return data
 
 
 def decode_envelope(data: bytes) -> Tuple[bool, Any]:
@@ -52,10 +42,11 @@ def decode_envelope(data: bytes) -> Tuple[bool, Any]:
     bytes, for pre-envelope legacy objects, and for envelopes written under
     a different :data:`repro.keys.KEY_VERSION`: a bad entry is just a miss.
     """
-    try:
-        envelope = pickle.loads(data)
-    except Exception:  # noqa: BLE001 - any corruption is just a miss
-        return False, None
+    with obs_span("cache:decode", category="cache", bytes=len(data)):
+        try:
+            envelope = pickle.loads(data)
+        except Exception:  # noqa: BLE001 - any corruption is just a miss
+            return False, None
     if (
         not isinstance(envelope, tuple)
         or len(envelope) != 2
@@ -63,24 +54,6 @@ def decode_envelope(data: bytes) -> Tuple[bool, Any]:
     ):
         return False, None
     return True, envelope[1]
-
-
-@dataclass
-class CacheBackendOptions:
-    """Everything a backend may need to build its tiers.
-
-    One flat options object rather than per-backend kwargs, so the CLI and
-    the service config can thread user flags through the registry without
-    knowing which backend consumes which field.
-    """
-
-    #: Directory of the on-disk tier (``disk`` requires it; ``shared``
-    #: stacks a disk tier in front of the network when it is given).
-    cache_dir: Optional[Union[str, Path]] = None
-    #: ``host:port`` of the shared cache daemon (``shared`` requires it).
-    cache_addr: Optional[str] = None
-    #: Per-request timeout of the networked tier's HTTP calls.
-    request_timeout_s: float = 10.0
 
 
 class CacheTier(abc.ABC):
@@ -96,9 +69,6 @@ class CacheTier(abc.ABC):
 
     #: Stats bucket (``"disk"`` or ``"shared"``) and display name.
     kind: str = ""
-    #: Whether the tier can arbitrate cross-process single-flight claims
-    #: (:meth:`claim`/:meth:`release`); only the networked tier can.
-    supports_claims: bool = False
 
     def __init__(self) -> None:
         #: Successful physical writes this tier performed (the write-counter
@@ -151,98 +121,3 @@ class CacheTier(abc.ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} kind={self.kind!r}>"
-
-
-class CacheBackend(abc.ABC):
-    """One named way of arranging durable tiers behind the memory LRU.
-
-    Subclasses set :attr:`name` (the registry key, the ``--cache-backend``
-    value, and what :attr:`ResultCache.backend_name` reports) and implement
-    :meth:`build_tiers`.  Backends are stateless factories — one shared
-    instance serves every cache construction.
-    """
-
-    #: Registry key; also what configured caches report back.
-    name: str = ""
-
-    @abc.abstractmethod
-    def build_tiers(self, options: CacheBackendOptions) -> List["CacheTier"]:
-        """The ordered durable tiers for ``options`` (front tier first).
-
-        Raises :class:`ValueError` when ``options`` is missing something
-        the backend requires (e.g. ``disk`` without a ``cache_dir``), so a
-        misconfiguration fails at construction, not mid-batch.
-        """
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} name={self.name!r}>"
-
-
-class MemoryBackend(CacheBackend):
-    """The null backend: nothing behind the in-memory LRU.
-
-    The seed behavior of :class:`ResultCache` without a ``cache_dir`` —
-    artifacts live exactly as long as the process does.
-    """
-
-    name = "memory"
-
-    def build_tiers(self, options: CacheBackendOptions) -> List[CacheTier]:
-        """No durable tiers; the memory LRU is the whole cache."""
-        return []
-
-
-# ------------------------------------------------------------------- registry
-
-_REGISTRY: Dict[str, CacheBackend] = {}
-
-
-def register_cache_backend(
-    backend: CacheBackend, *, replace: bool = False
-) -> CacheBackend:
-    """Register ``backend`` under its :attr:`~CacheBackend.name`.
-
-    Re-registering an existing name raises unless ``replace=True`` — a
-    silent overwrite would re-route every config naming that backend.
-    Returns the backend so registration can be used as an expression.
-    """
-    name = backend.name
-    if not name:
-        raise ValueError(f"cache backend {backend!r} has no name")
-    if name in _REGISTRY and not replace:
-        raise ValueError(
-            f"cache backend {name!r} is already registered; pass replace=True to override"
-        )
-    _REGISTRY[name] = backend
-    return backend
-
-
-def unregister_cache_backend(name: str) -> None:
-    """Remove a registered backend (no-op when absent).
-
-    Intended for tests and short-lived experimental backends; the built-in
-    names are re-registered only on interpreter restart.
-    """
-    _REGISTRY.pop(name, None)
-
-
-def get_cache_backend(name: str) -> CacheBackend:
-    """The backend registered under ``name``.
-
-    Raises
-    ------
-    ValueError
-        When no backend has that name, listing the known keys so a flag
-        typo is one read away from its fix.
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown cache backend {name!r}; registered backends: {sorted(_REGISTRY)}"
-        ) from None
-
-
-def cache_backend_names() -> Tuple[str, ...]:
-    """Sorted names of every registered cache backend."""
-    return tuple(sorted(_REGISTRY))

@@ -15,11 +15,9 @@ from __future__ import annotations
 import os
 import uuid
 from pathlib import Path
-from typing import Any, List, Optional, Union
+from typing import Any, Optional, Union
 
 from repro.batch.cache_backends.base import (
-    CacheBackend,
-    CacheBackendOptions,
     CacheTier,
     decode_envelope,
     encode_envelope,
@@ -95,17 +93,3 @@ class DiskCacheTier(CacheTier):
 
     def _path(self, key: str) -> Path:
         return self.cache_dir / f"{key}.pkl"
-
-
-class DiskBackend(CacheBackend):
-    """``disk``: one :class:`DiskCacheTier` behind the memory LRU."""
-
-    name = "disk"
-
-    def build_tiers(self, options: CacheBackendOptions) -> List[CacheTier]:
-        """One disk tier rooted at ``options.cache_dir`` (required)."""
-        if options.cache_dir is None:
-            raise ValueError(
-                "cache backend 'disk' requires a cache directory (--cache-dir)"
-            )
-        return [DiskCacheTier(options.cache_dir)]

@@ -34,18 +34,18 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.batch.cache_backends.base import (
-    CacheBackend,
-    CacheBackendOptions,
     CacheTier,
     decode_envelope,
     encode_envelope,
 )
-from repro.batch.cache_backends.disk import DiskCacheTier
 from repro.obs.trace import TRACE_HEADER, SpanContext, current_context
 
 #: Default lease on a cross-process claim; a claimant that neither
 #: publishes nor releases within the lease is presumed dead and taken over.
 DEFAULT_LEASE_S = 300.0
+
+#: Per-request timeout of a tier's daemon requests.
+REQUEST_TIMEOUT_S = 10.0
 
 #: Idle daemon connections one tier keeps for reuse; a connection returned
 #: beyond this is closed.
@@ -141,9 +141,10 @@ class SharedCacheTier(CacheTier):
     """
 
     kind = "shared"
-    supports_claims = True
 
-    def __init__(self, cache_addr: str, request_timeout_s: float = 10.0) -> None:
+    def __init__(
+        self, cache_addr: str, request_timeout_s: float = REQUEST_TIMEOUT_S
+    ) -> None:
         super().__init__()
         self.cache_addr = cache_addr
         self.host, self.port = parse_cache_addr(cache_addr)
@@ -306,28 +307,3 @@ class SharedCacheTier(CacheTier):
         if not pooled:
             connection.close()
         return response, data
-
-
-class SharedBackend(CacheBackend):
-    """``shared``: optional disk tier, then the networked tier.
-
-    With a ``cache_dir`` configured the disk tier sits in front of the
-    network, so each replica answers repeat lookups locally and only pays
-    a round trip for entries first computed elsewhere.
-    """
-
-    name = "shared"
-
-    def build_tiers(self, options: CacheBackendOptions) -> List[CacheTier]:
-        """Disk tier (when ``cache_dir`` is set) + shared tier (required)."""
-        if options.cache_addr is None:
-            raise ValueError(
-                "cache backend 'shared' requires a daemon address (--cache-addr)"
-            )
-        tiers: List[CacheTier] = []
-        if options.cache_dir is not None:
-            tiers.append(DiskCacheTier(options.cache_dir))
-        tiers.append(
-            SharedCacheTier(options.cache_addr, request_timeout_s=options.request_timeout_s)
-        )
-        return tiers

@@ -33,9 +33,11 @@ cache: :meth:`BatchSynthesisEngine.run_one` runs it on a one-job batch,
 :meth:`BatchSynthesisEngine.run_schedule_stage` runs its first tier alone
 (the exploration engine's schedule-only triage pass), and
 :class:`~repro.synthesis.pipeline.SynthesisPipeline` itself never touches a
-cache.  Under a single-flight cache a stage-key miss *claims* the key; the
+cache.  A stage-key miss *claims* the key (the cache is single-flight); the
 runner then either stores the artifact with ``put`` or, on every other
-exit, releases the claim with ``abandon``.
+exit, releases the claim with ``abandon``, so a concurrent engine sharing
+the cache never waits out the claim timeout for an artifact that is never
+coming.
 """
 
 from __future__ import annotations
@@ -259,37 +261,6 @@ class BatchSynthesisEngine:
         if not isinstance(exc, SolverLimitError):
             self.cache.put_failure(key, _detached_failure(exc))
 
-    def _abandon_claim(self, key: str) -> None:
-        """Release a single-flight claim the cache may hold on ``key``.
-
-        A plain :class:`ResultCache` has no claims and this is a no-op, but
-        the synthesis service wraps the shared cache in a single-flight
-        layer (:class:`repro.service.singleflight.SingleFlightCache`) whose
-        ``get`` *claims* a missed key: concurrent engine runs then block on
-        the claim instead of duplicating the solve.  A successful ``put``
-        releases the claim; every path that ends without a ``put`` — a
-        failed stage, a fail-fast abort — must call this instead, or the
-        waiting run would sit out the claim timeout for an artifact that is
-        never coming.
-        """
-        abandon = getattr(self.cache, "abandon", None)
-        if abandon is not None:
-            abandon(key)
-
-    def _get_nowait(self, key: str) -> Optional[Any]:
-        """A cache lookup that never blocks on another engine's claim.
-
-        Run-level keys are resolved with this instead of ``get``: a job's
-        run key stays effectively held for its entire run, so *waiting* on
-        one from inside another run could chain into a hold-and-wait cycle
-        between concurrent engines.  Treating a foreign in-flight run as a
-        plain miss costs only the assembled-result shortcut — the job then
-        plans its stages, whose claims are deadlock-free (sorted, per-tier)
-        and still deduplicate all real solver work.
-        """
-        getter = getattr(self.cache, "get_nowait", None)
-        return getter(key) if getter is not None else self.cache.get(key)
-
     # ------------------------------------------------------------------- api
     def run(self, jobs: Sequence[BatchJob]) -> BatchReport:
         """Execute ``jobs`` and return their outcomes in submission order."""
@@ -381,7 +352,12 @@ class BatchSynthesisEngine:
                     graph_name=job.graph.name,
                 )
                 continue
-            cached = self._get_nowait(run_key)
+            # Run-level keys are looked up without claiming: a job's run key
+            # stays effectively held for its entire run, so waiting on one
+            # from inside another run could chain into a hold-and-wait cycle
+            # between concurrent engines.  A foreign in-flight run is a plain
+            # miss; the job's stage claims still deduplicate the real work.
+            cached = self.cache.get_memory(run_key)
             if cached is not None:
                 outcomes[index] = JobOutcome(
                     job_id=job.job_id,
@@ -407,7 +383,7 @@ class BatchSynthesisEngine:
         # Tier 1..N: run the pipeline stage by stage across all pending jobs,
         # then assemble outcomes (and alias copies) in submission order.
         # Run-level keys carry no single-flight claims (tier 0 resolves them
-        # via _get_nowait), so there is nothing to release for failed jobs —
+        # via get_memory), so there is nothing to release for failed jobs —
         # stage-key claims are managed entirely inside _run_tier.  Plans may
         # differ in length (configs with verify=True carry a fourth stage),
         # so the tier count is the longest plan and shorter jobs simply sit
@@ -503,24 +479,24 @@ class BatchSynthesisEngine:
             if p.failed or tier >= len(p.plan):
                 continue
             by_key.setdefault(p.plan[tier].key, []).append(p)
-        # Resolve the tier's unique keys in *sorted* order.  Under a
-        # single-flight cache a miss claims the key and a foreign claim
-        # blocks, so concurrent engines must acquire claims in one global
-        # order — two engines visiting overlapping keys in opposite orders
-        # would otherwise hold-and-wait on each other (ABBA deadlock) until
-        # the claim timeout.  All waits happen against same-tier keys (keys
-        # embed the stage name, and claims are released when the tier ends),
-        # so sorted acquisition per tier rules the cycle out entirely.
+        # Resolve the tier's unique keys in *sorted* order.  A cache miss
+        # claims the key and a foreign claim blocks, so concurrent engines
+        # must acquire claims in one global order — two engines visiting
+        # overlapping keys in opposite orders would otherwise hold-and-wait
+        # on each other (ABBA deadlock) until the claim timeout.  All waits
+        # happen against same-tier keys (keys embed the stage name, and
+        # claims are released when the tier ends), so sorted acquisition per
+        # tier rules the cycle out entirely.
         groups: Dict[str, List[_PendingJob]] = {}
         for stage_key in sorted(by_key):
             group = by_key[stage_key]
             # Every job in a group shares one stage key, and keys embed the
             # stage name, so the group's stage comes off any member's plan.
             stage = group[0].plan[tier].stage
-            # The span covers the lookup because, under a single-flight
-            # cache, this get may *block* on a foreign claim — the claim
-            # wait then nests under this stage span, which is what makes a
-            # cross-replica wait attributable in the trace.
+            # The span covers the lookup because this get may *block* on a
+            # foreign claim — the claim wait then nests under this stage
+            # span, which is what makes a cross-replica wait attributable in
+            # the trace.
             lookup_start = time.perf_counter()
             with obs_span(
                 f"stage:{stage.name}",
@@ -564,7 +540,7 @@ class BatchSynthesisEngine:
         finally:
             for stage_key in groups:
                 if stage_key not in stored:
-                    self._abandon_claim(stage_key)
+                    self.cache.abandon(stage_key)
 
     def _resolve_tier(
         self,

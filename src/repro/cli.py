@@ -274,22 +274,22 @@ def _config_from_args(args: argparse.Namespace) -> FlowConfig:
 def _add_cache_backend_arguments(parser: argparse.ArgumentParser) -> None:
     """The shared cache-backend flags of every job-running subcommand.
 
-    ``--cache-backend`` picks a name from the
-    :mod:`repro.batch.cache_backends` registry; the default keeps the
-    historical behavior (``disk`` when ``--cache-dir`` is given, plain
-    ``memory`` otherwise).  ``--cache-addr`` points the ``shared`` backend
-    at a ``repro cache-daemon`` — and, given alone, implies
-    ``--cache-backend shared``.
+    ``--cache-backend`` picks ``memory``, ``disk`` or ``shared``; the
+    default picks one from the locations given (``shared`` with
+    ``--cache-addr``, else ``disk`` with ``--cache-dir``, else ``memory``).
+    ``--cache-addr`` points the ``shared`` backend at a
+    ``repro cache-daemon``.
     """
-    from repro.batch import cache_backend_names
+    from repro.batch.cache_backends import CACHE_BACKENDS
 
     parser.add_argument(
         "--cache-backend",
-        choices=sorted(cache_backend_names()),
+        choices=CACHE_BACKENDS,
         default=None,
-        help="cache backend behind the in-memory LRU (default: 'disk' with "
-        "--cache-dir, else 'memory'); 'shared' pools artifacts and "
-        "single-flight claims across processes via a repro cache-daemon",
+        help="cache backend behind the in-memory LRU (default: 'shared' with "
+        "--cache-addr, 'disk' with --cache-dir, else 'memory'); 'shared' "
+        "pools artifacts and single-flight claims across processes via a "
+        "repro cache-daemon",
     )
     parser.add_argument(
         "--cache-addr",
@@ -301,33 +301,22 @@ def _add_cache_backend_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_cache(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Build the configured cache (wrapped for claims when cross-process).
+    """Build the configured :class:`~repro.batch.cache.ResultCache`.
 
-    Misconfigurations (``shared`` without an address, a malformed address)
-    surface as ``parser.error`` — exit code 2, like every other CLI input
-    problem.  When the backend arbitrates cross-process claims, the cache
-    is wrapped in a :class:`~repro.service.singleflight.SingleFlightCache`
-    so concurrent CLI runs against one daemon solve each stage once
-    between them, exactly like service replicas do.
+    Misconfigurations (``shared`` without an address, a location the
+    chosen backend ignores, a malformed address) surface as
+    ``parser.error`` — exit code 2, like every other CLI input problem.
     """
     from repro.batch import ResultCache
 
-    backend = args.cache_backend
-    if backend is None and args.cache_addr is not None:
-        backend = "shared"
-    if backend == "shared" and args.cache_addr is None:
-        parser.error("--cache-backend shared requires --cache-addr HOST:PORT")
     try:
-        cache = ResultCache(
-            cache_dir=args.cache_dir, backend=backend, cache_addr=args.cache_addr
+        return ResultCache(
+            cache_dir=args.cache_dir,
+            backend=args.cache_backend,
+            cache_addr=args.cache_addr,
         )
     except ValueError as exc:
         parser.error(str(exc))
-    if cache.claim_tier is not None:
-        from repro.service.singleflight import SingleFlightCache
-
-        return SingleFlightCache(cache)
-    return cache
 
 
 def _build_jobs_parser(prog: str, description: str, source_help: str) -> argparse.ArgumentParser:
@@ -515,12 +504,6 @@ def run_serve(argv: List[str]) -> int:
     # Long-running processes log their lifecycle by default; --log-level
     # still overrides (e.g. 'debug', or 'error' to quiet them down).
     _configure_obs_logging(args, default_level="info")
-    cache_backend = args.cache_backend
-    if cache_backend is None and args.cache_addr is not None:
-        cache_backend = "shared"
-    if cache_backend == "shared" and args.cache_addr is None:
-        parser.error("--cache-backend shared requires --cache-addr HOST:PORT")
-
     try:
         service = SynthesisService(
             ServiceConfig(
@@ -529,7 +512,7 @@ def run_serve(argv: List[str]) -> int:
                 workers=args.workers,
                 engine_workers=args.engine_workers,
                 cache_dir=args.cache_dir,
-                cache_backend=cache_backend,
+                cache_backend=args.cache_backend,
                 cache_addr=args.cache_addr,
                 drain_timeout_s=args.drain_timeout,
                 solver=args.solver,
@@ -549,7 +532,7 @@ def run_serve(argv: List[str]) -> int:
         print(
             f"repro service listening on http://{args.host}:{service.bound_port} "
             f"({args.workers} worker(s), cache_dir={args.cache_dir}, "
-            f"cache_backend={service.cache.inner.backend_name})",
+            f"cache_backend={service.cache.backend_name})",
             flush=True,
         )
         try:

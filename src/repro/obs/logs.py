@@ -5,8 +5,8 @@ The logger taxonomy hangs off the ``repro`` root:
 * ``repro.service`` — synthesis service lifecycle and job lines;
 * ``repro.cachedaemon`` — daemon startup/shutdown, claims, evictions;
 * ``repro.batch`` — batch engine runs and tier execution;
-* ``repro.cache`` — result-cache flushes and tier degradation;
-* ``repro.singleflight`` — cross-process claim negotiation;
+* ``repro.cache`` — result-cache flushes, tier degradation and
+  cross-process claim negotiation;
 * ``repro.verify`` — Monte-Carlo verification runs;
 * ``repro.obs`` — the observability layer itself (trace exports).
 

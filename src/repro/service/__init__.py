@@ -9,11 +9,9 @@ persistent process:
   ``POST /jobs``, ``GET /jobs/{id}``, ``GET /jobs/{id}/result``,
   ``GET /healthz`` and ``GET /stats``, with a bounded worker pool driving
   the stage-granular batch engine and one long-lived result cache shared
-  by every request;
-* :class:`~repro.service.singleflight.SingleFlightCache` — the claim layer
-  that makes *concurrent* jobs share in-flight stage solves, not just
-  completed ones — and, against a ``shared`` cache backend, extends those
-  claims across server replicas;
+  by every request, whose single-flight claims make *concurrent* jobs
+  share in-flight stage solves, not just completed ones — and, against a
+  ``shared`` cache backend, extend those claims across server replicas;
 * :class:`~repro.service.cachedaemon.CacheDaemon` — the shared key-value +
   claim daemon (``repro cache-daemon``) that N replicas point their
   ``--cache-backend shared`` tier at;
@@ -32,7 +30,6 @@ embed one with::
 from repro.service.cachedaemon import CacheDaemon, CacheDaemonConfig
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import ServiceConfig, SynthesisService
-from repro.service.singleflight import SingleFlightCache
 from repro.service.state import JobRecord, JobRegistry
 
 __all__ = [
@@ -43,6 +40,5 @@ __all__ = [
     "ServiceClient",
     "ServiceConfig",
     "ServiceError",
-    "SingleFlightCache",
     "SynthesisService",
 ]

@@ -14,9 +14,8 @@ One process, three moving parts:
   time through the *existing* stage-granular
   :class:`~repro.batch.engine.BatchSynthesisEngine` on a daemon job
   thread, so the event loop keeps serving requests while solvers run;
-* one long-lived :class:`~repro.batch.cache.ResultCache` wrapped in a
-  :class:`~repro.service.singleflight.SingleFlightCache`, shared by every
-  job — concurrent submissions that agree on a stage key perform that
+* one long-lived, single-flight :class:`~repro.batch.cache.ResultCache`,
+  shared by every job — concurrent submissions that agree on a stage key perform that
   stage's solve exactly once, the same way the points of a single sweep
   share stages today.
 
@@ -58,7 +57,6 @@ from repro.service.http import (
     Request,
     Routed,
 )
-from repro.service.singleflight import SingleFlightCache
 from repro.service.state import DONE, FAILED, JobRecord, JobRegistry
 
 _LOG = get_logger("service")
@@ -209,10 +207,9 @@ class ServiceConfig:
     #: Directory for the cache's persistent tier; ``None`` keeps the cache
     #: memory-only (shutdown then has nothing to flush).
     cache_dir: Optional[Union[str, Path]] = None
-    #: Cache backend name from the :mod:`repro.batch.cache_backends`
-    #: registry (``memory``/``disk``/``shared``); ``None`` keeps the
-    #: historical default — ``disk`` when ``cache_dir`` is set, else
-    #: ``memory``.
+    #: Cache backend name (``memory``/``disk``/``shared``); ``None`` picks
+    #: one from the locations given — ``shared`` when ``cache_addr`` is
+    #: set, else ``disk`` when ``cache_dir`` is, else ``memory``.
     cache_backend: Optional[str] = None
     #: ``host:port`` of a ``repro cache-daemon``; required by (and only
     #: used with) the ``shared`` backend, which pools artifacts and
@@ -261,13 +258,11 @@ class SynthesisService:
             raise ValueError("workers must be at least 1")
         if self.config.engine_workers < 1:
             raise ValueError("engine_workers must be at least 1")
-        self.cache = SingleFlightCache(
-            ResultCache(
-                max_entries=self.config.cache_entries,
-                cache_dir=self.config.cache_dir,
-                backend=self.config.cache_backend,
-                cache_addr=self.config.cache_addr,
-            ),
+        self.cache = ResultCache(
+            max_entries=self.config.cache_entries,
+            cache_dir=self.config.cache_dir,
+            backend=self.config.cache_backend,
+            cache_addr=self.config.cache_addr,
             claim_timeout_s=self.config.claim_timeout_s,
         )
         self.engine = BatchSynthesisEngine(
@@ -313,7 +308,7 @@ class SynthesisService:
             self.config.host,
             self.bound_port,
             self.config.workers,
-            self.cache.inner.backend_name,
+            self.cache.backend_name,
         )
 
     async def serve_forever(self) -> None:
@@ -682,9 +677,8 @@ class SynthesisService:
         single-flight claims, waits, takeovers), per-tier write counters,
         and which backend the cache is running.
         """
-        inner = self.cache.inner
         return {
-            "backend": inner.backend_name,
+            "backend": self.cache.backend_name,
             "cache_addr": self.config.cache_addr,
             "cache_dir": str(self.config.cache_dir)
             if self.config.cache_dir

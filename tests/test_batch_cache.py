@@ -1,5 +1,9 @@
 """Tests of the content-addressed result cache and its key function."""
 
+import sys
+import threading
+from collections import Counter
+
 import pytest
 
 from repro.batch.cache import ResultCache, cache_key
@@ -246,3 +250,38 @@ class TestResultCache:
     def test_rejects_non_positive_bound(self):
         with pytest.raises(ValueError):
             ResultCache(max_entries=0)
+
+    def test_threads_sharing_a_cache_compute_each_key_once(self):
+        """Eight threads on one cache, each walking twenty keys from its own
+        starting point, with a tiny switch interval: every key is computed
+        by exactly one thread and every other thread gets its value."""
+        cache = ResultCache(claim_timeout_s=30.0)
+        keys = [f"k{i}" for i in range(20)]
+        computed = Counter()
+        computed_lock = threading.Lock()
+        wrong = []
+
+        def worker(offset):
+            for key in keys[offset:] + keys[:offset]:
+                value = cache.get(key)
+                if value is None:  # this thread holds the claim
+                    with computed_lock:
+                        computed[key] += 1
+                    cache.put(key, key.upper())
+                elif value != key.upper():
+                    wrong.append((key, value))
+
+        threads = [threading.Thread(target=worker, args=(2 * i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert computed == Counter(keys)
+        assert not wrong
+        assert cache.stats.claims == cache.stats.stores == len(cache) == len(keys)

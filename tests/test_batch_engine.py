@@ -1,6 +1,8 @@
 """Tests of the batch-synthesis engine, manifests, sweeps, and the CLI."""
 
 import json
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -257,6 +259,38 @@ class TestEngine:
         job = replace(fast_jobs(["PCR"])[0], warm_hint=hint)
         BatchSynthesisEngine(cache=ResultCache()).run_one(job)
         assert seen == [hint]
+
+    def test_two_engines_on_one_cache_schedule_a_job_once(self, monkeypatch):
+        """Two engines on two threads share one plain cache and run the same
+        job at once: the second engine's schedule lookup waits on the first
+        engine's claim and replays its artifact instead of scheduling too."""
+        runs = []
+        original = ScheduleStage.run
+
+        def slow_run(self, context, upstream):
+            runs.append(context)
+            time.sleep(0.3)  # both engines look the key up while it runs
+            return original(self, context, upstream)
+
+        monkeypatch.setattr(ScheduleStage, "run", slow_run)
+        cache = ResultCache()
+        barrier = threading.Barrier(2)
+        reports = []
+
+        def run():
+            barrier.wait()
+            reports.append(BatchSynthesisEngine(cache=cache).run(fast_jobs(["IVD"])))
+
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert len(runs) == 1
+        assert len(reports) == 2 and all(r.num_failed == 0 for r in reports)
+        schedule_actions = sorted(r.outcomes[0].stages[0].action for r in reports)
+        assert schedule_actions == ["ran", "replayed"]
+        assert cache.stats.claim_waits >= 1
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):

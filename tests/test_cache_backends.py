@@ -1,4 +1,4 @@
-"""Tests of the pluggable cache-backend layer: the registry, the envelope
+"""Tests of the cache-backend layer: the backend resolver, the envelope
 format, the disk tier's corruption handling, the shared tier's protocol
 against an in-process cache daemon, and cross-cache single-flight claims."""
 
@@ -16,28 +16,20 @@ import time
 import pytest
 
 from repro import keys
+from repro.batch import cache as cache_module
 from repro.batch.cache import ResultCache
 from repro.batch.engine import BatchSynthesisEngine
 from repro.batch.jobs import manifest_jobs
-from repro.batch.cache_backends import (
-    cache_backend_names,
-    get_cache_backend,
-    register_cache_backend,
-)
-from repro.batch.cache_backends.base import (
-    CacheBackend,
-    CacheBackendOptions,
-    decode_envelope,
-    encode_envelope,
-    unregister_cache_backend,
-)
+from repro.batch.cache_backends import CACHE_BACKENDS, cache_tiers
+from repro.batch.cache_backends.base import decode_envelope, encode_envelope
 from repro.batch.cache_backends.disk import DiskCacheTier
 from repro.batch.cache_backends.shared import (
     ClaimOutcome,
     SharedCacheTier,
     parse_cache_addr,
 )
-from repro.service import CacheDaemon, CacheDaemonConfig, SingleFlightCache
+from repro.obs.trace import TraceRecorder, install_recorder, uninstall_recorder
+from repro.service import CacheDaemon, CacheDaemonConfig
 from repro.service.cachedaemon import MAX_LEASE_S
 
 KEY_A = "a" * 64
@@ -100,63 +92,80 @@ class TestEnvelope:
         assert decode_envelope(pickle.dumps({"x": 1})) == (False, None)
 
 
-class TestRegistry:
-    def test_builtins_are_registered(self):
-        assert set(cache_backend_names()) >= {"memory", "disk", "shared"}
+class TestEnvelopeSpans:
+    def test_traced_disk_put_and_get_record_encode_and_decode(self, tmp_path):
+        rec = TraceRecorder()
+        token = install_recorder(rec)
+        try:
+            ResultCache(cache_dir=tmp_path).put(KEY_A, {"makespan": 330})
+            assert ResultCache(cache_dir=tmp_path).get(KEY_A) == {"makespan": 330}
+        finally:
+            uninstall_recorder(token)
+        (encode,) = [s for s in rec.spans() if s.name == "cache:encode"]
+        (decode,) = [s for s in rec.spans() if s.name == "cache:decode"]
+        assert encode.category == decode.category == "cache"
+        assert encode.attributes["bytes"] == decode.attributes["bytes"] > 0
+        (disk_get,) = [s for s in rec.spans() if s.name == "cache:get"]
+        assert decode.parent_id == disk_get.span_id
+
+
+class TestCacheTiers:
+    def test_every_backend_name_resolves(self, tmp_path):
+        locations = {
+            "memory": {},
+            "disk": {"cache_dir": tmp_path},
+            "shared": {"cache_addr": "127.0.0.1:1"},
+        }
+        assert set(CACHE_BACKENDS) == set(locations)
+        for name, given in locations.items():
+            resolved, _ = cache_tiers(
+                name, given.get("cache_dir"), given.get("cache_addr")
+            )
+            assert resolved == name
 
     def test_unknown_backend_lists_known_names(self):
         with pytest.raises(ValueError, match="memory"):
-            get_cache_backend("nope")
-
-    def test_duplicate_registration_raises_without_replace(self):
-        class Fake(CacheBackend):
-            name = "memory"
-
-            def build_tiers(self, options):
-                return []
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_cache_backend(Fake())
-
-    def test_register_replace_and_unregister(self):
-        class Fake(CacheBackend):
-            name = "test-fake-backend"
-
-            def build_tiers(self, options):
-                return []
-
-        try:
-            register_cache_backend(Fake())
-            assert "test-fake-backend" in cache_backend_names()
-            register_cache_backend(Fake(), replace=True)  # no raise
-            cache = ResultCache(backend="test-fake-backend")
-            assert cache.backend_name == "test-fake-backend"
-            assert cache.tiers == []
-        finally:
-            unregister_cache_backend("test-fake-backend")
-        assert "test-fake-backend" not in cache_backend_names()
-
-    def test_nameless_backend_is_rejected(self):
-        class Nameless(CacheBackend):
-            def build_tiers(self, options):
-                return []
-
-        with pytest.raises(ValueError, match="no name"):
-            register_cache_backend(Nameless())
+            cache_tiers("nope", None, None)
 
     def test_disk_backend_requires_cache_dir(self):
         with pytest.raises(ValueError, match="cache-dir"):
-            get_cache_backend("disk").build_tiers(CacheBackendOptions())
+            cache_tiers("disk", None, None)
 
     def test_shared_backend_requires_cache_addr(self):
         with pytest.raises(ValueError, match="cache-addr"):
-            get_cache_backend("shared").build_tiers(CacheBackendOptions())
+            cache_tiers("shared", None, None)
 
     def test_shared_backend_stacks_disk_in_front(self, tmp_path):
-        tiers = get_cache_backend("shared").build_tiers(
-            CacheBackendOptions(cache_dir=tmp_path, cache_addr="127.0.0.1:1")
-        )
+        name, tiers = cache_tiers("shared", tmp_path, "127.0.0.1:1")
+        assert name == "shared"
         assert [tier.kind for tier in tiers] == ["disk", "shared"]
+
+    def test_locations_alone_pick_the_backend(self, tmp_path):
+        assert cache_tiers(None, None, None) == ("memory", [])
+        name, tiers = cache_tiers(None, tmp_path, None)
+        assert name == "disk" and [t.kind for t in tiers] == ["disk"]
+        name, tiers = cache_tiers(None, None, "127.0.0.1:1")
+        assert name == "shared" and [t.kind for t in tiers] == ["shared"]
+        name, tiers = cache_tiers(None, tmp_path, "127.0.0.1:1")
+        assert name == "shared" and [t.kind for t in tiers] == ["disk", "shared"]
+
+    @pytest.mark.parametrize(
+        "backend, given, flag",
+        [
+            ("memory", {"cache_dir": "DIR"}, "cache-dir"),
+            ("memory", {"cache_addr": "127.0.0.1:1"}, "cache-addr"),
+            ("disk", {"cache_dir": "DIR", "cache_addr": "127.0.0.1:1"}, "cache-addr"),
+        ],
+    )
+    def test_a_location_the_backend_ignores_is_rejected(
+        self, tmp_path, backend, given, flag
+    ):
+        if given.get("cache_dir") == "DIR":
+            given = dict(given, cache_dir=tmp_path)
+        with pytest.raises(ValueError, match=flag):
+            cache_tiers(backend, given.get("cache_dir"), given.get("cache_addr"))
+        with pytest.raises(ValueError, match=flag):
+            ResultCache(backend=backend, **given)
 
 
 class TestParseCacheAddr:
@@ -390,20 +399,14 @@ class TestSharedResultCache:
 
 
 class TestCrossCacheSingleFlight:
-    """Two independent SingleFlightCache instances (stand-ins for two
-    replica processes) arbitrating through one daemon."""
+    """Two independent caches (stand-ins for two replica processes)
+    arbitrating through one daemon."""
 
     def test_waiter_receives_the_value_the_claimant_publishes(self, daemon_addr):
-        claimant = SingleFlightCache(
-            ResultCache(backend="shared", cache_addr=daemon_addr),
-            poll_interval_s=0.01,
-        )
-        waiter = SingleFlightCache(
-            ResultCache(backend="shared", cache_addr=daemon_addr),
-            poll_interval_s=0.01,
-        )
+        claimant = ResultCache(backend="shared", cache_addr=daemon_addr)
+        waiter = ResultCache(backend="shared", cache_addr=daemon_addr)
         assert claimant.get(KEY_A) is None  # claims locally and remotely
-        assert claimant.inner.stats.claims == 1
+        assert claimant.stats.claims == 1
         results = []
         thread = threading.Thread(target=lambda: results.append(waiter.get(KEY_A)))
         thread.start()
@@ -411,28 +414,22 @@ class TestCrossCacheSingleFlight:
         claimant.put(KEY_A, {"solved": True})
         thread.join(timeout=10.0)
         assert results == [{"solved": True}]
-        assert waiter.inner.stats.claim_waits == 1
-        assert waiter.inner.stats.shared_hits == 1
-        assert waiter.inner.stats.claims == 0  # it never computed
+        assert waiter.stats.claim_waits == 1
+        assert waiter.stats.shared_hits == 1
+        assert waiter.stats.claims == 0  # it never computed
 
     def test_dead_claimants_lease_expires_into_a_takeover(self, daemon_addr):
         dead = SharedCacheTier(daemon_addr)
         assert dead.claim(KEY_A, lease_s=0.3).state == "granted"
-        survivor = SingleFlightCache(
-            ResultCache(backend="shared", cache_addr=daemon_addr),
-            poll_interval_s=0.02,
-        )
+        survivor = ResultCache(backend="shared", cache_addr=daemon_addr)
         start = time.monotonic()
         assert survivor.get(KEY_A) is None  # granted via takeover: compute
         assert time.monotonic() - start >= 0.2
-        assert survivor.inner.stats.takeovers == 1
-        assert survivor.inner.stats.claims == 1
+        assert survivor.stats.takeovers == 1
+        assert survivor.stats.claims == 1
 
     def test_abandon_releases_the_remote_claim(self, daemon_addr):
-        first = SingleFlightCache(
-            ResultCache(backend="shared", cache_addr=daemon_addr),
-            poll_interval_s=0.01,
-        )
+        first = ResultCache(backend="shared", cache_addr=daemon_addr)
         second = SharedCacheTier(daemon_addr)
         assert first.get(KEY_A) is None
         assert second.claim(KEY_A, lease_s=30.0).state == "claimed"
@@ -440,16 +437,9 @@ class TestCrossCacheSingleFlight:
         assert second.claim(KEY_A, lease_s=30.0).state == "granted"
 
     def test_unreachable_daemon_degrades_to_local_single_flight(self):
-        cache = SingleFlightCache(
-            ResultCache(
-                backend="shared",
-                cache_addr=f"127.0.0.1:{free_port()}",
-                request_timeout_s=0.5,
-            ),
-            poll_interval_s=0.01,
-        )
+        cache = ResultCache(backend="shared", cache_addr=f"127.0.0.1:{free_port()}")
         assert cache.get(KEY_A) is None  # unavailable: compute locally
-        assert cache.inner.stats.claims == 1
+        assert cache.stats.claims == 1
         cache.put(KEY_A, {"v": 1})  # soft write-through failure
         assert cache.get(KEY_A) == {"v": 1}  # memory tier still serves
 
@@ -475,16 +465,11 @@ class TestHeldClaim:
     """A re-ask with a wait bound is held by the daemon until the claim
     ends, instead of being answered at once and re-polled."""
 
-    def test_waiter_wakes_on_the_publish_not_the_poll(self, daemon_addr):
+    def test_waiter_wakes_on_the_publish_not_the_poll(self, daemon_addr, monkeypatch):
         # With a 5 s poll interval only the held re-ask can return quickly.
-        claimant = SingleFlightCache(
-            ResultCache(backend="shared", cache_addr=daemon_addr),
-            poll_interval_s=5.0,
-        )
-        waiter = SingleFlightCache(
-            ResultCache(backend="shared", cache_addr=daemon_addr),
-            poll_interval_s=5.0,
-        )
+        monkeypatch.setattr(cache_module, "CLAIM_POLL_INTERVAL_S", 5.0)
+        claimant = ResultCache(backend="shared", cache_addr=daemon_addr)
+        waiter = ResultCache(backend="shared", cache_addr=daemon_addr)
         assert claimant.get(KEY_A) is None
         results = []
         thread = threading.Thread(
@@ -499,13 +484,11 @@ class TestHeldClaim:
         value, returned_at = results[0]
         assert value == {"solved": True}
         assert returned_at - published_at < 1.0
-        assert waiter.inner.stats.claim_waits == 1
-        assert waiter.inner.stats.claims == 0
+        assert waiter.stats.claim_waits == 1
+        assert waiter.stats.claims == 0
 
     def test_held_reask_returns_on_abandon(self, daemon_addr):
-        claimant = SingleFlightCache(
-            ResultCache(backend="shared", cache_addr=daemon_addr)
-        )
+        claimant = ResultCache(backend="shared", cache_addr=daemon_addr)
         assert claimant.get(KEY_A) is None
         thread, out = held_claim(SharedCacheTier(daemon_addr), KEY_A)
         time.sleep(0.3)
@@ -546,8 +529,9 @@ class TestHeldClaim:
         assert outcome.state == "claimed"  # the hold ended, the socket did not time out
         assert 0.2 < time.monotonic() - start < 0.6
 
-    def test_immediate_answers_are_paced_to_the_poll_interval(self):
+    def test_immediate_answers_are_paced_to_the_poll_interval(self, monkeypatch):
         window_s, poll_s = 1.05, 0.1
+        monkeypatch.setattr(cache_module, "CLAIM_POLL_INTERVAL_S", poll_s)
 
         class AlwaysClaimed:
             """A claim tier that answers "claimed" at once for a while."""
@@ -571,11 +555,8 @@ class TestHeldClaim:
                 return False
 
         tier = AlwaysClaimed()
-
-        class StubbedCache(ResultCache):
-            claim_tier = tier
-
-        cache = SingleFlightCache(StubbedCache(), poll_interval_s=poll_s)
+        cache = ResultCache()
+        cache._claims = tier  # the daemon's seat, with no tier in front
         assert cache.get(KEY_A) is None  # granted once the window ends
         first = tier.calls[0][0]
         in_window = [t for t, _ in tier.calls if t - first < window_s]
@@ -599,7 +580,7 @@ class TestRunKeysStayLocal:
             "jobs": [{"assay": "PCR"}, {"assay": "IVD"}],
         }
         jobs = manifest_jobs(manifest, source="test manifest")
-        cache = SingleFlightCache(ResultCache(backend="shared", cache_addr=daemon_addr))
+        cache = ResultCache(backend="shared", cache_addr=daemon_addr)
         engine = BatchSynthesisEngine(max_workers=1, cache=cache)
         first = engine.run(jobs)
         second = engine.run(jobs)  # the run keys now hit memory
@@ -643,19 +624,19 @@ class TestClaimCarriesTheValue:
     def test_lookup_of_a_stored_key_is_one_request(self, daemon, daemon_addr):
         SharedCacheTier(daemon_addr).put(KEY_A, {"v": 1})
         requests = record_requests(daemon)
-        cache = SingleFlightCache(ResultCache(backend="shared", cache_addr=daemon_addr))
+        cache = ResultCache(backend="shared", cache_addr=daemon_addr)
         assert cache.get(KEY_A) == {"v": 1}
         assert requests == [("POST", f"/claim/{KEY_A}")]
         assert cache.stats.shared_hits == 1 and cache.stats.misses == 0
         assert cache.get(KEY_A) == {"v": 1}  # now from memory: no request
         assert len(requests) == 1
         # The local claim taken for the ask was released with the value.
-        assert cache.get_nowait(KEY_A) == {"v": 1}
+        assert cache.get_memory(KEY_A) == {"v": 1}
         assert not cache._inflight
 
     def test_lookup_of_a_missing_key_is_one_request(self, daemon, daemon_addr):
         requests = record_requests(daemon)
-        cache = SingleFlightCache(ResultCache(backend="shared", cache_addr=daemon_addr))
+        cache = ResultCache(backend="shared", cache_addr=daemon_addr)
         assert cache.get(KEY_A) is None
         assert requests == [("POST", f"/claim/{KEY_A}")]
         assert cache.stats.misses == 1 and cache.stats.claims == 1
@@ -663,9 +644,7 @@ class TestClaimCarriesTheValue:
     def test_disk_tier_is_read_before_the_daemon(self, daemon, daemon_addr, tmp_path):
         DiskCacheTier(tmp_path).put(KEY_A, {"v": "disk"})
         requests = record_requests(daemon)
-        cache = SingleFlightCache(
-            ResultCache(backend="shared", cache_dir=tmp_path, cache_addr=daemon_addr)
-        )
+        cache = ResultCache(backend="shared", cache_dir=tmp_path, cache_addr=daemon_addr)
         assert cache.get(KEY_A) == {"v": "disk"}
         assert requests == []
         assert cache.stats.disk_hits == 1
@@ -675,7 +654,7 @@ class TestClaimCarriesTheValue:
         status, _ = SharedCacheTier(daemon_addr)._request("PUT", f"/kv/{KEY_A}", body=skewed)
         assert status == 200
         requests = record_requests(daemon)
-        cache = SingleFlightCache(ResultCache(backend="shared", cache_addr=daemon_addr))
+        cache = ResultCache(backend="shared", cache_addr=daemon_addr)
         assert cache.get(KEY_A) is None  # three present-misses: compute
         assert requests == [("POST", f"/claim/{KEY_A}")] * 3
         assert daemon.stats.claims_present == 3
@@ -715,7 +694,7 @@ class TestOneJobBatchStats:
 
     def test_cold_warm_and_repeated_batches(self, daemon_addr):
         def replica():
-            return SingleFlightCache(ResultCache(backend="shared", cache_addr=daemon_addr))
+            return ResultCache(backend="shared", cache_addr=daemon_addr)
 
         first = replica()
         assert batch_stats(first) == {
@@ -733,9 +712,7 @@ class TestOneJobBatchStats:
 
     def test_disk_tier_in_front(self, daemon_addr, tmp_path):
         def replica():
-            return SingleFlightCache(
-                ResultCache(backend="shared", cache_dir=tmp_path, cache_addr=daemon_addr)
-            )
+            return ResultCache(backend="shared", cache_dir=tmp_path, cache_addr=daemon_addr)
 
         assert batch_stats(replica())["claims"] == 3
         assert batch_stats(replica()) == {

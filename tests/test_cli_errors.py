@@ -226,3 +226,52 @@ class TestServeArgumentErrors:
         with pytest.raises(SystemExit) as exit_info:
             main(["serve", "--engine-workers", "0"])
         assert exit_info.value.code == 2
+
+
+class TestCacheBackendErrors:
+    """A cache location the chosen backend would ignore, or a missing one
+    it needs, is an input error: exit 2 naming the flag, before any job."""
+
+    CASES = [
+        (["--cache-backend", "memory", "--cache-dir", "{dir}"], "--cache-dir"),
+        (["--cache-backend", "memory", "--cache-addr", "127.0.0.1:1"], "--cache-addr"),
+        (
+            ["--cache-backend", "disk", "--cache-dir", "{dir}", "--cache-addr", "127.0.0.1:1"],
+            "--cache-addr",
+        ),
+        (["--cache-backend", "disk"], "--cache-dir"),
+        (["--cache-backend", "shared"], "--cache-addr"),
+    ]
+
+    @staticmethod
+    def flags(template, tmp_path):
+        return [flag.format(dir=tmp_path / "cache") for flag in template]
+
+    @pytest.mark.parametrize("template, named", CASES)
+    def test_sweep_exits_2(self, tmp_path, capsys, template, named):
+        spec = write_json(
+            tmp_path / "s.json",
+            {"assay": "PCR", "base": {"ilp_operation_limit": 0}, "sweep": {"pitch": [5.0]}},
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", spec, *self.flags(template, tmp_path)])
+        assert exit_info.value.code == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("template, named", CASES)
+    def test_batch_exits_2(self, tmp_path, capsys, template, named):
+        manifest = write_json(
+            tmp_path / "m.json",
+            {"defaults": {"ilp_operation_limit": 0}, "jobs": [{"assay": "PCR"}]},
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", manifest, *self.flags(template, tmp_path)])
+        assert exit_info.value.code == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("template, named", CASES)
+    def test_serve_exits_2(self, tmp_path, capsys, template, named):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--port", "0", *self.flags(template, tmp_path)])
+        assert exit_info.value.code == 2
+        assert named in capsys.readouterr().err

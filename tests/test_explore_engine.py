@@ -27,7 +27,6 @@ from repro.explore import (
 from repro.explore.spec import candidate_job, enumerate_candidates
 from repro.ilp.backends import DEFAULT_BACKEND
 from repro.obs.trace import TraceRecorder, install_recorder, uninstall_recorder
-from repro.service.singleflight import SingleFlightCache
 from repro.synthesis.pipeline import ScheduleStage, SynthesisPipeline
 
 
@@ -266,7 +265,7 @@ class TestSuccessiveHalving:
         assert calls == []
 
     def test_failing_triage_probe_releases_its_claim(self):
-        cache = SingleFlightCache(ResultCache(), claim_timeout_s=30.0)
+        cache = ResultCache(claim_timeout_s=30.0)
         spec = triage_failure_spec()
         report = ExplorationEngine(
             spec, batch_engine=BatchSynthesisEngine(cache=cache)

@@ -31,7 +31,6 @@ from repro.service import (
     CacheDaemon,
     CacheDaemonConfig,
     ServiceClient,
-    SingleFlightCache,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -230,16 +229,13 @@ class TestKilledClaimantTakeover:
             assert claimer.stdout.readline().strip() == "granted"
             claimer.send_signal(signal.SIGKILL)
             claimer.wait(timeout=10.0)
-            survivor = SingleFlightCache(
-                ResultCache(backend="shared", cache_addr=daemon_addr),
-                poll_interval_s=0.05,
-            )
+            survivor = ResultCache(backend="shared", cache_addr=daemon_addr)
             start = time.monotonic()
             # The miss blocks on the dead owner's claim, then inherits it.
             assert survivor.get(key) is None
             waited = time.monotonic() - start
             assert waited >= 0.5, waited
-            assert survivor.inner.stats.takeovers == 1
+            assert survivor.stats.takeovers == 1
             # The takeover grant is exclusive again: a third party is denied.
             assert SharedCacheTier(daemon_addr).claim(key).state == "claimed"
         finally:

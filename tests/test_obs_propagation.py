@@ -37,7 +37,6 @@ from repro.obs import (
     span,
 )
 from repro.obs.trace import uninstall_recorder, validate_chrome_trace
-from repro.service import SingleFlightCache
 
 from test_multi_replica import (
     SRC_DIR,
@@ -57,8 +56,7 @@ def daemon_addr():
 
 def shared_cache(daemon_addr, **kwargs):
     """One replica's single-flight cache on the shared backend."""
-    inner = ResultCache(backend="shared", cache_addr=daemon_addr)
-    return SingleFlightCache(inner, **kwargs)
+    return ResultCache(backend="shared", cache_addr=daemon_addr, **kwargs)
 
 
 class TestClaimWaitLinking:
@@ -69,9 +67,7 @@ class TestClaimWaitLinking:
         key = "stage-deadbeefdeadbeef"
         value = {"makespan": 650}
         cache_a = shared_cache(daemon_addr, claim_timeout_s=30.0)
-        cache_b = shared_cache(
-            daemon_addr, claim_timeout_s=30.0, poll_interval_s=0.02
-        )
+        cache_b = shared_cache(daemon_addr, claim_timeout_s=30.0)
         rec_a = TraceRecorder()
         rec_b = TraceRecorder()
         claim_held = threading.Event()
@@ -122,9 +118,7 @@ class TestClaimWaitLinking:
         waiting — no recorder, no claimant attribute, same exactly-once."""
         key = "stage-feedfacefeedface"
         cache_a = shared_cache(daemon_addr, claim_timeout_s=30.0)
-        cache_b = shared_cache(
-            daemon_addr, claim_timeout_s=30.0, poll_interval_s=0.02
-        )
+        cache_b = shared_cache(daemon_addr, claim_timeout_s=30.0)
         claim_held = threading.Event()
 
         def claimant():

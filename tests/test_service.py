@@ -23,7 +23,6 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
     ServiceError,
-    SingleFlightCache,
     SynthesisService,
 )
 from repro.service.http import HttpError, Request
@@ -115,7 +114,7 @@ class TestJobRegistry:
 
 class TestSingleFlight:
     def test_miss_claims_and_put_releases_to_waiters(self):
-        cache = SingleFlightCache(ResultCache(), claim_timeout_s=30.0)
+        cache = ResultCache(claim_timeout_s=30.0)
         assert cache.get("k") is None  # this thread now holds the claim
         seen = []
 
@@ -131,7 +130,7 @@ class TestSingleFlight:
         assert seen == ["value"]
 
     def test_abandon_wakes_waiter_who_then_claims(self):
-        cache = SingleFlightCache(ResultCache(), claim_timeout_s=30.0)
+        cache = ResultCache(claim_timeout_s=30.0)
         assert cache.get("k") is None
         results = []
 
@@ -149,7 +148,7 @@ class TestSingleFlight:
         cache.abandon("k")
 
     def test_claim_timeout_hands_the_claim_over(self):
-        cache = SingleFlightCache(ResultCache(), claim_timeout_s=0.1)
+        cache = ResultCache(claim_timeout_s=0.1)
         assert cache.get("k") is None  # claim never released: claimant "died"
         start = time.monotonic()
         assert cache.get("k") is None  # waiter takes over after the timeout
@@ -158,7 +157,7 @@ class TestSingleFlight:
     def test_takeover_is_single_not_a_thundering_herd(self):
         """After a claim times out, exactly one waiter takes over; the rest
         re-time the replacement claim instead of stealing it instantly."""
-        cache = SingleFlightCache(ResultCache(), claim_timeout_s=0.3)
+        cache = ResultCache(claim_timeout_s=0.3)
         assert cache.get("k") is None  # claimant that will never release
         results = []
 
@@ -181,7 +180,7 @@ class TestSingleFlight:
         from repro.graph.library import assay_by_name
         from repro.synthesis.config import FlowConfig
 
-        cache = SingleFlightCache(ResultCache(), claim_timeout_s=30.0)
+        cache = ResultCache(claim_timeout_s=30.0)
         engine = BatchSynthesisEngine(cache=cache)
         bad = BatchJob(
             "bad-ivd",
@@ -195,17 +194,17 @@ class TestSingleFlight:
         assert report.num_failed == 1
         assert cache._inflight == {}
 
-    def test_get_nowait_never_claims_or_blocks(self):
-        cache = SingleFlightCache(ResultCache(), claim_timeout_s=30.0)
+    def test_get_memory_never_claims_or_blocks(self):
+        cache = ResultCache(claim_timeout_s=30.0)
         assert cache.get("k") is None  # a foreign claim is now outstanding
         start = time.monotonic()
-        assert cache.get_nowait("k") is None  # returns immediately
+        assert cache.get_memory("k") is None  # returns immediately
         assert time.monotonic() - start < 1.0
         cache.put("k", "v")
-        assert cache.get_nowait("k") == "v"
+        assert cache.get_memory("k") == "v"
 
-    def test_delegates_failures_and_len(self):
-        cache = SingleFlightCache(ResultCache())
+    def test_failure_memo_and_len(self):
+        cache = ResultCache()
         error = ValueError("x")
         cache.put_failure("k", error)
         assert cache.get_failure("k") is error

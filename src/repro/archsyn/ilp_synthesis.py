@@ -31,7 +31,7 @@ back to best-effort results at its 30-minute cap).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.archsyn.architecture import ChipArchitecture, RoutedSubPath, RoutedTask
@@ -54,29 +54,15 @@ class SynthesisLimitError(SynthesisError, SolverLimitError):
 class IlpSynthesisConfig:
     """Configuration of the exact synthesis engine.
 
-    ``solver``, when set, is used verbatim for the solve — the flow builds
-    it through :func:`repro.synthesis.config.solver_options_for`, the single
-    ``FlowConfig`` → ``SolverOptions`` construction point, so this engine
-    can no longer silently drop options (historically it built
-    ``SolverOptions`` from ``time_limit_s`` alone, losing any configured
-    ``mip_rel_gap``).  When ``None`` the legacy fields are assembled into
-    options on the default backend.
+    ``solver`` is used verbatim for the solve — the flow builds it through
+    :func:`repro.synthesis.config.solver_options_for`, the single
+    ``FlowConfig`` → ``SolverOptions`` construction point; by default a
+    120 s limit on the default backend.
     """
 
     grid_rows: int = 3
     grid_cols: int = 3
-    time_limit_s: Optional[float] = 120.0
-    mip_rel_gap: Optional[float] = None
-    #: Optional pre-computed placement (device id -> node id).  When given,
-    #: the ``a_{i,k}`` variables are fixed, which shrinks the model a lot.
-    fixed_placement: Optional[Dict[str, str]] = None
-    solver: Optional[SolverOptions] = None
-
-    def solver_options(self) -> SolverOptions:
-        """The options every solve of this synthesizer runs under."""
-        if self.solver is not None:
-            return self.solver
-        return SolverOptions(time_limit_s=self.time_limit_s, mip_rel_gap=self.mip_rel_gap)
+    solver: SolverOptions = field(default_factory=lambda: SolverOptions(time_limit_s=120.0))
 
 
 @dataclass
@@ -129,7 +115,7 @@ class IlpSynthesizer:
         self._add_conflicts(model, grid, legs, edge_use, node_use, keep, sigma, storage_windows, place)
 
         model.minimize(lin_sum(keep.values()))
-        result = model.solve(cfg.solver_options())
+        result = model.solve(cfg.solver)
         if not result.status.is_feasible():
             message = f"ILP synthesis of {schedule.graph.name!r} failed: {result.status.value}"
             if result.status is SolverStatus.TIME_LIMIT:
@@ -180,15 +166,10 @@ class IlpSynthesizer:
         return arcs
 
     def _placement_variables(self, model: Model, grid: ConnectionGrid, devices: Sequence[str]):
-        cfg = self.config
         place: Dict[Tuple[str, str], object] = {}
         for node in grid.nodes():
             for device in devices:
-                var = model.add_binary(f"a[{node},{device}]")
-                place[(node, device)] = var
-                if cfg.fixed_placement is not None:
-                    fixed = 1 if cfg.fixed_placement.get(device) == node else 0
-                    model.add_constraint(var == fixed)
+                place[(node, device)] = model.add_binary(f"a[{node},{device}]")
         for node in grid.nodes():
             model.add_constraint(
                 lin_sum(place[(node, d)] for d in devices) <= 1, name=f"one-device[{node}]"

@@ -16,6 +16,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.archsyn.grid import ConnectionGrid
 from repro.scheduling.transport import TransportTask
 
+#: Preferred minimum Manhattan spacing between devices; placing devices on
+#: adjacent nodes is allowed but penalized so channel segments remain
+#: available around every device for storage.
+DEVICE_SPACING = 2
+
 
 def communication_demands(tasks: Sequence[TransportTask]) -> Dict[Tuple[str, str], int]:
     """Number of transportation tasks between every (unordered) device pair.
@@ -58,12 +63,8 @@ class GreedyPlacer:
     every experiment reproducible.
     """
 
-    def __init__(self, grid: ConnectionGrid, spacing: int = 2) -> None:
-        #: Preferred minimum Manhattan spacing between devices; placing
-        #: devices on adjacent nodes is allowed but penalized so channel
-        #: segments remain available around every device for storage.
+    def __init__(self, grid: ConnectionGrid) -> None:
         self.grid = grid
-        self.spacing = spacing
 
     # ------------------------------------------------------------------ API
     def place(
@@ -125,11 +126,11 @@ class GreedyPlacer:
                 continue
             distance = self.grid.manhattan(placement[dev_a], placement[dev_b])
             cost += count * distance
-            if distance < self.spacing:
+            if distance < DEVICE_SPACING:
                 # Devices sitting shoulder to shoulder wall each other's ports
                 # in and leave no channel segments between them for caching;
                 # weight this strongly against the (small) wirelength gain.
-                cost += 50 * (self.spacing - distance)
+                cost += 50 * (DEVICE_SPACING - distance)
         occupied = set(placement.values())
         for node in placement.values():
             free_neighbours = sum(1 for n in self.grid.neighbors(node) if n not in occupied)

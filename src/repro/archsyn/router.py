@@ -68,7 +68,6 @@ class SynthesisConfig:
     grid_cols: int = 4
     auto_expand_grid: bool = True
     max_grid_dim: int = 9
-    device_spacing: int = 2
     seed: int = 0
 
 
@@ -191,7 +190,7 @@ class HeuristicSynthesizer:
                 raise SynthesisError(
                     f"{len(devices)} devices do not fit on a {rows}x{cols} connection grid"
                 )
-            placer = GreedyPlacer(grid, spacing=self.config.device_spacing)
+            placer = GreedyPlacer(grid)
             placement = placer.place(devices, tasks).placement
             architecture = ChipArchitecture(grid, placement)
             place_span.set(ok=True)

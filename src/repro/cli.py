@@ -65,7 +65,7 @@ fault-recovery rate instead of a single deterministic number::
         --fault-rate 0.05
 
 Every job-running mode accepts ``--solver`` to force both ILPs onto one
-registered solver backend: ``highs`` (the default when scipy is installed)
+solver backend: ``highs`` (the default when scipy is installed)
 or the dependency-free ``branch-and-bound`` (the default otherwise).
 
 Batch manifests and sweep specs are then submitted over HTTP

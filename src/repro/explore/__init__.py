@@ -12,8 +12,8 @@ service's exploration submissions are built on:
   cheap/full split the triage strategy exploits;
 * :mod:`repro.explore.frontier` — the incremental
   :class:`~repro.explore.frontier.ParetoFrontier`;
-* :mod:`repro.explore.strategies` — pluggable search strategies behind a
-  string-keyed registry (exhaustive, random, successive-halving);
+* :mod:`repro.explore.strategies` — the search strategies, a fixed name
+  map (exhaustive, random, successive-halving);
 * :mod:`repro.explore.engine` — the
   :class:`~repro.explore.engine.ExplorationEngine` driving everything
   through the stage-granular batch layer, with resumable persisted state.
@@ -49,12 +49,11 @@ from repro.explore.spec import (
     load_spec,
 )
 from repro.explore.strategies import (
+    STRATEGIES,
     SearchStrategy,
     StrategyContext,
     get_strategy,
-    register_strategy,
     strategy_names,
-    unregister_strategy,
 )
 
 __all__ = [
@@ -67,6 +66,7 @@ __all__ = [
     "FrontierEntry",
     "OBJECTIVES",
     "ParetoFrontier",
+    "STRATEGIES",
     "SearchStrategy",
     "StrategyContext",
     "candidate_job",
@@ -79,8 +79,6 @@ __all__ = [
     "load_spec",
     "objective_names",
     "objective_values",
-    "register_strategy",
     "schedule_objective_values",
     "strategy_names",
-    "unregister_strategy",
 ]

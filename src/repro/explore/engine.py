@@ -46,6 +46,10 @@ from repro.explore.strategies import StrategyContext, get_strategy
 from repro.synthesis.config import apply_solver_override
 from repro.synthesis.pipeline import StageExecution
 
+#: Candidates per evaluation chunk: the state file is rewritten after each
+#: chunk, bounding how much work an interruption can lose.
+CHECKPOINT_EVERY = 8
+
 
 @dataclass
 class ExplorationState:
@@ -193,9 +197,6 @@ class ExplorationEngine:
         Optional ``--solver``-style backend override applied to every
         candidate's config (see
         :func:`repro.synthesis.config.apply_solver_override`).
-    checkpoint_every:
-        Candidates per evaluation chunk — the state file is rewritten after
-        each chunk, bounding how much work an interruption can lose.
     warm_start:
         When true (the default), each candidate's job carries the schedule
         of the nearest already-solved candidate of the *same workload*
@@ -213,11 +214,8 @@ class ExplorationEngine:
         max_workers: int = 1,
         state_path: Optional[Union[str, Path]] = None,
         solver: Optional[str] = None,
-        checkpoint_every: int = 8,
         warm_start: bool = True,
     ) -> None:
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be at least 1")
         self.spec = spec
         self.batch_engine = batch_engine or BatchSynthesisEngine(
             max_workers=max_workers,
@@ -226,7 +224,6 @@ class ExplorationEngine:
         self.cache = self.batch_engine.cache
         self.state_path = Path(state_path) if state_path is not None else None
         self.solver = solver
-        self.checkpoint_every = checkpoint_every
         self.warm_start = warm_start
         #: In-memory schedules of this run's solved candidates, keyed by
         #: candidate id — the warm-start neighbor pool.  Deliberately not
@@ -381,7 +378,7 @@ class ExplorationEngine:
     def _evaluate(self, candidates: Sequence[Candidate]) -> None:
         """Fully evaluate candidates (budget capped, resume aware).
 
-        Runs in chunks of :attr:`checkpoint_every`; each chunk is one batch
+        Runs in chunks of :data:`CHECKPOINT_EVERY`; each chunk is one batch
         engine run (so stage sharing works within a chunk and the cache
         carries it across chunks) followed by a state checkpoint.
         """
@@ -396,7 +393,7 @@ class ExplorationEngine:
             todo.append(candidate)
 
         while todo and self._remaining_budget() > 0:
-            chunk = todo[: min(self.checkpoint_every, self._remaining_budget())]
+            chunk = todo[: min(CHECKPOINT_EVERY, self._remaining_budget())]
             todo = todo[len(chunk) :]
             jobs = [self._candidate_job(candidate) for candidate in chunk]
             if self.warm_start:

@@ -26,7 +26,7 @@ value lists exactly like a sweep grid; the candidate space is the cartesian
 product of the axes crossed with every workload.  ``base`` underlies every
 point, ``objectives`` names registered members of
 :mod:`repro.explore.objectives` (all minimized), ``strategy`` names a
-registered search strategy, and ``budget`` caps how many candidates receive
+search strategy of :data:`repro.explore.strategies.STRATEGIES`, and ``budget`` caps how many candidates receive
 a *full* synthesis evaluation.
 """
 
@@ -193,7 +193,7 @@ class ExplorationSpec:
         if strategy not in strategy_names():
             raise ValueError(
                 f"{source}: unknown strategy {strategy!r} "
-                f"(registered: {list(strategy_names())})"
+                f"(known: {list(strategy_names())})"
             )
 
         budget = payload.get("budget")

@@ -1,8 +1,8 @@
-"""Pluggable search strategies behind a string-keyed registry.
+"""Search strategies, selected by name.
 
-Mirrors :mod:`repro.ilp.backends`: strategies register under a name, an
-exploration spec selects one by that name, and tests can register stub
-strategies to drive the engine deterministically.  Three ship built in:
+Mirrors :mod:`repro.ilp.backends`: :data:`STRATEGIES` maps each name to its
+strategy, and an exploration spec selects one by that name.  There are
+three:
 
 ``"exhaustive"``
     Every candidate of the space, in spec order, until the budget runs out.
@@ -140,38 +140,23 @@ def _cheap_dominated(
     )
 
 
-# ------------------------------------------------------------------- registry
-
-_REGISTRY: Dict[str, SearchStrategy] = {}
-
-
-def register_strategy(strategy: SearchStrategy) -> None:
-    """Register a strategy instance under its :attr:`~SearchStrategy.name`."""
-    if not strategy.name:
-        raise ValueError("strategy must declare a non-empty name")
-    _REGISTRY[strategy.name] = strategy
-
-
-def unregister_strategy(name: str) -> None:
-    """Remove a registered strategy (tests clean up stub strategies)."""
-    _REGISTRY.pop(name, None)
+#: Every search strategy by name.  Built once here and never mutated.
+STRATEGIES: Dict[str, SearchStrategy] = {
+    strategy.name: strategy
+    for strategy in (ExhaustiveStrategy(), RandomStrategy(), SuccessiveHalvingStrategy())
+}
 
 
 def get_strategy(name: str) -> SearchStrategy:
-    """Resolve a registered strategy by name (:class:`ValueError` if absent)."""
+    """The strategy named ``name`` (:class:`ValueError` if there is none)."""
     try:
-        return _REGISTRY[name]
+        return STRATEGIES[name]
     except KeyError:
         raise ValueError(
-            f"unknown search strategy {name!r}; registered: {list(strategy_names())}"
+            f"unknown search strategy {name!r}; known: {list(strategy_names())}"
         ) from None
 
 
 def strategy_names() -> Tuple[str, ...]:
-    """Registered strategy names, sorted (spec validation and ``--help``)."""
-    return tuple(sorted(_REGISTRY))
-
-
-register_strategy(ExhaustiveStrategy())
-register_strategy(RandomStrategy())
-register_strategy(SuccessiveHalvingStrategy())
+    """Strategy names, sorted (spec validation and ``--help``)."""
+    return tuple(sorted(STRATEGIES))

@@ -3,7 +3,7 @@
 The paper solves its scheduling and architectural-synthesis formulations with
 Gurobi.  This package provides an in-repo substitute: a small, PuLP-like
 modeling API (:class:`Variable`, :class:`LinExpr`, :class:`Constraint`,
-:class:`Model`) whose instances are solved by a pluggable backend
+:class:`Model`) whose instances are solved by a named backend
 (:mod:`repro.ilp.backends`): scipy's HiGHS branch and cut, or a
 dependency-free pure-Python branch and bound — the default when scipy is
 not installed.
@@ -41,8 +41,6 @@ from repro.ilp.backends import (
     SolverBackend,
     backend_names,
     get_backend,
-    register_backend,
-    unregister_backend,
 )
 
 __all__ = [
@@ -67,6 +65,4 @@ __all__ = [
     "BranchAndBoundBackend",
     "backend_names",
     "get_backend",
-    "register_backend",
-    "unregister_backend",
 ]

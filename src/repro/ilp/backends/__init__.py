@@ -1,6 +1,6 @@
-"""Pluggable solver backends for the MILP layer.
+"""The solver backends of the MILP layer.
 
-Two backends ship registered out of the box:
+:data:`BACKENDS` maps each backend name to its one shared instance:
 
 ``"highs"``
     The historical scipy/HiGHS branch-and-cut path
@@ -17,32 +17,52 @@ otherwise.  Whichever runs, a time limit that leaves no incumbent better
 than the caller's verified warm start returns that warm start
 (:func:`repro.ilp.solve_model`).
 
-Custom backends register with :func:`register_backend`; any string a
+The map is fixed at import; any string a
 :class:`~repro.synthesis.config.FlowConfig` or ``--solver`` flag names is
 resolved through :func:`get_backend` at solve time.
 """
 
-from repro.ilp.backends.base import (
-    BackendUnavailableError,
-    SolverBackend,
-    backend_names,
-    empty_model_result,
-    get_backend,
-    register_backend,
-    unregister_backend,
-)
+from typing import Dict, Tuple
+
+from repro.ilp.backends.base import BackendUnavailableError, SolverBackend, empty_model_result
 from repro.ilp.backends.branch_and_bound import BranchAndBoundBackend
 from repro.ilp.backends.highs import HighsBackend
 
-register_backend(HighsBackend())
-register_backend(BranchAndBoundBackend())
+#: Every backend by name.  Built once here and never mutated.
+BACKENDS: Dict[str, SolverBackend] = {
+    backend.name: backend for backend in (HighsBackend(), BranchAndBoundBackend())
+}
 
-#: Registry key of the backend used when options or configs name none.
+#: Name of the backend used when options or configs name none.
 DEFAULT_BACKEND = (
-    HighsBackend.name if HighsBackend().is_available() else BranchAndBoundBackend.name
+    HighsBackend.name if BACKENDS[HighsBackend.name].is_available() else BranchAndBoundBackend.name
 )
 
+
+def get_backend(name: str) -> SolverBackend:
+    """The backend named ``name``.
+
+    Raises
+    ------
+    ValueError
+        When no backend has that name, listing the known names so a manifest
+        typo is one read away from its fix.
+    """
+    try:
+        return BACKENDS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown solver backend {name!r}; known backends: {list(backend_names())}"
+        ) from None
+
+
+def backend_names() -> Tuple[str, ...]:
+    """Sorted names of every backend."""
+    return tuple(sorted(BACKENDS))
+
+
 __all__ = [
+    "BACKENDS",
     "DEFAULT_BACKEND",
     "BackendUnavailableError",
     "SolverBackend",
@@ -51,6 +71,4 @@ __all__ = [
     "backend_names",
     "empty_model_result",
     "get_backend",
-    "register_backend",
-    "unregister_backend",
 ]

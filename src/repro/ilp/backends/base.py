@@ -1,11 +1,11 @@
-"""Solver-backend protocol and the string-keyed backend registry.
+"""Solver-backend protocol.
 
 The paper solves its two ILPs (scheduling, architecture synthesis) with a
 commercial solver behind a wall-clock cap; this repository treats the solve
 step as a *seam* instead of a hard-wired call.  A :class:`SolverBackend`
-turns a :class:`repro.ilp.Model` into a :class:`repro.ilp.SolveResult`; the
-registry maps stable string keys (``"highs"``, ``"branch-and-bound"``) to
-backend instances so every layer above — engine
+turns a :class:`repro.ilp.Model` into a :class:`repro.ilp.SolveResult`;
+:data:`repro.ilp.backends.BACKENDS` maps stable string keys (``"highs"``,
+``"branch-and-bound"``) to backend instances so every layer above — engine
 configs, :class:`~repro.synthesis.config.FlowConfig`, batch manifests, the
 CLI's ``--solver`` flag — can name a backend without importing it.
 
@@ -18,7 +18,7 @@ never alias each other's cached artifacts.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from repro.ilp.status import SolverStatus
 
@@ -41,7 +41,7 @@ class BackendUnavailableError(RuntimeError):
 class SolverBackend(abc.ABC):
     """One way of solving a :class:`repro.ilp.Model`.
 
-    Subclasses set :attr:`name` (the registry key and the value reported in
+    Subclasses set :attr:`name` (the backend's key and the value reported in
     :attr:`repro.ilp.SolveResult.backend_name`) and implement :meth:`solve`.
     Backends must be stateless across solves — one shared instance serves
     every thread and every model — and must populate each variable's
@@ -49,7 +49,8 @@ class SolverBackend(abc.ABC):
     ``solve_model`` contract.
     """
 
-    #: Registry key; also stamped on every result the backend returns.
+    #: Key in :data:`~repro.ilp.backends.BACKENDS`; also stamped on every
+    #: result the backend returns.
     name: str = ""
 
     def is_available(self) -> bool:
@@ -88,57 +89,3 @@ def empty_model_result(model: "Model") -> Optional["SolveResult"]:
     infeasible = any(con.is_trivially_infeasible() for con in model.constraints)
     status = SolverStatus.INFEASIBLE if infeasible else SolverStatus.OPTIMAL
     return SolveResult(status=status, objective=0.0, wall_time_s=0.0, message="empty model")
-
-
-# ------------------------------------------------------------------- registry
-
-_REGISTRY: Dict[str, SolverBackend] = {}
-
-
-def register_backend(backend: SolverBackend, *, replace: bool = False) -> SolverBackend:
-    """Register ``backend`` under its :attr:`~SolverBackend.name`.
-
-    Re-registering an existing name raises unless ``replace=True`` — a
-    silent overwrite would re-route every config naming that backend.
-    Returns the backend so registration can be used as an expression.
-    """
-    name = backend.name
-    if not name:
-        raise ValueError(f"backend {backend!r} has no name")
-    if name in _REGISTRY and not replace:
-        raise ValueError(
-            f"solver backend {name!r} is already registered; pass replace=True to override"
-        )
-    _REGISTRY[name] = backend
-    return backend
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a registered backend (no-op when absent).
-
-    Intended for tests and short-lived experimental backends; the built-in
-    names are re-registered only on interpreter restart.
-    """
-    _REGISTRY.pop(name, None)
-
-
-def get_backend(name: str) -> SolverBackend:
-    """The backend registered under ``name``.
-
-    Raises
-    ------
-    ValueError
-        When no backend has that name, listing the known keys so a manifest
-        typo is one read away from its fix.
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown solver backend {name!r}; registered backends: {sorted(_REGISTRY)}"
-        ) from None
-
-
-def backend_names() -> Tuple[str, ...]:
-    """Sorted names of every registered backend."""
-    return tuple(sorted(_REGISTRY))

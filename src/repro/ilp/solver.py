@@ -55,7 +55,7 @@ class SolverOptions:
     ``time_limit_s`` mirrors the paper's 30-minute cap on the scheduling and
     synthesis ILPs; when the limit is reached the best incumbent — the
     backend's, or the warm start when that is better — is reported as
-    :attr:`SolverStatus.FEASIBLE`.  ``backend`` names a registered solver
+    :attr:`SolverStatus.FEASIBLE`.  ``backend`` names a solver
     backend (:func:`repro.ilp.backends.get_backend`); ``None`` selects
     :data:`~repro.ilp.backends.DEFAULT_BACKEND`.  ``warm_start`` optionally
     seeds the search with a known incumbent; it is runtime advice, not part
@@ -104,7 +104,7 @@ class SolveResult:
     carries all of them, with the status and objective, into the
     artifacts.  A solve that :func:`solve_model` closes at the model's
     lower bound reports ``backend_name="bound"``: a provenance label, not
-    a registered backend.
+    a backend of :data:`~repro.ilp.backends.BACKENDS`.
     """
 
     status: SolverStatus
@@ -143,7 +143,7 @@ def solve_model(model: Model, options: Optional[SolverOptions] = None) -> SolveR
     the model's certified :attr:`~repro.ilp.Model.lower_bound`, it is
     optimal: it is returned as OPTIMAL (``backend_name="bound"``) without
     running any backend.  Otherwise the function dispatches to the
-    registered backend (``options.backend``, or
+    named backend (``options.backend``, or
     :data:`~repro.ilp.backends.DEFAULT_BACKEND` when unset).  When that
     solve ends at a limit with no incumbent better than a feasible warm
     start, the warm start is returned as FEASIBLE instead (see

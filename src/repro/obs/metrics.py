@@ -285,12 +285,12 @@ def render_prometheus(registry: Optional[MetricsRegistry] = None) -> str:
 #: Prometheus content type of the exposition endpoints.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-_REGISTRY = MetricsRegistry()
+_PROCESS_METRICS = MetricsRegistry()
 
 
 def get_registry() -> MetricsRegistry:
     """The process-wide default registry."""
-    return _REGISTRY
+    return _PROCESS_METRICS
 
 
 # --------------------------------------------------------------------------
@@ -301,7 +301,7 @@ def get_registry() -> MetricsRegistry:
 
 def stage_wall_histogram() -> Histogram:
     """Stage wall-time distribution, labeled by stage and action."""
-    return _REGISTRY.histogram(
+    return _PROCESS_METRICS.histogram(
         "repro_stage_wall_seconds",
         "Wall time of pipeline stage executions, by stage and action.",
     )
@@ -309,21 +309,21 @@ def stage_wall_histogram() -> Histogram:
 
 def cache_hits_counter() -> Counter:
     """Cache hits split by serving tier (memory/disk/shared)."""
-    return _REGISTRY.counter(
+    return _PROCESS_METRICS.counter(
         "repro_cache_hits_total", "Result-cache hits, by serving tier."
     )
 
 
 def cache_misses_counter() -> Counter:
     """Lookups that fell through every tier."""
-    return _REGISTRY.counter(
+    return _PROCESS_METRICS.counter(
         "repro_cache_misses_total", "Result-cache lookups that missed every tier."
     )
 
 
 def claim_counter() -> Counter:
     """Single-flight claim lifecycle events (claims/waits/takeovers)."""
-    return _REGISTRY.counter(
+    return _PROCESS_METRICS.counter(
         "repro_claims_total",
         "Single-flight claim events, by event kind.",
     )
@@ -331,7 +331,7 @@ def claim_counter() -> Counter:
 
 def solver_nodes_counter() -> Counter:
     """Branch-and-bound nodes expanded."""
-    return _REGISTRY.counter(
+    return _PROCESS_METRICS.counter(
         "repro_solver_nodes_expanded_total",
         "Branch-and-bound search nodes expanded.",
     )
@@ -339,7 +339,7 @@ def solver_nodes_counter() -> Counter:
 
 def warm_start_counter() -> Counter:
     """Warm starts offered to and used by solver backends."""
-    return _REGISTRY.counter(
+    return _PROCESS_METRICS.counter(
         "repro_warm_start_hits_total",
         "Solver invocations that seeded their search from a warm start.",
     )
@@ -347,14 +347,14 @@ def warm_start_counter() -> Counter:
 
 def mc_trials_counter() -> Counter:
     """Monte-Carlo verification trials executed."""
-    return _REGISTRY.counter(
+    return _PROCESS_METRICS.counter(
         "repro_mc_trials_total", "Monte-Carlo verification trials executed."
     )
 
 
 def jobs_counter() -> Counter:
     """Jobs processed, by final state."""
-    return _REGISTRY.counter(
+    return _PROCESS_METRICS.counter(
         "repro_jobs_total", "Synthesis jobs processed, by final state."
     )
 
@@ -362,11 +362,11 @@ def jobs_counter() -> Counter:
 def daemon_events_counter() -> Counter:
     """Cache-daemon store and claim lifecycle events.
 
-    The daemon's ``GET /stats`` payload is a per-instance view over this
-    counter (see :class:`repro.service.cachedaemon.DaemonStats`), so the
-    JSON endpoint and the Prometheus exposition can never disagree.
+    Every daemon in the process adds to it; each daemon's ``GET /stats``
+    payload counts its own events only (see
+    :class:`repro.service.cachedaemon.DaemonStats`, which bumps both).
     """
-    return _REGISTRY.counter(
+    return _PROCESS_METRICS.counter(
         "repro_cachedaemon_events_total",
         "Cache-daemon store and claim events, by event kind.",
     )
@@ -374,7 +374,7 @@ def daemon_events_counter() -> Counter:
 
 def daemon_entries_gauge() -> Gauge:
     """Cache-daemon live object counts (entries, claims)."""
-    return _REGISTRY.gauge(
+    return _PROCESS_METRICS.gauge(
         "repro_cachedaemon_entries",
         "Cache-daemon live stored entries and claim records, by kind.",
     )
@@ -382,6 +382,6 @@ def daemon_entries_gauge() -> Gauge:
 
 def queue_depth_gauge() -> Gauge:
     """Service job queue depth, by lifecycle state."""
-    return _REGISTRY.gauge(
+    return _PROCESS_METRICS.gauge(
         "repro_service_queue_depth", "Service jobs currently held, by state."
     )

@@ -24,6 +24,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.physical.geometry import Point, Rect
 from repro.physical.layout import ChannelShape, DeviceShape, PhysicalLayout
 
+#: Extra channel length (in layout units) obtained per inserted bend.
+BEND_LENGTH_GAIN = 2.0
+
 
 @dataclass
 class CompressionConfig:
@@ -32,8 +35,6 @@ class CompressionConfig:
     min_channel_spacing: float = 1.0
     #: Channel length (in layout units) needed to cache one fluid sample.
     storage_segment_length: float = 3.0
-    #: Extra channel length obtained per inserted bend.
-    bend_length_gain: float = 2.0
     #: Hard cap on iterations as a safety net.
     max_iterations: int = 200
 
@@ -188,10 +189,10 @@ def _insert_bends(layout: PhysicalLayout, config: CompressionConfig) -> int:
         deficit = channel.length_deficit()
         if deficit <= 1e-9:
             continue
-        bends_needed = math.ceil(deficit / config.bend_length_gain)
+        bends_needed = math.ceil(deficit / BEND_LENGTH_GAIN)
         channel.bends += bends_needed
         # Bends are represented logically (the polyline keeps its endpoints);
         # the added length is accounted for in the channel's effective length.
-        channel.extra_length += bends_needed * config.bend_length_gain
+        channel.extra_length += bends_needed * BEND_LENGTH_GAIN
         inserted += bends_needed
     return inserted

@@ -26,7 +26,6 @@ class PhysicalDesignConfig:
     pitch: float = 5.0
     storage_segment_length: float = 3.0
     min_channel_spacing: float = 1.0
-    bend_length_gain: float = 2.0
 
 
 @dataclass
@@ -72,7 +71,6 @@ def build_physical_design(
         CompressionConfig(
             min_channel_spacing=config.min_channel_spacing,
             storage_segment_length=config.storage_segment_length,
-            bend_length_gain=config.bend_length_gain,
         ),
     )
     elapsed = time.perf_counter() - start

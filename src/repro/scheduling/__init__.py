@@ -16,8 +16,10 @@ Two engines are provided:
   storage-aware list-scheduling heuristic for instances beyond the ILP's
   practical size (mirroring the paper's 30-minute best-effort cap).
 
-The execution-time-only baseline of Fig. 9 is in
-:mod:`repro.scheduling.baseline`.
+The execution-time-only baseline of Fig. 9 is either engine with the
+storage term off: ``ListSchedulerConfig(storage_aware=False)`` or
+``IlpSchedulerConfig(beta=0.0)``, which is what
+``FlowConfig(storage_aware=False)`` builds.
 """
 
 from repro.scheduling.schedule import Schedule, ScheduledOperation, ScheduleValidationError
@@ -30,7 +32,6 @@ from repro.scheduling.transport import (
 )
 from repro.scheduling.ilp_scheduler import IlpScheduler, IlpSchedulerConfig
 from repro.scheduling.list_scheduler import ListScheduler, ListSchedulerConfig
-from repro.scheduling.baseline import ExecutionTimeOnlyScheduler
 from repro.scheduling.binding import binding_summary, device_utilization, DeviceUsage
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
     "IlpSchedulerConfig",
     "ListScheduler",
     "ListSchedulerConfig",
-    "ExecutionTimeOnlyScheduler",
     "binding_summary",
     "device_utilization",
     "DeviceUsage",

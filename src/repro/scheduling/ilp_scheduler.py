@@ -63,7 +63,7 @@ bound: each such form made HiGHS slower on IVD or PCR.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.devices.device import DeviceLibrary
@@ -89,20 +89,17 @@ class IlpSchedulerConfig:
     (``alpha >> beta``).  ``beta = 0`` reproduces the execution-time-only
     baseline of Fig. 9.
 
-    ``solver``, when set, is used verbatim for the solve (it is how the flow
-    threads :func:`repro.synthesis.config.solver_options_for` — the single
+    ``solver`` is used verbatim for every solve (it is how the flow threads
+    :func:`repro.synthesis.config.solver_options_for` — the single
     ``FlowConfig`` → ``SolverOptions`` construction point — down to this
-    engine, backend choice included).  When ``None`` the legacy fields
-    ``time_limit_s``/``mip_rel_gap`` are assembled into options on the
-    default backend, preserving the historical direct-construction API.
+    engine, backend choice included); by default a 60 s limit on the
+    default backend.
     """
 
     transport_time: int = 10
     alpha: float = 100.0
     beta: float = 1.0
-    time_limit_s: Optional[float] = 60.0
-    mip_rel_gap: Optional[float] = None
-    solver: Optional[SolverOptions] = None
+    solver: SolverOptions = field(default_factory=lambda: SolverOptions(time_limit_s=60.0))
     #: Seed every solve with the storage-aware list heuristic's schedule
     #: translated into a full ILP assignment (a :class:`WarmStart`), unless
     #: the caller supplies an external hint.  A warm start that fits the
@@ -114,12 +111,6 @@ class IlpSchedulerConfig:
     #: objective of a completed search; a time- or node-limited one can
     #: return another incumbent.
     warm_start_heuristic: bool = True
-
-    def solver_options(self) -> SolverOptions:
-        """The options every solve of this scheduler runs under."""
-        if self.solver is not None:
-            return self.solver
-        return SolverOptions(time_limit_s=self.time_limit_s, mip_rel_gap=self.mip_rel_gap)
 
 
 def schedule_lower_bound(graph: SequencingGraph, compatible,
@@ -238,7 +229,7 @@ class IlpScheduler:
                            horizon=horizon, t_end_bound=t_end_bound,
                            lower_bound=model.lower_bound)
 
-        options = cfg.solver_options()
+        options = cfg.solver
         if warm is not None:
             # A copy: the options object is shared flow-wide configuration,
             # the warm start is advice for this one solve.

@@ -53,10 +53,10 @@ import re
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from repro.batch.cache_backends.shared import ENVELOPE_CONTENT_TYPE
+from repro.batch.cache_backends.shared import DEFAULT_LEASE_S, ENVELOPE_CONTENT_TYPE
 from repro.obs import metrics as obs_metrics
 from repro.obs.logs import get_logger
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, render_prometheus
@@ -96,8 +96,6 @@ class CacheDaemonConfig:
     #: Reject value bodies larger than this (physical artifacts are tens of
     #: KB; the default leaves two orders of magnitude of headroom).
     max_body_bytes: int = MAX_BODY_BYTES
-    #: Lease granted when a claim request does not name one.
-    default_lease_s: float = 300.0
 
 
 @dataclass
@@ -117,54 +115,38 @@ class _Claim:
     ended: asyncio.Event = field(default_factory=asyncio.Event)
 
 
+@dataclass
 class DaemonStats:
-    """Daemon-side counters: a per-instance view over the metrics registry.
+    """Daemon-side counters of one :class:`CacheDaemon`.
 
-    Events are accumulated in the process-wide
+    Each event is counted here (read as ``stats.<event>``, served by
+    ``GET /stats``) and in the process-wide
     :func:`repro.obs.metrics.daemon_events_counter`
-    (``repro_cachedaemon_events_total{event=...}``), so ``GET /stats`` and
-    ``GET /metrics`` always agree.  Each instance snapshots the counter at
-    construction and reports *deltas* since then, which preserves the
-    historical fresh-counters-per-daemon contract (the ``GET /stats`` JSON
-    shape is unchanged) even when several daemons share one test process.
+    (``repro_cachedaemon_events_total{event=...}``, served by
+    ``GET /metrics``), so two daemons in one process never see each
+    other's events in ``/stats``.
     """
 
-    _EVENTS = (
-        "gets",
-        "hits",
-        "puts",
-        "evictions",
-        "claims_granted",
-        "claims_present",
-        "claims_denied",
-        "takeovers",
-        "releases",
-    )
-
-    def __init__(self) -> None:
-        self._counter = obs_metrics.daemon_events_counter()
-        self._base = {
-            event: self._counter.value(event=event) for event in self._EVENTS
-        }
+    gets: int = 0
+    hits: int = 0
+    puts: int = 0
+    evictions: int = 0
+    claims_granted: int = 0
+    claims_present: int = 0
+    claims_denied: int = 0
+    takeovers: int = 0
+    releases: int = 0
 
     def inc(self, event: str) -> None:
-        """Record one daemon event (must be a member of ``_EVENTS``)."""
-        if event not in self._EVENTS:
+        """Record one daemon event (must name a field)."""
+        if event not in self.__dataclass_fields__:
             raise ValueError(f"unknown daemon event {event!r}")
-        self._counter.inc(event=event)
-
-    def __getattr__(self, name: str):
-        # Dataclass-era reads (daemon.stats.puts, ...) resolve against the
-        # registry, minus this instance's construction-time baseline.
-        if name.startswith("_"):
-            raise AttributeError(name)
-        if name in self._EVENTS:
-            return int(self._counter.value(event=name) - self._base[name])
-        raise AttributeError(name)
+        setattr(self, event, getattr(self, event) + 1)
+        obs_metrics.daemon_events_counter().inc(event=event)
 
     def as_dict(self) -> Dict[str, int]:
         """The counters as a JSON-ready mapping (historical shape)."""
-        return {event: getattr(self, event) for event in self._EVENTS}
+        return asdict(self)
 
 
 class CacheDaemon:
@@ -326,9 +308,9 @@ class CacheDaemon:
         if not isinstance(body, dict) or not isinstance(body.get("owner"), str):
             raise HttpError(400, "claim body must be a JSON object with an 'owner'")
         owner = body["owner"]
-        lease_s = body.get("lease_s", self.config.default_lease_s)
+        lease_s = body.get("lease_s", DEFAULT_LEASE_S)
         if not isinstance(lease_s, (int, float)) or lease_s <= 0:
-            lease_s = self.config.default_lease_s
+            lease_s = DEFAULT_LEASE_S
         lease_s = min(float(lease_s), MAX_LEASE_S)
         wait_s = body.get("wait_s", 0.0)
         if not isinstance(wait_s, (int, float)):

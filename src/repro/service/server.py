@@ -61,6 +61,19 @@ from repro.service.state import DONE, FAILED, JobRecord, JobRegistry
 
 _LOG = get_logger("service")
 
+#: Bound on the service cache's in-memory LRU tier.
+CACHE_ENTRIES = 1024
+#: Reject submissions that expand to more jobs than this.  A sweep body of a
+#: few KB can describe a cartesian product of millions of points; the count
+#: is checked structurally *before* any expansion so a hostile grid cannot
+#: stall the event loop or balloon memory.
+MAX_JOBS_PER_SUBMISSION = 1024
+#: Reject generator jobs/workloads whose integer size parameters
+#: (``num_operations``, ``num_inputs``) exceed this.  Graph generation is
+#: superlinear and happens synchronously at submit time, so its size must
+#: be bounded like the job count is.
+MAX_GENERATOR_OPERATIONS = 2000
+
 
 def _submission_specs(payload: Any) -> List[Any]:
     """Every job-shaped fragment of a raw submission body, any kind.
@@ -215,8 +228,6 @@ class ServiceConfig:
     #: used with) the ``shared`` backend, which pools artifacts and
     #: single-flight claims across replicas.
     cache_addr: Optional[str] = None
-    #: Bound on the cache's in-memory LRU tier.
-    cache_entries: Optional[int] = 1024
     #: How long a job waits on another job's in-flight stage solve before
     #: assuming the claimant died and solving itself.
     claim_timeout_s: float = 300.0
@@ -224,17 +235,7 @@ class ServiceConfig:
     drain_timeout_s: float = 5.0
     #: Reject request bodies larger than this.
     max_body_bytes: int = MAX_BODY_BYTES
-    #: Reject submissions that expand to more jobs than this.  A sweep body
-    #: of a few KB can describe a cartesian product of millions of points;
-    #: the count is checked structurally *before* any expansion so a
-    #: hostile grid cannot stall the event loop or balloon memory.
-    max_jobs_per_submission: int = 1024
-    #: Reject generator jobs/workloads whose integer size parameters
-    #: (``num_operations``, ``num_inputs``) exceed this.  Graph generation
-    #: is superlinear and happens synchronously at submit time, so its
-    #: size must be bounded like the job count is.
-    max_generator_operations: int = 2000
-    #: Force every submitted job's two ILPs onto this registered solver
+    #: Force every submitted job's two ILPs onto this solver
     #: backend (``repro serve --solver``).  ``None`` keeps each job's own
     #: config (normally the default backend).  Applied server-side *after* config
     #: validation, so it participates in the jobs' stage cache keys exactly
@@ -259,7 +260,7 @@ class SynthesisService:
         if self.config.engine_workers < 1:
             raise ValueError("engine_workers must be at least 1")
         self.cache = ResultCache(
-            max_entries=self.config.cache_entries,
+            max_entries=CACHE_ENTRIES,
             cache_dir=self.config.cache_dir,
             backend=self.config.cache_backend,
             cache_addr=self.config.cache_addr,
@@ -551,13 +552,13 @@ class SynthesisService:
         else:
             kind = "batch"
         _reject_protocol_entries(payload)
-        _reject_oversized_generators(payload, self.config.max_generator_operations)
+        _reject_oversized_generators(payload, MAX_GENERATOR_OPERATIONS)
         estimated = _estimated_job_count(payload, kind)
-        if estimated > self.config.max_jobs_per_submission:
+        if estimated > MAX_JOBS_PER_SUBMISSION:
             raise HttpError(
                 400,
                 f"submission expands to {estimated} jobs, over this server's "
-                f"limit of {self.config.max_jobs_per_submission}; split it "
+                f"limit of {MAX_JOBS_PER_SUBMISSION}; split it "
                 "into smaller submissions",
             )
         try:

@@ -126,7 +126,7 @@ class FlowConfig:
     storage_aware: bool = True
     ilp_time_limit_s: float = 60.0
     ilp_operation_limit: int = 14
-    #: Registered solver backend the scheduling ILP runs on (see
+    #: Solver backend the scheduling ILP runs on (see
     #: :mod:`repro.ilp.backends`): by default HiGHS, or the dependency-free
     #: branch and bound without scipy.  On either, a time limit that leaves
     #: no better incumbent returns the list-schedule warm start as a
@@ -144,7 +144,7 @@ class FlowConfig:
     auto_expand_grid: bool = True
     max_grid_dim: int = 9
     archsyn_time_limit_s: float = 120.0
-    #: Registered solver backend the architecture-synthesis ILP runs on;
+    #: Solver backend the architecture-synthesis ILP runs on;
     #: same semantics as :attr:`scheduler_backend`, keyed into the archsyn
     #: stage's cache key.
     archsyn_backend: str = DEFAULT_BACKEND
@@ -206,16 +206,15 @@ class FlowConfig:
             raise ValueError("transport_time must be non-negative")
         if self.grid_rows < 2 or self.grid_cols < 2:
             raise ValueError("the connection grid must be at least 2x2")
-        # A config naming an unknown backend (custom ones registered at
-        # runtime included) must fail at construction (manifest load, CLI
-        # parse), not mid-solve.
+        # A config naming an unknown backend must fail at construction
+        # (manifest load, CLI parse), not mid-solve.
         known = backend_names()
         for field_name in ("scheduler_backend", "archsyn_backend"):
             backend = getattr(self, field_name)
             if backend not in known:
                 raise ValueError(
                     f"{field_name} names unknown solver backend {backend!r}; "
-                    f"registered backends: {list(known)}"
+                    f"known backends: {list(known)}"
                 )
         if self.verify_trials < 1:
             raise ValueError("verify_trials must be at least 1")

@@ -140,8 +140,7 @@ def _build_scheduler(config: FlowConfig, library: DeviceLibrary, graph: Sequenci
                 alpha=config.alpha,
                 beta=config.beta if config.storage_aware else 0.0,
                 # Time limit, MIP gap, and backend all travel inside the
-                # shared options object; the config's legacy fields are the
-                # fallback for direct construction only.
+                # shared options object.
                 solver=solver_options_for(config, "scheduler"),
             ),
         )

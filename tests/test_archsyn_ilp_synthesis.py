@@ -6,8 +6,11 @@ from repro.archsyn.ilp_synthesis import IlpSynthesisConfig, IlpSynthesizer
 from repro.archsyn.router import HeuristicSynthesizer, SynthesisConfig
 from repro.devices.device import default_device_library
 from repro.graph.sequencing_graph import SequencingGraph
+from repro.ilp import SolverOptions
 from repro.scheduling.list_scheduler import ListScheduler
 from repro.scheduling.schedule import Schedule
+
+SIXTY_SECONDS = SolverOptions(time_limit_s=60)
 
 
 def tiny_graph() -> SequencingGraph:
@@ -32,7 +35,7 @@ def tiny_schedule():
 
 class TestIlpSynthesizer:
     def test_produces_valid_architecture(self, tiny_schedule):
-        synthesizer = IlpSynthesizer(IlpSynthesisConfig(grid_rows=3, grid_cols=3, time_limit_s=60))
+        synthesizer = IlpSynthesizer(IlpSynthesisConfig(grid_rows=3, grid_cols=3, solver=SIXTY_SECONDS))
         architecture = synthesizer.synthesize(tiny_schedule)
         assert architecture.validate() == []
         assert architecture.num_edges >= 1
@@ -42,24 +45,12 @@ class TestIlpSynthesizer:
 
     def test_edge_count_not_worse_than_heuristic(self, tiny_schedule):
         ilp_arch = IlpSynthesizer(
-            IlpSynthesisConfig(grid_rows=3, grid_cols=3, time_limit_s=60)
+            IlpSynthesisConfig(grid_rows=3, grid_cols=3, solver=SIXTY_SECONDS)
         ).synthesize(tiny_schedule)
         heuristic_arch = HeuristicSynthesizer(
             SynthesisConfig(grid_rows=3, grid_cols=3)
         ).synthesize(tiny_schedule)
         assert ilp_arch.num_edges <= heuristic_arch.num_edges
-
-    def test_fixed_placement_is_respected(self, tiny_schedule):
-        heuristic_arch = HeuristicSynthesizer(
-            SynthesisConfig(grid_rows=3, grid_cols=3)
-        ).synthesize(tiny_schedule)
-        fixed = dict(heuristic_arch.placement)
-        synthesizer = IlpSynthesizer(
-            IlpSynthesisConfig(grid_rows=3, grid_cols=3, time_limit_s=60, fixed_placement=fixed)
-        )
-        architecture = synthesizer.synthesize(tiny_schedule)
-        assert architecture.placement == fixed
-        assert architecture.validate() == []
 
     def test_too_many_devices_rejected(self):
         library = default_device_library(num_mixers=2)
@@ -72,7 +63,10 @@ class TestIlpSynthesizer:
             synthesizer.synthesize(schedule)
 
     def test_objective_recorded(self, tiny_schedule):
-        synthesizer = IlpSynthesizer(IlpSynthesisConfig(grid_rows=3, grid_cols=3, time_limit_s=60))
+        synthesizer = IlpSynthesizer(IlpSynthesisConfig(grid_rows=3, grid_cols=3, solver=SIXTY_SECONDS))
         architecture = synthesizer.synthesize(tiny_schedule)
         assert architecture.solve.objective is not None
         assert architecture.solve.objective >= architecture.num_edges - 1e-6
+
+    def test_default_solver_keeps_the_120_s_limit(self):
+        assert IlpSynthesisConfig().solver == SolverOptions(time_limit_s=120.0)

@@ -28,6 +28,7 @@ from repro.batch.cache_backends.shared import (
     SharedCacheTier,
     parse_cache_addr,
 )
+from repro.obs.metrics import daemon_events_counter
 from repro.obs.trace import TraceRecorder, install_recorder, uninstall_recorder
 from repro.service import CacheDaemon, CacheDaemonConfig
 from repro.service.cachedaemon import MAX_LEASE_S
@@ -346,6 +347,18 @@ class TestDaemonEndpoints:
         assert tier.claim(KEY_A, lease_s=10 * MAX_LEASE_S).state == "granted"
         deadline = daemon._claims[KEY_A].deadline
         assert deadline - time.monotonic() <= MAX_LEASE_S + 1.0
+
+    def test_stats_count_only_this_daemons_events(self):
+        counter = daemon_events_counter()
+        before = counter.value(event="puts")
+        first, second = CacheDaemon(), CacheDaemon()
+        first.stats.inc("puts")
+        first.stats.inc("puts")
+        assert first.stats.puts == 2
+        assert second.stats.puts == 0
+        assert second.stats.as_dict()["puts"] == 0
+        # /metrics keeps the process-wide sum.
+        assert counter.value(event="puts") == before + 2
 
     def test_stats_and_healthz_payloads(self, daemon_addr):
         tier = SharedCacheTier(daemon_addr)

@@ -15,14 +15,13 @@ import pytest
 from repro.batch.cache import ResultCache
 from repro.batch.engine import BatchSynthesisEngine
 from repro.explore import (
+    STRATEGIES,
     ExplorationEngine,
     ExplorationSpec,
     SearchStrategy,
     get_strategy,
     is_dominance_consistent,
-    register_strategy,
     strategy_names,
-    unregister_strategy,
 )
 from repro.explore.spec import candidate_job, enumerate_candidates
 from repro.ilp.backends import DEFAULT_BACKEND
@@ -338,35 +337,30 @@ class TestResume:
         assert warm.scheduling_solves == 0  # every solve replayed from disk
 
 
-class TestStrategyRegistry:
+class TestStrategyMap:
     def test_builtin_names(self):
-        assert {"exhaustive", "random", "successive-halving"} <= set(strategy_names())
+        assert strategy_names() == ("exhaustive", "random", "successive-halving")
 
     def test_unknown_strategy_raises(self):
         with pytest.raises(ValueError, match="unknown search strategy"):
             get_strategy("nope")
 
-    def test_register_and_unregister_custom_strategy(self):
+    def test_every_strategy_is_keyed_by_its_name(self):
+        for name in strategy_names():
+            assert get_strategy(name).name == name
+
+    def test_engine_runs_the_strategy_the_spec_names(self, monkeypatch):
         class FirstOnly(SearchStrategy):
             name = "first-only"
 
             def run(self, context):
                 context.evaluate(context.candidates[:1])
 
-        register_strategy(FirstOnly())
-        try:
-            assert "first-only" in strategy_names()
-            spec = make_spec()
-            spec.strategy = "first-only"
-            report = ExplorationEngine(spec).run()
-            assert report.evaluated == 1
-        finally:
-            unregister_strategy("first-only")
-        assert "first-only" not in strategy_names()
-
-    def test_nameless_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            register_strategy(SearchStrategy())
+        monkeypatch.setitem(STRATEGIES, FirstOnly.name, FirstOnly())
+        spec = make_spec()
+        spec.strategy = "first-only"
+        report = ExplorationEngine(spec).run()
+        assert report.evaluated == 1
 
 
 class TestGraphMemoization:
@@ -392,10 +386,6 @@ class TestGraphMemoization:
 
 
 class TestEngineValidation:
-    def test_checkpoint_every_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ExplorationEngine(make_spec(), checkpoint_every=0)
-
     def test_solver_override_threads_into_candidates(self):
         spec = make_spec(budget=1)
         other_backend = "branch-and-bound" if DEFAULT_BACKEND == "highs" else "highs"

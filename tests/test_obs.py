@@ -391,14 +391,15 @@ class TestObservationNeverSteers:
 class TestSchedulerSpans:
     def test_model_build_span_records_the_incumbent_bound(self, rec):
         from repro.graph.library import assay_by_name
+        from repro.ilp import SolverOptions
         from repro.scheduling.ilp_scheduler import IlpScheduler, IlpSchedulerConfig
         from repro.synthesis.config import FlowConfig
         from repro.synthesis.flow import build_library
 
         library = build_library(FlowConfig.paper_defaults_for("IVD"))
-        schedule = IlpScheduler(library, IlpSchedulerConfig(time_limit_s=30)).schedule(
-            assay_by_name("IVD")
-        )
+        schedule = IlpScheduler(
+            library, IlpSchedulerConfig(solver=SolverOptions(time_limit_s=30))
+        ).schedule(assay_by_name("IVD"))
         assert schedule.makespan == 280
         spans = {s.name: s for s in rec.spans()}
         build = spans["schedule:model-build"].attributes

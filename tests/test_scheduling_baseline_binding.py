@@ -1,31 +1,49 @@
-"""Tests of the execution-time-only baseline and binding analysis."""
+"""Tests of the execution-time-only baseline and binding analysis.
 
-import pytest
+The Fig. 9 baseline is the flow with the storage term off:
+``FlowConfig(storage_aware=False)`` builds either scheduling engine without
+it.  No test here needs scipy: the ILP runs on the default backend.
+"""
 
-from repro.devices.device import default_device_library
-from repro.scheduling.baseline import ExecutionTimeOnlyScheduler
 from repro.scheduling.binding import binding_summary, device_utilization, operations_per_device
+from repro.scheduling.ilp_scheduler import IlpScheduler
 from repro.scheduling.list_scheduler import ListScheduler
+from repro.synthesis.config import FlowConfig, SchedulerEngine
+from repro.synthesis.flow import _build_scheduler
 
 
-class TestExecutionTimeOnlyScheduler:
-    def test_unknown_engine_rejected(self, two_mixer_library):
-        with pytest.raises(ValueError):
-            ExecutionTimeOnlyScheduler(two_mixer_library, engine="quantum")
+def time_only_scheduler(engine, library, graph):
+    """The scheduler ``FlowConfig(storage_aware=False)`` builds for ``engine``."""
+    config = FlowConfig(storage_aware=False, scheduler=engine)
+    scheduler, _name = _build_scheduler(config, library, graph)
+    return scheduler
+
+
+class TestTimeOnlyBaseline:
+    def test_list_engine_drops_the_storage_tie_break(self, pcr_graph, two_mixer_library):
+        scheduler = time_only_scheduler(SchedulerEngine.LIST, two_mixer_library, pcr_graph)
+        assert isinstance(scheduler, ListScheduler)
+        assert scheduler.config.storage_aware is False
+
+    def test_ilp_engine_drops_the_storage_term(self, diamond_graph, two_mixer_library):
+        scheduler = time_only_scheduler(SchedulerEngine.ILP, two_mixer_library, diamond_graph)
+        assert isinstance(scheduler, IlpScheduler)
+        assert scheduler.config.beta == 0.0
 
     def test_list_engine_produces_valid_schedule(self, pcr_graph, two_mixer_library):
-        schedule = ExecutionTimeOnlyScheduler(two_mixer_library, engine="list").schedule(pcr_graph)
-        assert schedule.validate() == []
+        scheduler = time_only_scheduler(SchedulerEngine.LIST, two_mixer_library, pcr_graph)
+        assert scheduler.schedule(pcr_graph).validate() == []
 
     def test_ilp_engine_produces_valid_schedule(self, diamond_graph, two_mixer_library):
-        schedule = ExecutionTimeOnlyScheduler(
-            two_mixer_library, engine="ilp", time_limit_s=20
-        ).schedule(diamond_graph)
-        assert schedule.validate() == []
+        scheduler = time_only_scheduler(SchedulerEngine.ILP, two_mixer_library, diamond_graph)
+        assert scheduler.schedule(diamond_graph).validate() == []
 
     def test_baseline_not_slower_than_storage_aware(self, pcr_graph, two_mixer_library):
-        """Optimizing time only can never lengthen the schedule (list engine)."""
-        baseline = ExecutionTimeOnlyScheduler(two_mixer_library, engine="list").schedule(pcr_graph)
+        """Optimizing time only never lengthens the list schedule by more
+        than two transport times (u_c = 10)."""
+        baseline = time_only_scheduler(
+            SchedulerEngine.LIST, two_mixer_library, pcr_graph
+        ).schedule(pcr_graph)
         aware = ListScheduler(two_mixer_library).schedule(pcr_graph)
         assert baseline.makespan <= aware.makespan + 2 * 10
 

@@ -30,7 +30,9 @@ def two_mixers():
 
 class TestIlpSchedulerSmall:
     def test_diamond_schedule_is_valid_and_tight(self, diamond_graph, two_mixers):
-        scheduler = IlpScheduler(two_mixers, IlpSchedulerConfig(time_limit_s=20))
+        scheduler = IlpScheduler(
+            two_mixers, IlpSchedulerConfig(solver=SolverOptions(time_limit_s=20))
+        )
         schedule = scheduler.schedule(diamond_graph)
         assert schedule.validate() == []
         # Optimal: o1 (60) then o2 || o3 (with one transport), then o4.
@@ -51,13 +53,17 @@ class TestIlpSchedulerSmall:
 
     def test_chain_on_one_mixer_has_no_transport(self, chain_graph):
         library = default_device_library(num_mixers=1)
-        schedule = IlpScheduler(library, IlpSchedulerConfig(time_limit_s=20)).schedule(chain_graph)
+        schedule = IlpScheduler(
+            library, IlpSchedulerConfig(solver=SolverOptions(time_limit_s=20))
+        ).schedule(chain_graph)
         assert schedule.validate() == []
         assert schedule.makespan == 5 * 30
         assert cross_device_gap_sum(schedule) == 0
 
     def test_makespan_not_below_critical_path(self, diamond_graph, two_mixers):
-        schedule = IlpScheduler(two_mixers, IlpSchedulerConfig(time_limit_s=20)).schedule(diamond_graph)
+        schedule = IlpScheduler(
+            two_mixers, IlpSchedulerConfig(solver=SolverOptions(time_limit_s=20))
+        ).schedule(diamond_graph)
         assert schedule.makespan >= critical_path_length(diamond_graph)
 
     def test_incompatible_operations_raise(self, two_mixers):
@@ -75,20 +81,36 @@ class TestIlpSchedulerSmall:
             IlpScheduler(DeviceLibrary())
 
 
+class TestConfigDefaults:
+    def test_default_solver_keeps_the_60_s_limit(self):
+        solver = IlpSchedulerConfig().solver
+        assert solver == SolverOptions(time_limit_s=60.0)
+
+    def test_default_solver_is_not_shared_between_configs(self):
+        first, second = IlpSchedulerConfig(), IlpSchedulerConfig()
+        assert first.solver is not second.solver
+        first.solver.time_limit_s = 5.0
+        assert second.solver.time_limit_s == 60.0
+
+
 class TestObjectiveWeights:
     def test_storage_weight_reduces_gap_time(self, two_mixers, diamond_graph):
         """With beta > 0 the total cross-device gap never increases."""
         exec_only = IlpScheduler(
-            two_mixers, IlpSchedulerConfig(alpha=1.0, beta=0.0, time_limit_s=20)
+            two_mixers,
+            IlpSchedulerConfig(alpha=1.0, beta=0.0, solver=SolverOptions(time_limit_s=20)),
         ).schedule(diamond_graph)
         with_storage = IlpScheduler(
-            two_mixers, IlpSchedulerConfig(alpha=100.0, beta=1.0, time_limit_s=20)
+            two_mixers,
+            IlpSchedulerConfig(alpha=100.0, beta=1.0, solver=SolverOptions(time_limit_s=20)),
         ).schedule(diamond_graph)
         assert total_storage_time(with_storage) <= max(total_storage_time(exec_only), 0) + 1e-9
 
     def test_ilp_matches_or_beats_list_scheduler_on_pcr(self, two_mixers):
         pcr = build_pcr(mix_time=80)
-        ilp = IlpScheduler(two_mixers, IlpSchedulerConfig(time_limit_s=30)).schedule(pcr)
+        ilp = IlpScheduler(
+            two_mixers, IlpSchedulerConfig(solver=SolverOptions(time_limit_s=30))
+        ).schedule(pcr)
         heuristic = ListScheduler(two_mixers).schedule(pcr)
         assert ilp.validate() == []
         assert ilp.makespan <= heuristic.makespan
@@ -112,7 +134,7 @@ def _schedule_case(case, **overrides):
     graph = _case_graph(case)
     library = build_library(FlowConfig.paper_defaults_for(graph.name))
     config = IlpSchedulerConfig(transport_time=10, alpha=100.0, beta=1.0,
-                                time_limit_s=30, **overrides)
+                                solver=SolverOptions(time_limit_s=30), **overrides)
     return IlpScheduler(library, config).schedule(graph)
 
 
@@ -234,7 +256,7 @@ class TestReferenceFormulationDifferential:
         graph = random_assay(RandomAssayConfig(num_operations=size, seed=seed))
         library = default_device_library(num_mixers=mixers)
         config = IlpSchedulerConfig(transport_time=transport_time, alpha=100.0, beta=beta,
-                                    time_limit_s=30)
+                                    solver=SolverOptions(time_limit_s=30))
         schedule = IlpScheduler(library, config).schedule(graph)
         assert schedule.solve.status is SolverStatus.OPTIMAL
         assert schedule.solve.objective == pytest.approx(
@@ -245,7 +267,9 @@ class TestReferenceFormulationDifferential:
     def test_paper_assay_matches_the_reference_optimum(self, name):
         graph = assay_by_name(name)
         library = build_library(FlowConfig.paper_defaults_for(name))
-        schedule = IlpScheduler(library, IlpSchedulerConfig(time_limit_s=30)).schedule(graph)
+        schedule = IlpScheduler(
+            library, IlpSchedulerConfig(solver=SolverOptions(time_limit_s=30))
+        ).schedule(graph)
         assert schedule.solve.status is SolverStatus.OPTIMAL
         assert schedule.solve.objective == pytest.approx(
             _reference_objective(graph, library, 10, 100.0, 1.0)
@@ -274,7 +298,8 @@ class TestCertifiedBound:
     def test_bound_never_exceeds_the_optimum(self, size, seed, mixers, transport_time):
         graph = random_assay(RandomAssayConfig(num_operations=size, seed=seed))
         library = default_device_library(num_mixers=mixers)
-        config = IlpSchedulerConfig(transport_time=transport_time, time_limit_s=60)
+        config = IlpSchedulerConfig(transport_time=transport_time,
+                                    solver=SolverOptions(time_limit_s=60))
         with captured_solves(reference=True) as calls:
             schedule = IlpScheduler(library, config).schedule(graph)
         [(model, _options, ref)] = calls
@@ -290,7 +315,9 @@ class TestCertifiedBound:
         library = build_library(FlowConfig.paper_defaults_for("IVD"))
         compatible = {op.op_id: library.devices_for(op.kind) for op in graph.device_operations()}
         assert schedule_lower_bound(graph, compatible, 10) == (280, 6)
-        schedule = IlpScheduler(library, IlpSchedulerConfig(time_limit_s=30)).schedule(graph)
+        schedule = IlpScheduler(
+            library, IlpSchedulerConfig(solver=SolverOptions(time_limit_s=30))
+        ).schedule(graph)
         record = schedule.solve
         assert (record.backend, record.status, record.mip_gap) == ("bound", SolverStatus.OPTIMAL, 0.0)
         assert record.objective == record.bound == 28060
@@ -302,7 +329,9 @@ class TestCertifiedBound:
         graph = _detect_chain()
         compatible = {op.op_id: library.devices_for(op.kind) for op in graph.device_operations()}
         assert schedule_lower_bound(graph, compatible, 10) == (100, 1)
-        schedule = IlpScheduler(library, IlpSchedulerConfig(time_limit_s=30)).schedule(graph)
+        schedule = IlpScheduler(
+            library, IlpSchedulerConfig(solver=SolverOptions(time_limit_s=30))
+        ).schedule(graph)
         assert schedule.solve.backend == "bound"
         assert schedule.solve.objective == 100.0 * 100 + 1.0 * 10
 
@@ -328,7 +357,9 @@ class TestCertifiedBound:
         graph = assay_by_name("IVD")
         library = build_library(FlowConfig.paper_defaults_for("IVD"))
         with captured_solves() as calls:
-            IlpScheduler(library, IlpSchedulerConfig(time_limit_s=30)).schedule(graph)
+            IlpScheduler(
+                library, IlpSchedulerConfig(solver=SolverOptions(time_limit_s=30))
+            ).schedule(graph)
         [(model, options, _ref)] = calls
         values = dict(options.warm_start.values)
         # Zero one positive storage term: the objective drops below the
@@ -350,7 +381,7 @@ class TestCertifiedBound:
     @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (-1.0, 1.0), (100.0, -1.0)])
     def test_no_bound_without_a_positive_alpha_and_nonnegative_beta(self, alpha, beta):
         library = default_device_library(num_mixers=1, num_detectors=1)
-        config = IlpSchedulerConfig(alpha=alpha, beta=beta, time_limit_s=30)
+        config = IlpSchedulerConfig(alpha=alpha, beta=beta, solver=SolverOptions(time_limit_s=30))
         with captured_solves() as calls:
             schedule = IlpScheduler(library, config).schedule(_detect_chain())
         [(model, _options, _ref)] = calls
@@ -364,7 +395,7 @@ class TestCertifiedBound:
     ])
     def test_every_solve_is_one_solver_span(self, graph, backend, produced):
         library = default_device_library(num_mixers=2, num_detectors=1)
-        config = IlpSchedulerConfig(time_limit_s=30, solver=SolverOptions(backend=backend))
+        config = IlpSchedulerConfig(solver=SolverOptions(time_limit_s=30, backend=backend))
         recorder = TraceRecorder()
         token = install_recorder(recorder)
         try:

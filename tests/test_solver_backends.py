@@ -42,13 +42,11 @@ from repro.ilp import (
     backend_names,
     get_backend,
     lin_sum,
-    register_backend,
     solve_model,
-    unregister_backend,
 )
 from repro.graph.generators import RandomAssayConfig, random_assay
 from repro.graph.library import assay_by_name
-from repro.ilp.backends import DEFAULT_BACKEND
+from repro.ilp.backends import BACKENDS, DEFAULT_BACKEND
 from repro.ilp.backends.base import SolverBackend
 from repro.ilp.solver import SolveResult
 from repro.scheduling.ilp_scheduler import IlpScheduler, IlpSchedulerConfig
@@ -455,29 +453,19 @@ def test_a_config_naming_the_deleted_portfolio_fails_at_construction():
 
 
 def test_unknown_backend_fails_loudly():
-    with pytest.raises(ValueError, match="registered backends"):
+    with pytest.raises(ValueError, match=r"known backends: \['branch-and-bound', 'highs'\]"):
         get_backend("gurobi")
 
 
-def test_duplicate_registration_rejected():
-    with pytest.raises(ValueError, match="already registered"):
-        register_backend(BranchAndBoundBackend())
-    # replace=True is the explicit escape hatch.
-    register_backend(BranchAndBoundBackend(), replace=True)
-
-
-def test_register_and_unregister_custom_backend():
+def test_a_backend_set_into_the_map_serves_solves(monkeypatch):
     class Custom(BranchAndBoundBackend):
         name = "custom-bnb"
 
-    register_backend(Custom())
-    try:
-        assert "custom-bnb" in backend_names()
-        result = knapsack().solve(SolverOptions(backend="custom-bnb"))
-        assert result.status.is_optimal()
-    finally:
-        unregister_backend("custom-bnb")
-    assert "custom-bnb" not in backend_names()
+    monkeypatch.setitem(BACKENDS, Custom.name, Custom())
+    assert "custom-bnb" in backend_names()
+    result = knapsack().solve(SolverOptions(backend="custom-bnb"))
+    assert result.status.is_optimal()
+    assert result.backend_name == "custom-bnb"
 
 
 # ------------------------------------------------------------------- limits
@@ -514,13 +502,10 @@ class StubUnavailableBackend(SolverBackend):
 
 
 @pytest.fixture()
-def stub_backends():
-    """Register the deterministic stubs (and clean them up afterwards)."""
-    register_backend(StubTimeoutBackend())
-    register_backend(StubUnavailableBackend())
-    yield
-    unregister_backend("stub-timeout")
-    unregister_backend("stub-unavailable")
+def stub_backends(monkeypatch):
+    """Add the deterministic stubs to the backend map for one test."""
+    for stub in (StubTimeoutBackend(), StubUnavailableBackend()):
+        monkeypatch.setitem(BACKENDS, stub.name, stub)
 
 
 def bounded_cover(lower_bound=None) -> Model:
@@ -778,7 +763,7 @@ class TestFlowThreading:
         )
         synthesizer, name = _build_synthesizer(config)
         assert name == "ilp"
-        options = synthesizer.config.solver_options()
+        options = synthesizer.config.solver
         assert options.mip_rel_gap == 0.25
         assert options.time_limit_s == 33.0
         assert options.backend == DEFAULT_BACKEND

@@ -23,6 +23,7 @@ from repro.devices.device import default_device_library
 from repro.graph.generators import RandomAssayConfig, random_assay
 from repro.graph.library import assay_by_name
 from repro.graph.sequencing_graph import SequencingGraph
+from repro.ilp import SolverOptions
 from repro.scheduling.ilp_scheduler import IlpScheduler, IlpSchedulerConfig
 from repro.scheduling.list_scheduler import ListScheduler, ListSchedulerConfig
 from repro.scheduling.schedule import Schedule
@@ -99,9 +100,9 @@ def test_matches_rescan_reference_on_list_schedules(
 @pytest.mark.parametrize("assay", ["IVD", "PCR"])
 def test_matches_rescan_reference_on_ilp_schedules(assay):
     library = build_library(FlowConfig.paper_defaults_for(assay))
-    schedule = IlpScheduler(library, IlpSchedulerConfig(time_limit_s=5)).schedule(
-        assay_by_name(assay)
-    )
+    schedule = IlpScheduler(
+        library, IlpSchedulerConfig(solver=SolverOptions(time_limit_s=5))
+    ).schedule(assay_by_name(assay))
     assert_matches_reference(schedule)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 #: An undirected grid edge is identified by the frozenset of its two node ids.
 EdgeId = FrozenSet[str]

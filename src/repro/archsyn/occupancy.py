@@ -13,8 +13,8 @@ cached fluid sample.  The rules implement the paper's constraint (10):
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, List, Optional
 
 
 @dataclass(frozen=True)

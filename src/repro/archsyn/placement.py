@@ -11,7 +11,7 @@ both edge usage and conflict probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.archsyn.grid import ConnectionGrid
 from repro.scheduling.transport import TransportTask

@@ -29,7 +29,7 @@ grid (the paper likewise sizes the grid per assay, Table 2 column ``G``).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.archsyn.architecture import ChipArchitecture, RoutedSubPath, RoutedTask

@@ -9,7 +9,7 @@ valve count (for resource accounting).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.sequencing_graph import OperationType

@@ -17,7 +17,7 @@ This module provides the timing/valve model used by the Fig. 10 comparison
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.devices.channel import FluidSample

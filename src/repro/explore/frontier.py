@@ -15,7 +15,7 @@ file so an interrupted exploration resumes with the frontier it had.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 

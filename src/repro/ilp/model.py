@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.ilp.constraint import Constraint
 from repro.ilp.expression import LinExpr, Number, Variable, lin_sum
+from repro.obs.trace import span as obs_span
 
 
 class CsrMatrix(NamedTuple):
@@ -181,38 +182,40 @@ class Model:
             ``lb``/``ub``/``integrality`` describe the variables.  Row ``r``
             of ``A`` is the ``r``-th constraint that has terms.
         """
-        self._assign_indices()
-        n = len(self.variables)
+        with obs_span("ilp:lower", category="ilp") as opened:
+            self._assign_indices()
+            n = len(self.variables)
 
-        c = np.zeros(n)
-        sign = 1.0
-        if self.objective is not None:
-            if self.objective.sense is ObjectiveSense.MAXIMIZE:
-                sign = -1.0
-            for var, coef in self.objective.expression.terms.items():
-                c[var.index] = sign * coef
+            c = np.zeros(n)
+            sign = 1.0
+            if self.objective is not None:
+                if self.objective.sense is ObjectiveSense.MAXIMIZE:
+                    sign = -1.0
+                for var, coef in self.objective.expression.terms.items():
+                    c[var.index] = sign * coef
 
-        rows = [con for con in self.constraints if con.expression.terms]
-        m = len(rows)
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        indices: List[int] = []
-        data: List[float] = []
-        lower = np.zeros(m)
-        upper = np.zeros(m)
-        for r, con in enumerate(rows):
-            for index, coef in sorted(
-                (var.index, float(coef)) for var, coef in con.expression.terms.items() if coef
-            ):
-                indices.append(index)
-                data.append(coef)
-            indptr[r + 1] = len(indices)
-            lower[r], upper[r] = con.bounds()
-        A = CsrMatrix(indptr, np.array(indices, dtype=np.int64), np.array(data, dtype=float), (m, n))
+            rows = [con for con in self.constraints if con.expression.terms]
+            m = len(rows)
+            indptr = np.zeros(m + 1, dtype=np.int64)
+            indices: List[int] = []
+            data: List[float] = []
+            lower = np.zeros(m)
+            upper = np.zeros(m)
+            for r, con in enumerate(rows):
+                for index, coef in sorted(
+                    (var.index, float(coef)) for var, coef in con.expression.terms.items() if coef
+                ):
+                    indices.append(index)
+                    data.append(coef)
+                indptr[r + 1] = len(indices)
+                lower[r], upper[r] = con.bounds()
+            A = CsrMatrix(indptr, np.array(indices, dtype=np.int64), np.array(data, dtype=float), (m, n))
 
-        lb = np.array([(-np.inf if v.low is None else float(v.low)) for v in self.variables])
-        ub = np.array([(np.inf if v.up is None else float(v.up)) for v in self.variables])
-        integrality = np.array([1 if v.kind in ("integer", "binary") else 0 for v in self.variables])
-        return c, A, lower, upper, lb, ub, integrality
+            lb = np.array([(-np.inf if v.low is None else float(v.low)) for v in self.variables])
+            ub = np.array([(np.inf if v.up is None else float(v.up)) for v in self.variables])
+            integrality = np.array([1 if v.kind in ("integer", "binary") else 0 for v in self.variables])
+            opened.set(vars=n, rows=m)
+            return c, A, lower, upper, lb, ub, integrality
 
     # ----------------------------------------------------------------- solve
     def solve(self, options: Optional["SolverOptions"] = None) -> "SolveResult":

@@ -18,7 +18,7 @@ The loop terminates when neither dimension can shrink any further.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.physical.geometry import Point, Rect

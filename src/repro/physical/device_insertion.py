@@ -7,7 +7,7 @@ channel polylines accordingly so connectivity is preserved.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.archsyn.architecture import ChipArchitecture
 from repro.devices.device import DeviceLibrary

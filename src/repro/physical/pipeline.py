@@ -8,6 +8,7 @@ from typing import Optional, Tuple
 
 from repro.archsyn.architecture import ChipArchitecture
 from repro.devices.device import DeviceLibrary
+from repro.obs.trace import span as obs_span
 from repro.physical.compression import CompressionConfig, CompressionResult, compress_layout
 from repro.physical.device_insertion import insert_devices
 from repro.physical.layout import PhysicalLayout, layout_from_architecture
@@ -60,19 +61,22 @@ def build_physical_design(
     config = config or PhysicalDesignConfig()
     start = time.perf_counter()
 
-    scaled = layout_from_architecture(
-        architecture,
-        pitch=config.pitch,
-        storage_min_length=config.storage_segment_length,
-    )
-    expanded = insert_devices(scaled, architecture, library)
-    compression = compress_layout(
-        expanded,
-        CompressionConfig(
-            min_channel_spacing=config.min_channel_spacing,
-            storage_segment_length=config.storage_segment_length,
-        ),
-    )
+    with obs_span("physical:scale", category="physical"):
+        scaled = layout_from_architecture(
+            architecture,
+            pitch=config.pitch,
+            storage_min_length=config.storage_segment_length,
+        )
+    with obs_span("physical:insert", category="physical"):
+        expanded = insert_devices(scaled, architecture, library)
+    with obs_span("physical:compress", category="physical"):
+        compression = compress_layout(
+            expanded,
+            CompressionConfig(
+                min_channel_spacing=config.min_channel_spacing,
+                storage_segment_length=config.storage_segment_length,
+            ),
+        )
     elapsed = time.perf_counter() - start
 
     return PhysicalDesignResult(

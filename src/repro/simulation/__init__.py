@@ -27,6 +27,7 @@ from repro.simulation.montecarlo import (
     MonteCarloEngine,
     ReplayPlan,
     TrialAggregate,
+    TrialDetail,
     TrialResult,
     VerificationReport,
 )
@@ -42,6 +43,7 @@ __all__ = [
     "MonteCarloEngine",
     "ReplayPlan",
     "TrialAggregate",
+    "TrialDetail",
     "TrialResult",
     "VerificationReport",
     "Snapshot",

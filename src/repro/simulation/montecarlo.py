@@ -54,12 +54,14 @@ trial has used.
 
 Performance architecture (three stacked layers, all bit-identical):
 
-* A :class:`ReplayPlan` is compiled once per engine and lowers the replay
-  to integer-indexed arrays — topological entry order, CSR predecessor
-  indices with precomputed transport minima and channel-draw counters,
-  static wash predicates, device-index maps, and per-entry spare candidate
-  lists — so no trial ever calls ``graph.predecessors()``, hashes a string
-  key, or sorts.
+* A :class:`ReplayPlan` is compiled once per schedule and library and
+  lowers the replay to integer-indexed arrays — topological entry order,
+  CSR predecessor indices with precomputed transport minima and
+  channel-draw counters, static wash predicates, device-index maps, and
+  per-entry spare candidate lists — so no trial ever calls
+  ``graph.predecessors()``, hashes a string key, or sorts.  On the
+  schedule's own library the plan is memoized on the schedule
+  (:meth:`Schedule.derived`), so repeated verifications compile it once.
 * All trials in a block advance entry by entry as numpy vector operations
   across the trial axis.  Every per-trial state matrix is entry-major —
   ``(entries x trials)`` durations and finish times, ``(devices x
@@ -68,8 +70,10 @@ Performance architecture (three stacked layers, all bit-identical):
   ``fault_rate == channel_fault_rate == 0``, and a masked variant (per
   trial fault/retry/migration masks) when faults are enabled.  Each block
   draws its uniforms as whole ``(counters x trials)`` matrices with
-  :func:`uniform_block` before its kernel runs; the scalar engine computes
-  the same doubles one at a time with the pure-Python twin :func:`_draw`.
+  :func:`uniform_block` before its kernel runs, filled in cache-sized row
+  chunks; the fault and channel streams arrive as ``u < rate`` event
+  masks.  The scalar engine computes the same doubles one at a time with
+  the pure-Python twin :func:`_draw`.
   Normal jitter goes through the one numpy helper :func:`_fold_normal` in
   both engines, and ``round``/``np.rint`` agree on float64 (both round half
   to even), so every reported value is bit-identical to the scalar engine.
@@ -92,7 +96,9 @@ a half-integer.
 Aggregation is streaming: each shard returns sorted makespans plus
 counter sums (a :class:`TrialAggregate`), so a 100k-trial run never holds
 100k :class:`TrialResult` objects; per-trial detail is retained only up
-to :data:`TRIAL_DETAIL_LIMIT` trials.  Set ``REPRO_MC_SCALAR=1`` to force
+to :data:`TRIAL_DETAIL_LIMIT` trials, packed as one integer matrix (a
+:class:`TrialDetail`) whose :class:`TrialResult` list is built on first
+read.  Set ``REPRO_MC_SCALAR=1`` to force
 the original scalar engine — the differential reference the test suite
 pins the fast paths against.
 """
@@ -100,9 +106,10 @@ pins the fast paths against.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -139,7 +146,10 @@ VECTOR_BLOCK_TRIALS = 4096
 
 #: Minimum trials worth paying one worker process for; requests for more
 #: workers than ``trials // MIN_TRIALS_PER_SHARD`` are quietly clamped.
-MIN_TRIALS_PER_SHARD = 64
+#: A sharded run opens a fresh process pool (about 25-35 ms on two
+#: vCPUs), which two workers win back only from about 64k trials on
+#: (docs/simulation.md), so two shards form from ``2 * 32768`` trials.
+MIN_TRIALS_PER_SHARD = 32768
 
 
 # ------------------------------------------------------------ generator
@@ -159,13 +169,18 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix_block(z: np.ndarray) -> np.ndarray:
-    """:func:`_mix` over a uint64 array, in place (wraparound arithmetic)."""
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MUL1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MUL2)
-    z ^= z >> np.uint64(31)
+def _mix_block(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """:func:`_mix` over a uint64 array, in place (wraparound arithmetic).
+
+    ``scratch`` is a uint64 array of ``z``'s shape that takes the shifted
+    copies, so no pass allocates a temporary.
+    """
+    for shift, multiplier in ((30, _MUL1), (27, _MUL2)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        z ^= scratch
+        z *= np.uint64(multiplier)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
     return z
 
 
@@ -183,18 +198,48 @@ def derive_seed_block(root_seed: int, stream: str, lo: int, hi: int) -> np.ndarr
     """``_trial_key(root_seed, stream, t)`` for ``t`` in ``[lo, hi)``, as uint64."""
     trials = np.arange(lo, hi, dtype=np.uint64)
     base = np.uint64(derive_seed(root_seed, stream))
-    return _mix_block(trials * np.uint64(_PHI) + base)
+    z = trials * np.uint64(_PHI) + base
+    return _mix_block(z, np.empty_like(z))
 
 
-def uniform_block(keys: np.ndarray, counters: Any) -> np.ndarray:
+#: Elements per chunk of :func:`uniform_block`'s fill.  A chunk's uint64
+#: state, its shift scratch and its doubles (3 x 256 KiB) stay in L2 while
+#: the six mixing passes run over them, where whole-matrix passes would
+#: stream every temporary through memory.
+_DRAW_CHUNK = 1 << 15
+
+
+def uniform_block(
+    keys: np.ndarray, counters: Any, below: Optional[float] = None
+) -> np.ndarray:
     """``(len(counters) x len(keys))`` doubles: ``_draw(keys[t], counters[c])``.
 
     Counter-major, so the kernels read each draw address as one contiguous
-    row across the block's trials.
+    row across the block's trials.  With ``below``, the result is instead
+    the event mask ``draw < below`` (bool, same shape), compared chunk by
+    chunk so the doubles never exist as one matrix.  The result is filled
+    in row chunks of about :data:`_DRAW_CHUNK` elements.
     """
     steps = (np.asarray(counters, dtype=np.uint64) + np.uint64(1)) * np.uint64(_PHI)
-    z = _mix_block(steps[:, None] + keys[None, :])
-    return (z >> np.uint64(11)).astype(np.float64) * _TWO_NEG_53
+    width = keys.shape[0]
+    out = np.empty((steps.size, width), dtype=np.float64 if below is None else bool)
+    rows = max(1, _DRAW_CHUNK // max(1, width))
+    z = np.empty((min(rows, steps.size), width), dtype=np.uint64)
+    scratch = np.empty_like(z)
+    doubles = np.empty(z.shape, dtype=np.float64) if below is not None else None
+    for lo in range(0, steps.size, rows):
+        hi = min(lo + rows, steps.size)
+        n = hi - lo
+        z_chunk = z[:n]
+        np.add(steps[lo:hi, None], keys[None, :], out=z_chunk)
+        _mix_block(z_chunk, scratch[:n])
+        z_chunk >>= np.uint64(11)
+        if doubles is None:
+            np.multiply(z_chunk, _TWO_NEG_53, out=out[lo:hi])
+        else:
+            np.multiply(z_chunk, _TWO_NEG_53, out=doubles[:n])
+            np.less(doubles[:n], below, out=out[lo:hi])
+    return out
 
 
 def _fold_normal(u1: Any, u2: Any, sigma: float) -> Any:
@@ -268,6 +313,63 @@ class TrialResult(NamedTuple):
         return self.faults_recovered == self.faults_injected
 
 
+#: Columns of a packed detail row: the :class:`TrialResult` fields.
+_DETAIL_COLUMNS = len(TrialResult._fields)
+_INT32 = np.iinfo(np.int32)
+
+
+class TrialDetail(Sequence):
+    """A run's per-trial detail: one ``(trials x 8)`` integer matrix.
+
+    Reads as the ``List[TrialResult]`` it packs (``len``, indexing,
+    slicing, iteration, and ``==`` with such a list in either direction),
+    but the :class:`TrialResult` list is built only on the first element
+    read, and memoized.  A pickle holds only the matrix, narrowed to int32
+    when every value fits (a 1024-trial run: 33 KB, against 66 KB as int64
+    and 25 KB, 100x slower to pickle, as a list of named tuples).
+    """
+
+    __slots__ = ("rows", "_trials")
+
+    def __init__(self, rows: np.ndarray) -> None:
+        rows = np.asarray(rows).reshape(-1, _DETAIL_COLUMNS)
+        if rows.dtype != np.int32 and (
+            rows.size == 0 or _INT32.min <= rows.min() and rows.max() <= _INT32.max
+        ):
+            rows = rows.astype(np.int32)
+        self.rows = np.ascontiguousarray(rows)
+        self._trials: Optional[List[TrialResult]] = None
+
+    def _list(self) -> List[TrialResult]:
+        if self._trials is None:
+            self._trials = list(map(TrialResult._make, self.rows.tolist()))
+        return self._trials
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def __getitem__(self, index: Any) -> Any:
+        return self._list()[index]
+
+    def __iter__(self) -> Iterator[TrialResult]:
+        return iter(self._list())
+
+    def __eq__(self, other: Any) -> bool:
+        if isinstance(other, TrialDetail):
+            return np.array_equal(self.rows, other.rows)
+        if isinstance(other, list):
+            return self._list() == other
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]  # mutable-list semantics
+
+    def __repr__(self) -> str:
+        return f"TrialDetail({self._list()!r})"
+
+    def __reduce__(self) -> Tuple[Any, Tuple[np.ndarray]]:
+        return TrialDetail, (self.rows,)
+
+
 @dataclass
 class TrialAggregate:
     """Streaming summary of many trials: sorted makespans + counter sums.
@@ -333,10 +435,12 @@ class VerificationReport:
     single time, at aggregation), not by re-sorting ``trials`` per call.
     ``trials`` carries per-trial detail only for runs at or below
     :data:`TRIAL_DETAIL_LIMIT`; use :attr:`trial_count` for the number of
-    trials actually executed.
+    trials actually executed.  The engine stores it packed, as a
+    :class:`TrialDetail`, which builds its :class:`TrialResult` list on
+    the first element read.
     """
 
-    trials: List[TrialResult]
+    trials: Sequence[TrialResult]  # a TrialDetail from the engine
     deterministic_makespan: int
     violations: List[str] = field(default_factory=list)
     aggregate: Optional[TrialAggregate] = None
@@ -558,7 +662,9 @@ class _ShardOutcome:
     """What one trial-range replay ships back to the coordinator."""
 
     aggregate: TrialAggregate
-    detail: List[TrialResult]
+    #: ``(trials x 8)`` int64 rows in :class:`TrialResult` field order
+    #: (no rows when the run keeps no detail).
+    detail: np.ndarray
     notes: List[str]
     notes_total: int
     #: Serialized spans recorded inside the shard worker (empty unless the
@@ -635,6 +741,17 @@ def _replay_shard(
     return outcome
 
 
+def _compile_plan(schedule: Schedule, library: DeviceLibrary) -> ReplayPlan:
+    """Compile ``schedule``'s replay plan on ``library`` (one ``verify:plan`` span)."""
+    with obs_span("verify:plan", category="verify"):
+        return ReplayPlan(schedule, library)
+
+
+def _own_plan(schedule: Schedule) -> ReplayPlan:
+    """The replay plan on the schedule's own library, for :meth:`Schedule.derived`."""
+    return _compile_plan(schedule, schedule.library)
+
+
 class MonteCarloEngine:
     """Replays one schedule ``config.trials`` times under perturbations.
 
@@ -702,10 +819,7 @@ class MonteCarloEngine:
             obs_metrics.mc_trials_counter().inc(cfg.trials)
 
         aggregate = TrialAggregate.merged([o.aggregate for o in outcomes])
-        detail: List[TrialResult] = []
-        if cfg.trials <= TRIAL_DETAIL_LIMIT:
-            for outcome in outcomes:
-                detail.extend(outcome.detail)
+        detail = TrialDetail(np.concatenate([o.detail for o in outcomes]))
 
         violations: List[str] = []
         notes_total = 0
@@ -727,10 +841,17 @@ class MonteCarloEngine:
 
     # ------------------------------------------------------------- dispatch
     def plan(self) -> ReplayPlan:
-        """The compiled replay plan (built lazily, reused across shards)."""
+        """The compiled replay plan (built lazily, once per engine).
+
+        On the schedule's own library the plan is memoized on the schedule
+        (:meth:`Schedule.derived`), so every engine verifying that schedule
+        shares one compile; a different library compiles its own.
+        """
         if self._plan is None:
-            with obs_span("verify:plan", category="verify"):
-                self._plan = ReplayPlan(self.schedule, self.library)
+            if self.library is self.schedule.library:
+                self._plan = self.schedule.derived(_own_plan)
+            else:
+                self._plan = _compile_plan(self.schedule, self.library)
         return self._plan
 
     def _run_range(self, lo: int, hi: int) -> _ShardOutcome:
@@ -754,9 +875,10 @@ class MonteCarloEngine:
             notes_total += len(trial_notes)
             if len(notes) < MAX_DIAGNOSTICS:
                 notes.extend(trial_notes[: MAX_DIAGNOSTICS - len(notes)])
+        rows = np.array(trials if keep_detail else [], dtype=np.int64)
         return _ShardOutcome(
             aggregate=TrialAggregate.from_trials(trials),
-            detail=trials if keep_detail else [],
+            detail=rows.reshape(-1, _DETAIL_COLUMNS),
             notes=notes,
             notes_total=notes_total,
         )
@@ -781,24 +903,28 @@ class MonteCarloEngine:
         """Every draw of trials ``[lo, hi)``, trial-minor.
 
         Returns the jittered ``(entries x trials)`` durations and the
-        ``"fault"`` and ``"channel"`` uniforms, one row per draw address:
-        attempt ``a`` of entry ``e`` is row ``e * (max_retries + 2) + a``
-        of the fault matrix and precedence edge ``k`` row ``k`` of the
-        channel matrix — the doubles the scalar engine draws.  A stream
-        whose rate is zero is not drawn (``None``).
+        ``"fault"`` and ``"channel"`` event masks, one row per draw
+        address: attempt ``a`` of entry ``e`` is row ``e * (max_retries +
+        2) + a`` of the fault mask and precedence edge ``k`` row ``k`` of
+        the channel mask, each ``True`` where the scalar engine's double
+        lies below the stream's rate.  A stream whose rate is zero is not
+        drawn (``None``).
         """
         cfg = self.config
-        fault_u = channel_u = None
+        fault_hit = channel_hit = None
         if cfg.fault_rate > 0:
-            fault_u = uniform_block(
+            fault_hit = uniform_block(
                 derive_seed_block(cfg.seed, "fault", lo, hi),
                 np.arange(plan.num_entries * (cfg.max_retries + 2)),
+                below=cfg.fault_rate,
             )
         if cfg.channel_fault_rate > 0:
-            channel_u = uniform_block(
-                derive_seed_block(cfg.seed, "channel", lo, hi), plan.edge_counters
+            channel_hit = uniform_block(
+                derive_seed_block(cfg.seed, "channel", lo, hi),
+                plan.edge_counters,
+                below=cfg.channel_fault_rate,
             )
-        return self._duration_matrix(plan, lo, hi), fault_u, channel_u
+        return self._duration_matrix(plan, lo, hi), fault_hit, channel_hit
 
     def _duration_matrix(self, plan: ReplayPlan, lo: int, hi: int) -> np.ndarray:
         """Jittered ``(entries x trials)`` durations for ``[lo, hi)``.
@@ -882,10 +1008,9 @@ class MonteCarloEngine:
 
         makespans = np.concatenate(makespan_parts)
         counts = np.concatenate(count_parts, axis=1)
-        detail: List[TrialResult] = []
+        detail = np.empty((0, _DETAIL_COLUMNS), dtype=np.int64)
         if keep_detail:
-            rows = np.vstack([np.arange(lo, hi), makespans, counts]).T.tolist()
-            detail = list(map(TrialResult._make, rows))
+            detail = np.vstack([np.arange(lo, hi), makespans, counts]).T
         aggregate = TrialAggregate(
             hi - lo,
             np.sort(makespans).tolist(),
@@ -939,8 +1064,8 @@ class MonteCarloEngine:
         self,
         plan: ReplayPlan,
         durations: np.ndarray,
-        fault_u: Optional[np.ndarray],
-        channel_u: Optional[np.ndarray],
+        fault_hit: Optional[np.ndarray],
+        channel_hit: Optional[np.ndarray],
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Fault-path block: per-trial masks over the trial axis.
 
@@ -949,12 +1074,11 @@ class MonteCarloEngine:
         arithmetic for every trial, just gated by that trial's draws.
         The kernel walks entries once, keeping per-trial state rows
         (finish, device availability, bindings, last occupant) and
-        reading each draw address as one row of ``fault_u``/``channel_u``.
+        reading each draw address as one row of the event masks
+        ``fault_hit``/``channel_hit``.
         """
         cfg = self.config
         transport = plan.transport_time
-        fault_rate = cfg.fault_rate
-        channel_rate = cfg.channel_fault_rate
         wash_time = cfg.wash_time
         attempts = cfg.max_retries + 2
         indptr, pred_pos = plan.pred_indptr, plan.pred_pos
@@ -978,8 +1102,8 @@ class MonteCarloEngine:
                 p = pred_pos[k]
                 moved = bound[p] != dev
                 minimum = moved * transport
-                if channel_u is not None:
-                    hit = moved & (channel_u[k] < channel_rate)
+                if channel_hit is not None:
+                    hit = moved & channel_hit[k]
                     minimum += hit * transport
                     cnt_reroutes += hit
                 minimum += finish[p]
@@ -998,9 +1122,9 @@ class MonteCarloEngine:
             end += dur_e
 
             cur_dev: Optional[np.ndarray] = None
-            if fault_u is not None:
+            if fault_hit is not None:
                 first = e * attempts
-                faulted = fault_u[first] < fault_rate
+                faulted = fault_hit[first]
                 cnt_faults += faulted
                 ok = np.zeros(block, dtype=bool)
                 active = faulted.copy()
@@ -1009,7 +1133,7 @@ class MonteCarloEngine:
                         break
                     end += active * dur_e
                     cnt_retries += active
-                    succeeded = active & (fault_u[first + a] >= fault_rate)
+                    succeeded = active & ~fault_hit[first + a]
                     ok |= succeeded
                     active &= ~succeeded
                 cnt_recovered += ok
@@ -1022,7 +1146,7 @@ class MonteCarloEngine:
                     cnt_migrations += unresolved
                     migrated_end = np.maximum(end + transport, spare_avail[pick, cols])
                     migrated_end += dur_e
-                    bad = unresolved & (fault_u[first + attempts - 1] < fault_rate)
+                    bad = unresolved & fault_hit[first + attempts - 1]
                     cnt_recovered += unresolved & ~bad
                     migrated_end += bad * dur_e
                     flagged[_FAULT, e] = bad

@@ -262,6 +262,14 @@ class TestVectorizedScalarDifferential:
 # ------------------------------------------------------ worker invariance
 
 
+def _sharded_run(schedule, library, config, **kwargs):
+    """:func:`_run` with shards of a few dozen trials, so a small run
+    really spreads across ``config.workers`` processes."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(montecarlo, "MIN_TRIALS_PER_SHARD", 16)
+        return _run(schedule, library, config, **kwargs)
+
+
 class TestWorkerInvariance:
     @settings(max_examples=8, deadline=None)
     @given(
@@ -278,7 +286,7 @@ class TestWorkerInvariance:
             fault_rate=0.3, channel_fault_rate=0.1, wash_time=8,
         )
         serial = _run(pcr_schedule, library, base)
-        sharded = _run(pcr_schedule, library, replace(base, workers=workers))
+        sharded = _sharded_run(pcr_schedule, library, replace(base, workers=workers))
         assert serial.as_dict() == sharded.as_dict()
         assert _detail(serial) == _detail(sharded)
 
@@ -291,7 +299,7 @@ class TestWorkerInvariance:
             fault_rate=0.4, wash_time=5,
         )
         serial = _run(pcr_schedule, library, base, scalar=True)
-        sharded = _run(
+        sharded = _sharded_run(
             pcr_schedule, library, replace(base, workers=4), scalar=True
         )
         assert serial.as_dict() == sharded.as_dict()
@@ -305,7 +313,9 @@ class TestWorkerInvariance:
 
     def test_cli_simulate_report_is_worker_invariant(self, tmp_path):
         # The full subcommand in a fresh interpreter: the JSON report must
-        # be byte-identical between a serial and a 4-way sharded run.
+        # be byte-identical between a serial and a 4-way sharded run, so
+        # the run is large enough for four shards.
+        trials = 4 * montecarlo.MIN_TRIALS_PER_SHARD
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
         env.pop(montecarlo._SCALAR_ENV, None)
@@ -314,7 +324,7 @@ class TestWorkerInvariance:
             out = tmp_path / f"report-{workers}.json"
             subprocess.run(
                 [sys.executable, "-m", "repro", "simulate", "--assay", "PCR",
-                 "--scheduler", "list", "--trials", "96", "--seed", "9",
+                 "--scheduler", "list", "--trials", str(trials), "--seed", "9",
                  "--jitter", "uniform", "--jitter-spread", "0.2",
                  "--fault-rate", "0.3", "--channel-fault-rate", "0.1",
                  "--wash-time", "8", "--workers", str(workers),
@@ -322,7 +332,7 @@ class TestWorkerInvariance:
                 capture_output=True, text=True, env=env, check=True,
             )
             payloads[workers] = json.loads(out.read_text())
-        assert payloads[1]["trials"] == 96
+        assert payloads[1]["trials"] == trials
         assert payloads[1] == payloads[4]
         # The perturbations really perturb: the median trial runs late.
         assert payloads[1]["makespan_p50"] > payloads[1]["deterministic_makespan"]

@@ -408,3 +408,30 @@ class TestSchedulerSpans:
         assert build["t_end_bound"] == 280
         assert build["vars"] > 0 and build["rows"] > 0
         assert "schedule:extract" in spans
+
+
+class TestLeafSpans:
+    LEAVES = ("ilp:lower", "physical:scale", "physical:insert", "physical:compress")
+
+    def test_a_traced_pcr_synthesis_records_each_leaf_span_once_per_call(self, rec):
+        from repro.graph.library import build_pcr
+        from repro.synthesis.config import FlowConfig
+        from repro.synthesis.flow import synthesize
+
+        config = FlowConfig.paper_defaults_for("PCR")
+        for calls in (1, 2):
+            result = synthesize(build_pcr(), config)
+            assert result.scheduler_engine == "ilp"
+            spans = rec.spans()
+            counts = {name: sum(s.name == name for s in spans) for name in self.LEAVES}
+            assert counts == {name: calls for name in self.LEAVES}
+        by_id = {s.span_id: s for s in spans}
+        for leaf in (s for s in spans if s.name in self.LEAVES):
+            ancestors, node = [], leaf
+            while node.parent_id in by_id:
+                node = by_id[node.parent_id]
+                ancestors.append(node.name)
+            stage = "stage:schedule" if leaf.name == "ilp:lower" else "stage:physical"
+            assert stage in ancestors
+        lower = next(s for s in spans if s.name == "ilp:lower").attributes
+        assert lower["vars"] > 0 and lower["rows"] > 0

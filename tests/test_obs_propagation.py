@@ -37,6 +37,7 @@ from repro.obs import (
     span,
 )
 from repro.obs.trace import uninstall_recorder, validate_chrome_trace
+from repro.simulation.montecarlo import MIN_TRIALS_PER_SHARD
 
 from test_multi_replica import (
     SRC_DIR,
@@ -184,9 +185,9 @@ class TestShardedSimulateExport:
             [
                 sys.executable, "-m", "repro", "simulate",
                 "--assay", "PCR", "--scheduler", "list",
-                # MIN_TRIALS_PER_SHARD is 64, so 256 trials genuinely
-                # spread across all 4 workers.
-                "--trials", "256", "--workers", "4",
+                # Four shards' worth of trials genuinely spread across
+                # all 4 workers.
+                "--trials", str(4 * MIN_TRIALS_PER_SHARD), "--workers", "4",
                 "--trace-out", str(trace_path),
             ],
             capture_output=True,
@@ -214,9 +215,9 @@ class TestShardedSimulateExport:
             assert shard["args"]["parent_id"] == mc["args"]["span_id"]
             assert shard["args"]["trace_id"] == trace_id
             assert shard["dur"] >= 0
-        # The shard bounds tile [0, 256) exactly once.
+        # The shard bounds tile [0, trials) exactly once.
         bounds = sorted((s["args"]["lo"], s["args"]["hi"]) for s in shards)
-        assert bounds[0][0] == 0 and bounds[-1][1] == 256
+        assert bounds[0][0] == 0 and bounds[-1][1] == 4 * MIN_TRIALS_PER_SHARD
         assert all(
             bounds[i][1] == bounds[i + 1][0] for i in range(len(bounds) - 1)
         )

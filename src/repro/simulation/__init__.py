@@ -27,7 +27,6 @@ from repro.simulation.montecarlo import (
     MonteCarloEngine,
     ReplayPlan,
     TrialAggregate,
-    TrialDetail,
     TrialResult,
     VerificationReport,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "MonteCarloEngine",
     "ReplayPlan",
     "TrialAggregate",
-    "TrialDetail",
     "TrialResult",
     "VerificationReport",
     "Snapshot",

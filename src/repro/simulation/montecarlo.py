@@ -54,14 +54,12 @@ trial has used.
 
 Performance architecture (three stacked layers, all bit-identical):
 
-* A :class:`ReplayPlan` is compiled once per schedule and library and
-  lowers the replay to integer-indexed arrays — topological entry order,
-  CSR predecessor indices with precomputed transport minima and
-  channel-draw counters, static wash predicates, device-index maps, and
-  per-entry spare candidate lists — so no trial ever calls
-  ``graph.predecessors()``, hashes a string key, or sorts.  On the
-  schedule's own library the plan is memoized on the schedule
-  (:meth:`Schedule.derived`), so repeated verifications compile it once.
+* A :class:`ReplayPlan` is compiled once per engine and lowers the replay
+  to integer-indexed arrays — topological entry order, CSR predecessor
+  indices with precomputed transport minima and channel-draw counters,
+  static wash predicates, device-index maps, and per-entry spare candidate
+  lists — so no trial ever calls ``graph.predecessors()``, hashes a string
+  key, or sorts.
 * All trials in a block advance entry by entry as numpy vector operations
   across the trial axis.  Every per-trial state matrix is entry-major —
   ``(entries x trials)`` durations and finish times, ``(devices x
@@ -82,8 +80,9 @@ Performance architecture (three stacked layers, all bit-identical):
   uncapped number and one ``np.flatnonzero`` over the ``(trial, entry,
   kind)`` view of the first noted trials gives the first
   :data:`MAX_DIAGNOSTICS` in the scalar engine's order.
-* ``workers > 1`` shards trial index ranges across a process pool.  Draws
-  are addressed by the trial *index*, so any shard boundary reproduces the
+* ``workers > 1`` shards trial index ranges across a process pool, one
+  shard per :data:`MIN_SHARD_WORK` of the run's replay work.  Draws are
+  addressed by the trial *index*, so any shard boundary reproduces the
   exact same draws and the merged report is byte-identical for every
   worker count.
 
@@ -144,12 +143,17 @@ TRIAL_DETAIL_LIMIT = 2048
 #: matrices a batched pass materializes.
 VECTOR_BLOCK_TRIALS = 4096
 
-#: Minimum trials worth paying one worker process for; requests for more
-#: workers than ``trials // MIN_TRIALS_PER_SHARD`` are quietly clamped.
-#: A sharded run opens a fresh process pool (about 25-35 ms on two
-#: vCPUs), which two workers win back only from about 64k trials on
-#: (docs/simulation.md), so two shards form from ``2 * 32768`` trials.
-MIN_TRIALS_PER_SHARD = 32768
+#: Minimum replay work worth paying one worker process for, in
+#: entry-trials (trials x replayed entries, see :func:`_replay_work`);
+#: requests for more workers than ``work // MIN_SHARD_WORK`` are quietly
+#: clamped.  A sharded run opens a fresh process pool (about 25-45 ms on
+#: two vCPUs), which two workers win back once the serial replay takes
+#: about 90 ms, about three million entry-trials (docs/simulation.md).
+MIN_SHARD_WORK = 1_500_000
+
+#: A faulted entry-trial (masked kernel plus fault and channel draws)
+#: costs about six fault-free ones.
+_FAULT_WORK = 6
 
 
 # ------------------------------------------------------------ generator
@@ -696,9 +700,16 @@ def _format_note(plan: ReplayPlan, trial: int, e: int, kind: int, payload: int) 
     return f"trial {trial}: fault on {device!r} for {op_id!r} unrecovered ({cause})"
 
 
-def _shard_bounds(trials: int, workers: int) -> List[Tuple[int, int]]:
-    """Split ``range(trials)`` into at most ``workers`` contiguous shards."""
-    shards = min(max(1, workers), max(1, trials // MIN_TRIALS_PER_SHARD))
+def _replay_work(plan: ReplayPlan, config: MonteCarloConfig) -> int:
+    """A run's replay cost in entry-trials, faulted ones ``_FAULT_WORK`` times."""
+    faulted = config.fault_rate > 0 or config.channel_fault_rate > 0
+    return config.trials * plan.num_entries * (_FAULT_WORK if faulted else 1)
+
+
+def _shard_bounds(trials: int, workers: int, work: int) -> List[Tuple[int, int]]:
+    """Split ``range(trials)`` into at most ``workers`` contiguous shards,
+    each worth at least ``MIN_SHARD_WORK`` of the run's ``work``."""
+    shards = min(max(1, workers), trials, max(1, work // MIN_SHARD_WORK))
     if shards <= 1:
         return [(0, trials)]
     base, extra = divmod(trials, shards)
@@ -741,17 +752,6 @@ def _replay_shard(
     return outcome
 
 
-def _compile_plan(schedule: Schedule, library: DeviceLibrary) -> ReplayPlan:
-    """Compile ``schedule``'s replay plan on ``library`` (one ``verify:plan`` span)."""
-    with obs_span("verify:plan", category="verify"):
-        return ReplayPlan(schedule, library)
-
-
-def _own_plan(schedule: Schedule) -> ReplayPlan:
-    """The replay plan on the schedule's own library, for :meth:`Schedule.derived`."""
-    return _compile_plan(schedule, schedule.library)
-
-
 class MonteCarloEngine:
     """Replays one schedule ``config.trials`` times under perturbations.
 
@@ -789,10 +789,10 @@ class MonteCarloEngine:
     def run(self) -> VerificationReport:
         """Run all trials (sharded if configured) and aggregate a report."""
         cfg = self.config
-        bounds = _shard_bounds(cfg.trials, cfg.workers)
-        with obs_span(
-            "verify:mc", category="verify", trials=cfg.trials, shards=len(bounds)
-        ):
+        with obs_span("verify:mc", category="verify", trials=cfg.trials) as mc:
+            work = _replay_work(self.plan(), cfg) if cfg.workers > 1 else 0
+            bounds = _shard_bounds(cfg.trials, cfg.workers, work)
+            mc.set(shards=len(bounds))
             if len(bounds) <= 1:
                 outcomes = [self._run_range(0, cfg.trials)]
             else:
@@ -841,17 +841,10 @@ class MonteCarloEngine:
 
     # ------------------------------------------------------------- dispatch
     def plan(self) -> ReplayPlan:
-        """The compiled replay plan (built lazily, once per engine).
-
-        On the schedule's own library the plan is memoized on the schedule
-        (:meth:`Schedule.derived`), so every engine verifying that schedule
-        shares one compile; a different library compiles its own.
-        """
+        """The compiled replay plan (built lazily, reused across shards)."""
         if self._plan is None:
-            if self.library is self.schedule.library:
-                self._plan = self.schedule.derived(_own_plan)
-            else:
-                self._plan = _compile_plan(self.schedule, self.library)
+            with obs_span("verify:plan", category="verify"):
+                self._plan = ReplayPlan(self.schedule, self.library)
         return self._plan
 
     def _run_range(self, lo: int, hi: int) -> _ShardOutcome:

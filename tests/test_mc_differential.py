@@ -263,11 +263,19 @@ class TestVectorizedScalarDifferential:
 
 
 def _sharded_run(schedule, library, config, **kwargs):
-    """:func:`_run` with shards of a few dozen trials, so a small run
-    really spreads across ``config.workers`` processes."""
+    """:func:`_run` with no minimum work per shard, so a small run really
+    spreads across ``config.workers`` processes."""
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(montecarlo, "MIN_TRIALS_PER_SHARD", 16)
+        patched.setattr(montecarlo, "MIN_SHARD_WORK", 1)
         return _run(schedule, library, config, **kwargs)
+
+
+def _trials_for_shards(schedule, shards, **knobs):
+    """The fewest trials with ``knobs`` whose replay work on ``schedule``
+    is worth ``shards`` worker processes."""
+    plan = montecarlo.ReplayPlan(schedule, schedule.library)
+    per_trial = montecarlo._replay_work(plan, MonteCarloConfig(trials=1, **knobs))
+    return -(-shards * montecarlo.MIN_SHARD_WORK // per_trial)
 
 
 class TestWorkerInvariance:
@@ -311,11 +319,28 @@ class TestWorkerInvariance:
         greedy = _run(pcr_schedule, library, replace(base, workers=64))
         assert serial.as_dict() == greedy.as_dict()
 
-    def test_cli_simulate_report_is_worker_invariant(self, tmp_path):
+    def test_shard_count_follows_replay_work(self, pcr_schedule):
+        # Replay work counts entry-trials, a faulted one _FAULT_WORK times;
+        # a shard forms per MIN_SHARD_WORK of it, never more than one per trial.
+        plan = montecarlo.ReplayPlan(pcr_schedule, pcr_schedule.library)
+        clean = montecarlo._replay_work(plan, MonteCarloConfig(trials=10))
+        faulted = montecarlo._replay_work(
+            plan, MonteCarloConfig(trials=10, channel_fault_rate=0.1)
+        )
+        assert clean == 10 * plan.num_entries
+        assert faulted == montecarlo._FAULT_WORK * clean
+        work = 2 * montecarlo.MIN_SHARD_WORK
+        assert len(montecarlo._shard_bounds(8192, 4, work)) == 2
+        assert len(montecarlo._shard_bounds(8192, 4, work - 1)) == 1
+        assert len(montecarlo._shard_bounds(3, 8, 100 * work)) == 3
+
+    def test_cli_simulate_report_is_worker_invariant(self, pcr_schedule, tmp_path):
         # The full subcommand in a fresh interpreter: the JSON report must
         # be byte-identical between a serial and a 4-way sharded run, so
         # the run is large enough for four shards.
-        trials = 4 * montecarlo.MIN_TRIALS_PER_SHARD
+        trials = _trials_for_shards(
+            pcr_schedule, 4, fault_rate=0.3, channel_fault_rate=0.1
+        )
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
         env.pop(montecarlo._SCALAR_ENV, None)

@@ -10,10 +10,7 @@ must leave every reported value as the straightforward form gives it:
   the scalar engine's reports at the edges of the rate range;
 * the per-trial detail is kept as one packed integer matrix
   (:class:`TrialDetail`) that reads, compares, pickles and copies like the
-  eager ``TrialResult`` list;
-* a schedule's replay plan is compiled once and memoized on the schedule
-  (``Schedule.derived``) when the engine runs on the schedule's own
-  library.
+  eager ``TrialResult`` list.
 """
 
 from __future__ import annotations
@@ -25,9 +22,6 @@ import numpy as np
 import pytest
 
 from repro.devices.device import default_device_library
-from repro.graph.library import build_pcr
-from repro.obs.trace import TraceRecorder, install_recorder, uninstall_recorder
-from repro.scheduling.list_scheduler import ListScheduler, ListSchedulerConfig
 from repro.simulation import montecarlo
 from repro.simulation.montecarlo import (
     MonteCarloConfig,
@@ -37,14 +31,6 @@ from repro.simulation.montecarlo import (
 )
 
 from test_mc_differential import _run
-
-
-def _fresh_schedule():
-    """A PCR list schedule no other test has memoized anything on."""
-    library = default_device_library(num_mixers=2)
-    return ListScheduler(library, ListSchedulerConfig(transport_time=10)).schedule(
-        build_pcr()
-    )
 
 
 # ------------------------------------------------------------- chunked draws
@@ -224,65 +210,3 @@ class TestPackedDetail:
         assert detail[1].makespan == 1 << 40
         assert pickle.loads(pickle.dumps(detail)) == detail
 
-
-# ---------------------------------------------------------------- plan memo
-
-
-def _plan_spans(run):
-    """``run()``'s result and the number of ``verify:plan`` spans it opened."""
-    rec = TraceRecorder()
-    token = install_recorder(rec)
-    try:
-        out = run()
-    finally:
-        uninstall_recorder(token)
-    return out, sum(1 for s in rec.spans() if s.name == "verify:plan")
-
-
-class TestPlanMemo:
-    def test_a_second_engine_on_the_schedule_reuses_the_plan(self):
-        schedule = _fresh_schedule()
-        config = MonteCarloConfig(trials=8, jitter="uniform")
-        first, compiles = _plan_spans(
-            lambda: MonteCarloEngine(schedule, schedule.library, config).plan()
-        )
-        assert compiles == 1
-        second, compiles = _plan_spans(
-            lambda: MonteCarloEngine(schedule, schedule.library, config).plan()
-        )
-        assert second is first and compiles == 0
-        report, compiles = _plan_spans(
-            lambda: MonteCarloEngine(schedule, schedule.library, config).run()
-        )
-        assert compiles == 0 and report.trial_count == 8
-
-    def test_assign_drops_the_plan(self):
-        schedule = _fresh_schedule()
-        before = MonteCarloEngine(schedule, schedule.library).plan()
-        entry = next(e for e in schedule.entries() if e.device_id is not None)
-        schedule.assign(entry.op_id, entry.device_id, entry.start, entry.end)
-        after = MonteCarloEngine(schedule, schedule.library).plan()
-        assert after is not before
-
-    def test_pickles_leave_the_plan_out(self):
-        schedule = _fresh_schedule()
-        MonteCarloEngine(schedule, schedule.library).plan()
-        assert "_derived" in vars(schedule)
-        copied = pickle.loads(pickle.dumps(schedule))
-        assert "_derived" not in vars(copied)
-        _, compiles = _plan_spans(
-            lambda: MonteCarloEngine(copied, copied.library).plan()
-        )
-        assert compiles == 1
-
-    def test_another_library_compiles_its_own_plan(self):
-        schedule = _fresh_schedule()
-        own = MonteCarloEngine(schedule, schedule.library).plan()
-        other_library = default_device_library(num_mixers=3)
-        (plan, compiles) = _plan_spans(
-            lambda: MonteCarloEngine(schedule, other_library).plan()
-        )
-        assert plan is not own and compiles == 1
-        assert plan.num_devices == len(other_library)
-        # ... and leaves the schedule's own plan where it was.
-        assert MonteCarloEngine(schedule, schedule.library).plan() is own

@@ -37,8 +37,8 @@ from repro.obs import (
     span,
 )
 from repro.obs.trace import uninstall_recorder, validate_chrome_trace
-from repro.simulation.montecarlo import MIN_TRIALS_PER_SHARD
 
+from test_mc_differential import _trials_for_shards
 from test_multi_replica import (
     SRC_DIR,
     ReplicaProcess,
@@ -175,19 +175,22 @@ class TestServiceSubmissionPropagation:
 
 
 class TestShardedSimulateExport:
-    def test_trace_out_nests_shard_spans_under_the_verify_span(self, tmp_path):
+    def test_trace_out_nests_shard_spans_under_the_verify_span(
+        self, pcr_schedule, tmp_path
+    ):
         """``repro simulate --workers 4 --trace-out``: the process-pool
         shards each record in a child recorder that is shipped back and
         absorbed, so the exported trace shows ``verify:shard`` spans
         parented on the coordinator's ``verify:mc`` span."""
         trace_path = tmp_path / "trace.json"
+        # Four shards' worth of replay work genuinely spreads across all 4
+        # workers.
+        trials = _trials_for_shards(pcr_schedule, 4)
         proc = subprocess.run(
             [
                 sys.executable, "-m", "repro", "simulate",
                 "--assay", "PCR", "--scheduler", "list",
-                # Four shards' worth of trials genuinely spread across
-                # all 4 workers.
-                "--trials", str(4 * MIN_TRIALS_PER_SHARD), "--workers", "4",
+                "--trials", str(trials), "--workers", "4",
                 "--trace-out", str(trace_path),
             ],
             capture_output=True,
@@ -217,7 +220,7 @@ class TestShardedSimulateExport:
             assert shard["dur"] >= 0
         # The shard bounds tile [0, trials) exactly once.
         bounds = sorted((s["args"]["lo"], s["args"]["hi"]) for s in shards)
-        assert bounds[0][0] == 0 and bounds[-1][1] == 4 * MIN_TRIALS_PER_SHARD
+        assert bounds[0][0] == 0 and bounds[-1][1] == trials
         assert all(
             bounds[i][1] == bounds[i + 1][0] for i in range(len(bounds) - 1)
         )

@@ -124,12 +124,6 @@ class ChipArchitecture:
     def device_node(self, device_id: str) -> str:
         return self.placement[device_id]
 
-    def node_device(self, node_id: str) -> Optional[str]:
-        for device_id, placed in self.placement.items():
-            if placed == node_id:
-                return device_id
-        return None
-
     def device_nodes(self) -> Set[str]:
         return set(self.placement.values())
 
@@ -154,10 +148,6 @@ class ChipArchitecture:
             nodes.update(self.grid.edge_endpoints(eid))
         return nodes
 
-    def switch_nodes(self) -> Set[str]:
-        """Used nodes that are not devices — each becomes a switch."""
-        return self.used_nodes() - self.device_nodes()
-
     @property
     def num_edges(self) -> int:
         """The paper's ``n_e``: number of channel segments kept."""
@@ -173,10 +163,6 @@ class ChipArchitecture:
                 if endpoint not in device_nodes:
                     valves += 1
         return valves
-
-    @property
-    def num_switches(self) -> int:
-        return len(self.switch_nodes())
 
     def grid_edge_count(self) -> int:
         return self.grid.num_edges()

@@ -82,12 +82,6 @@ class ConnectionGrid:
     def node(self, node_id: str) -> GridNode:
         return self._nodes[node_id]
 
-    def node_at(self, row: int, col: int) -> GridNode:
-        node = GridNode(row, col)
-        if node.node_id not in self._nodes:
-            raise KeyError(f"({row}, {col}) is outside the {self.rows}x{self.cols} grid")
-        return node
-
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._nodes
 
@@ -126,11 +120,6 @@ class ConnectionGrid:
     def nodes_sorted_by_distance(self, origin: str) -> List[str]:
         """All nodes ordered by Manhattan distance from ``origin`` (stable)."""
         return sorted(self._nodes, key=lambda n: (self.manhattan(origin, n), n))
-
-    def edge_distance_to_node(self, eid: EdgeId, node_id: str) -> int:
-        """Distance from an edge (min over its endpoints) to a node."""
-        a, b = self.edge_endpoints(eid)
-        return min(self.manhattan(a, node_id), self.manhattan(b, node_id))
 
     @property
     def tables(self) -> "GridTables":

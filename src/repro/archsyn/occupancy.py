@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,6 @@ class Interval:
 
     def overlaps(self, start: int, end: int) -> bool:
         return self.start < end and start < self.end
-
-    def shares_group_with(self, group: str) -> bool:
-        return bool(group) and self.group == group and self.purpose == "transport"
 
 
 class OccupancyTracker:
@@ -117,12 +114,6 @@ class OccupancyTracker:
 
     def intervals(self, resource: Hashable) -> List[Interval]:
         return list(self._intervals.get(resource, []))
-
-    def busy_at(self, resource: Hashable, time: int) -> Optional[Interval]:
-        for busy in self._intervals.get(resource, []):
-            if busy.start <= time < busy.end:
-                return busy
-        return None
 
     def resources(self) -> List[Hashable]:
         return list(self._intervals.keys())

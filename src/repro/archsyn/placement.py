@@ -42,9 +42,6 @@ class PlacementResult:
     placement: Dict[str, str]
     cost: int
 
-    def node_of(self, device_id: str) -> str:
-        return self.placement[device_id]
-
 
 class GreedyPlacer:
     """Deterministic constructive placement with pairwise-swap refinement.

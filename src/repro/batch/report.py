@@ -262,28 +262,6 @@ class BatchReport:
             "metrics": get_registry().snapshot(),
         }
 
-    def deterministic_summary(self) -> str:
-        """Run-invariant text form: everything except wall-clock timings.
-
-        Two runs of the same job list — serial or parallel, cold or warm
-        cache — must produce byte-identical output here; the regression
-        tests rely on that.  (Stage actions are deliberately excluded: a
-        warm run replays stages a cold run executed.)
-        """
-        lines = []
-        for outcome in self.outcomes:
-            if outcome.result is None:
-                lines.append(f"{outcome.job_id}: FAILED {outcome.error}")
-                continue
-            m = outcome.metrics()
-            lines.append(
-                f"{outcome.job_id}: tE={m.execution_time} G={m.grid_shape[0]}x{m.grid_shape[1]} "
-                f"ne={m.num_edges} nv={m.num_valves} "
-                f"dp={m.dim_compact[0]}x{m.dim_compact[1]} "
-                f"transports={m.num_transport_tasks} key={outcome.cache_key[:12]}"
-            )
-        return "\n".join(lines)
-
 
 def format_stage_summary(report: BatchReport) -> str:
     """The per-stage breakdown as printable lines (one per stage).

@@ -50,9 +50,6 @@ class ChannelInterval:
     def overlaps(self, other: "ChannelInterval") -> bool:
         return self.start < other.end and other.start < self.end
 
-    def contains(self, time: int) -> bool:
-        return self.start <= time < self.end
-
 
 @dataclass
 class ChannelSegment:
@@ -118,18 +115,6 @@ class ChannelSegment:
         probe = ChannelInterval(start, end, "transport")
         return not any(existing.overlaps(probe) for existing in self.reservations)
 
-    def reservation_at(self, time: int) -> Optional[ChannelInterval]:
-        for interval in self.reservations:
-            if interval.contains(time):
-                return interval
-        return None
-
-    def stored_sample_at(self, time: int) -> Optional[FluidSample]:
-        interval = self.reservation_at(time)
-        if interval is not None and interval.purpose == "storage":
-            return interval.sample
-        return None
-
     # ------------------------------------------------------------ accounting
     def busy_time(self) -> int:
         """Total reserved time — used for channel-utilization metrics."""
@@ -137,14 +122,3 @@ class ChannelSegment:
 
     def storage_time(self) -> int:
         return sum(iv.end - iv.start for iv in self.reservations if iv.purpose == "storage")
-
-    def transport_count(self) -> int:
-        return sum(1 for iv in self.reservations if iv.purpose == "transport")
-
-    def other_endpoint(self, node: str) -> str:
-        a, b = self.endpoints
-        if node == a:
-            return b
-        if node == b:
-            return a
-        raise KeyError(f"{node!r} is not an endpoint of segment {self.segment_id}")

@@ -122,9 +122,6 @@ class DeviceLibrary:
     def __iter__(self):
         return iter(self._devices.values())
 
-    def total_internal_valves(self) -> int:
-        return sum(d.internal_valve_count for d in self._devices.values())
-
     def __repr__(self) -> str:
         kinds = {}
         for d in self._devices.values():

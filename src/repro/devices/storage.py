@@ -77,10 +77,6 @@ class DedicatedStorageUnit:
         self.peak_occupancy = 0
 
     # ------------------------------------------------------------------ API
-    @property
-    def valve_count(self) -> int:
-        return storage_unit_valve_count(self.num_cells, self.num_ports)
-
     def occupancy(self) -> int:
         return sum(1 for cell in self._cell_contents if cell is not None)
 
@@ -152,12 +148,3 @@ class DedicatedStorageUnit:
     # ------------------------------------------------------------ statistics
     def total_queueing_delay(self) -> int:
         return sum(a.queueing_delay for a in self.accesses)
-
-    def max_queueing_delay(self) -> int:
-        return max((a.queueing_delay for a in self.accesses), default=0)
-
-    def store_count(self) -> int:
-        return sum(1 for a in self.accesses if a.kind == "store")
-
-    def fetch_count(self) -> int:
-        return sum(1 for a in self.accesses if a.kind == "fetch")

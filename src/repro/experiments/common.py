@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.batch.cache import CacheStats, ResultCache
+from repro.batch.cache import ResultCache
 from repro.batch.engine import BatchSynthesisEngine
 from repro.batch.jobs import BatchJob
 from repro.batch.report import BatchReport
@@ -143,13 +143,3 @@ def prefetch_assay_results(
     ]
     engine = BatchSynthesisEngine(max_workers=workers, cache=_result_cache)
     return engine.run(jobs)
-
-
-def clear_result_cache() -> None:
-    """Drop all memoized synthesis results and counters (used by tests).
-
-    Clears in place, so references obtained through :func:`result_cache`
-    before the call keep observing the live cache afterwards.
-    """
-    _result_cache.clear()
-    _result_cache.stats = CacheStats()

@@ -38,10 +38,6 @@ class Fig8Point:
     used_valves: int
     grid_valves: int
 
-    def is_reduced(self) -> bool:
-        """The paper's claim: every ratio is (strictly) below 1."""
-        return self.edge_ratio < 1.0 and self.valve_ratio < 1.0
-
 
 def run_fig8(settings: Optional[ExperimentSettings] = None) -> List[Fig8Point]:
     """Regenerate the Fig. 8 series for all six assays."""

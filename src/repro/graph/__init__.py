@@ -8,7 +8,7 @@ fluid is an input of its child (Section 1, Fig. 2(a) of the paper).
 This package provides:
 
 * :class:`Operation` and :class:`SequencingGraph` — the core data model;
-* :mod:`repro.graph.analysis` — ASAP/ALAP times, critical path, width;
+* :mod:`repro.graph.analysis` — ASAP times, critical-path length, width;
 * :mod:`repro.graph.generators` — the seeded random assay generator used for
   the RA30/RA70/RA100 test cases;
 * :mod:`repro.graph.library` — the real-world assays (PCR, IVD, CPA);
@@ -20,8 +20,6 @@ from repro.graph.analysis import (
     GraphAnalysis,
     analyze,
     asap_times,
-    alap_times,
-    critical_path,
     critical_path_length,
     max_parallelism,
 )
@@ -30,7 +28,6 @@ from repro.graph.library import (
     build_pcr,
     build_ivd,
     build_cpa,
-    build_protein_split,
     assay_by_name,
     PAPER_ASSAYS,
 )
@@ -44,8 +41,6 @@ __all__ = [
     "GraphAnalysis",
     "analyze",
     "asap_times",
-    "alap_times",
-    "critical_path",
     "critical_path_length",
     "max_parallelism",
     "RandomAssayConfig",
@@ -53,7 +48,6 @@ __all__ = [
     "build_pcr",
     "build_ivd",
     "build_cpa",
-    "build_protein_split",
     "assay_by_name",
     "PAPER_ASSAYS",
     "graph_to_dict",

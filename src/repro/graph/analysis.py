@@ -1,9 +1,7 @@
 """Static analysis of sequencing graphs.
 
-ASAP/ALAP times and the critical path give lower bounds on the assay
-completion time ``t_E`` and are used both by the heuristic scheduler
-(priority function) and by tests as invariants that any valid schedule must
-respect.
+ASAP times and the critical-path length give lower bounds on the assay
+completion time ``t_E``.
 """
 
 from __future__ import annotations
@@ -29,50 +27,6 @@ def asap_times(graph: SequencingGraph, transport_time: int = 0) -> Dict[str, int
             earliest = max(earliest, start[parent_id] + parent.duration + hop)
         start[op.op_id] = earliest
     return start
-
-
-def alap_times(graph: SequencingGraph, deadline: int, transport_time: int = 0) -> Dict[str, int]:
-    """Latest start time of every operation that still meets ``deadline``."""
-    start: Dict[str, int] = {}
-    for op_id in reversed(graph.topological_order()):
-        op = graph.operation(op_id)
-        latest = deadline - op.duration
-        for child_id in graph.successors(op_id):
-            child = graph.operation(child_id)
-            hop = transport_time if (op.needs_device and child.needs_device) else 0
-            latest = min(latest, start[child_id] - op.duration - hop)
-        start[op_id] = latest
-    return start
-
-
-def critical_path(graph: SequencingGraph, transport_time: int = 0) -> List[str]:
-    """Operation ids along (one) longest path through the graph."""
-    start = asap_times(graph, transport_time)
-    finish = {op.op_id: start[op.op_id] + op.duration for op in graph.operations()}
-    if not finish:
-        return []
-    end_node = max(finish, key=lambda op_id: finish[op_id])
-    path = [end_node]
-    current = end_node
-    while True:
-        parents = graph.predecessors(current)
-        if not parents:
-            break
-        current_op = graph.operation(current)
-        best_parent = None
-        for parent_id in parents:
-            parent = graph.operation(parent_id)
-            hop = transport_time if (parent.needs_device and current_op.needs_device) else 0
-            if finish[parent_id] + hop == start[current]:
-                best_parent = parent_id
-                break
-        if best_parent is None:
-            # Start was limited by something else (e.g. time zero); stop here.
-            break
-        path.append(best_parent)
-        current = best_parent
-    path.reverse()
-    return path
 
 
 def critical_path_length(graph: SequencingGraph, transport_time: int = 0) -> int:
@@ -116,13 +70,6 @@ class GraphAnalysis:
     critical_path_length: int
     max_parallelism: int
     total_work: int
-
-    def lower_bound_execution_time(self, num_devices: int) -> int:
-        """max(critical path, total work / devices) — classic list-scheduling bound."""
-        if num_devices <= 0:
-            raise ValueError("num_devices must be positive")
-        work_bound = -(-self.total_work // num_devices)  # ceil division
-        return max(self.critical_path_length, work_bound)
 
 
 def analyze(graph: SequencingGraph, transport_time: int = 0) -> GraphAnalysis:

@@ -160,33 +160,6 @@ def build_cpa(
     return graph
 
 
-def build_protein_split(levels: int = 3, mix_time: int = DEFAULT_MIX_TIME) -> SequencingGraph:
-    """A small exponential-split protein dilution assay (extra example workload).
-
-    Not part of the paper's evaluation; used by examples and ablation
-    benchmarks as an additional realistic protocol with high parallelism.
-    """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    graph = SequencingGraph(name=f"ProteinSplit{levels}")
-    graph.add_input("sample")
-    graph.add_input("buffer")
-    previous = ["sample"]
-    op_index = 0
-    for _level in range(levels):
-        next_level = []
-        for parent in previous:
-            for _branch in range(2):
-                op_index += 1
-                op_id = f"o{op_index}"
-                graph.add_mix(op_id, mix_time)
-                graph.add_edge(parent, op_id)
-                next_level.append(op_id)
-        previous = next_level
-    assert_valid(graph)
-    return graph
-
-
 #: Builders for the six assays evaluated in the paper, keyed by the names
 #: used in Table 2.  Values are zero-argument callables returning a fresh
 #: :class:`SequencingGraph`.

@@ -163,14 +163,8 @@ class SequencingGraph:
     def roots(self) -> List[str]:
         return [op_id for op_id in self._operations if not self._predecessors[op_id]]
 
-    def sinks(self) -> List[str]:
-        return [op_id for op_id in self._operations if not self._successors[op_id]]
-
     def in_degree(self, op_id: str) -> int:
         return len(self._predecessors[op_id])
-
-    def out_degree(self, op_id: str) -> int:
-        return len(self._successors[op_id])
 
     # ------------------------------------------------------------ traversal
     def topological_order(self) -> List[str]:
@@ -205,10 +199,6 @@ class SequencingGraph:
         return result
 
     # ----------------------------------------------------------- statistics
-    def total_duration(self) -> int:
-        """Sum of all operation durations (a trivial upper bound on t_E)."""
-        return sum(op.duration for op in self._operations.values())
-
     def copy(self) -> "SequencingGraph":
         clone = SequencingGraph(name=self.name)
         for op in self._operations.values():

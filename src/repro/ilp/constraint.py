@@ -64,15 +64,6 @@ class Constraint:
         """True when the constraint has no variables and can never hold."""
         return not self.expression.terms and not self.is_trivially_satisfied()
 
-    def violation(self, tolerance: float = 1e-6) -> float:
-        """Amount by which the current solution violates this constraint."""
-        value = self.expression.evaluate()
-        if self.sense is ConstraintSense.LE:
-            return max(0.0, value - tolerance * 0)
-        if self.sense is ConstraintSense.GE:
-            return max(0.0, -value)
-        return abs(value)
-
     def is_satisfied(self, tolerance: float = 1e-6) -> bool:
         value = self.expression.evaluate()
         if self.sense is ConstraintSense.LE:

@@ -8,7 +8,6 @@ mathematical formulation in the paper, e.g. ``alpha * t_end + beta * lin_sum(gap
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Dict, Iterable, Mapping, Optional, Union
 
 Number = Union[int, float]
@@ -66,10 +65,6 @@ class Variable:
         if isinstance(other, (Variable, LinExpr, int, float)):
             return LinExpr.from_term(self).__eq__(other)
         return NotImplemented
-
-    def is_(self, other: "Variable") -> bool:
-        """Identity comparison (``==`` is overloaded for constraint building)."""
-        return self._uid == other._uid
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
@@ -238,9 +233,6 @@ class LinExpr:
     def variables(self) -> list:
         return list(self.terms.keys())
 
-    def is_constant(self) -> bool:
-        return not self.terms
-
     def __repr__(self) -> str:
         parts = []
         for var, coef in self.terms.items():
@@ -270,8 +262,3 @@ def lin_sum(items: Iterable[Union[LinExpr, Variable, Number]]) -> LinExpr:
             terms[var] = terms.get(var, 0.0) + coef
     cleaned = {v: c for v, c in terms.items() if abs(c) > 1e-15}
     return LinExpr(cleaned, constant)
-
-
-def infinity() -> float:
-    """Convenience alias used for unbounded variable bounds."""
-    return math.inf

@@ -9,12 +9,12 @@ pure-Python branch and bound).
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.ilp.constraint import Constraint
-from repro.ilp.expression import LinExpr, Number, Variable, lin_sum
+from repro.ilp.expression import LinExpr, Number, Variable
 from repro.obs.trace import span as obs_span
 
 
@@ -106,9 +106,6 @@ class Model:
 
     def get_var(self, name: str) -> Variable:
         return self._names[name]
-
-    def has_var(self, name: str) -> bool:
-        return name in self._names
 
     # ---------------------------------------------------------- constraints
     def add_constraint(self, constraint: Constraint, name: Optional[str] = None) -> Constraint:
@@ -271,12 +268,3 @@ class Model:
 
     def __repr__(self) -> str:
         return f"<{self.summary()}>"
-
-
-def weighted_objective(terms: Sequence[Tuple[float, Union[LinExpr, Variable]]]) -> LinExpr:
-    """Build ``sum(weight * expr)`` — the paper's multi-objective pattern.
-
-    Example: ``weighted_objective([(alpha, t_end), (beta, total_gap)])``
-    reproduces objective (6).
-    """
-    return lin_sum(weight * LinExpr.coerce(expr) for weight, expr in terms)

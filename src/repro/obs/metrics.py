@@ -108,10 +108,6 @@ class Gauge(Counter):
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
 
-    def dec(self, amount: float = 1.0, **labels: str) -> None:
-        """Shorthand for ``inc(-amount)``."""
-        self.inc(-amount, **labels)
-
 
 class Histogram:
     """Cumulative-bucket histogram (Prometheus semantics)."""

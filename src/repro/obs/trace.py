@@ -187,7 +187,6 @@ class TraceRecorder:
         self.trace_id = parent.trace_id if parent else _new_id()
         self._root_parent = parent.span_id if parent else None
         self._spans: List[Span] = []
-        self._open = 0
         self._lock = threading.Lock()
         #: Wall-clock anchor paired with a monotonic reading, exported as
         #: metadata so a trace can be aligned to real time after the fact.
@@ -219,15 +218,12 @@ class TraceRecorder:
             pid=os.getpid(),
             tid=threading.get_ident(),
         )
-        with self._lock:
-            self._open += 1
         return new
 
     def finish(self, opened: Span) -> None:
         """Close ``opened`` and file it with the recorder."""
         opened.end_s = time.perf_counter()
         with self._lock:
-            self._open -= 1
             self._spans.append(opened)
 
     def absorb(self, payloads: List[Dict[str, Any]]) -> None:
@@ -237,12 +233,6 @@ class TraceRecorder:
             self._spans.extend(rebuilt)
 
     # --------------------------------------------------------------- queries
-    @property
-    def open_spans(self) -> int:
-        """Spans begun but not yet finished (0 after a clean run)."""
-        with self._lock:
-            return self._open
-
     def spans(self) -> List[Span]:
         """Snapshot of the finished spans, in completion order."""
         with self._lock:

@@ -13,9 +13,6 @@ class Point:
     x: float
     y: float
 
-    def translated(self, dx: float, dy: float) -> "Point":
-        return Point(self.x + dx, self.y + dy)
-
     def manhattan_distance(self, other: "Point") -> float:
         return abs(self.x - other.x) + abs(self.y - other.y)
 
@@ -51,9 +48,6 @@ class Rect:
 
     def intersects(self, other: "Rect") -> bool:
         return self.x < other.x2 and other.x < self.x2 and self.y < other.y2 and other.y < self.y2
-
-    def contains_point(self, point: Point) -> bool:
-        return self.x <= point.x <= self.x2 and self.y <= point.y <= self.y2
 
     @staticmethod
     def bounding(rects: Iterable["Rect"]) -> "Rect":

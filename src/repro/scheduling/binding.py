@@ -52,11 +52,3 @@ def binding_summary(schedule: Schedule) -> List[str]:
             f"utilization {usage.utilization:.0%} [{ops}]"
         )
     return lines
-
-
-def operations_per_device(schedule: Schedule) -> Dict[str, List[str]]:
-    """Mapping device id -> ordered list of operation ids bound to it."""
-    return {
-        device.device_id: [e.op_id for e in schedule.device_entries(device.device_id)]
-        for device in schedule.library
-    }

@@ -136,10 +136,6 @@ class Schedule:
         """Latest ending time of any operation — the paper's ``t_E``."""
         return max((e.end for e in self._entries.values()), default=0)
 
-    def is_complete(self) -> bool:
-        """True when every device operation of the graph has an entry."""
-        return all(op.op_id in self._entries for op in self.graph.device_operations())
-
     def gap(self, parent_id: str, child_id: str) -> int:
         """Scheduled gap ``t_s(child) - t_e(parent)`` — the paper's ``u_ij``."""
         return self._entries[child_id].start - self._entries[parent_id].end

@@ -70,11 +70,6 @@ class TransportTask:
     def duration(self) -> int:
         return self.arrive_time - self.depart_time
 
-    @property
-    def is_eviction(self) -> bool:
-        """True for same-device round trips (store-out / fetch-back)."""
-        return self.source_device == self.target_device
-
 
 @dataclass(frozen=True)
 class StorageRequirement:

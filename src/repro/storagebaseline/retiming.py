@@ -44,14 +44,6 @@ class RetimedSchedule:
     total_queueing_delay: int
     stored_samples: int
 
-    @property
-    def slowdown(self) -> float:
-        """Baseline makespan / original makespan (>= 1 in the common case)."""
-        original = self.schedule.makespan
-        if original <= 0:
-            return 1.0
-        return self.makespan / original
-
 
 class DedicatedStorageRetiming:
     """Replay a schedule against a dedicated storage unit."""

@@ -77,10 +77,6 @@ class SynthesisResult:
         """The assay completion time ``t_E``."""
         return self.schedule.makespan
 
-    @property
-    def total_runtime_s(self) -> float:
-        return self.scheduling_time_s + self.synthesis_time_s + self.physical_time_s
-
     @classmethod
     def from_artifacts(
         cls,

@@ -492,16 +492,3 @@ class SynthesisPipeline:
             physical_artifact=physical_art,
             verification_artifact=artifacts[3] if len(artifacts) > 3 else None,
         )
-
-
-def covered_config_fields() -> set:
-    """Union of all stage config slices (tested to equal FlowConfig's fields).
-
-    Guards the cache keys against silent staleness: a new :class:`FlowConfig`
-    field that no stage declares would change synthesis behavior without
-    changing any stage key, so a test asserts this union stays complete.
-    """
-    covered: set = set()
-    for stage in DEFAULT_STAGES + (VERIFY_STAGE,):
-        covered.update(stage.config_fields)
-    return covered

@@ -6,6 +6,7 @@ per session and reused by many tests.
 
 from __future__ import annotations
 
+import logging
 import threading
 
 import pytest
@@ -15,12 +16,30 @@ from repro.devices.device import default_device_library
 from repro.graph.library import build_ivd, build_pcr
 from repro.graph.generators import RandomAssayConfig, random_assay
 from repro.graph.sequencing_graph import Operation, OperationType, SequencingGraph
+from repro.obs.logs import ROOT_LOGGER
 from repro.scheduling.list_scheduler import ListScheduler, ListSchedulerConfig
 from repro.synthesis.config import FlowConfig
 from repro.synthesis.flow import synthesize
 from repro.synthesis.pipeline import STAGES_BY_NAME
 
 from solve_capture import captured_solves
+
+
+@pytest.fixture(autouse=True)
+def _restore_repro_logger():
+    """Put the ``repro`` logger back as each test found it.
+
+    A test that runs the CLI in-process attaches a handler bound to the
+    ``sys.stderr`` of that moment, which is pytest's capture stream; once
+    the test ends, a later record (say, from a daemon thread) would be
+    written to the closed stream.
+    """
+    logger = logging.getLogger(ROOT_LOGGER)
+    saved = (list(logger.handlers), logger.level, logger.propagate)
+    yield
+    logger.handlers[:] = saved[0]
+    logger.setLevel(saved[1])
+    logger.propagate = saved[2]
 
 
 @pytest.fixture()

@@ -21,14 +21,6 @@ class TestInterval:
         assert interval.overlaps(15, 25)
         assert not interval.overlaps(20, 30)
 
-    def test_group_sharing_only_for_transport(self):
-        transport = Interval(0, 5, "transport", group="o1")
-        storage = Interval(0, 5, "storage", group="o1")
-        assert transport.shares_group_with("o1")
-        assert not transport.shares_group_with("o2")
-        assert not transport.shares_group_with("")
-        assert not storage.shares_group_with("o1")
-
 
 class TestOccupancyTracker:
     def test_reserve_and_conflict(self):
@@ -66,11 +58,10 @@ class TestOccupancyTracker:
         with pytest.raises(ValueError):
             tracker.reserve("edge", 5, 8, "transport", owner="b", group="o1")
 
-    def test_busy_at_and_intervals(self):
+    def test_intervals_and_resources(self):
         tracker = OccupancyTracker()
         tracker.reserve("node", 5, 10, "transport", owner="t1")
-        assert tracker.busy_at("node", 7).owner == "t1"
-        assert tracker.busy_at("node", 12) is None
+        assert tracker.intervals("node")[0].owner == "t1"
         assert len(tracker.intervals("node")) == 1
         assert tracker.resources() == ["node"]
 

@@ -72,7 +72,7 @@ class TestGreedyPlacer:
         grid = ConnectionGrid(4, 4)
         result = GreedyPlacer(grid).place(["m1", "m2"], [task(1, "m1", "m2")])
         assert result.cost >= 1
-        assert result.node_of("m1") in grid.nodes()
+        assert result.placement["m1"] in grid.nodes()
 
     def test_placement_without_tasks_still_works(self):
         result = GreedyPlacer(ConnectionGrid(3, 3)).place(["m1", "m2"], [])

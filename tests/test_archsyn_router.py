@@ -63,7 +63,7 @@ class TestSynthesizeTasks:
         arch = synthesizer.synthesize_tasks([storage_task("a->b", "m1", "m1", 0, 60)], ["m1", "m2"])
         assert arch.validate() == []
         routed = arch.routed_tasks[0]
-        assert routed.task.is_eviction
+        assert routed.task.source_device == routed.task.target_device
         assert routed.storage_edge is not None
 
     def test_simultaneous_tasks_use_disjoint_resources(self):

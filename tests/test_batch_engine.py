@@ -21,6 +21,8 @@ from repro.obs.trace import TraceRecorder, install_recorder, uninstall_recorder
 from repro.synthesis.config import FlowConfig
 from repro.synthesis.pipeline import ScheduleStage
 
+from batch_summary import deterministic_summary
+
 
 def fast_jobs(names):
     """Table 2 jobs with the fast experiment settings (list scheduler)."""
@@ -49,7 +51,7 @@ class TestEngine:
         serial_report = serial.run(fast_jobs(PAPER_ASSAY_ORDER))
         parallel_report = parallel.run(fast_jobs(PAPER_ASSAY_ORDER))
         assert [o.job_id for o in parallel_report] == PAPER_ASSAY_ORDER
-        assert parallel_report.deterministic_summary() == serial_report.deterministic_summary()
+        assert deterministic_summary(parallel_report) == deterministic_summary(serial_report)
 
     def test_warm_cache_run_invokes_zero_solvers(self, stage_runs):
         """Acceptance: a second run of the same jobs never runs a stage."""
@@ -63,7 +65,7 @@ class TestEngine:
         assert stage_runs == cold_invocations  # zero new solver runs
         assert warm.num_cache_hits == 2
         assert warm.num_executed == 0
-        assert warm.deterministic_summary() == cold.deterministic_summary()
+        assert deterministic_summary(warm) == deterministic_summary(cold)
         # cache_stats is a per-batch delta, not the cache's lifetime counters.
         # The warm run is resolved entirely from the assembled-result tier:
         # one memory hit per job, not a single stage lookup.
@@ -114,7 +116,7 @@ class TestEngine:
         assert outcome.error
         with pytest.raises(ValueError, match="bad-ivd"):
             outcome.metrics()
-        assert "FAILED" in report.deterministic_summary()
+        assert "FAILED" in deterministic_summary(report)
         assert "FAILED" in format_batch_report(report)
 
     def test_failed_jobs_are_memoized_without_poisoning_results(self, monkeypatch):
@@ -244,7 +246,7 @@ class TestEngine:
                 )
             ]
         )
-        assert single.deterministic_summary() == report.deterministic_summary()
+        assert deterministic_summary(single) == deterministic_summary(report)
 
     def test_run_one_hands_the_warm_hint_to_the_schedule_stage(self, monkeypatch):
         seen = []

@@ -29,13 +29,12 @@ class TestChannelSegment:
         with pytest.raises(ValueError):
             ChannelSegment("s", ("a", "b"), length_units=0)
 
-    def test_reserve_and_query(self):
+    def test_reserve_records_the_interval(self):
         segment = make_segment()
         sample = FluidSample("x", "o1", "o2")
         segment.reserve(10, 20, "storage", sample)
-        assert segment.stored_sample_at(15) == sample
-        assert segment.stored_sample_at(25) is None
-        assert segment.reservation_at(10).purpose == "storage"
+        assert [(iv.start, iv.end, iv.purpose, iv.sample) for iv in segment.reservations] == [
+            (10, 20, "storage", sample)]
 
     def test_overlapping_reservations_rejected(self):
         segment = make_segment()
@@ -47,7 +46,7 @@ class TestChannelSegment:
         segment = make_segment()
         segment.reserve(0, 10, "transport", FluidSample("a", "o1", "o2"))
         segment.reserve(0, 10, "transport", FluidSample("b", "o1", "o3"))
-        assert segment.transport_count() == 2
+        assert len(segment.reservations) == 2
 
     def test_storage_never_shares(self):
         segment = make_segment()
@@ -78,14 +77,6 @@ class TestChannelSegment:
         segment.reserve(20, 50, "storage")
         assert segment.busy_time() == 40
         assert segment.storage_time() == 30
-        assert segment.transport_count() == 1
-
-    def test_other_endpoint(self):
-        segment = make_segment()
-        assert segment.other_endpoint("a") == "b"
-        assert segment.other_endpoint("b") == "a"
-        with pytest.raises(KeyError):
-            segment.other_endpoint("c")
 
 
 @settings(max_examples=30, deadline=None)

@@ -57,7 +57,3 @@ class TestDeviceLibrary:
         assert len(list(library)) == 3
         assert len(library) == 3
 
-    def test_total_internal_valves(self):
-        library = default_device_library(num_mixers=2)
-        assert library.total_internal_valves() == 18
-

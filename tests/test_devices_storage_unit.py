@@ -50,7 +50,6 @@ class TestStorageUnitTiming:
         assert first.queueing_delay == 0
         assert second.queueing_delay == 10
         assert unit.total_queueing_delay() == 10
-        assert unit.max_queueing_delay() == 10
 
     def test_two_ports_serve_in_parallel(self):
         unit = DedicatedStorageUnit(num_cells=4, num_ports=2, access_time=10)
@@ -75,13 +74,8 @@ class TestStorageUnitTiming:
         unit.store(sample(2), 0)
         unit.fetch("s1", 10)
         assert unit.peak_occupancy == 2
-        assert unit.store_count() == 2
-        assert unit.fetch_count() == 1
+        assert [a.kind for a in unit.accesses] == ["store", "store", "fetch"]
 
     def test_invalid_access_time(self):
         with pytest.raises(ValueError):
             DedicatedStorageUnit(access_time=0)
-
-    def test_valve_count_property(self):
-        unit = DedicatedStorageUnit(num_cells=8)
-        assert unit.valve_count == storage_unit_valve_count(8)

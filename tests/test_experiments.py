@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.common import ExperimentSettings, assay_names, assay_result, clear_result_cache
+from repro.experiments.common import ExperimentSettings, assay_names, assay_result, result_cache
 from repro.experiments.table2 import PAPER_TABLE2, format_table2, run_table2
 from repro.experiments.fig8 import run_fig8
 from repro.experiments.fig9 import run_fig9
@@ -23,7 +23,7 @@ class TestCommon:
         first = assay_result("PCR", SMALL)
         second = assay_result("PCR", SMALL)
         assert first is second
-        clear_result_cache()
+        result_cache().clear()
         third = assay_result("PCR", SMALL)
         assert third is not first
 
@@ -59,7 +59,7 @@ class TestFig8:
         points = run_fig8(SMALL)
         assert len(points) == 3
         for point in points:
-            assert point.is_reduced()
+            assert point.edge_ratio < 1.0 and point.valve_ratio < 1.0
             assert point.used_edges <= point.grid_edges
             assert point.used_valves <= point.grid_valves
 

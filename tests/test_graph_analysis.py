@@ -1,19 +1,17 @@
-"""Tests of ASAP/ALAP/critical-path analysis."""
+"""Tests of ASAP/critical-path analysis."""
 
-import pytest
-
+from repro.devices.device import default_device_library
 from repro.graph.analysis import (
-    alap_times,
     analyze,
     asap_times,
-    critical_path,
     critical_path_length,
     max_parallelism,
 )
 from repro.graph.library import build_pcr
+from repro.scheduling.ilp_scheduler import schedule_lower_bound
 
 
-class TestAsapAlap:
+class TestAsap:
     def test_chain_asap_accumulates_durations(self, chain_graph):
         start = asap_times(chain_graph)
         assert start["o1"] == 0
@@ -28,26 +26,8 @@ class TestAsapAlap:
         assert start["o2"] == start["o3"] == 60
         assert start["o4"] == 120
 
-    def test_alap_respects_deadline(self, chain_graph):
-        deadline = critical_path_length(chain_graph)
-        latest = alap_times(chain_graph, deadline)
-        earliest = asap_times(chain_graph)
-        # On the critical path (the whole chain) ASAP == ALAP.
-        for op_id in ("o1", "o3", "o5"):
-            assert latest[op_id] == earliest[op_id]
-
-    def test_alap_slack_with_relaxed_deadline(self, chain_graph):
-        deadline = critical_path_length(chain_graph) + 100
-        latest = alap_times(chain_graph, deadline)
-        assert latest["o5"] == deadline - 30
-
 
 class TestCriticalPath:
-    def test_chain_critical_path_is_whole_chain(self, chain_graph):
-        path = critical_path(chain_graph)
-        assert path[-1] == "o5"
-        assert len(path) >= 5
-
     def test_length_lower_bounds_pcr(self):
         pcr = build_pcr(mix_time=90)
         assert critical_path_length(pcr) == 270
@@ -73,9 +53,11 @@ class TestParallelismAndSummary:
         assert summary.total_work == 240
         assert summary.critical_path_length == 180
 
-    def test_lower_bound_execution_time(self, diamond_graph):
-        summary = analyze(diamond_graph)
-        assert summary.lower_bound_execution_time(1) == 240
-        assert summary.lower_bound_execution_time(2) == 180
-        with pytest.raises(ValueError):
-            summary.lower_bound_execution_time(0)
+    def test_certified_lower_bound(self, diamond_graph):
+        # One mixer serializes all 240 s of work; two mixers leave the
+        # 180 s critical path (interchangeable mixers: no certain transport).
+        for num_mixers, bound in ((1, 240), (2, 180)):
+            library = default_device_library(num_mixers=num_mixers)
+            compatible = {op.op_id: library.devices_for(op.kind)
+                          for op in diamond_graph.device_operations()}
+            assert schedule_lower_bound(diamond_graph, compatible, 10) == (bound, 0)

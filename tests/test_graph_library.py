@@ -9,7 +9,6 @@ from repro.graph.library import (
     build_cpa,
     build_ivd,
     build_pcr,
-    build_protein_split,
 )
 from repro.graph.sequencing_graph import OperationType
 from repro.graph.validation import validate_graph
@@ -21,7 +20,7 @@ class TestPcr:
         assert len(pcr.device_operations()) == 7
         assert len(pcr.input_operations()) == 8
         # o7 is the root of the reduction tree.
-        assert pcr.sinks() == ["o7"]
+        assert [op.op_id for op in pcr.operations() if not pcr.successors(op.op_id)] == ["o7"]
         assert set(pcr.predecessors("o7")) == {"o5", "o6"}
 
     def test_every_mix_has_two_inputs(self):
@@ -77,16 +76,6 @@ class TestCpa:
 
     def test_valid(self):
         assert validate_graph(build_cpa(), require_inputs=True) == []
-
-
-class TestProteinSplit:
-    def test_exponential_growth(self):
-        graph = build_protein_split(levels=3)
-        assert len(graph.device_operations()) == 2 + 4 + 8
-
-    def test_invalid_levels(self):
-        with pytest.raises(ValueError):
-            build_protein_split(levels=0)
 
 
 class TestAssayRegistry:

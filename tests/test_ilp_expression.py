@@ -38,12 +38,6 @@ class TestVariable:
         var.value = 0.0
         assert var.as_bool() is False
 
-    def test_identity_helper(self):
-        a = Variable("a")
-        b = Variable("a")
-        assert a.is_(a)
-        assert not a.is_(b)
-
 
 class TestLinExpr:
     def test_addition_of_variables(self):
@@ -56,7 +50,7 @@ class TestLinExpr:
     def test_subtraction_cancels_terms(self):
         x = Variable("x")
         expr = (x + 5) - x
-        assert expr.is_constant()
+        assert not expr.terms
         assert expr.constant == 5
 
     def test_scalar_multiplication(self):
@@ -99,7 +93,7 @@ class TestLinExpr:
 
     def test_coerce_number(self):
         expr = LinExpr.coerce(7)
-        assert expr.is_constant()
+        assert not expr.terms
         assert expr.constant == 7
 
     def test_coerce_rejects_strings(self):
@@ -115,7 +109,7 @@ class TestLinExpr:
 class TestLinSum:
     def test_empty_sum(self):
         expr = lin_sum([])
-        assert expr.is_constant()
+        assert not expr.terms
         assert expr.constant == 0
 
     def test_mixed_sum(self):

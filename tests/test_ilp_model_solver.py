@@ -4,7 +4,6 @@ import pytest
 
 from repro.ilp import Model, ObjectiveSense, SolverOptions, SolverStatus
 from repro.ilp.expression import lin_sum
-from repro.ilp.model import weighted_objective
 
 
 class TestModelConstruction:
@@ -37,12 +36,12 @@ class TestModelConstruction:
         with pytest.raises(ValueError):
             model.add_constraint(LinExpr.constant_expr(5) <= 0)
 
-    def test_get_and_has_var(self):
+    def test_get_var(self):
         model = Model()
         x = model.add_var("x")
-        assert model.has_var("x")
         assert model.get_var("x") is x
-        assert not model.has_var("y")
+        with pytest.raises(KeyError):
+            model.get_var("y")
 
 
 class TestSolve:
@@ -224,14 +223,3 @@ class TestLimitStatusMapping:
         assert result.status is SolverStatus.INFEASIBLE
         assert [options["presolve"] for options in calls] == [True, False]
         assert 0.0 <= calls[1]["time_limit"] <= 5.0
-
-
-class TestWeightedObjective:
-    def test_weighted_objective_combines_terms(self):
-        model = Model()
-        x = model.add_continuous("x", low=1, up=1)
-        y = model.add_continuous("y", low=2, up=2)
-        objective = weighted_objective([(100.0, x), (1.0, y)])
-        model.minimize(objective)
-        model.solve()
-        assert model.objective_value() == pytest.approx(102.0)

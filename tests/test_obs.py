@@ -82,7 +82,6 @@ class TestRecorder:
         assert spans["inner"].attributes == {"stage": "schedule"}
         # Inner closed before outer: completion order, both closed.
         assert all(s.end_s is not None for s in spans.values())
-        assert rec.open_spans == 0
 
     def test_set_attaches_attributes_after_opening(self, rec):
         with span("s", category="solver") as s:
@@ -228,7 +227,7 @@ class TestMetrics:
         registry = MetricsRegistry()
         depth = registry.gauge("depth", "Depth.")
         depth.set(4, state="queued")
-        depth.dec(3, state="queued")
+        depth.inc(-3, state="queued")
         depth.inc(state="queued")
         assert depth.value(state="queued") == 2
 

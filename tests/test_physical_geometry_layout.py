@@ -8,10 +8,8 @@ from repro.physical.layout import ChannelShape, PhysicalLayout, layout_from_arch
 
 
 class TestGeometry:
-    def test_point_translation_and_distance(self):
-        point = Point(1, 2).translated(2, 3)
-        assert point == Point(3, 5)
-        assert point.manhattan_distance(Point(0, 0)) == 8
+    def test_point_distance(self):
+        assert Point(3, 5).manhattan_distance(Point(0, 0)) == 8
 
     def test_rect_properties(self):
         rect = Rect(1, 1, 4, 2)
@@ -30,10 +28,6 @@ class TestGeometry:
         c = Rect(4, 0, 2, 2)
         assert a.intersects(b)
         assert not a.intersects(c)
-
-    def test_rect_contains_point(self):
-        assert Rect(0, 0, 2, 2).contains_point(Point(1, 1))
-        assert not Rect(0, 0, 2, 2).contains_point(Point(3, 1))
 
     def test_bounding_of_rects(self):
         box = Rect.bounding([Rect(0, 0, 1, 1), Rect(4, 4, 2, 2)])

@@ -26,6 +26,12 @@ from repro.graph.generators import RandomAssayConfig, random_assay
 from repro.scheduling.list_scheduler import ListScheduler
 
 
+def edge_distance_to_node(grid, eid, node_id):
+    """Distance from an edge (min over its endpoints) to a node."""
+    a, b = grid.edge_endpoints(eid)
+    return min(grid.manhattan(a, node_id), grid.manhattan(b, node_id))
+
+
 def reference_candidates(synthesizer, grid, source, target, device_nodes, used_edges):
     """The full-sort storage-candidate order, every term recomputed per edge."""
 
@@ -33,8 +39,8 @@ def reference_candidates(synthesizer, grid, source, target, device_nodes, used_e
         a, b = grid.edge_endpoints(eid)
         touches_device = 1 if (a in device_nodes or b in device_nodes) else 0
         already_used = 0 if eid in used_edges else 1
-        to_target = grid.edge_distance_to_node(eid, target)
-        to_source = grid.edge_distance_to_node(eid, source)
+        to_target = edge_distance_to_node(grid, eid, target)
+        to_source = edge_distance_to_node(grid, eid, source)
         return (touches_device, already_used, to_target, to_source,
                 synthesizer._tiebreak(a, b), (a, b))
 

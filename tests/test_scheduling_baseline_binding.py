@@ -5,7 +5,7 @@ The Fig. 9 baseline is the flow with the storage term off:
 it.  No test here needs scipy: the ILP runs on the default backend.
 """
 
-from repro.scheduling.binding import binding_summary, device_utilization, operations_per_device
+from repro.scheduling.binding import binding_summary, device_utilization
 from repro.scheduling.ilp_scheduler import IlpScheduler
 from repro.scheduling.list_scheduler import ListScheduler
 from repro.synthesis.config import FlowConfig, SchedulerEngine
@@ -65,8 +65,3 @@ class TestBindingAnalysis:
         lines = binding_summary(pcr_schedule)
         assert len(lines) == 2
         assert any("mixer1" in line for line in lines)
-
-    def test_operations_per_device_partition(self, pcr_schedule):
-        mapping = operations_per_device(pcr_schedule)
-        all_ops = [op for ops in mapping.values() for op in ops]
-        assert sorted(all_ops) == sorted(op.op_id for op in pcr_schedule.graph.device_operations())

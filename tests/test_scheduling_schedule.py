@@ -77,11 +77,6 @@ class TestScheduleQueries:
         fill_valid(empty_schedule)
         assert empty_schedule.devices_used() == ["mixer1", "mixer2"]
 
-    def test_is_complete(self, empty_schedule):
-        assert not empty_schedule.is_complete()
-        fill_valid(empty_schedule)
-        assert empty_schedule.is_complete()
-
     def test_as_table(self, empty_schedule):
         fill_valid(empty_schedule)
         rows = empty_schedule.as_table()

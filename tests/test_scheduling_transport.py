@@ -43,7 +43,6 @@ class TestTransportTaskModel:
         task = TransportTask("t", sample, "m1", "m1", 0, 50, True, 30)
         assert task.window == (0, 50)
         assert task.duration == 50
-        assert task.is_eviction
 
 
 class TestExtraction:
@@ -82,7 +81,7 @@ class TestExtraction:
         tasks = {t.task_id: t for t in extract_transport_tasks(sched)}
         # o2 ran on mixer1 between o1 and nothing consuming o1 on mixer1, so no
         # eviction exists for this graph; confirm only cross-device tasks appear.
-        assert all(not t.is_eviction for t in tasks.values())
+        assert all(t.source_device != t.target_device for t in tasks.values())
 
     def test_tasks_sorted_by_departure(self, schedule):
         tasks = extract_transport_tasks(schedule)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterator, List, Set
+from typing import Dict, Iterator, List
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from src_ast import SRC, exported, read_names
 
 
 def _module_imports(tree: ast.Module) -> Iterator[ast.stmt]:
@@ -46,49 +46,10 @@ def _bound_names(node: ast.stmt) -> Dict[str, int]:
     return bound
 
 
-def _annotation_names(annotation: ast.AST) -> Set[str]:
-    """Names read by an annotation, looking inside quoted ones too."""
-    names = set()
-    for node in ast.walk(annotation):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            try:
-                names |= _annotation_names(ast.parse(node.value, mode="eval"))
-            except SyntaxError:
-                pass
-    return names
-
-
-def _read_names(tree: ast.Module) -> Set[str]:
-    """Every name the module reads, quoted annotations included."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.arg) and node.annotation is not None:
-            names |= _annotation_names(node.annotation)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
-            names |= _annotation_names(node.returns)
-        elif isinstance(node, ast.AnnAssign):
-            names |= _annotation_names(node.annotation)
-    return names
-
-
-def _exported(tree: ast.Module) -> Set[str]:
-    """The string entries of a literal module-level ``__all__``."""
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            getattr(target, "id", None) == "__all__" for target in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
 def unused_imports(path: Path) -> List[str]:
     """``name (line N)`` for each module-level import ``path`` never reads."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    read = _read_names(tree) | _exported(tree)
+    read = read_names(tree) | exported(tree)
     unused = []
     for node in _module_imports(tree):
         for name, line in _bound_names(node).items():

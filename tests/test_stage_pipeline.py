@@ -25,11 +25,14 @@ from repro.ilp import HighsBackend, SolverLimitError, SolverStatus
 from repro.ilp.backends import DEFAULT_BACKEND
 from repro.synthesis.config import RUNTIME_ADVICE_FIELDS, FlowConfig, SchedulerEngine
 from repro.synthesis.pipeline import (
+    DEFAULT_STAGES,
+    VERIFY_STAGE,
     ArchSynthStage,
     SynthesisPipeline,
-    covered_config_fields,
     graph_fingerprint,
 )
+
+from batch_summary import deterministic_summary
 
 
 #: A registered backend other than the default, whichever that is.
@@ -39,6 +42,14 @@ OTHER_BACKEND = "branch-and-bound" if DEFAULT_BACKEND == "highs" else "highs"
 def fast_config(**overrides) -> FlowConfig:
     """A solver-free configuration (list scheduler, heuristic synthesis)."""
     return FlowConfig(num_mixers=2, ilp_operation_limit=0, **overrides)
+
+
+def covered_config_fields() -> set:
+    """Union of every stage's config slice, the verify stage's included."""
+    covered: set = set()
+    for stage in DEFAULT_STAGES + (VERIFY_STAGE,):
+        covered.update(stage.config_fields)
+    return covered
 
 
 def plan_keys(config: FlowConfig, graph=None):
@@ -249,7 +260,7 @@ class TestParallelStageGranularity:
         )
         serial = BatchSynthesisEngine(max_workers=1, cache=ResultCache()).run(jobs())
         parallel = BatchSynthesisEngine(max_workers=3, cache=ResultCache()).run(jobs())
-        assert serial.deterministic_summary() == parallel.deterministic_summary()
+        assert deterministic_summary(serial) == deterministic_summary(parallel)
         for s_out, p_out in zip(serial, parallel):
             assert [e.key for e in s_out.stages] == [e.key for e in p_out.stages]
             s_res, p_res = s_out.result, p_out.result

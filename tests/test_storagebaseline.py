@@ -16,7 +16,6 @@ class TestRetiming:
     def test_makespan_never_shrinks(self, pcr_schedule):
         retimed = DedicatedStorageRetiming().retime(pcr_schedule)
         assert retimed.makespan >= pcr_schedule.makespan
-        assert retimed.slowdown >= 1.0
 
     def test_all_operations_retimed(self, pcr_schedule):
         retimed = DedicatedStorageRetiming().retime(pcr_schedule)
@@ -29,8 +28,8 @@ class TestRetiming:
         retimed = DedicatedStorageRetiming().retime(pcr_schedule)
         storing = [t for t in extract_transport_tasks(pcr_schedule) if t.needs_storage]
         assert retimed.stored_samples == len(storing)
-        assert retimed.storage_unit.store_count() == len(storing)
-        assert retimed.storage_unit.fetch_count() == len(storing)
+        kinds = [access.kind for access in retimed.storage_unit.accesses]
+        assert kinds.count("store") == kinds.count("fetch") == len(storing)
 
     def test_more_ports_never_slower(self, ra_result):
         schedule = ra_result.schedule

@@ -38,7 +38,6 @@ class TestSynthesizeEndToEnd:
         assert pcr_result.schedule.validate() == []
         assert pcr_result.architecture.validate() == []
         assert pcr_result.execution_time == pcr_result.schedule.makespan
-        assert pcr_result.total_runtime_s >= 0.0
         assert pcr_result.scheduler_engine in ("ilp", "list")
         assert pcr_result.synthesis_engine == "heuristic"
 

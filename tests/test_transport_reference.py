@@ -173,7 +173,7 @@ HAND_BUILT = {
 def test_matches_rescan_reference_on_hand_built_schedules(case):
     edges, assignments, evictions = HAND_BUILT[case]
     tasks = assert_matches_reference(hand_built(edges, assignments))
-    assert {t.task_id for t in tasks if t.is_eviction} == evictions
+    assert {t.task_id for t in tasks if t.source_device == t.target_device} == evictions
 
 
 @settings(max_examples=150, deadline=None)

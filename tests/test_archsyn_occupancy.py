@@ -52,6 +52,20 @@ class TestOccupancyTracker:
         with pytest.raises(ValueError):
             tracker.reserve("edge", 0, 10, "transport", owner="c", group="o2")
 
+    def test_group_sharing_only_for_transport(self):
+        tracker = OccupancyTracker()
+        # Without a group, overlapping transports conflict.
+        tracker.reserve("edge", 0, 10, "transport", owner="a")
+        with pytest.raises(ValueError):
+            tracker.reserve("edge", 0, 10, "transport", owner="b")
+        # Storage never shares, not even within one group.
+        tracker.reserve("cell", 0, 10, "storage", owner="a", group="o1")
+        with pytest.raises(ValueError):
+            tracker.reserve("cell", 5, 8, "storage", owner="b", group="o1")
+        tracker.reserve("leg", 0, 10, "transport", owner="a", group="o1")
+        with pytest.raises(ValueError):
+            tracker.reserve("leg", 5, 8, "storage", owner="b", group="o1")
+
     def test_storage_not_shared_within_group(self):
         tracker = OccupancyTracker()
         tracker.reserve("edge", 0, 10, "storage", owner="a", group="o1")

@@ -28,6 +28,11 @@ class TestAsap:
 
 
 class TestCriticalPath:
+    def test_chain_critical_path_is_whole_chain(self, chain_graph):
+        # Every operation of a chain is on its critical path.
+        last = asap_times(chain_graph)["o5"] + chain_graph.operation("o5").duration
+        assert critical_path_length(chain_graph) == last == 5 * 30
+
     def test_length_lower_bounds_pcr(self):
         pcr = build_pcr(mix_time=90)
         assert critical_path_length(pcr) == 270

@@ -158,6 +158,16 @@ def limit_model():
     return model, x
 
 
+class TestWeightedObjective:
+    def test_weighted_objective_combines_terms(self):
+        model = Model()
+        x = model.add_continuous("x", low=1, up=1)
+        y = model.add_continuous("y", low=2, up=2)
+        model.minimize(100.0 * x + 1.0 * y)
+        model.solve()
+        assert model.objective_value() == pytest.approx(102.0)
+
+
 class TestLimitStatusMapping:
     """Regression tests for the scipy status-code-1 mapping.
 

@@ -32,6 +32,14 @@ def edge_distance_to_node(grid, eid, node_id):
     return min(grid.manhattan(a, node_id), grid.manhattan(b, node_id))
 
 
+def test_edge_distance_to_node():
+    grid = ConnectionGrid(3, 3)
+    eid = edge_id("n0_0", "n0_1")
+    assert edge_distance_to_node(grid, eid, "n0_0") == 0
+    assert edge_distance_to_node(grid, eid, "n0_1") == 0
+    assert edge_distance_to_node(grid, eid, "n2_2") == 3
+
+
 def reference_candidates(synthesizer, grid, source, target, device_nodes, used_edges):
     """The full-sort storage-candidate order, every term recomputed per edge."""
 

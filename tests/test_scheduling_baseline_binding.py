@@ -65,3 +65,8 @@ class TestBindingAnalysis:
         lines = binding_summary(pcr_schedule)
         assert len(lines) == 2
         assert any("mixer1" in line for line in lines)
+
+    def test_operations_per_device_partition(self, pcr_schedule):
+        bound = [e.op_id for device_id in pcr_schedule.devices_used()
+                 for e in pcr_schedule.device_entries(device_id)]
+        assert sorted(bound) == sorted(op.op_id for op in pcr_schedule.graph.device_operations())

@@ -77,6 +77,12 @@ class TestScheduleQueries:
         fill_valid(empty_schedule)
         assert empty_schedule.devices_used() == ["mixer1", "mixer2"]
 
+    def test_is_complete(self, empty_schedule):
+        unscheduled = sorted(p.split("'")[1] for p in empty_schedule.validate())
+        assert unscheduled == ["o1", "o2", "o3", "o4"]
+        fill_valid(empty_schedule)
+        assert empty_schedule.validate() == []
+
     def test_as_table(self, empty_schedule):
         fill_valid(empty_schedule)
         rows = empty_schedule.as_table()

@@ -19,8 +19,11 @@ failure does.
 from __future__ import annotations
 
 import ast
+import functools
 from pathlib import Path
-from typing import Iterator, List, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
+
+import pytest
 
 from src_ast import ROOT, SRC, all_assignment, read_names
 
@@ -65,13 +68,18 @@ def _reads(tree: ast.Module) -> Set[str]:
     return names
 
 
-def unread_definitions(src: Path, readers: List[Path]) -> List[str]:
-    """Qualified names of the definitions under ``src`` that no file under
-    ``readers`` reads, each as ``qualname (path:line)``."""
+def names_read(readers: List[Path]) -> Set[str]:
+    """Every name that some ``*.py`` file under ``readers`` reads."""
     read: Set[str] = set()
     for directory in readers:
         for path in sorted(directory.rglob("*.py")):
             read |= _reads(ast.parse(path.read_text(), filename=str(path)))
+    return read
+
+
+def unread_definitions(src: Path, read: Set[str]) -> List[str]:
+    """Qualified names of the definitions under ``src`` whose name is not in
+    ``read``, each as ``qualname (path:line)``."""
     unread = []
     for path in sorted(src.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -81,8 +89,48 @@ def unread_definitions(src: Path, readers: List[Path]) -> List[str]:
     return unread
 
 
+@functools.lru_cache(maxsize=None)
+def _repo_reads() -> frozenset:
+    return frozenset(names_read([ROOT / name for name in READERS]))
+
+
 def _repo_unread() -> List[str]:
-    return unread_definitions(SRC, [ROOT / name for name in READERS])
+    return unread_definitions(SRC, _repo_reads())
+
+
+def _with_stub(source: str, owner: Optional[str], name: str) -> str:
+    """``source`` with a method ``name`` added at the end of class ``owner``,
+    or with a module-level function ``name`` when ``owner`` is ``None``."""
+    if owner is None:
+        return source + f"\n\ndef {name}():\n    return None\n"
+    lines = source.splitlines(keepends=True)
+    tree = ast.parse(source)
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == owner]
+    stub = f"\n    def {name}(self):\n        return None\n"
+    return "".join(lines[:cls.end_lineno] + [stub] + lines[cls.end_lineno:])
+
+
+#: Definitions that were deleted because only tests read them, one from
+#: each of 14 modules, as ``(module under src/repro, owning class or None,
+#: name)``.  Nothing in the program reads these names, so putting any of
+#: them back fails the guard.
+DELETED = [
+    ("archsyn/occupancy.py", "Interval", "shares_group_with"),
+    ("archsyn/grid.py", "ConnectionGrid", "edge_distance_to_node"),
+    ("devices/channel.py", "ChannelSegment", "other_endpoint"),
+    ("devices/storage.py", "DedicatedStorageUnit", "max_queueing_delay"),
+    ("graph/sequencing_graph.py", "SequencingGraph", "total_duration"),
+    ("graph/library.py", None, "build_protein_split"),
+    ("ilp/model.py", None, "weighted_objective"),
+    ("ilp/expression.py", "Variable", "is_"),
+    ("obs/trace.py", "TraceRecorder", "open_spans"),
+    ("obs/metrics.py", "Gauge", "dec"),
+    ("physical/geometry.py", "Rect", "contains_point"),
+    ("scheduling/schedule.py", "Schedule", "is_complete"),
+    ("scheduling/transport.py", "TransportTask", "is_eviction"),
+    ("synthesis/flow.py", "SynthesisResult", "total_runtime_s"),
+]
 
 
 def test_the_scan_flags_a_definition_only_tests_read(tmp_path):
@@ -118,11 +166,26 @@ def test_the_scan_flags_a_definition_only_tests_read(tmp_path):
     (perfbench / "layers.py").write_text(
         "WRAPPED = (('pkg.mod', 'Widget', 'wrapped'), 'pkg.mod.Widget.run')\n"
     )
-    found = unread_definitions(tmp_path / "src", [tmp_path / "src", perfbench])
+    found = unread_definitions(tmp_path / "src", names_read([tmp_path / "src", perfbench]))
     assert found == [
         "Widget.tested_only (pkg/mod.py:6)",
         "reexported (pkg/mod.py:11)",
     ]
+
+
+@pytest.mark.parametrize(
+    "module, owner, name", DELETED,
+    ids=[f"{owner}.{name}" if owner else name for _, owner, name in DELETED],
+)
+def test_putting_back_a_deleted_definition_fails_the_guard(tmp_path, module, owner, name):
+    restored = tmp_path / "repro" / module
+    restored.parent.mkdir(parents=True)
+    restored.write_text(_with_stub((SRC / "repro" / module).read_text(), owner, name))
+    found = [entry.split(" ")[0] for entry in unread_definitions(tmp_path, _repo_reads())]
+    assert found == [f"{owner}.{name}" if owner else name], (
+        f"{name!r} is read somewhere in the program now, so this case no "
+        "longer shows the guard at work; pick another deleted definition"
+    )
 
 
 def test_the_scan_sees_the_source_tree():

@@ -8,7 +8,6 @@ fluid is an input of its child (Section 1, Fig. 2(a) of the paper).
 This package provides:
 
 * :class:`Operation` and :class:`SequencingGraph` — the core data model;
-* :mod:`repro.graph.analysis` — ASAP times, critical-path length, width;
 * :mod:`repro.graph.generators` — the seeded random assay generator used for
   the RA30/RA70/RA100 test cases;
 * :mod:`repro.graph.library` — the real-world assays (PCR, IVD, CPA);
@@ -16,13 +15,6 @@ This package provides:
 """
 
 from repro.graph.sequencing_graph import Operation, OperationType, SequencingGraph
-from repro.graph.analysis import (
-    GraphAnalysis,
-    analyze,
-    asap_times,
-    critical_path_length,
-    max_parallelism,
-)
 from repro.graph.generators import RandomAssayConfig, random_assay
 from repro.graph.library import (
     build_pcr,
@@ -38,11 +30,6 @@ __all__ = [
     "Operation",
     "OperationType",
     "SequencingGraph",
-    "GraphAnalysis",
-    "analyze",
-    "asap_times",
-    "critical_path_length",
-    "max_parallelism",
     "RandomAssayConfig",
     "random_assay",
     "build_pcr",

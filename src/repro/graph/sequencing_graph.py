@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 
 class OperationType(enum.Enum):
@@ -182,10 +182,6 @@ class SequencingGraph:
         if len(order) != len(self._operations):
             raise ValueError(f"sequencing graph {self.name!r} contains a cycle")
         return order
-
-    def iter_topological(self) -> Iterator[Operation]:
-        for op_id in self.topological_order():
-            yield self._operations[op_id]
 
     def ancestors(self, op_id: str) -> Set[str]:
         result: Set[str] = set()

@@ -43,8 +43,10 @@ class SolverBackend(abc.ABC):
 
     Subclasses set :attr:`name` (the backend's key and the value reported in
     :attr:`repro.ilp.SolveResult.backend_name`) and implement :meth:`solve`.
-    Backends must be stateless across solves — one shared instance serves
-    every thread and every model — and must populate each variable's
+    Backends keep no per-solve state — one shared instance serves every
+    thread and every model; what one may remember is a fact about its
+    environment, such as an option its solver build lacks — and must
+    populate each variable's
     ``.value`` on a feasible outcome, exactly like the historical
     ``solve_model`` contract.
     """
@@ -63,12 +65,16 @@ class SolverBackend(abc.ABC):
         return True
 
     @abc.abstractmethod
-    def solve(self, model: "Model", options: Optional["SolverOptions"] = None) -> "SolveResult":
+    def solve(self, model: "Model", options: Optional["SolverOptions"] = None, *,
+              warm_verified: bool = False) -> "SolveResult":
         """Solve ``model`` under ``options`` and return a stamped result.
 
         Implementations must set ``backend_name`` on the result to
         :attr:`name` and fill variable ``.value`` attributes when the
         outcome is feasible (clearing them to ``None`` otherwise).
+        ``warm_verified`` is ``True`` when :func:`repro.ilp.solve_model`
+        has checked that ``options.warm_start`` is a feasible point of
+        ``model``; a backend may rely on it or check the point itself.
         """
 
     def __repr__(self) -> str:

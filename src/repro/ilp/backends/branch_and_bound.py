@@ -321,8 +321,12 @@ class BranchAndBoundBackend(SolverBackend):
         return float(np.dot(c, x)), x
 
     # ------------------------------------------------------------------ solve
-    def solve(self, model: Model, options=None):
-        """Solve ``model`` exactly (small instances) or best-effort at limits."""
+    def solve(self, model: Model, options=None, *, warm_verified: bool = False):
+        """Solve ``model`` exactly (small instances) or best-effort at limits.
+
+        The warm start is checked here whether or not ``warm_verified``
+        says so: the search needs its column vector either way.
+        """
         with obs_span("bb:search", category="solver") as bb_span:
             return self._solve_in_span(model, options, bb_span)
 
@@ -513,20 +517,12 @@ class BranchAndBoundBackend(SolverBackend):
                 best = warm
 
         elapsed = time.perf_counter() - start
-        values: Dict[str, float] = {}
         objective_value: Optional[float] = None
         if best is not None and status in (SolverStatus.OPTIMAL, SolverStatus.FEASIBLE):
-            _, x = best
-            for var in model.variables:
-                raw = float(x[var.index])
-                if var.kind in ("integer", "binary"):
-                    raw = float(round(raw))
-                var.value = raw
-                values[var.name] = raw
+            values = model.fill(best[1])
             objective_value = float(model.objective_value()) if model.objective else 0.0
         else:
-            for var in model.variables:
-                var.value = None
+            values = model.fill(None)
 
         mip_gap: Optional[float] = None
         if status is SolverStatus.OPTIMAL:

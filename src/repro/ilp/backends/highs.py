@@ -20,10 +20,17 @@ from repro.ilp.model import Model, ObjectiveSense
 from repro.ilp.status import SolverStatus
 
 try:  # scipy is an optional extra since the backend refactor
-    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.optimize import Bounds, LinearConstraint
+    from scipy.optimize import milp as _scipy_milp
     from scipy.sparse import csr_array
 except ImportError:  # pragma: no cover - exercised by the scipy-free CI leg
-    Bounds = LinearConstraint = milp = csr_array = None
+    Bounds = LinearConstraint = _scipy_milp = csr_array = None
+try:  # the two halves of scipy's milp, to pass HiGHS options milp does not list
+    from scipy.optimize import OptimizeResult
+    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+    from scipy.optimize._milp import _highs_wrapper, _milp_iv
+except ImportError:  # pragma: no cover - scipy absent, or its milp laid out otherwise
+    _milp_iv = None
 
 _STATUS_BY_CODE = {
     0: SolverStatus.OPTIMAL,
@@ -36,8 +43,48 @@ _STATUS_BY_CODE = {
 #: Tolerance for deciding that a returned value is integral.
 _INTEGRALITY_TOL = 1e-4
 
+#: The options ``scipy.optimize.milp`` documents; any other key goes to HiGHS
+#: verbatim.
+_MILP_OPTIONS = frozenset({"disp", "presolve", "time_limit", "node_limit", "mip_rel_gap"})
 
-def _usable_incumbent(x, model: Model) -> bool:
+#: The HiGHS option that runs its feasibility-jump heuristic, a search for a
+#: first incumbent before the root LP.  A solve that starts from a verified
+#: warm start already has one, so it sets the option to ``False`` (see
+#: :meth:`HighsBackend.solve`).
+_FEASIBILITY_JUMP = "mip_heuristic_run_feasibility_jump"
+
+
+def milp(*, c, constraints, integrality, bounds, options):
+    """``scipy.optimize.milp``, minus its warning on options it does not list.
+
+    scipy's ``milp`` hands such options to HiGHS verbatim, but warns on
+    every call that does (a ``RuntimeWarning``, "Unrecognized options
+    detected").  This runs its two halves itself, the input checks and then
+    the HiGHS call, and adds those options in between.  A HiGHS build that
+    lacks one raises ``AttributeError``.  Where scipy's milp is laid out
+    otherwise, this is scipy's ``milp``.
+    """
+    if _milp_iv is None:
+        return _scipy_milp(c=c, constraints=constraints, integrality=integrality,
+                           bounds=bounds, options=options)
+    documented = {key: value for key, value in options.items() if key in _MILP_OPTIONS}
+    c, integrality, lb, ub, indptr, indices, data, b_l, b_u, highs_options = _milp_iv(
+        c, integrality, bounds, constraints, documented
+    )
+    highs_options.update((key, value) for key, value in options.items()
+                         if key not in _MILP_OPTIONS)
+    raw = _highs_wrapper(c, indptr, indices, data, b_l, b_u, lb, ub, integrality, highs_options)
+    status, message = _highs_to_scipy_status_message(raw.get("status"), raw.get("message"))
+    x = raw.get("x")
+    return OptimizeResult(
+        status=status, message=message, success=status == 0,
+        x=np.array(x) if x is not None else None, fun=raw.get("fun"),
+        mip_node_count=raw.get("mip_node_count"), mip_dual_bound=raw.get("mip_dual_bound"),
+        mip_gap=raw.get("mip_gap"),
+    )
+
+
+def _usable_incumbent(x, integrality: np.ndarray) -> bool:
     """True when ``x`` is a finite solution vector respecting integrality.
 
     scipy's ``milp`` reports status code 1 for *any* iteration or time limit.
@@ -45,19 +92,16 @@ def _usable_incumbent(x, model: Model) -> bool:
     or hold a fractional/non-finite relaxation instead of a true MILP
     incumbent.  Reporting such a vector as ``FEASIBLE`` would push garbage
     start times and bindings into the scheduler, so anything non-finite or
-    non-integral is treated as "no incumbent".
+    non-integral is treated as "no incumbent".  ``integrality`` is the
+    lowered model's (nonzero for an integer or binary variable).
     """
     if x is None:
         return False
     arr = np.asarray(x, dtype=float)
-    if arr.size != len(model.variables) or not np.all(np.isfinite(arr)):
+    if arr.size != integrality.size or not np.all(np.isfinite(arr)):
         return False
-    for var in model.variables:
-        if var.kind in ("integer", "binary"):
-            value = arr[var.index]
-            if abs(value - round(value)) > _INTEGRALITY_TOL:
-                return False
-    return True
+    ints = arr[integrality.astype(bool)]
+    return not np.any(np.abs(ints - np.round(ints)) > _INTEGRALITY_TOL)
 
 
 class HighsBackend(SolverBackend):
@@ -65,12 +109,26 @@ class HighsBackend(SolverBackend):
 
     name = "highs"
 
+    def __init__(self) -> None:
+        #: Whether solves pass ``_FEASIBILITY_JUMP``: ``False`` where scipy's
+        #: milp cannot pass it, and from the first HiGHS build that rejects it.
+        self.takes_feasibility_jump_option = _milp_iv is not None
+
     def is_available(self) -> bool:
         """True when scipy (and therefore ``scipy.optimize.milp``) imported."""
-        return milp is not None
+        return _scipy_milp is not None
 
-    def solve(self, model: Model, options=None):
+    def solve(self, model: Model, options=None, *, warm_verified: bool = False):
         """Solve with HiGHS, filling variable values on a feasible outcome.
+
+        ``warm_verified`` says that ``options.warm_start`` is a feasible
+        point of ``model`` (:func:`repro.ilp.solve_model` checked it).  scipy
+        cannot hand that point to HiGHS, but the solve no longer needs a
+        first incumbent, so HiGHS's feasibility-jump heuristic, whose only
+        job is to find one, is switched off: on the small scheduling models
+        it is a fixed few milliseconds a solve.  The option needs a HiGHS
+        build that has it: once HiGHS rejects it (``AttributeError``), this
+        solve is retried without it and later ones never pass it.
 
         Raises
         ------
@@ -107,11 +165,22 @@ class HighsBackend(SolverBackend):
         if options.node_limit is not None:
             milp_options["node_limit"] = int(options.node_limit)
 
+        if warm_verified and self.takes_feasibility_jump_option:
+            milp_options[_FEASIBILITY_JUMP] = False
+
         def run():
             return milp(c=c, constraints=constraints, integrality=integrality,
-                        bounds=Bounds(lb, ub), options=milp_options)
+                        bounds=Bounds(lb, ub), options=dict(milp_options))
 
-        result = run()
+        try:
+            result = run()
+        except AttributeError:
+            if _FEASIBILITY_JUMP not in milp_options:
+                raise
+            # An older HiGHS build lacks the option: drop it, for good.
+            self.takes_feasibility_jump_option = False
+            del milp_options[_FEASIBILITY_JUMP]
+            result = run()
         if _STATUS_BY_CODE.get(result.status) is SolverStatus.ERROR:
             # HiGHS's presolve can fail on models it solves without it
             # (scipy 1.17.1 reports "Solve error" on a tiny infeasible
@@ -126,7 +195,7 @@ class HighsBackend(SolverBackend):
         elapsed = time.perf_counter() - start
 
         status = _STATUS_BY_CODE.get(result.status, SolverStatus.ERROR)
-        has_solution = _usable_incumbent(result.x, model)
+        has_solution = _usable_incumbent(result.x, integrality)
         if status is SolverStatus.TIME_LIMIT:
             # Code 1 covers both "limit hit, incumbent available" (a feasible
             # best-effort result, the paper's 30-minute practice) and "limit
@@ -137,20 +206,12 @@ class HighsBackend(SolverBackend):
         if status is SolverStatus.OPTIMAL and not has_solution:
             status = SolverStatus.ERROR
 
-        values = {}
         objective_value: Optional[float] = None
         if has_solution and status.is_feasible():
-            x = np.asarray(result.x, dtype=float)
-            for var in model.variables:
-                raw = float(x[var.index])
-                if var.kind in ("integer", "binary"):
-                    raw = float(round(raw))
-                var.value = raw
-                values[var.name] = raw
+            values = model.fill(np.asarray(result.x, dtype=float))
             objective_value = float(model.objective_value()) if model.objective else 0.0
         else:
-            for var in model.variables:
-                var.value = None
+            values = model.fill(None)
 
         gap = getattr(result, "mip_gap", None)
         return SolveResult(

@@ -9,7 +9,6 @@ to a row ``lhs_coeffs . x  in  [lower, upper]`` of a
 from __future__ import annotations
 
 import enum
-import math
 from typing import Optional
 
 from repro.ilp.expression import LinExpr
@@ -36,19 +35,6 @@ class Constraint:
         self.name = name
 
     # ------------------------------------------------------------------ API
-    @property
-    def rhs(self) -> float:
-        """Right hand side once the constant is moved to the right."""
-        return -self.expression.constant
-
-    def bounds(self) -> tuple:
-        """Return ``(lower, upper)`` bounds for the row ``coeffs . x``."""
-        if self.sense is ConstraintSense.LE:
-            return (-math.inf, self.rhs)
-        if self.sense is ConstraintSense.GE:
-            return (self.rhs, math.inf)
-        return (self.rhs, self.rhs)
-
     def is_trivially_satisfied(self) -> bool:
         """True when the constraint has no variables and already holds."""
         if self.expression.terms:
@@ -63,14 +49,6 @@ class Constraint:
     def is_trivially_infeasible(self) -> bool:
         """True when the constraint has no variables and can never hold."""
         return not self.expression.terms and not self.is_trivially_satisfied()
-
-    def is_satisfied(self, tolerance: float = 1e-6) -> bool:
-        value = self.expression.evaluate()
-        if self.sense is ConstraintSense.LE:
-            return value <= tolerance
-        if self.sense is ConstraintSense.GE:
-            return value >= -tolerance
-        return abs(value) <= tolerance
 
     def __repr__(self) -> str:
         label = f" [{self.name}]" if self.name else ""

@@ -9,11 +9,11 @@ pure-Python branch and bound).
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.ilp.constraint import Constraint
+from repro.ilp.constraint import Constraint, ConstraintSense
 from repro.ilp.expression import LinExpr, Number, Variable
 from repro.obs.trace import span as obs_span
 
@@ -73,6 +73,8 @@ class Model:
         #: whoever builds the model is responsible for its validity.
         self.lower_bound: Optional[float] = None
         self._names: Dict[str, Variable] = {}
+        #: ``(key, rows)`` of the last :meth:`_rows` lowering.
+        self._lowered: Optional[tuple] = None
 
     # ------------------------------------------------------------ variables
     def add_var(
@@ -122,6 +124,16 @@ class Model:
             self.constraints.append(constraint)
         return constraint
 
+    def add_row(self, terms: Mapping[Variable, Number], sense: ConstraintSense,
+                rhs: Number = 0, name: Optional[str] = None) -> Constraint:
+        """Add ``sum(coef * var) <sense> rhs`` over ``terms`` as one constraint.
+
+        The same row as :meth:`add_constraint` on an operator-built
+        expression, without the intermediate expressions: models with
+        thousands of rows are built in one pass over their term dicts.
+        """
+        return self.add_constraint(Constraint(LinExpr(terms, -rhs), sense), name=name)
+
     # ------------------------------------------------------------ objective
     def set_objective(
         self,
@@ -162,10 +174,6 @@ class Model:
         )
 
     # -------------------------------------------------------------- lowering
-    def _assign_indices(self) -> None:
-        for idx, var in enumerate(self.variables):
-            var.index = idx
-
     def to_matrices(self) -> Tuple[np.ndarray, CsrMatrix, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Lower the model to the arrays the solver backends consume.
 
@@ -178,41 +186,84 @@ class Model:
             no scipy is needed) with row bounds ``lower``/``upper``, and
             ``lb``/``ub``/``integrality`` describe the variables.  Row ``r``
             of ``A`` is the ``r``-th constraint that has terms.
+
+        The objective and the rows are lowered once, in one ``ilp:lower``
+        span, and reused until a variable, a constraint or a new objective
+        is added, so their arrays are read-only.  The variable bounds are
+        read on every call: a bound tightened after a lowering holds in the
+        next one.
         """
-        with obs_span("ilp:lower", category="ilp") as opened:
-            self._assign_indices()
-            n = len(self.variables)
+        c, A, lower, upper, integrality = self._rows()
+        return (c, A, lower, upper) + self._bounds() + (integrality,)
 
-            c = np.zeros(n)
-            sign = 1.0
-            if self.objective is not None:
-                if self.objective.sense is ObjectiveSense.MAXIMIZE:
-                    sign = -1.0
-                for var, coef in self.objective.expression.terms.items():
-                    c[var.index] = sign * coef
+    def _bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The variables' current ``(lb, ub)``, infinite where unbounded."""
+        lb = np.array([-np.inf if v.low is None else v.low for v in self.variables], dtype=float)
+        ub = np.array([np.inf if v.up is None else v.up for v in self.variables], dtype=float)
+        return lb, ub
 
-            rows = [con for con in self.constraints if con.expression.terms]
-            m = len(rows)
-            indptr = np.zeros(m + 1, dtype=np.int64)
-            indices: List[int] = []
-            data: List[float] = []
-            lower = np.zeros(m)
-            upper = np.zeros(m)
-            for r, con in enumerate(rows):
-                for index, coef in sorted(
-                    (var.index, float(coef)) for var, coef in con.expression.terms.items() if coef
-                ):
-                    indices.append(index)
-                    data.append(coef)
-                indptr[r + 1] = len(indices)
-                lower[r], upper[r] = con.bounds()
-            A = CsrMatrix(indptr, np.array(indices, dtype=np.int64), np.array(data, dtype=float), (m, n))
+    def _rows(self) -> Tuple[np.ndarray, CsrMatrix, np.ndarray, np.ndarray, np.ndarray]:
+        """``(c, A, lower, upper, integrality)`` of :meth:`to_matrices`, lowered
+        once while the model's variables, constraints and objective stay."""
+        key = (len(self.variables), len(self.constraints), self.objective)
+        if self._lowered is None or self._lowered[0] != key:
+            with obs_span("ilp:lower", category="ilp") as opened:
+                self._lowered = (key, self._lower_rows())
+                opened.set(vars=key[0], rows=self._lowered[1][1].shape[0])
+        return self._lowered[1]
 
-            lb = np.array([(-np.inf if v.low is None else float(v.low)) for v in self.variables])
-            ub = np.array([(np.inf if v.up is None else float(v.up)) for v in self.variables])
-            integrality = np.array([1 if v.kind in ("integer", "binary") else 0 for v in self.variables])
-            opened.set(vars=n, rows=m)
-            return c, A, lower, upper, lb, ub, integrality
+    def _lower_rows(self) -> Tuple[np.ndarray, CsrMatrix, np.ndarray, np.ndarray, np.ndarray]:
+        """Lower the objective and the rows into read-only arrays."""
+        for idx, var in enumerate(self.variables):
+            var.index = idx
+        n = len(self.variables)
+
+        c = np.zeros(n)
+        if self.objective is not None:
+            terms = self.objective.expression.terms
+            sign = -1.0 if self.objective.sense is ObjectiveSense.MAXIMIZE else 1.0
+            c[[var.index for var in terms]] = sign * np.fromiter(terms.values(), float, len(terms))
+
+        rows = [con.expression for con in self.constraints if con.expression.terms]
+        senses = [con.sense for con in self.constraints if con.expression.terms]
+        m = len(rows)
+        sizes = [len(expr.terms) for expr in rows]
+        total = sum(sizes)
+        cols = np.fromiter((var.index for expr in rows for var in expr.terms), np.int64, total)
+        data = np.fromiter((coef for expr in rows for coef in expr.terms.values()), float, total)
+        row_of = np.repeat(np.arange(m, dtype=np.int64), sizes)
+        kept = data != 0.0
+        order = np.lexsort((cols[kept], row_of[kept]))
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_of[kept], minlength=m), out=indptr[1:])
+        A = CsrMatrix(indptr, cols[kept][order], data[kept][order], (m, n))
+
+        rhs = -np.fromiter((expr.constant for expr in rows), float, m)
+        no_upper = np.fromiter((sense is ConstraintSense.GE for sense in senses), bool, m)
+        no_lower = np.fromiter((sense is ConstraintSense.LE for sense in senses), bool, m)
+        lower = np.where(no_lower, -np.inf, rhs)
+        upper = np.where(no_upper, np.inf, rhs)
+        integrality = np.fromiter((v.kind != "continuous" for v in self.variables), np.int64, n)
+        arrays = (c, A.indptr, A.indices, A.data, lower, upper, integrality)
+        for array in arrays:
+            array.flags.writeable = False
+        return c, A, lower, upper, integrality
+
+    def fill(self, x: Optional[np.ndarray]) -> Dict[str, float]:
+        """Set every variable's ``.value`` from the column vector ``x``.
+
+        Integer and binary values are rounded.  Returns the values by
+        variable name; ``x=None`` clears every value and returns ``{}``.
+        """
+        if x is None:
+            for var in self.variables:
+                var.value = None
+            return {}
+        x = np.asarray(x, dtype=float)
+        x = np.where(self._rows()[4].astype(bool), np.round(x), x).tolist()
+        for var, value in zip(self.variables, x):
+            var.value = value
+        return dict(zip(self._names, x))
 
     # ----------------------------------------------------------------- solve
     def solve(self, options: Optional["SolverOptions"] = None) -> "SolveResult":
@@ -228,38 +279,37 @@ class Model:
         return solve_model(self, options)
 
     # ------------------------------------------------------------ validation
-    def check_solution(self, tolerance: float = 1e-5) -> List[Constraint]:
-        """Return the constraints violated by the current variable values."""
-        return [con for con in self.constraints if not con.is_satisfied(tolerance)]
-
     def feasible_objective(self, values: Dict[str, float],
                            tolerance: float = 1e-6) -> Optional[float]:
         """The objective of ``values`` if it is a complete feasible point.
 
-        Complete: every variable is named.  Feasible: every value lies
-        within its bounds, integer and binary values are integral, and
-        every row holds, each up to ``tolerance``.  Returns ``None``
-        otherwise.  Every variable's ``.value`` is ``None`` afterwards.
+        Complete: every variable is named, with a finite value.  Feasible:
+        every value lies within its bounds, integer and binary values are
+        integral, and every row holds, each up to ``tolerance``.  Returns
+        ``None`` otherwise.  The check runs on the arrays of
+        :meth:`to_matrices` (lowering the model if it is not yet) and
+        leaves every variable's ``.value`` alone.
         """
-        for var in self.variables:
-            value = values.get(var.name)
-            if value is None:
-                return None
-            if var.kind != "continuous" and abs(value - round(value)) > tolerance:
-                return None
-            if (var.low is not None and value < var.low - tolerance) or (
-                var.up is not None and value > var.up + tolerance
-            ):
-                return None
         try:
-            for var in self.variables:
-                var.value = values[var.name]
-            if self.check_solution(tolerance):
-                return None
-            return self.objective_value()
-        finally:
-            for var in self.variables:
-                var.value = None
+            x = np.array([values[name] for name in self._names], dtype=float)
+        except KeyError:
+            return None
+        if not np.all(np.isfinite(x)):
+            return None
+        c, A, lower, upper, integrality = self._rows()
+        lb, ub = self._bounds()
+        ints = x[integrality.astype(bool)]
+        if (np.any(np.abs(ints - np.round(ints)) > tolerance)
+                or np.any(x < lb - tolerance) or np.any(x > ub + tolerance)):
+            return None
+        row_of = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        activity = np.bincount(row_of, weights=A.data * x[A.indices], minlength=A.shape[0])
+        if np.any(activity > upper + tolerance) or np.any(activity < lower - tolerance):
+            return None
+        if self.objective is None:
+            return 0.0
+        sign = -1.0 if self.objective.sense is ObjectiveSense.MAXIMIZE else 1.0
+        return sign * float(np.dot(c, x)) + self.objective.expression.constant
 
     def objective_value(self) -> float:
         if self.objective is None:

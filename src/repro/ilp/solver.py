@@ -17,6 +17,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.ilp.model import Model, ObjectiveSense
 from repro.ilp.status import SolverStatus
 from repro.obs.trace import span as obs_span
@@ -173,7 +175,7 @@ def solve_model(model: Model, options: Optional[SolverOptions] = None) -> SolveR
             warm_objective = model.feasible_objective(warm.values)
         result = _close_at_bound(model, warm, warm_objective, start)
         if result is None:
-            result = backend.solve(model, options)
+            result = backend.solve(model, options, warm_verified=warm_objective is not None)
             result = _warm_at_limit(model, warm, warm_objective, result) or result
             _bound_limited(model, result)
         solve_span.set(backend=result.backend_name, status=result.status.value)
@@ -260,11 +262,6 @@ def _limit_bound(model: Model, backend_bound: Optional[float],
 def _warm_result(model: Model, warm: WarmStart, objective: float, status: SolverStatus,
                  **fields) -> SolveResult:
     """A ``status`` result returning the verified ``warm`` point, values filled."""
-    values = {}
-    for var in model.variables:
-        value = float(warm.values[var.name])
-        if var.kind != "continuous":
-            value = float(round(value))
-        var.value = values[var.name] = value
+    values = model.fill(np.array([warm.values[var.name] for var in model.variables], dtype=float))
     return SolveResult(status=status, objective=objective, values=values,
                        warm_start_used=True, **fields)

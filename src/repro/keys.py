@@ -41,7 +41,10 @@ from typing import Any
 #: v9: SolveRecord loses ``fallback_used``, and the default backend becomes
 #:     ``highs`` (``branch-and-bound`` without scipy), so v8 artifact
 #:     pickles no longer match the record's shape.
-KEY_VERSION = 9
+#: v10: a HiGHS scheduling solve that carries a verified warm start skips
+#:     HiGHS's feasibility-jump heuristic, and HiGHS then returns another
+#:     optimal point (same objective) for some stage keys.
+KEY_VERSION = 10
 
 
 def stable_digest(payload: Any) -> str:

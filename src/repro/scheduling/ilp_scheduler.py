@@ -64,20 +64,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.devices.device import DeviceLibrary
 from repro.graph.sequencing_graph import SequencingGraph
 from repro.ilp import (
+    ConstraintSense,
+    LinExpr,
     Model,
     SolverLimitError,
     SolverOptions,
     SolverStatus,
     WarmStart,
-    lin_sum,
 )
 from repro.obs.trace import span as obs_span
 from repro.scheduling.schedule import Schedule
+
+LE, GE, EQ = ConstraintSense.LE, ConstraintSense.GE, ConstraintSense.EQ
 
 
 @dataclass
@@ -105,9 +108,10 @@ class IlpSchedulerConfig:
     #: the caller supplies an external hint.  A warm start that fits the
     #: model bounds ``tE`` by its objective on every backend; the
     #: branch-and-bound backend also seeds its incumbent with it (HiGHS
-    #: through scipy takes no warm start).  A warm start whose objective
-    #: meets the model's certified lower bound is returned as the optimum
-    #: without a search.  A warm start never changes the status or
+    #: through scipy takes no warm start, but skips its feasibility-jump
+    #: search for a first incumbent when it has one).  A warm start whose
+    #: objective meets the model's certified lower bound is returned as the
+    #: optimum without a search.  A warm start never changes the status or
     #: objective of a completed search; a time- or node-limited one can
     #: return another incumbent.
     warm_start_heuristic: bool = True
@@ -214,6 +218,9 @@ class IlpScheduler:
             model, start, assign, device_edges, ordering = self._build_model(
                 graph, operations, compatible, horizon
             )
+            # Lowered once, here: the warm-start checks and the backend
+            # reuse the rows.
+            model.to_matrices()
             warm = self._build_warm_start(
                 model, graph, warm_hint, operations, compatible, device_edges, ordering,
                 horizon + 1,
@@ -258,16 +265,18 @@ class IlpScheduler:
         Returns ``(model, start, assign, device_edges, ordering)``: the
         start-time and binding variables the schedule is extracted from,
         and the edges and ordering binaries a warm start must assign.
+        Every row is added from its term dict (``{var: coef}``, right-hand
+        side apart).
         """
         cfg = self.config
+        u_c = cfg.transport_time
         big_m = horizon + 1
         model = Model(f"schedule-{graph.name}")
 
         start: Dict[str, object] = {}
-        end_expr: Dict[str, object] = {}
         assign: Dict[Tuple[str, str], object] = {}
         durations: Dict[str, int] = {}
-        load: Dict[str, List[object]] = {}
+        load: Dict[str, Dict[object, float]] = {}
 
         for op in operations:
             devices = compatible[op.op_id]
@@ -278,14 +287,13 @@ class IlpScheduler:
             ts = model.add_integer(f"ts[{op.op_id}]", low=0, up=horizon)
             start[op.op_id] = ts
             durations[op.op_id] = op.duration
-            end_expr[op.op_id] = ts + op.duration
-            binaries = []
+            binaries = {}
             for device in devices:
                 var = model.add_binary(f"s[{op.op_id},{device.device_id}]")
                 assign[(op.op_id, device.device_id)] = var
-                binaries.append(var)
-                load.setdefault(device.device_id, []).append(op.duration * var)
-            model.add_constraint(lin_sum(binaries) == 1, name=f"uniq[{op.op_id}]")
+                binaries[var] = 1
+                load.setdefault(device.device_id, {})[var] = op.duration
+            model.add_row(binaries, EQ, 1, name=f"uniq[{op.op_id}]")
 
         # Same-device indicators for sequencing-graph edges (for precedence
         # slack and the storage objective term).  One-sided AND: ``both``
@@ -300,27 +308,24 @@ class IlpScheduler:
             shared = [
                 d for d in compatible[parent_id] if d in compatible[child_id]
             ]
-            per_device = []
+            per_device = {}
             for device in shared:
                 both = model.add_binary(f"both[{parent_id},{child_id},{device.device_id}]")
-                model.add_constraint(both <= assign[(parent_id, device.device_id)])
-                model.add_constraint(both <= assign[(child_id, device.device_id)])
-                per_device.append(both)
+                model.add_row({both: 1, assign[(parent_id, device.device_id)]: -1}, LE)
+                model.add_row({both: 1, assign[(child_id, device.device_id)]: -1}, LE)
+                per_device[both] = 1
             if per_device:
                 same_var = model.add_binary(f"same[{parent_id},{child_id}]")
-                model.add_constraint(lin_sum(per_device) == same_var)
+                model.add_row({**per_device, same_var: -1}, EQ)
                 same[(parent_id, child_id)] = same_var
-            else:
-                same[(parent_id, child_id)] = 0
 
-        # Precedence (3): gap >= u_c unless same device.
+        # Precedence (3): ts_c - te_p >= u_c * (1 - same).
         for parent_id, child_id in device_edges:
-            same_term = same[(parent_id, child_id)]
-            model.add_constraint(
-                start[child_id] - end_expr[parent_id]
-                >= cfg.transport_time - cfg.transport_time * same_term,
-                name=f"prec[{parent_id},{child_id}]",
-            )
+            terms = {start[child_id]: 1, start[parent_id]: -1}
+            if (parent_id, child_id) in same:
+                terms[same[(parent_id, child_id)]] = u_c
+            model.add_row(terms, GE, u_c + durations[parent_id],
+                          name=f"prec[{parent_id},{child_id}]")
 
         # Non-overlap (4) for pairs that could share a device and are not
         # already ordered by precedence.
@@ -328,30 +333,27 @@ class IlpScheduler:
             model, graph, operations, compatible, assign, start, durations, big_m
         )
 
-        # Completion time (5).
+        # Completion time (5): tE >= te_i.
         t_end = model.add_integer("tE", low=0, up=horizon)
         for op in operations:
-            model.add_constraint(t_end >= end_expr[op.op_id])
+            model.add_row({t_end: 1, start[op.op_id]: -1}, GE, op.duration)
 
         # Device load: a device's operations run one at a time within tE.
         for device_id, terms in load.items():
             if len(terms) >= 2:
-                model.add_constraint(lin_sum(terms) <= t_end, name=f"load[{device_id}]")
+                model.add_row({**terms, t_end: -1}, LE, name=f"load[{device_id}]")
 
-        # Storage terms w_ij for cross-device edges (objective (6)).
-        gap_terms = []
+        # Storage terms w_ij >= (ts_c - te_p) - M * same for the edges
+        # (objective (6)).
+        objective = {t_end: cfg.alpha}
         for parent_id, child_id in device_edges:
             w = model.add_continuous(f"w[{parent_id},{child_id}]", low=0, up=horizon)
-            same_term = same[(parent_id, child_id)]
-            model.add_constraint(
-                w >= (start[child_id] - end_expr[parent_id]) - big_m * same_term
-            )
-            gap_terms.append(w)
-
-        objective = cfg.alpha * t_end
-        if gap_terms and cfg.beta:
-            objective = objective + cfg.beta * lin_sum(gap_terms)
-        model.minimize(objective)
+            terms = {w: 1, start[child_id]: -1, start[parent_id]: 1}
+            if (parent_id, child_id) in same:
+                terms[same[(parent_id, child_id)]] = big_m
+            model.add_row(terms, GE, -durations[parent_id])
+            objective[w] = cfg.beta
+        model.minimize(LinExpr(objective))
         return model, start, assign, device_edges, ordering
 
     def _bound_by_incumbent(self, model, warm, operations, horizon) -> Optional[int]:
@@ -406,20 +408,19 @@ class IlpScheduler:
                 before = model.add_binary(f"ord[{i},{j}]")
                 after = model.add_binary(f"ord[{j},{i}]")
                 ordering[(i, j)] = (before, after)
-                # i ends before j starts when `before` is set, and vice versa.
-                model.add_constraint(
-                    start[i] + durations[i] <= start[j] + big_m * (1 - before)
-                )
-                model.add_constraint(
-                    start[j] + durations[j] <= start[i] + big_m * (1 - after)
-                )
+                # i ends before j starts when `before` is set, and vice versa:
+                # ts_i + d_i <= ts_j + M * (1 - before).
+                model.add_row({start[i]: 1, start[j]: -1, before: big_m}, LE,
+                              big_m - durations[i])
+                model.add_row({start[j]: 1, start[i]: -1, after: big_m}, LE,
+                              big_m - durations[j])
                 # If both run on the same device (for any shared device k),
-                # one of the two orderings must be chosen.
+                # one of the two orderings must be chosen:
+                # before + after >= s_ik + s_jk - 1.
                 for device in shared:
-                    model.add_constraint(
-                        before + after
-                        >= assign[(i, device.device_id)] + assign[(j, device.device_id)] - 1
-                    )
+                    model.add_row({before: 1, after: 1,
+                                   assign[(i, device.device_id)]: -1,
+                                   assign[(j, device.device_id)]: -1}, GE, -1)
         return ordering
 
     # ------------------------------------------------------------ warm start

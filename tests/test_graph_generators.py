@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.analysis import max_parallelism
 from repro.graph.generators import RandomAssayConfig, paper_random_assay, random_assay
 from repro.graph.validation import validate_graph
+
+from test_graph_analysis import max_parallelism
 
 
 class TestRandomAssayBasics:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.graph.analysis import critical_path_length
 from repro.graph.library import (
     PAPER_ASSAYS,
     assay_by_name,
@@ -12,6 +11,8 @@ from repro.graph.library import (
 )
 from repro.graph.sequencing_graph import OperationType
 from repro.graph.validation import validate_graph
+
+from test_graph_analysis import critical_path_length
 
 
 class TestPcr:

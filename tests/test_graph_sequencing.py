@@ -87,5 +87,5 @@ class TestGraphQueries:
         assert len(clone.edges()) == len(diamond_graph.edges())
 
     def test_iter_topological_yields_operations(self, chain_graph):
-        ops = list(chain_graph.iter_topological())
+        ops = [chain_graph.operation(op_id) for op_id in chain_graph.topological_order()]
         assert [op.op_id for op in ops][-1] == "o5"

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.devices.device import default_device_library
-from repro.graph.analysis import critical_path_length
 from repro.graph.generators import RandomAssayConfig, random_assay
 from repro.graph.library import assay_by_name, build_pcr
 from repro.graph.sequencing_graph import Operation, OperationType, SequencingGraph
@@ -20,6 +19,7 @@ from repro.scheduling.transport import cross_device_gap_sum, total_storage_time
 from repro.synthesis.config import FlowConfig
 from repro.synthesis.flow import build_library
 
+from ilp_reference import violated_rows
 from solve_capture import captured_solves
 
 
@@ -64,7 +64,10 @@ class TestIlpSchedulerSmall:
         schedule = IlpScheduler(
             two_mixers, IlpSchedulerConfig(solver=SolverOptions(time_limit_s=20))
         ).schedule(diamond_graph)
-        assert schedule.makespan >= critical_path_length(diamond_graph)
+        compatible = {op.op_id: two_mixers.devices_for(op.kind)
+                      for op in diamond_graph.device_operations()}
+        floor, _ = schedule_lower_bound(diamond_graph, compatible, transport_time=10)
+        assert schedule.makespan >= floor
 
     def test_incompatible_operations_raise(self, two_mixers):
         from repro.graph.sequencing_graph import Operation, OperationType
@@ -369,7 +372,7 @@ class TestCertifiedBound:
         values[gap] = 0.0
         for var in model.variables:
             var.value = values[var.name]
-        assert len(model.check_solution(1e-6)) == 1
+        assert len(violated_rows(model, 1e-6)) == 1
         assert model.objective_value() < model.lower_bound
         assert model.feasible_objective(values) is None
         broken = replace(options, warm_start=WarmStart(values=values), backend="highs")

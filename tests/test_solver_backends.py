@@ -53,6 +53,8 @@ from repro.scheduling.ilp_scheduler import IlpScheduler, IlpSchedulerConfig
 from repro.synthesis.config import FlowConfig, solver_options_for
 from repro.synthesis.flow import build_library
 
+from ilp_reference import row_bounds, violated_rows
+
 SCIPY_AVAILABLE = HighsBackend().is_available()
 needs_scipy = pytest.mark.skipif(not SCIPY_AVAILABLE, reason="scipy not installed")
 
@@ -165,7 +167,7 @@ def test_backend_parity_on_small_models(build):
         assert bnb.objective == pytest.approx(highs.objective, abs=1e-6)
         # The branch-and-bound solution must satisfy the model exactly, not
         # just match the objective.
-        assert model.check_solution() == []
+        assert violated_rows(model) == []
     else:
         assert bnb.status is highs.status
 
@@ -180,7 +182,7 @@ def test_branch_and_bound_standalone(build):
         SolverStatus.OPTIMAL, SolverStatus.FEASIBLE, SolverStatus.INFEASIBLE,
     )
     if result.status.is_feasible():
-        assert model.check_solution() == []
+        assert violated_rows(model) == []
 
 
 def test_branch_and_bound_time_limit_without_incumbent():
@@ -217,7 +219,7 @@ def test_branch_and_bound_handles_lower_unbounded_integers():
     result = model.solve(SolverOptions(backend="branch-and-bound"))
     assert result.status.is_feasible()
     assert result.objective == pytest.approx(0.0)
-    assert model.check_solution() == []
+    assert violated_rows(model) == []
 
 
 def test_branch_and_bound_gap_pruning_reports_honest_gap():
@@ -250,10 +252,10 @@ def test_branch_and_bound_honours_the_deadline_on_cpa(monkeypatch):
     timings = []
     original = BranchAndBoundBackend.solve
 
-    def timed(self, model, options=None):
+    def timed(self, model, options=None, **kwargs):
         start = time.perf_counter()
         try:
-            return original(self, model, options)
+            return original(self, model, options, **kwargs)
         finally:
             timings.append(time.perf_counter() - start)
 
@@ -351,7 +353,7 @@ def test_csr_rows_evaluate_like_their_constraints(build):
         assert np.all(np.diff(cols) > 0), f"row {r} columns not sorted"
         own = con.expression.evaluate() - con.expression.constant
         assert float(A.data[start:end] @ x[cols]) == pytest.approx(own, abs=1e-9)
-        assert (lower[r], upper[r]) == con.bounds()
+        assert (lower[r], upper[r]) == row_bounds(con)
 
 
 def test_to_matrices_imports_no_scipy():
@@ -477,7 +479,7 @@ class StubTimeoutBackend(SolverBackend):
     #: The proven bound the stub reports with its limit.
     bound = None
 
-    def solve(self, model, options=None):
+    def solve(self, model, options=None, *, warm_verified=False):
         for var in model.variables:
             var.value = None
         return SolveResult(
@@ -497,7 +499,7 @@ class StubUnavailableBackend(SolverBackend):
     def is_available(self):
         return False
 
-    def solve(self, model, options=None):
+    def solve(self, model, options=None, *, warm_verified=False):
         raise BackendUnavailableError("stub")
 
 
@@ -581,7 +583,7 @@ class TestWarmStartAtLimit:
                                                   warm_start=WarmStart(COVER_ALL)))
         assert result.status is SolverStatus.OPTIMAL
         assert result.objective == 5.0
-        assert model.check_solution() == []
+        assert violated_rows(model) == []
 
     def test_an_unavailable_backend_raises(self, stub_backends):
         with pytest.raises(BackendUnavailableError):

@@ -9,7 +9,11 @@ A read is an identifier, an attribute, a name in a quoted annotation, or
 a component of a dotted string (perfbench wraps methods it names in
 strings).  Import statements bind names without reading them, so a
 re-export from ``__init__.py`` is not a read, and neither is an
-``__all__`` entry.
+``__all__`` entry.  An identifier that a file binds to something of its
+own, a ``def`` or ``class`` in it or an import from outside ``repro``,
+reads that thing: it keeps only the file's own definitions alive.
+(perfbench's ``analyze``, defined in ``layers.py`` and called from
+``harness.py``, once kept a test-only ``repro.graph.analyze`` alive.)
 
 The scan matches names, not owners: a method stays when any other object
 has a read attribute of the same name.  So a pass proves less than a
@@ -51,10 +55,31 @@ def _definitions(tree: ast.Module) -> Iterator[Tuple[str, str, int]]:
                     yield member.name, f"{node.name}.{member.name}", member.lineno
 
 
+def _own_names(tree: ast.Module) -> Set[str]:
+    """Names the module binds to something of its own: a ``def`` or ``class``
+    at any depth, or an import from a module outside ``repro``."""
+    own = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own.add(node.name)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level or not (node.module or "").split(".")[0] == "repro":
+                own.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            own.update((alias.asname or alias.name).split(".")[0] for alias in node.names
+                       if alias.name.split(".")[0] != "repro")
+    return own
+
+
+def _self_reads(tree: ast.Module) -> Set[str]:
+    """The identifiers the module reads that name something of its own."""
+    return read_names(tree) & _own_names(tree)
+
+
 def _reads(tree: ast.Module) -> Set[str]:
     """Identifiers, attributes and dotted-string components the module reads,
-    leaving out its ``__all__`` entries."""
-    names = read_names(tree)
+    leaving out its ``__all__`` entries and its :func:`_self_reads`."""
+    names = read_names(tree) - _own_names(tree)
     exports = all_assignment(tree)
     skipped = set(map(id, ast.walk(exports))) if exports is not None else set()
     for node in ast.walk(tree):
@@ -78,13 +103,14 @@ def names_read(readers: List[Path]) -> Set[str]:
 
 
 def unread_definitions(src: Path, read: Set[str]) -> List[str]:
-    """Qualified names of the definitions under ``src`` whose name is not in
-    ``read``, each as ``qualname (path:line)``."""
+    """Qualified names of the definitions under ``src`` whose name is neither
+    in ``read`` nor read by their own module, each as ``qualname (path:line)``."""
     unread = []
     for path in sorted(src.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        alive = read | _self_reads(tree)
         for name, qualname, line in _definitions(tree):
-            if name not in read:
+            if name not in alive:
                 unread.append(f"{qualname} ({path.relative_to(src)}:{line})")
     return unread
 
@@ -171,6 +197,30 @@ def test_the_scan_flags_a_definition_only_tests_read(tmp_path):
         "Widget.tested_only (pkg/mod.py:6)",
         "reexported (pkg/mod.py:11)",
     ]
+
+
+def test_a_name_a_reader_binds_itself_reads_only_its_own_definition(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "def analyze():\n"
+        "    return 1\n"
+        "def run():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return 2\n"
+    )
+    perfbench = tmp_path / "perfbench"
+    perfbench.mkdir()
+    (perfbench / "layers.py").write_text("def analyze():\n    return 0\n")
+    (perfbench / "harness.py").write_text(
+        "from layers import analyze\n"
+        "from repro.mod import run\n"
+        "print(analyze(), run())\n"
+    )
+    found = unread_definitions(tmp_path / "src", names_read([tmp_path / "src", perfbench]))
+    # perfbench's analyze is its own; helper is read by the module it is in.
+    assert found == ["analyze (repro/mod.py:1)"]
 
 
 @pytest.mark.parametrize(

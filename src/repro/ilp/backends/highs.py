@@ -157,7 +157,9 @@ class HighsBackend(SolverBackend):
             matrix = csr_array((A.data, A.indices, A.indptr), shape=A.shape)
             constraints.append(LinearConstraint(matrix, lower, upper))
 
-        milp_options = {"disp": False, "presolve": True}
+        # Presolve is on by HiGHS's default; naming it would cost one more
+        # scipy option check a solve.
+        milp_options = {"disp": False}
         if options.time_limit_s is not None:
             milp_options["time_limit"] = float(options.time_limit_s)
         if options.mip_rel_gap is not None:

@@ -65,8 +65,11 @@ Performance architecture (three stacked layers, all bit-identical):
   ``(entries x trials)`` durations and finish times, ``(devices x
   trials)`` availability — so one entry's read or write touches one
   contiguous row.  Plain elementwise max/add passes replay the block when
-  ``fault_rate == channel_fault_rate == 0``, and a masked variant (per
-  trial fault/retry/migration masks) when faults are enabled.  Each block
+  ``fault_rate == channel_fault_rate == 0``; otherwise a fault kernel
+  first resolves every entry-trial's fault outcome from the draws alone
+  (:func:`_resolve_faults`), then walks the entries touching only the
+  trials that migrate.  Both keep their state in int32 when the block's
+  times fit (:func:`_time_dtype`), else in int64.  Each block
   draws its uniforms as whole ``(counters x trials)`` matrices with
   :func:`uniform_block` before its kernel runs, filled in cache-sized row
   chunks; the fault and channel streams arrive as ``u < rate`` event
@@ -108,7 +111,7 @@ import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -148,12 +151,13 @@ VECTOR_BLOCK_TRIALS = 4096
 #: requests for more workers than ``work // MIN_SHARD_WORK`` are quietly
 #: clamped.  A sharded run opens a fresh process pool (about 25-45 ms on
 #: two vCPUs), which two workers win back once the serial replay takes
-#: about 90 ms, about three million entry-trials (docs/simulation.md).
+#: about 100 ms, about three million fault-free entry-trials
+#: (docs/simulation.md).
 MIN_SHARD_WORK = 1_500_000
 
-#: A faulted entry-trial (masked kernel plus fault and channel draws)
-#: costs about six fault-free ones.
-_FAULT_WORK = 6
+#: A faulted entry-trial (fault kernel plus fault and channel draws)
+#: costs about three fault-free ones.
+_FAULT_WORK = 3
 
 
 # ------------------------------------------------------------ generator
@@ -256,6 +260,42 @@ def _fold_normal(u1: Any, u2: Any, sigma: float) -> Any:
     return np.abs(np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)) * sigma
 
 
+def check_knobs(config: Any, prefix: str = "") -> None:
+    """Reject Monte-Carlo knobs the engine cannot run, naming the field.
+
+    The one rule set of :class:`MonteCarloConfig` and of the ``verify_*``
+    fields of :class:`~repro.synthesis.config.FlowConfig`: each knob is
+    read as ``prefix + name`` on ``config``, so a message names the
+    caller's own field.  Both classes call it from ``__post_init__``.
+
+    Raises
+    ------
+    ValueError
+        On the first knob out of range.
+    """
+    def knob(name: str) -> Any:
+        return getattr(config, prefix + name)
+
+    if knob("trials") < 1:
+        raise ValueError(f"{prefix}trials must be at least 1")
+    if knob("jitter") not in ("none", "uniform", "normal"):
+        raise ValueError(
+            f"{prefix}jitter must be 'none', 'uniform' or 'normal', "
+            f"got {knob('jitter')!r}"
+        )
+    if knob("jitter_spread") < 0:
+        raise ValueError(f"{prefix}jitter_spread must be non-negative")
+    for name in ("fault_rate", "channel_fault_rate"):
+        if not 0.0 <= knob(name) <= 1.0:
+            raise ValueError(f"{prefix}{name} must be in [0, 1], got {knob(name)!r}")
+    if knob("max_retries") < 0:
+        raise ValueError(f"{prefix}max_retries must be non-negative")
+    if knob("wash_time") < 0:
+        raise ValueError(f"{prefix}wash_time must be non-negative")
+    if knob("workers") < 1:
+        raise ValueError(f"{prefix}workers must be at least 1")
+
+
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """Knobs of one Monte-Carlo verification run.
@@ -263,9 +303,11 @@ class MonteCarloConfig:
     Mirrors the ``verify_*`` slice of
     :class:`~repro.synthesis.config.FlowConfig` (see
     :meth:`from_flow_config`) so the stage's cache key and the engine's
-    behavior are driven by the same values.  ``workers`` is runtime
-    advice: it shards trials across processes without changing a single
-    reported value, so it deliberately sits outside the stage cache key.
+    behavior are driven by the same values, and validates them with the
+    same rules (:func:`check_knobs`) at construction.  ``workers`` is
+    runtime advice: it shards trials across processes without changing a
+    single reported value, so it deliberately sits outside the stage cache
+    key.
     """
 
     trials: int = 32
@@ -277,6 +319,9 @@ class MonteCarloConfig:
     max_retries: int = 1
     wash_time: int = 0
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        check_knobs(self)
 
     @classmethod
     def from_flow_config(cls, config: Any) -> "MonteCarloConfig":
@@ -535,17 +580,19 @@ class ReplayPlan:
     * device-bound entries in processing order, with their scheduled
       starts, durations and device indices as flat arrays;
     * a CSR predecessor structure (``pred_indptr``/``pred_pos``) listing,
-      for each entry, the *earlier* device-bound parents in sorted-op-id
-      order — exactly the parents the scalar replay visits — plus each
-      edge's static precedence minimum for the fault-free path, where
-      bindings never move, and its ``"channel"`` draw counter;
+      for each entry, the *earlier* device-bound parents — exactly the
+      parents the scalar replay visits — plus each edge's static
+      precedence minimum and whether it crosses devices (bindings move
+      only on a fault), and its ``"channel"`` draw counter;
     * static wash predicates (in a fault-free replay the device occupancy
       sequence is schedule-determined, so "previous occupant is not a
-      direct predecessor" is a compile-time fact per entry);
-    * per-entry spare candidate lists (compatible devices minus the
-      scheduled one, sorted by id so ``np.argmin``'s first-minimum rule
-      reproduces the scalar ``min`` tie-break), built from one sorted
-      compatible-device list per operation kind;
+      direct predecessor" is a compile-time fact per entry), and an
+      ``(entry x previous occupant)`` wash table for the fault path, where
+      migrations make the occupant differ by trial;
+    * per-entry spare candidates (compatible devices minus the scheduled
+      one, sorted by id so ``np.argmin``'s first-minimum rule reproduces
+      the scalar ``min`` tie-break), one shared array per (operation kind,
+      scheduled device), and whether an entry has any;
     * the static makespan floor contributed by entries without a device.
     """
 
@@ -558,16 +605,18 @@ class ReplayPlan:
         "starts",
         "durations",
         "device",
-        "pred_sets",
         "spares",
+        "has_spare",
+        "latest_start",
         "wash_static",
-        "wash_skip",
+        "wash_need",
         "entry_op_ids",
         "device_ids",
         "durations_np",
         "pred_indptr",
         "pred_pos",
         "pred_min",
+        "edge_moved",
         "edge_counters",
         "jitter_positions",
     )
@@ -576,7 +625,7 @@ class ReplayPlan:
         graph: SequencingGraph = schedule.graph
         entries = schedule.entries()
         device_entries = [e for e in entries if e.device_id is not None]
-        self.num_entries = len(device_entries)
+        num_entries = self.num_entries = len(device_entries)
         self.transport_time = schedule.transport_time
         self.static_floor = max(
             (e.end for e in entries if e.device_id is None), default=0
@@ -594,70 +643,72 @@ class ReplayPlan:
         self.entry_op_ids = [e.op_id for e in device_entries]
         self.starts = [e.start for e in device_entries]
         self.durations = [e.duration for e in device_entries]
-        self.device = [index_of[e.device_id] for e in device_entries]
+        self.device = device = [index_of[e.device_id] for e in device_entries]
+        self.latest_start = max(self.starts + [self.static_floor])
 
-        pred_sets: List[FrozenSet[int]] = []
         spares: List[np.ndarray] = []
-        compatible: Dict[Any, List[int]] = {}  # op kind -> device indices, by id
+        # One spare array per (op kind, own device): compatible device
+        # indices by id, minus the own one.
+        spare_arrays: Dict[Tuple[Any, int], np.ndarray] = {}
+        parent_rows: List[int] = []  # (entry, device-bound parent) pairs
+        parent_cols: List[int] = []
         flat_pos: List[int] = []
-        flat_min: List[int] = []
-        flat_counter: List[int] = []
+        edge_moved: List[bool] = []
         indptr: List[int] = [0]
-        for i, entry in enumerate(device_entries):
-            parent_ids = graph.predecessors(entry.op_id)
-            # The scalar replay visits parents in sorted-op-id order and
-            # skips any not yet processed (or not device-bound) — i.e.
-            # exactly the device entries with a smaller position.
-            visited = [pos[p] for p in sorted(parent_ids) if p in pos and pos[p] < i]
-            pred_sets.append(frozenset(pos[p] for p in parent_ids if p in pos))
-            for p in visited:
-                flat_pos.append(p)
-                flat_counter.append((i << 32) | p)
-                flat_min.append(
-                    0
-                    if device_entries[p].device_id == entry.device_id
-                    else self.transport_time
-                )
-            indptr.append(len(flat_pos))
-            kind = graph.operation(entry.op_id).kind
-            if kind not in compatible:
-                compatible[kind] = [
-                    index_of[d]
-                    for d in sorted(device.device_id for device in library.devices_for(kind))
-                ]
-            own = self.device[i]
-            spares.append(
-                np.asarray([d for d in compatible[kind] if d != own], dtype=np.int64)
-            )
-        self.pred_sets = pred_sets
-        self.spares = spares
-
-        # Static wash predicates: replay the fault-free occupancy sequence.
         wash_static: List[bool] = []
         last_on: Dict[int, int] = {}
         for i, entry in enumerate(device_entries):
-            d = self.device[i]
+            d = device[i]
+            parents = [pos[p] for p in graph.predecessors(entry.op_id) if p in pos]
+            parent_rows.extend([i] * len(parents))
+            parent_cols.extend(parents)
+            # The scalar replay skips parents not yet processed — i.e. it
+            # visits exactly the device entries with a smaller position.
+            # It takes a max and counts reroutes over them, so their order
+            # is free.
+            for p in parents:
+                if p < i:
+                    flat_pos.append(p)
+                    edge_moved.append(device[p] != d)
+            indptr.append(len(flat_pos))
+            # Static wash predicate: the fault-free occupancy sequence.
             prev = last_on.get(d)
-            wash_static.append(prev is not None and prev not in pred_sets[i])
+            wash_static.append(prev is not None and prev not in parents)
             last_on[d] = i
+            key = (graph.operation(entry.op_id).kind, d)
+            if key not in spare_arrays:
+                spare_arrays[key] = np.asarray(
+                    [
+                        index_of[c]
+                        for c in sorted(dev.device_id for dev in library.devices_for(key[0]))
+                        if index_of[c] != d
+                    ],
+                    dtype=np.int64,
+                )
+            spares.append(spare_arrays[key])
+        self.spares = spares
+        self.has_spare = np.asarray([s.size > 0 for s in spares], dtype=bool)
         self.wash_static = wash_static
         self.static_wash_count = sum(wash_static)
 
-        # Dynamic wash lookup: ``wash_skip[e][p]`` is True when a wash is
-        # NOT needed after entry ``p`` runs on the device (direct graph
-        # predecessor, or the ``num_entries`` "nothing ran yet" sentinel).
-        wash_skip = np.zeros((self.num_entries, self.num_entries + 1), dtype=bool)
-        for i in range(self.num_entries):
-            for p in pred_sets[i]:
-                wash_skip[i, p] = True
-            wash_skip[i, self.num_entries] = True
-        self.wash_skip = wash_skip
+        # Dynamic wash lookup: ``wash_need[e][p]`` is True when a wash is
+        # needed after entry ``p`` ran on the device — not for a direct
+        # graph predecessor, nor for the ``num_entries`` "nothing ran yet"
+        # sentinel.
+        wash_need = np.ones((num_entries, num_entries + 1), dtype=bool)
+        wash_need[parent_rows, parent_cols] = False
+        wash_need[:, num_entries] = False
+        self.wash_need = wash_need
 
         self.durations_np = np.asarray(self.durations, dtype=np.int64)
         self.pred_indptr = indptr
         self.pred_pos = flat_pos
-        self.pred_min = flat_min
-        self.edge_counters = np.asarray(flat_counter, dtype=np.uint64)
+        self.edge_moved = np.asarray(edge_moved, dtype=bool)
+        self.pred_min = [self.transport_time if m else 0 for m in edge_moved]
+        edge_child = np.repeat(np.arange(num_entries, dtype=np.uint64), np.diff(indptr))
+        self.edge_counters = (edge_child << np.uint64(32)) | np.asarray(
+            flat_pos, dtype=np.uint64
+        )
         self.jitter_positions = np.nonzero(self.durations_np > 0)[0]
 
 
@@ -750,6 +801,83 @@ def _replay_shard(
         uninstall_recorder(token)
     outcome.spans = child.serialized_spans()
     return outcome
+
+
+def _time_dtype(
+    plan: ReplayPlan, durations: np.ndarray, burns: int, fixed: int
+) -> Any:
+    """The dtype of a block kernel's state: int32 when its times fit, else int64.
+
+    No replayed entry ends more than ``fixed + burns x d`` after the latest
+    of its scheduled start and every earlier entry's end, where ``d`` is
+    the block's longest drawn duration, so no time a kernel holds exceeds
+    ``latest_start + entries x (fixed + burns x d)``.
+    """
+    longest = int(durations.max(initial=0))
+    bound = plan.latest_start + plan.num_entries * (fixed + burns * longest)
+    return np.int32 if bound <= _INT32.max else np.int64
+
+
+def _column_counts(mask: np.ndarray) -> np.ndarray:
+    """Per-trial number of set rows of a bool ``(rows x trials)`` mask.
+
+    Summed as bytes into a narrow accumulator: bool's own ``sum`` widens
+    every element to int64 first, several times slower.
+    """
+    wide = np.uint16 if mask.shape[0] < 1 << 16 else np.int64
+    return np.add.reduce(mask.view(np.uint8), axis=0, dtype=wide)
+
+
+def _resolve_faults(
+    fault_hit: np.ndarray,
+    max_retries: int,
+    has_spare: np.ndarray,
+    counts: np.ndarray,
+    unrecovered: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every entry-trial's device-fault outcome, from the fault draws alone.
+
+    ``fault_hit`` is the ``"fault"`` event mask, ``max_retries + 2`` rows
+    per entry.  An entry-trial faults on attempt 0; its retries stop at the
+    first that does not fault, so the number it burns and whether one
+    recovered follow from a running AND of the retry rows, one pass per
+    retry.  A fault no retry recovers migrates to a spare when the entry
+    has one, else it is unrecovered and burns one more duration in place;
+    a migrated trial is unrecovered when its spare faults too (the last
+    row).
+
+    Fills the faults, recovered, retries and migrations rows of
+    ``counts`` and the ``unrecovered`` flags, and returns ``(burns,
+    migrating, bad)``: durations burned on the scheduled device, the
+    migrating entry-trials, and those whose spare faulted as well.
+    """
+    num_entries = has_spare.size
+    hits = fault_hit.reshape(num_entries, max_retries + 2, -1)
+    faulted = hits[:, 0]
+    counts[0] = _column_counts(faulted)
+    if max_retries == 0:
+        unresolved = faulted
+        burns = np.zeros(faulted.shape, dtype=np.int32)
+    else:
+        # ``unresolved`` is, after retry ``a``, "faulted, and every retry
+        # up to ``a`` faulted too": exactly those try retry ``a + 1``.
+        burns = faulted.astype(np.int32)
+        counts[2] = counts[0]
+        unresolved = faulted & hits[:, 1]
+        for a in range(2, max_retries + 1):
+            burns += unresolved
+            counts[2] += _column_counts(unresolved)
+            unresolved &= hits[:, a]
+    spare = has_spare[:, None]
+    migrating = unresolved & spare
+    stuck = unresolved & ~spare
+    bad = migrating & hits[:, max_retries + 1]
+    counts[3] = _column_counts(migrating)
+    counts[1] = counts[0] - _column_counts(stuck) - _column_counts(bad)
+    np.logical_or(stuck, bad, out=unrecovered)
+    burns += 1
+    burns += stuck
+    return burns, migrating, bad
 
 
 class MonteCarloEngine:
@@ -1026,24 +1154,30 @@ class MonteCarloEngine:
         """
         wash_time = self.config.wash_time
         num_entries, block = durations.shape
+        dtype = _time_dtype(plan, durations, 1, plan.transport_time + wash_time)
+        durations = durations.astype(dtype, copy=False)
         indptr, pred_pos, pred_min = plan.pred_indptr, plan.pred_pos, plan.pred_min
-        finish = np.empty((num_entries, block), dtype=np.int64)
-        avail = np.zeros((plan.num_devices, block), dtype=np.int64)
+        finish = np.empty((num_entries, block), dtype=dtype)
+        avail = np.zeros((plan.num_devices, block), dtype=dtype)
         flagged = np.zeros((2, num_entries, block), dtype=bool)
-        payload = np.empty((2, num_entries, block), dtype=np.int64)
-        ready = np.empty(block, dtype=np.int64)
+        payload = np.empty((2, num_entries, block), dtype=dtype)
+        scratch = np.empty(block, dtype=dtype)
         for e in range(num_entries):
-            ready.fill(plan.starts[e])
+            end = finish[e]
+            end.fill(plan.starts[e])
             for k in range(indptr[e], indptr[e + 1]):
-                np.maximum(ready, finish[pred_pos[k]] + pred_min[k], out=ready)
+                if pred_min[k]:
+                    np.add(finish[pred_pos[k]], pred_min[k], out=scratch)
+                    np.maximum(end, scratch, out=end)
+                else:
+                    np.maximum(end, finish[pred_pos[k]], out=end)
             d = plan.device[e]
             entry_avail = avail[d]
             if wash_time > 0 and plan.wash_static[e]:
                 entry_avail = payload[_WASH, e]
                 np.add(avail[d], wash_time, out=entry_avail)
                 np.greater(entry_avail, plan.starts[e], out=flagged[_WASH, e])
-            end = finish[e]
-            np.maximum(ready, entry_avail, out=end)
+            np.maximum(end, entry_avail, out=end)
             end += durations[e]
             # end >= entry_avail >= the previous availability, so a
             # straight assignment preserves the max semantics.
@@ -1062,107 +1196,156 @@ class MonteCarloEngine:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Fault-path block: per-trial masks over the trial axis.
 
-        Faults migrate operations, so bindings, washes and precedence
-        minima are dynamic — but each entry's update is still the same
-        arithmetic for every trial, just gated by that trial's draws.
-        The kernel walks entries once, keeping per-trial state rows
-        (finish, device availability, bindings, last occupant) and
-        reading each draw address as one row of the event masks
-        ``fault_hit``/``channel_hit``.
+        A retry's outcome depends only on the fault draws, so
+        :func:`_resolve_faults` decides every entry-trial's outcome for
+        the whole block before the entry walk, as matrices: the durations
+        each entry-trial burns on its scheduled device, the trials that
+        migrate to a spare, and the device-fault counters.  The walk then
+        applies the same update to every trial of an entry (precedence,
+        wash, burned durations, device commit) and touches only the trials
+        migrating there: their spare pick, their end and the spare's
+        availability and last occupant, read and written through flat
+        indices.  A migrated trial's repair window is the ordinary commit,
+        since every trial's end is at least its device's availability.
+        Bindings move only on migrating trials, so an edge or a device no
+        migration has touched keeps its static minimum or wash predicate.
+        Reroutes and washes are counted after the walk, from a per-edge
+        ``moved`` matrix and a per-entry wash-need matrix.
         """
         cfg = self.config
         transport = plan.transport_time
         wash_time = cfg.wash_time
-        attempts = cfg.max_retries + 2
-        indptr, pred_pos = plan.pred_indptr, plan.pred_pos
         num_entries, block = durations.shape
-        cols = np.arange(block)
+        device, starts = plan.device, plan.starts
+        indptr, pred_pos = plan.pred_indptr, plan.pred_pos
+        edge_moved = plan.edge_moved.tolist()
+        dtype = _time_dtype(
+            plan, durations, cfg.max_retries + 3, 3 * transport + wash_time
+        )
 
-        finish = np.empty((num_entries, block), dtype=np.int64)
-        avail = np.zeros((plan.num_devices, block), dtype=np.int64)
-        bound = np.empty((num_entries, block), dtype=np.int64)
-        last = np.full((plan.num_devices, block), num_entries, np.int64)
         counts = np.zeros((6, block), dtype=np.int64)
-        cnt_faults, cnt_recovered, cnt_retries, cnt_migrations, cnt_reroutes, cnt_washes = counts
         flagged = np.zeros((2, num_entries, block), dtype=bool)
-        payload = np.empty((2, num_entries, block), dtype=np.int64)
+        payload = np.empty((2, num_entries, block), dtype=dtype)
+        if fault_hit is None:
+            work = durations.astype(dtype)
+            migrating_at = trial_of = np.empty(0, dtype=np.intp)
+            tail = np.empty(0, dtype=dtype)
+        else:
+            burns, migrating, bad = _resolve_faults(
+                fault_hit, cfg.max_retries, plan.has_spare, counts, flagged[_FAULT]
+            )
+            work = np.multiply(durations, burns, dtype=dtype)
+            payload[_FAULT, ~plan.has_spare] = -1
+            migrating_at = np.flatnonzero(migrating)
+            trial_of = migrating_at % block
+            # A migrated trial runs once more on the spare, twice if the
+            # spare faults too.
+            tail = np.multiply(
+                np.ascontiguousarray(durations).reshape(-1)[migrating_at],
+                1 + bad.reshape(-1)[migrating_at],
+                dtype=dtype,
+            )
+        # Migrating trials of entry e: migrating_at[offsets[e]:offsets[e + 1]].
+        offsets = np.searchsorted(
+            migrating_at, np.arange(num_entries + 1) * block
+        ).tolist()
+        spare_of = np.empty(migrating_at.size, dtype=dtype)
+
+        finish = np.empty((num_entries, block), dtype=dtype)
+        avail = np.zeros((plan.num_devices, block), dtype=dtype)
+        last = np.full((plan.num_devices, block), num_entries, dtype=dtype)
+        avail_flat, last_flat = avail.reshape(-1), last.reshape(-1)
+        # Rows only for entries with a migrating trial; others are bound
+        # to their scheduled device in every trial.
+        bound = np.empty((num_entries, block), dtype=dtype)
+        dirty = [False] * plan.num_devices  # last occupant differs by trial
+        scratch = np.empty(block, dtype=dtype)
+        if channel_hit is None:
+            delay = None
+            moved = np.empty((1, block), dtype=bool)
+        else:
+            # A moved edge's minimum: one transport, two when rerouted.
+            delay = np.multiply(channel_hit, transport, dtype=dtype)
+            delay += transport
+            moved = np.repeat(plan.edge_moved[:, None], block, axis=1)
+        need = None
+        if wash_time > 0:
+            need = np.repeat(np.asarray(plan.wash_static)[:, None], block, axis=1)
 
         for e in range(num_entries):
-            dev = plan.device[e]
-            dur_e = durations[e]
-            ready = np.full(block, plan.starts[e], dtype=np.int64)
+            dev, start = device[e], starts[e]
+            end = finish[e]
+            end.fill(start)
             for k in range(indptr[e], indptr[e + 1]):
                 p = pred_pos[k]
-                moved = bound[p] != dev
-                minimum = moved * transport
-                if channel_hit is not None:
-                    hit = moved & channel_hit[k]
-                    minimum += hit * transport
-                    cnt_reroutes += hit
-                minimum += finish[p]
-                np.maximum(ready, minimum, out=ready)
+                delay_k = transport if delay is None else delay[k]
+                if offsets[p] < offsets[p + 1]:
+                    moved_k = moved[0] if delay is None else moved[k]
+                    np.not_equal(bound[p], dev, out=moved_k)
+                    np.multiply(moved_k, delay_k, out=scratch)
+                    scratch += finish[p]
+                elif edge_moved[k]:
+                    np.add(finish[p], delay_k, out=scratch)
+                else:
+                    np.maximum(end, finish[p], out=end)
+                    continue
+                np.maximum(end, scratch, out=end)
 
-            if wash_time > 0:
-                need = ~plan.wash_skip[e][last[dev]]
+            entry_avail = avail[dev]
+            if need is not None and (dirty[dev] or plan.wash_static[e]):
                 entry_avail = payload[_WASH, e]
-                np.add(avail[dev], need * wash_time, out=entry_avail)
-                cnt_washes += need
-                np.greater(entry_avail, plan.starts[e], out=flagged[_WASH, e])
-                flagged[_WASH, e] &= need
-            else:
-                entry_avail = avail[dev]
-            end = np.maximum(ready, entry_avail)
-            end += dur_e
+                wash_flag = flagged[_WASH, e]
+                if dirty[dev]:
+                    need_e = need[e]
+                    np.take(plan.wash_need[e], last[dev], out=need_e)
+                    np.multiply(need_e, wash_time, out=entry_avail)
+                    entry_avail += avail[dev]
+                    np.greater(entry_avail, start, out=wash_flag)
+                    wash_flag &= need_e
+                else:
+                    np.add(avail[dev], wash_time, out=entry_avail)
+                    np.greater(entry_avail, start, out=wash_flag)
+            np.maximum(end, entry_avail, out=end)
+            end += work[e]
 
-            cur_dev: Optional[np.ndarray] = None
-            if fault_hit is not None:
-                first = e * attempts
-                faulted = fault_hit[first]
-                cnt_faults += faulted
-                ok = np.zeros(block, dtype=bool)
-                active = faulted.copy()
-                for a in range(1, cfg.max_retries + 1):
-                    if not active.any():
-                        break
-                    end += active * dur_e
-                    cnt_retries += active
-                    succeeded = active & ~fault_hit[first + a]
-                    ok |= succeeded
-                    active &= ~succeeded
-                cnt_recovered += ok
-                unresolved = faulted & ~ok
-                candidates = plan.spares[e]
-                if unresolved.any() and candidates.size:
-                    spare_avail = avail[candidates]
-                    pick = np.argmin(spare_avail, axis=0)
-                    spare_col = candidates[pick]
-                    cnt_migrations += unresolved
-                    migrated_end = np.maximum(end + transport, spare_avail[pick, cols])
-                    migrated_end += dur_e
-                    bad = unresolved & fault_hit[first + attempts - 1]
-                    cnt_recovered += unresolved & ~bad
-                    migrated_end += bad * dur_e
-                    flagged[_FAULT, e] = bad
-                    payload[_FAULT, e] = spare_col
-                    end = np.where(unresolved, migrated_end, end)
-                    # Repair window on the faulted (scheduled) device; a
-                    # resolved trial maxes with 0, as times are never negative.
-                    np.maximum(avail[dev], unresolved * end, out=avail[dev])
-                    cur_dev = np.where(unresolved, spare_col, dev)
-                elif unresolved.any():
-                    end += unresolved * dur_e
-                    flagged[_FAULT, e] = unresolved
-                    payload[_FAULT, e] = -1
+            lo, hi = offsets[e], offsets[e + 1]
+            if lo < hi:
+                trials = trial_of[lo:hi]
+                spares = plan.spares[e]
+                spare_avail = avail_flat[spares[:, None] * block + trials]
+                if spares.size == 1:
+                    spare = np.full(hi - lo, spares[0])
+                    picked_avail = spare_avail[0]
+                else:
+                    pick = spare_avail.argmin(axis=0)
+                    spare = spares[pick]
+                    picked_avail = np.minimum.reduce(spare_avail, axis=0)
+                moved_end = end[trials]
+                moved_end += transport
+                np.maximum(moved_end, picked_avail, out=moved_end)
+                moved_end += tail[lo:hi]
+                end[trials] = moved_end
+                at_spare = spare * block + trials
+                avail_flat[at_spare] = moved_end  # >= the spare's availability
+                bound[e].fill(dev)
+                bound[e][trials] = spare
+                spare_of[lo:hi] = spare
+                kept = last[dev][trials]
+                dirty[dev] = True
+                for d in spares.tolist():
+                    dirty[d] = True
+            # Commit, and the repair window of the trials that migrated.
+            avail[dev] = end
+            last[dev].fill(e)
+            if lo < hi:
+                last[dev][trials] = kept
+                last_flat[at_spare] = e
 
-            finish[e] = end
-            if cur_dev is None:
-                bound[e] = dev
-                np.maximum(avail[dev], end, out=avail[dev])
-                last[dev] = e
-            else:
-                bound[e] = cur_dev
-                avail[cur_dev, cols] = np.maximum(avail[cur_dev, cols], end)
-                last[cur_dev, cols] = e
+        payload[_FAULT].reshape(-1)[migrating_at] = spare_of
+        if channel_hit is not None:
+            counts[4] = _column_counts(moved & channel_hit)
+        if need is not None:
+            counts[5] = _column_counts(need)
         return finish, counts, flagged, payload
 
     # ---------------------------------------------------------------- trial

@@ -19,6 +19,7 @@ from typing import (
 )
 
 from repro.ilp.backends import DEFAULT_BACKEND, backend_names
+from repro.simulation.montecarlo import check_knobs
 
 
 @functools.lru_cache(maxsize=None)
@@ -216,25 +217,7 @@ class FlowConfig:
                     f"{field_name} names unknown solver backend {backend!r}; "
                     f"known backends: {list(known)}"
                 )
-        if self.verify_trials < 1:
-            raise ValueError("verify_trials must be at least 1")
-        if self.verify_jitter not in ("none", "uniform", "normal"):
-            raise ValueError(
-                f"verify_jitter must be 'none', 'uniform' or 'normal', "
-                f"got {self.verify_jitter!r}"
-            )
-        if self.verify_jitter_spread < 0:
-            raise ValueError("verify_jitter_spread must be non-negative")
-        for rate_field in ("verify_fault_rate", "verify_channel_fault_rate"):
-            rate = getattr(self, rate_field)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{rate_field} must be in [0, 1], got {rate!r}")
-        if self.verify_max_retries < 0:
-            raise ValueError("verify_max_retries must be non-negative")
-        if self.verify_wash_time < 0:
-            raise ValueError("verify_wash_time must be non-negative")
-        if self.verify_workers < 1:
-            raise ValueError("verify_workers must be at least 1")
+        check_knobs(self, prefix="verify_")
 
     def grid_shape(self) -> Tuple[int, int]:
         return (self.grid_rows, self.grid_cols)

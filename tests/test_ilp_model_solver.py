@@ -233,5 +233,7 @@ class TestLimitStatusMapping:
         model, _ = limit_model()
         result = model.solve(SolverOptions(backend="highs", time_limit_s=5.0))
         assert result.status is SolverStatus.INFEASIBLE
-        assert [options["presolve"] for options in calls] == [True, False]
+        # Presolve is left to HiGHS's default (on) until the retry turns it off.
+        assert [options.get("presolve") for options in calls] == [None, False]
+        assert "presolve" not in calls[0]
         assert 0.0 <= calls[1]["time_limit"] <= 5.0

@@ -12,10 +12,12 @@ them against each other.  Three levels are covered:
   (trial, counter); the uniforms and the folded normal have the expected
   moments;
 * **engine level** — hypothesis-generated configurations (jitter mode and
-  spread, wash, fault and channel-fault rates, retry budgets, seeds) on
-  PCR and on generated assays over two to four mixers produce
+  spread, wash, fault and channel-fault rates including 0 and 1, retry
+  budgets 0-3, seeds) on PCR and on generated assays over two to four
+  mixers, some with a detection kind that has no spare, produce
   byte-identical ``VerificationReport.as_dict()`` payloads and identical
-  per-trial detail from the vectorized and scalar engines, and the
+  per-trial detail from the vectorized and scalar engines; so do designs
+  whose times only int64 holds, and runs cut into small blocks, and the
   diagnostics cap cuts identically when it falls across vector blocks;
 * **sharding level** — the report is invariant under the worker count,
   both in-process (``MonteCarloConfig(workers=...)``) and through the
@@ -39,6 +41,7 @@ from hypothesis import strategies as st
 
 from repro.devices.device import default_device_library
 from repro.graph.generators import RandomAssayConfig, random_assay
+from repro.graph.sequencing_graph import Operation, OperationType
 from repro.scheduling.list_scheduler import ListScheduler, ListSchedulerConfig
 from repro.simulation import MonteCarloConfig, MonteCarloEngine
 from repro.simulation import montecarlo
@@ -65,6 +68,33 @@ def _detail(report):
          t.retries, t.migrations, t.reroutes, t.washes, t.recovered)
         for t in report.trials
     ]
+
+
+#: Event rates: both edges, where every draw or none is an event, and
+#: values in between.
+RATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+def _generated_design(num_operations, graph_seed, num_mixers, detector):
+    """A list-scheduled generated assay on ``num_mixers`` mixers.
+
+    With ``detector``, every sink mixing operation feeds a detection run on
+    the library's one detector: a kind with no spare device.
+    """
+    graph = random_assay(
+        RandomAssayConfig(num_operations=num_operations, seed=graph_seed)
+    )
+    if detector:
+        sinks = [op.op_id for op in graph.device_operations()
+                 if not graph.successors(op.op_id)]
+        for i, sink in enumerate(sinks):
+            graph.add_operation(Operation(f"d{i}", OperationType.DETECT, 30))
+            graph.add_edge(sink, f"d{i}")
+    library = default_device_library(
+        num_mixers=num_mixers, num_detectors=1 if detector else 0
+    )
+    schedule = ListScheduler(library, ListSchedulerConfig(transport_time=10)).schedule(graph)
+    return schedule, library
 
 
 # ------------------------------------------------------------ generator
@@ -215,6 +245,99 @@ class TestVectorizedScalarDifferential:
         ref = _run(schedule, library, config, scalar=True)
         assert fast.as_dict() == ref.as_dict()
         assert _detail(fast) == _detail(ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_operations=st.integers(min_value=6, max_value=24),
+        graph_seed=st.integers(min_value=0, max_value=10_000),
+        num_mixers=st.integers(min_value=2, max_value=4),
+        detector=st.booleans(),
+        jitter=st.sampled_from(["none", "uniform", "normal"]),
+        fault_rate=RATES,
+        channel_rate=RATES,
+        max_retries=st.integers(min_value=0, max_value=3),
+        wash_time=st.one_of(st.just(0), st.integers(min_value=1, max_value=15)),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_generated_fault_knobs_are_byte_identical(
+        self, num_operations, graph_seed, num_mixers, detector, jitter,
+        fault_rate, channel_rate, max_retries, wash_time, seed,
+    ):
+        # The fault kernel resolves retries, migrations and unrecovered
+        # faults from the draws before its entry walk; every branch of the
+        # scalar recovery must come out the same: any retry budget, the
+        # rate edges 0 and 1, washes on and off, several spares, and a
+        # detector-only kind with no spare at all.
+        schedule, library = _generated_design(
+            num_operations, graph_seed, num_mixers, detector
+        )
+        config = MonteCarloConfig(
+            trials=16, seed=seed, jitter=jitter, jitter_spread=0.2,
+            fault_rate=fault_rate, channel_fault_rate=channel_rate,
+            max_retries=max_retries, wash_time=wash_time,
+        )
+        fast = _run(schedule, library, config)
+        ref = _run(schedule, library, config, scalar=True)
+        assert fast.as_dict() == ref.as_dict()
+        assert _detail(fast) == _detail(ref)
+
+    def test_a_spareless_kind_is_unrecovered_in_place(self):
+        schedule, library = _generated_design(10, 4, 3, detector=True)
+        config = MonteCarloConfig(trials=8, seed=2, fault_rate=1.0, max_retries=0)
+        fast = _run(schedule, library, config)
+        assert fast.as_dict() == _run(schedule, library, config, scalar=True).as_dict()
+        assert any("(no compatible spare)" in note for note in fast.violations)
+        assert any("faulted too)" in note for note in fast.violations)
+
+    @pytest.mark.parametrize("kind", ["jitter", "fault"])
+    def test_times_beyond_int32_run_in_int64(self, monkeypatch, kind):
+        # Durations near 2**30 push every makespan past int32, so the
+        # kernels must pick int64 state; ordinary designs keep int32.
+        picked = []
+        time_dtype = montecarlo._time_dtype
+
+        def spy(*args):
+            picked.append(time_dtype(*args))
+            return picked[-1]
+
+        monkeypatch.setattr(montecarlo, "_time_dtype", spy)
+        library = default_device_library(num_mixers=3)
+        graph = random_assay(RandomAssayConfig(
+            num_operations=10, seed=5, durations=(1 << 30, 3 << 29)
+        ))
+        schedule = ListScheduler(
+            library, ListSchedulerConfig(transport_time=10)
+        ).schedule(graph)
+        knobs = {"jitter": "uniform", "jitter_spread": 0.3, "wash_time": 7}
+        if kind == "fault":
+            knobs.update(fault_rate=0.4, channel_fault_rate=0.3, max_retries=2)
+        config = MonteCarloConfig(trials=24, seed=8, **knobs)
+        fast = _run(schedule, library, config)
+        ref = _run(schedule, library, config, scalar=True)
+        assert fast.as_dict() == ref.as_dict()
+        assert _detail(fast) == _detail(ref)
+        assert ref.makespan_p50 > np.iinfo(np.int32).max
+        assert picked == [np.int64]
+        _run(*_generated_design(10, 5, 3, detector=False), config)
+        assert picked == [np.int64, np.int32]
+
+    @pytest.mark.parametrize("block_trials", [3, 5])
+    def test_outcomes_resolved_per_block_cut_at_block_edges(
+        self, monkeypatch, block_trials
+    ):
+        # Each block resolves its own fault outcomes and migrating trials;
+        # blocks that end mid-run must splice into the scalar engine's run.
+        monkeypatch.setattr(montecarlo, "VECTOR_BLOCK_TRIALS", block_trials)
+        schedule, library = _generated_design(16, 11, 4, detector=True)
+        config = MonteCarloConfig(
+            trials=23, seed=6, jitter="uniform", jitter_spread=0.2,
+            fault_rate=0.5, channel_fault_rate=0.4, max_retries=2, wash_time=9,
+        )
+        fast = _run(schedule, library, config)
+        ref = _run(schedule, library, config, scalar=True)
+        assert fast.as_dict() == ref.as_dict()
+        assert _detail(fast) == _detail(ref)
+        assert fast.aggregate.migrations > 0
 
     @pytest.mark.parametrize("block_trials", [1, 2])
     def test_diagnostics_cap_cut_across_blocks_matches_scalar(

@@ -11,7 +11,10 @@ Pins the stochastic stage's load-bearing contracts:
   (the per-trial streams are SHA-derived, never Python's ``hash()``),
 * injected-failure trials never report a makespan below the fault-free
   trial with the same seed (separate jitter/fault RNG streams + the
-  repair-window model make faults purely additive).
+  repair-window model make faults purely additive),
+* a knob out of range fails at construction, with the same rules and a
+  message naming the field, for ``MonteCarloConfig`` and for
+  ``FlowConfig``'s ``verify_*`` fields.
 """
 
 from __future__ import annotations
@@ -23,11 +26,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.devices.device import default_device_library
 from repro.simulation import MonteCarloConfig, MonteCarloEngine
+from repro.synthesis.config import FlowConfig
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -193,3 +198,26 @@ def test_fault_accounting_is_consistent(pcr_schedule, seed, fault_rate, max_retr
         assert report.recovery_rate == 1.0
     for trial in report.trials:
         assert trial.recovered == (trial.faults_injected == trial.faults_recovered)
+
+
+BAD_KNOBS = [
+    ("trials", 0), ("trials", -3), ("jitter", "gauss"), ("jitter_spread", -0.1),
+    ("fault_rate", -0.01), ("fault_rate", 1.5), ("channel_fault_rate", -1.0),
+    ("channel_fault_rate", float("nan")), ("max_retries", -1), ("wash_time", -5),
+    ("workers", 0),
+]
+
+
+@pytest.mark.parametrize("knob, value", BAD_KNOBS, ids=[f"{k}={v}" for k, v in BAD_KNOBS])
+def test_a_bad_knob_raises_naming_its_field(knob, value):
+    with pytest.raises(ValueError, match=rf"^{knob} "):
+        MonteCarloConfig(**{knob: value})
+    with pytest.raises(ValueError, match=rf"^verify_{knob} "):
+        FlowConfig(**{f"verify_{knob}": value})
+
+
+def test_the_edges_of_every_knob_range_are_accepted():
+    edges = {"trials": 1, "jitter_spread": 0.0, "fault_rate": 1.0,
+             "channel_fault_rate": 0.0, "max_retries": 0, "wash_time": 0, "workers": 1}
+    assert MonteCarloConfig(**edges).max_retries == 0
+    assert FlowConfig(**{f"verify_{k}": v for k, v in edges.items()}).verify_trials == 1

@@ -21,6 +21,7 @@ from repro.batch.cache import ResultCache
 from repro.batch.cache_backends import decode_envelope, encode_envelope
 from repro.batch.jobs import BatchJob
 from repro.graph.library import assay_by_name, build_pcr
+from repro.ilp import HighsBackend
 from repro.simulation import montecarlo
 from repro.synthesis.config import FlowConfig, SchedulerEngine
 from repro.synthesis.flow import synthesize
@@ -95,20 +96,22 @@ class TestStagePlanning:
 # ----------------------------------------------------- differential goldens
 
 
+#: PCR's ILP golden needs HiGHS: within the time limit, branch and bound
+#: returns the 400 warm start, not the 330 optimum.
+NEEDS_HIGHS = pytest.mark.skipif(
+    not HighsBackend().is_available(), reason="scipy not installed"
+)
+
 DIFFERENTIAL = [
-    ("RA30", SchedulerEngine.LIST, 650, 0),
-    ("IVD", SchedulerEngine.LIST, 280, 7),
-    ("IVD", SchedulerEngine.ILP, 280, 11),
-    ("PCR", SchedulerEngine.LIST, 400, 3),
-    ("PCR", SchedulerEngine.ILP, 330, 42),
+    pytest.param("RA30", SchedulerEngine.LIST, 650, 0, id="RA30-list"),
+    pytest.param("IVD", SchedulerEngine.LIST, 280, 7, id="IVD-list"),
+    pytest.param("IVD", SchedulerEngine.ILP, 280, 11, id="IVD-ilp"),
+    pytest.param("PCR", SchedulerEngine.LIST, 400, 3, id="PCR-list"),
+    pytest.param("PCR", SchedulerEngine.ILP, 330, 42, id="PCR-ilp", marks=NEEDS_HIGHS),
 ]
 
 
-@pytest.mark.parametrize(
-    "assay,scheduler,makespan,seed",
-    DIFFERENTIAL,
-    ids=[f"{a}-{s.value}" for a, s, _, _ in DIFFERENTIAL],
-)
+@pytest.mark.parametrize("assay,scheduler,makespan,seed", DIFFERENTIAL)
 def test_fault_free_replay_reproduces_golden_makespans(assay, scheduler, makespan, seed):
     """Differential pin: a fault-free Monte-Carlo replay of each golden
     schedule reproduces the pinned makespan exactly, on both engines, for

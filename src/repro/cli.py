@@ -644,8 +644,8 @@ def build_simulate_parser() -> argparse.ArgumentParser:
                         default="none",
                         help="duration-jitter distribution (default none)")
     parser.add_argument("--jitter-spread", type=float, default=0.1,
-                        help="jitter spread as a fraction of nominal duration "
-                        "(default 0.1)")
+                        help="jitter spread as a fraction of nominal duration, "
+                        "0 to 10 (default 0.1)")
     parser.add_argument("--fault-rate", type=float, default=0.0,
                         help="per-operation device-fault probability (default 0)")
     parser.add_argument("--channel-fault-rate", type=float, default=0.0,

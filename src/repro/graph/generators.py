@@ -169,7 +169,15 @@ def _pick_parents(
     """
     count = min(count, len(open_fluids))
     candidates = list(open_fluids)
-    rng.shuffle(candidates)
+    # ``rng.shuffle(candidates)``, inlined: the same Fisher-Yates swaps from
+    # the same ``getrandbits`` calls, without two method calls per element.
+    getrandbits = rng.getrandbits
+    for i in range(len(candidates) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        candidates[i], candidates[j] = candidates[j], candidates[i]
     if layer_width is None:
         return candidates[:count]
 

@@ -44,7 +44,10 @@ from typing import Any
 #: v10: a HiGHS scheduling solve that carries a verified warm start skips
 #:     HiGHS's feasibility-jump heuristic, and HiGHS then returns another
 #:     optimal point (same objective) for some stage keys.
-KEY_VERSION = 10
+#: v11: normal jitter samples each rounded duration by exact inverse CDF
+#:     from one draw instead of by Box-Muller from two, so every cached
+#:     normal-jitter verification report changes.
+KEY_VERSION = 11
 
 
 def stable_digest(payload: Any) -> str:

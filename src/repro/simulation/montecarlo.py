@@ -40,8 +40,8 @@ everything after that is 64-bit integer arithmetic.  Three streams address
 their draws by the device-entry ordinal ``e`` in ``Schedule.entries()``
 order:
 
-* ``"jitter"`` — counter ``2e`` (plus ``2e + 1``, the second Box-Muller
-  uniform of normal jitter);
+* ``"jitter"`` — counter ``2e``, one draw per entry for either jitter
+  kind;
 * ``"fault"`` — counter ``e * (max_retries + 2) + a``, where ``a = 0`` is
   the first attempt, ``1..max_retries`` the retries and the last slot the
   spare;
@@ -68,16 +68,20 @@ Performance architecture (three stacked layers, all bit-identical):
   ``fault_rate == channel_fault_rate == 0``; otherwise a fault kernel
   first resolves every entry-trial's fault outcome from the draws alone
   (:func:`_resolve_faults`), then walks the entries touching only the
-  trials that migrate.  Both keep their state in int32 when the block's
+  trials that migrate.  Both keep their state in int32 when the run's
   times fit (:func:`_time_dtype`), else in int64.  Each block
   draws its uniforms as whole ``(counters x trials)`` matrices with
   :func:`uniform_block` before its kernel runs, filled in cache-sized row
   chunks; the fault and channel streams arrive as ``u < rate`` event
   masks.  The scalar engine computes the same doubles one at a time with
   the pure-Python twin :func:`_draw`.
-  Normal jitter goes through the one numpy helper :func:`_fold_normal` in
-  both engines, and ``round``/``np.rint`` agree on float64 (both round half
-  to even), so every reported value is bit-identical to the scalar engine.
+  Uniform jitter rounds with ``round``/``np.rint``, which agree on
+  float64 (both round half to even).  Normal jitter samples the rounded
+  duration itself by exact inverse CDF: the batched engine reads
+  threshold tables built with ``math.erf`` (:func:`_normal_tables`), the
+  scalar engine searches the same ``math.erf`` thresholds
+  (:func:`_normal_steps`).  Every reported value is bit-identical to the
+  scalar engine.
   A kernel flags its diagnostics in one ``(kind, entry, trial)`` mask
   (their payloads in a twin array); per block, one count gives their
   uncapped number and one ``np.flatnonzero`` over the ``(trial, entry,
@@ -91,9 +95,9 @@ Performance architecture (three stacked layers, all bit-identical):
 
 Uniform, fault and channel draws use only integer arithmetic and exact
 float operations, so they are identical on every platform.  Normal jitter
-uses numpy ``log1p``/``cos``; a different numpy build or CPU can change a
-jittered duration only where ``duration * factor`` lies within one ulp of
-a half-integer.
+compares each draw with ``math.erf`` values; a platform whose ``erf``
+rounds one threshold differently changes a jittered duration only for a
+draw within one ulp of that threshold.
 
 Aggregation is streaming: each shard returns sorted makespans plus
 counter sums (a :class:`TrialAggregate`), so a 100k-trial run never holds
@@ -107,6 +111,9 @@ pins the fast paths against.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import math
 import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -250,14 +257,187 @@ def uniform_block(
     return out
 
 
-def _fold_normal(u1: Any, u2: Any, sigma: float) -> Any:
-    """``|N(0, sigma)|`` by Box-Muller from two uniforms in ``[0, 1)``.
+# ------------------------------------------------------- normal jitter
+#: Largest accepted ``jitter_spread``.
+MAX_JITTER_SPREAD = 10.0
 
-    Both engines call this one numpy expression: numpy's SIMD ``log1p`` and
-    ``cos`` can differ from :mod:`math` by one ulp, and one ulp can flip
-    the half-to-even rounding of a jittered duration.
+#: ``math.erf(x)`` is exactly 1.0 in float64 for every ``x >= 6`` (erfc(6)
+#: is below half an ulp of 1), so no threshold with ``(j + 1/2) / scale >=
+#: 6`` can lie at or below a draw.
+_ERF_ONE = 6.0
+
+#: Guide buckets per threshold of a normal-jitter table, at least (rounded
+#: up to a power of two per table).
+_GUIDE_RATIO = 16
+
+#: Thresholds plus guide entries of one plan's normal-jitter tables, at
+#: most (about 9 MB).  Durations are tabulated shortest first; an entry
+#: whose table would pass the budget is sampled draw by draw with
+#: :func:`_normal_steps` instead, so no table grows with a duration.
+_TABLE_BUDGET = 1 << 21
+
+
+def _normal_scale(duration: int, sigma: float) -> float:
+    """``duration x sigma x sqrt(2)``: the erf argument's divisor."""
+    return duration * sigma * math.sqrt(2.0)
+
+
+def _normal_steps(u: float, duration: int, sigma: float) -> int:
+    """Normal jitter's inflation of one entry from its one draw ``u``.
+
+    The model is ``rint(duration x (1 + sigma |N|))``, which exceeds
+    ``duration`` by ``k`` with ``P(k <= j) = erf((j + 1/2) / scale)``.  The
+    thresholds rise with ``j`` (to exactly 1.0), so ``k``, the number of
+    thresholds at or below ``u``, is the first ``j`` whose threshold lies
+    above it: found by doubling, then bisection.  The scalar engine's
+    definition, and the batched engine's for entries too long to tabulate.
     """
-    return np.abs(np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)) * sigma
+    scale = _normal_scale(duration, sigma)
+    if scale == 0.0:
+        return 0
+
+    def below(j: int) -> bool:
+        return math.erf((j + 0.5) / scale) <= u
+
+    # Every j < lo is below u; once hi - 1 is not, the answer is in [lo, hi).
+    lo, hi = 0, 1
+    while below(hi - 1):
+        lo, hi = hi, 2 * hi
+    hi -= 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if below(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+class _NormalTables(NamedTuple):
+    """Inverse-CDF tables of normal jitter for one plan's jittered entries.
+
+    Every distinct duration's thresholds ``erf((j + 1/2) / scale)`` below
+    1.0 sit in one flat array, each table scaled by its bucket count ``M``
+    (a power of two, so exactly) and followed by an infinite sentinel.  A
+    table of ``L`` thresholds has a guide of ``M + 1`` entries, ``M`` at
+    least ``_GUIDE_RATIO x L``: entry ``i`` is ``duration + j``, where
+    ``j`` thresholds lie at or below ``i / M``, bit-inverted (negative)
+    when the bucket ``[i / M, (i + 1) / M)`` holds another.  The per-row
+    columns place each jittered entry: its bucket count, its guide's
+    offset, and ``duration - table offset``, which turns a jittered
+    duration back into an absolute threshold index.
+    """
+
+    thresholds: np.ndarray
+    guide: np.ndarray
+    buckets: np.ndarray  # (rows, 1) float64
+    guide_at: np.ndarray  # (rows, 1) intp
+    shift: np.ndarray  # (rows, 1) int64
+    #: ``(row, duration)`` of the rows too long to tabulate, sampled by
+    #: :func:`_normal_steps` at spread ``sigma``.
+    untabulated: Tuple[Tuple[int, int], ...]
+    sigma: float
+    #: The longest duration any draw can give.
+    longest: int
+
+
+@functools.lru_cache(maxsize=8)
+def _normal_tables(durations: Tuple[int, ...], sigma: float) -> _NormalTables:
+    """The :class:`_NormalTables` of positive ``durations`` (one per row)."""
+    thresholds: List[np.ndarray] = []
+    guides: List[np.ndarray] = []
+    placed: Dict[int, Tuple[float, int, int]] = {}
+    table_at = guide_at = 0
+    longest = 0
+    for duration in sorted(set(durations)):
+        scale = _normal_scale(duration, sigma)
+        count = math.ceil(_ERF_ONE * scale)  # thresholds from j = count on are 1.0
+        if table_at + guide_at + (2 * _GUIDE_RATIO + 1) * count + 3 > _TABLE_BUDGET:
+            longest = max(longest, duration + count)
+            continue
+        table = np.asarray(
+            [math.erf((j + 0.5) / scale) for j in range(count)], dtype=np.float64
+        )
+        table = table[: np.searchsorted(table, 1.0)]
+        buckets = 1 << (_GUIDE_RATIO * table.size).bit_length()
+        below = np.searchsorted(table, np.arange(buckets + 1) / buckets, side="right")
+        guide = duration + below
+        flagged = np.flatnonzero(below[1:] > below[:-1])
+        guide[flagged] = ~guide[flagged]
+        thresholds += [table * buckets, np.array([np.inf])]
+        guides.append(guide)
+        placed[duration] = (float(buckets), guide_at, duration - table_at)
+        table_at += table.size + 1
+        guide_at += buckets + 1
+        longest = max(longest, duration + table.size)
+    # An untabulated row reads an empty table with a one-bucket guide of
+    # zeros; its values are replaced.
+    thresholds.append(np.array([np.inf]))
+    guides.append(np.zeros(2, dtype=np.int64))
+    spare = (1.0, guide_at, 0)
+    buckets, guide_at, shift = (
+        np.asarray(column)[:, None]
+        for column in zip(*(placed.get(duration, spare) for duration in durations))
+    )
+    guide = np.concatenate(guides)
+    return _NormalTables(
+        thresholds=np.concatenate(thresholds),
+        guide=guide.astype(np.int32 if longest <= _INT32.max else np.int64),
+        buckets=buckets,
+        guide_at=guide_at,
+        shift=shift,
+        untabulated=tuple((r, d) for r, d in enumerate(durations) if d not in placed),
+        sigma=sigma,
+        longest=longest,
+    )
+
+
+def _normal_durations(tables: _NormalTables, u: np.ndarray, dtype: Any) -> np.ndarray:
+    """Normal-jittered durations in ``dtype`` from the ``(rows x trials)`` draws ``u``.
+
+    ``u`` is scaled in place by each row's bucket count, like its table,
+    so ``floor(u)`` is a draw's bucket and the scaled comparisons are
+    exact.  The bucket's guide entry is the jittered duration unless it is
+    negative (flagged); a flagged draw steps past each of the bucket's
+    next two thresholds that lies at or below it, and the few draws past
+    both bisect the rest of their bucket.  The guide is read in row chunks
+    of about :data:`_DRAW_CHUNK` elements through one reused index buffer.
+    """
+    rows, trials = u.shape
+    guide = tables.guide.astype(dtype, copy=False)
+    k = np.empty(u.shape, dtype=dtype)
+    step = max(1, _DRAW_CHUNK // max(1, trials))
+    index = np.empty((min(step, rows), trials), dtype=np.intp)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        chunk, at = u[start:stop], index[: stop - start]
+        chunk *= tables.buckets[start:stop]
+        np.copyto(at, chunk, casting="unsafe")  # floor: the draws are non-negative
+        at += tables.guide_at[start:stop]
+        # Every index is in range; "clip" only skips "raise"'s buffering.
+        np.take(guide, at, out=k[start:stop], mode="clip")
+    flagged = np.flatnonzero(k < 0)
+    if flagged.size:
+        row = flagged // trials
+        shift = tables.shift.reshape(-1)[row]
+        drawn = u.reshape(-1)[flagged]
+        lo = ~k.reshape(-1)[flagged] - shift  # absolute threshold indices
+        lo += tables.thresholds[lo] <= drawn
+        below = tables.thresholds[lo] <= drawn
+        lo += below
+        wide = np.flatnonzero(below)
+        if wide.size:
+            at = drawn[wide].astype(np.intp) + tables.guide_at.reshape(-1)[row[wide]]
+            hi = guide[at + 1]
+            hi = np.maximum(hi, ~hi) - shift[wide]  # the first threshold past the bucket
+            lo[wide] = [
+                bisect.bisect_right(tables.thresholds, x, a, b)
+                for x, a, b in zip(drawn[wide].tolist(), lo[wide].tolist(), hi.tolist())
+            ]
+        k.reshape(-1)[flagged] = lo + shift
+    for r, duration in tables.untabulated:  # one bucket per row: u[r] holds the draws
+        k[r] = [duration + _normal_steps(x, duration, tables.sigma) for x in u[r].tolist()]
+    return k
 
 
 def check_knobs(config: Any, prefix: str = "") -> None:
@@ -283,8 +463,11 @@ def check_knobs(config: Any, prefix: str = "") -> None:
             f"{prefix}jitter must be 'none', 'uniform' or 'normal', "
             f"got {knob('jitter')!r}"
         )
-    if knob("jitter_spread") < 0:
-        raise ValueError(f"{prefix}jitter_spread must be non-negative")
+    if not 0.0 <= knob("jitter_spread") <= MAX_JITTER_SPREAD:
+        raise ValueError(
+            f"{prefix}jitter_spread must be in [0, {MAX_JITTER_SPREAD:g}], "
+            f"got {knob('jitter_spread')!r}"
+        )
     for name in ("fault_rate", "channel_fault_rate"):
         if not 0.0 <= knob(name) <= 1.0:
             raise ValueError(f"{prefix}{name} must be in [0, 1], got {knob(name)!r}")
@@ -619,6 +802,7 @@ class ReplayPlan:
         "edge_moved",
         "edge_counters",
         "jitter_positions",
+        "jitter_durations",
     )
 
     def __init__(self, schedule: Schedule, library: DeviceLibrary) -> None:
@@ -710,6 +894,7 @@ class ReplayPlan:
             flat_pos, dtype=np.uint64
         )
         self.jitter_positions = np.nonzero(self.durations_np > 0)[0]
+        self.jitter_durations = tuple(d for d in self.durations if d > 0)
 
 
 @dataclass
@@ -803,17 +988,14 @@ def _replay_shard(
     return outcome
 
 
-def _time_dtype(
-    plan: ReplayPlan, durations: np.ndarray, burns: int, fixed: int
-) -> Any:
-    """The dtype of a block kernel's state: int32 when its times fit, else int64.
+def _time_dtype(plan: ReplayPlan, longest: int, burns: int, fixed: int) -> Any:
+    """The dtype of a kernel's state: int32 when its times fit, else int64.
 
     No replayed entry ends more than ``fixed + burns x d`` after the latest
     of its scheduled start and every earlier entry's end, where ``d`` is
-    the block's longest drawn duration, so no time a kernel holds exceeds
-    ``latest_start + entries x (fixed + burns x d)``.
+    the ``longest`` duration a draw can give, so no time a kernel holds
+    exceeds ``latest_start + entries x (fixed + burns x d)``.
     """
-    longest = int(durations.max(initial=0))
     bound = plan.latest_start + plan.num_entries * (fixed + burns * longest)
     return np.int32 if bound <= _INT32.max else np.int64
 
@@ -1019,12 +1201,12 @@ class MonteCarloEngine:
 
     # -------------------------------------------------------------- draws
     def _block_draws(
-        self, plan: ReplayPlan, lo: int, hi: int
+        self, plan: ReplayPlan, lo: int, hi: int, dtype: Any
     ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
         """Every draw of trials ``[lo, hi)``, trial-minor.
 
-        Returns the jittered ``(entries x trials)`` durations and the
-        ``"fault"`` and ``"channel"`` event masks, one row per draw
+        Returns the jittered ``(entries x trials)`` durations in ``dtype``
+        and the ``"fault"`` and ``"channel"`` event masks, one row per draw
         address: attempt ``a`` of entry ``e`` is row ``e * (max_retries +
         2) + a`` of the fault mask and precedence edge ``k`` row ``k`` of
         the channel mask, each ``True`` where the scalar engine's double
@@ -1045,36 +1227,50 @@ class MonteCarloEngine:
                 plan.edge_counters,
                 below=cfg.channel_fault_rate,
             )
-        return self._duration_matrix(plan, lo, hi), fault_hit, channel_hit
+        return self._duration_matrix(plan, lo, hi, dtype), fault_hit, channel_hit
 
-    def _duration_matrix(self, plan: ReplayPlan, lo: int, hi: int) -> np.ndarray:
-        """Jittered ``(entries x trials)`` durations for ``[lo, hi)``.
+    def _longest_duration(self, plan: ReplayPlan) -> int:
+        """The longest duration any jitter draw can give on ``plan``."""
+        cfg = self.config
+        longest = int(plan.durations_np.max(initial=0))
+        if cfg.jitter == "uniform":
+            # 1 + spread x u never exceeds 1 + spread, in float64 too.
+            return round(longest * (1.0 + cfg.jitter_spread))
+        if cfg.jitter == "normal" and plan.jitter_durations:
+            return _normal_tables(plan.jitter_durations, cfg.jitter_spread).longest
+        return longest
+
+    def _duration_matrix(
+        self, plan: ReplayPlan, lo: int, hi: int, dtype: Any
+    ) -> np.ndarray:
+        """Jittered ``(entries x trials)`` durations for ``[lo, hi)``, in ``dtype``.
 
         Bit-identical to the scalar ``_jittered``: the same ``"jitter"``
-        draws, inflation factors applied in float64, and half-to-even
-        rounding (``np.rint`` == ``round``), floored at the nominal
-        duration.  Returns a read-only broadcast when jitter is off.
+        draw per entry-trial at counter ``2e``.  Uniform jitter applies its
+        factor in float64 and rounds half to even (``np.rint`` ==
+        ``round``); the factor is at least 1, so the result is never below
+        the nominal duration.  Normal jitter reads the inverse-CDF tables
+        of :func:`_normal_tables`.  Returns a read-only broadcast when
+        jitter is off.
         """
         cfg = self.config
-        nominal = plan.durations_np[:, None]
+        nominal = plan.durations_np.astype(dtype)[:, None]
         positions = plan.jitter_positions
         if cfg.jitter == "none" or positions.size == 0:
             return np.broadcast_to(nominal, (plan.num_entries, hi - lo))
-        keys = derive_seed_block(cfg.seed, "jitter", lo, hi)
+        u = uniform_block(derive_seed_block(cfg.seed, "jitter", lo, hi), 2 * positions)
         if cfg.jitter == "uniform":
-            factors = 1.0 + cfg.jitter_spread * uniform_block(keys, 2 * positions)
+            u *= cfg.jitter_spread
+            u += 1.0
+            u *= nominal[positions]
+            inflated = np.rint(u, out=u).astype(dtype)
         else:
-            u = uniform_block(keys, np.concatenate([2 * positions, 2 * positions + 1]))
-            factors = 1.0 + _fold_normal(
-                u[: positions.size], u[positions.size :], cfg.jitter_spread
-            )
-        base = nominal[positions]
-        inflated = np.rint(base.astype(np.float64) * factors).astype(np.int64)
-        np.maximum(inflated, base, out=inflated)
+            tables = _normal_tables(plan.jitter_durations, cfg.jitter_spread)
+            inflated = _normal_durations(tables, u, dtype)
         if positions.size == plan.num_entries:  # no zero-duration entry
             return inflated
-        durations = np.repeat(nominal, hi - lo, axis=1)
-        durations[positions] = inflated
+        durations = np.zeros((plan.num_entries, hi - lo), dtype=dtype)
+        durations[positions] = inflated  # the other entries take no time
         return durations
 
     # ------------------------------------------------------ batched kernels
@@ -1088,14 +1284,20 @@ class MonteCarloEngine:
         recovered, retries, migrations, reroutes, washes — the
         :class:`TrialResult` field order) and its diagnostics as a
         ``(kind, entry, trial)`` mask plus payloads of the same shape; this
-        loop merges the blocks.
+        loop merges the blocks.  The kernels' dtype is picked once per run
+        from the longest duration a draw can give (:func:`_time_dtype`),
+        and every block's durations are built in it.
         """
         cfg = self.config
         plan = self.plan()
+        transport, wash_time = plan.transport_time, cfg.wash_time
         if cfg.fault_rate == 0.0 and cfg.channel_fault_rate == 0.0:
             kernel = self._block_fault_free
+            burns, fixed = 1, transport + wash_time
         else:
             kernel = self._block_masked
+            burns, fixed = cfg.max_retries + 3, 3 * transport + wash_time
+        dtype = _time_dtype(plan, self._longest_duration(plan), burns, fixed)
         # Empty seeds keep an empty trial range well-formed.
         makespan_parts = [np.empty(0, dtype=np.int64)]
         count_parts = [np.zeros((6, 0), dtype=np.int64)]
@@ -1104,7 +1306,7 @@ class MonteCarloEngine:
         for block_lo in range(lo, hi, VECTOR_BLOCK_TRIALS):
             block_hi = min(block_lo + VECTOR_BLOCK_TRIALS, hi)
             with obs_span("verify:draws", category="verify", lo=block_lo, hi=block_hi):
-                draws = self._block_draws(plan, block_lo, block_hi)
+                draws = self._block_draws(plan, block_lo, block_hi, dtype)
             with obs_span("verify:replay", category="verify", lo=block_lo, hi=block_hi):
                 finish, counts, flagged, payload = kernel(plan, *draws)
             makespan_parts.append(finish.max(axis=0, initial=plan.static_floor))
@@ -1154,8 +1356,7 @@ class MonteCarloEngine:
         """
         wash_time = self.config.wash_time
         num_entries, block = durations.shape
-        dtype = _time_dtype(plan, durations, 1, plan.transport_time + wash_time)
-        durations = durations.astype(dtype, copy=False)
+        dtype = durations.dtype
         indptr, pred_pos, pred_min = plan.pred_indptr, plan.pred_pos, plan.pred_min
         finish = np.empty((num_entries, block), dtype=dtype)
         avail = np.zeros((plan.num_devices, block), dtype=dtype)
@@ -1219,15 +1420,13 @@ class MonteCarloEngine:
         device, starts = plan.device, plan.starts
         indptr, pred_pos = plan.pred_indptr, plan.pred_pos
         edge_moved = plan.edge_moved.tolist()
-        dtype = _time_dtype(
-            plan, durations, cfg.max_retries + 3, 3 * transport + wash_time
-        )
+        dtype = durations.dtype
 
         counts = np.zeros((6, block), dtype=np.int64)
         flagged = np.zeros((2, num_entries, block), dtype=bool)
         payload = np.empty((2, num_entries, block), dtype=dtype)
         if fault_hit is None:
-            work = durations.astype(dtype)
+            work = durations
             migrating_at = trial_of = np.empty(0, dtype=np.intp)
             tail = np.empty(0, dtype=dtype)
         else:
@@ -1356,10 +1555,8 @@ class MonteCarloEngine:
             return duration
         u = _draw(key, 2 * e)
         if cfg.jitter == "uniform":
-            factor = 1.0 + cfg.jitter_spread * u
-        else:  # "normal" — folded so inflation-only
-            factor = 1.0 + float(_fold_normal(u, _draw(key, 2 * e + 1), cfg.jitter_spread))
-        return max(duration, int(round(duration * factor)))
+            return max(duration, int(round(duration * (1.0 + cfg.jitter_spread * u))))
+        return duration + _normal_steps(u, duration, cfg.jitter_spread)
 
     def _run_trial(self, index: int) -> Tuple[TrialResult, List[str]]:
         """One stochastic replay; returns the trial and its diagnostics.

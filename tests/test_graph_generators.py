@@ -1,10 +1,17 @@
 """Tests (including property-based ones) of the random assay generator."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.generators import RandomAssayConfig, paper_random_assay, random_assay
+from repro.graph.generators import (
+    RandomAssayConfig,
+    _pick_parents,
+    paper_random_assay,
+    random_assay,
+)
 from repro.graph.validation import validate_graph
 
 from test_graph_analysis import max_parallelism
@@ -87,3 +94,17 @@ def test_random_assay_acyclic_and_connected_to_inputs(seed):
     for op in graph.device_operations():
         ancestors = graph.ancestors(op.op_id)
         assert any(graph.operation(a).kind.value == "input" for a in ancestors)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 17, 64, 257])
+def test_parent_pick_shuffles_like_random_shuffle(size):
+    # The parent pick inlines Fisher-Yates; it must consume and return
+    # exactly what random.Random.shuffle does on the running interpreter,
+    # or every generated graph would change.
+    fluids = [f"f{i}" for i in range(size)]
+    for seed in range(25):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        expected = list(fluids)
+        theirs.shuffle(expected)
+        assert _pick_parents(ours, fluids, size, None, {}, {}) == expected
+        assert ours.getstate() == theirs.getstate()

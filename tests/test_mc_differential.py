@@ -9,8 +9,8 @@ them against each other.  Three levels are covered:
 * **generator level** — the counter-based draws are addressable: any
   trial slice of a ``uniform_block`` equals the same rows of a block
   drawn from trial 0 and equals the scalar engine's ``_draw`` at every
-  (trial, counter); the uniforms and the folded normal have the expected
-  moments;
+  (trial, counter); the uniforms have the expected moments (normal
+  jitter's sampler is pinned in ``test_mc_normal_jitter.py``);
 * **engine level** — hypothesis-generated configurations (jitter mode and
   spread, wash, fault and channel-fault rates including 0 and 1, retry
   budgets 0-3, seeds) on PCR and on generated assays over two to four
@@ -19,6 +19,8 @@ them against each other.  Three levels are covered:
   per-trial detail from the vectorized and scalar engines; so do designs
   whose times only int64 holds, and runs cut into small blocks, and the
   diagnostics cap cuts identically when it falls across vector blocks;
+  and uniform-jitter, fault-path and jitter-free reports keep the exact
+  digests they had before normal jitter changed its sampler;
 * **sharding level** — the report is invariant under the worker count,
   both in-process (``MonteCarloConfig(workers=...)``) and through the
   ``repro simulate --workers N --json`` subcommand in a fresh process.
@@ -26,8 +28,8 @@ them against each other.  Three levels are covered:
 
 from __future__ import annotations
 
+import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
@@ -139,16 +141,6 @@ class TestCounterGenerator:
         assert abs(u.mean() - 0.5) < 0.005
         assert abs(u.var() - 1.0 / 12.0) < 0.002
 
-    def test_fold_normal_mean(self):
-        u = montecarlo.uniform_block(
-            montecarlo.derive_seed_block(7, "jitter", 0, 256), np.arange(512)
-        )
-        sigma = 0.3
-        folded = montecarlo._fold_normal(u[0::2], u[1::2], sigma)
-        assert (folded >= 0.0).all()
-        expected = sigma * math.sqrt(2.0 / math.pi)
-        assert abs(folded.mean() - expected) < 0.02 * expected
-
 
 # ------------------------------------------- vectorized vs scalar engine
 
@@ -200,7 +192,7 @@ class TestVectorizedScalarDifferential:
 
     def test_block_boundary_straddling_run_is_byte_identical(self, pcr_schedule):
         # More trials than one vector block forces the blocked path; normal
-        # jitter pins the numpy transform per element across block lengths.
+        # jitter pins the table lookup per element across block lengths.
         library = default_device_library(num_mixers=2)
         for jitter in ("uniform", "normal"):
             config = MonteCarloConfig(
@@ -380,6 +372,45 @@ class TestVectorizedScalarDifferential:
         assert marker.startswith("... +") and marker.endswith(" more")
         dropped = int(marker[len("... +"):-len(" more")])
         assert dropped > 0
+
+
+# ------------------------------------------------------ unchanged reports
+
+#: ``as_dict()`` plus per-trial detail of reports whose draws do not involve
+#: normal jitter, as digested before normal jitter moved from Box-Muller to
+#: inverse-CDF sampling: that change, and the int32 duration matrices built
+#: with it, must leave every one of them byte-identical.
+UNCHANGED_REPORTS = [
+    ("PCR", dict(trials=64, seed=3, jitter="uniform", jitter_spread=0.2, wash_time=12),
+     "8120f76035a844b9"),
+    ("PCR", dict(trials=64, seed=4, jitter="none", fault_rate=0.3,
+                 channel_fault_rate=0.1, max_retries=1, wash_time=5),
+     "27f0bc990dabbefd"),
+    ("PCR", dict(trials=64, seed=5, jitter="uniform", jitter_spread=0.5,
+                 fault_rate=0.2, channel_fault_rate=0.2, max_retries=2),
+     "c14006421b3ee977"),
+    ("RA30", dict(trials=128, seed=6, jitter="uniform", jitter_spread=0.3,
+                  fault_rate=0.25, channel_fault_rate=0.05, wash_time=8),
+     "93e73635d08d2bc9"),
+    ("RA30", dict(trials=128, seed=7, jitter="none", wash_time=8), "7b0f0632db4af7ac"),
+]
+
+
+@pytest.mark.parametrize("design, knobs, digest", UNCHANGED_REPORTS)
+@pytest.mark.parametrize("scalar", [False, True], ids=["batched", "scalar"])
+def test_reports_without_normal_jitter_keep_their_digests(
+    pcr_schedule, design, knobs, digest, scalar
+):
+    if design == "PCR":
+        schedule, library = pcr_schedule, default_device_library(num_mixers=2)
+    else:
+        schedule, library = _generated_design(30, 5, 3, detector=False)
+    report = _run(schedule, library, MonteCarloConfig(**knobs), scalar=scalar)
+    blob = json.dumps(
+        {"report": report.as_dict(), "detail": report.trials.rows.tolist()},
+        sort_keys=True,
+    )
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
 
 
 # ------------------------------------------------------ worker invariance

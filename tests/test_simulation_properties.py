@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.devices.device import default_device_library
 from repro.simulation import MonteCarloConfig, MonteCarloEngine
+from repro.simulation.montecarlo import MAX_JITTER_SPREAD
 from repro.synthesis.config import FlowConfig
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -202,6 +203,8 @@ def test_fault_accounting_is_consistent(pcr_schedule, seed, fault_rate, max_retr
 
 BAD_KNOBS = [
     ("trials", 0), ("trials", -3), ("jitter", "gauss"), ("jitter_spread", -0.1),
+    ("jitter_spread", float("nan")), ("jitter_spread", float("inf")),
+    ("jitter_spread", 1e300), ("jitter_spread", MAX_JITTER_SPREAD * 1.01),
     ("fault_rate", -0.01), ("fault_rate", 1.5), ("channel_fault_rate", -1.0),
     ("channel_fault_rate", float("nan")), ("max_retries", -1), ("wash_time", -5),
     ("workers", 0),
@@ -221,3 +224,5 @@ def test_the_edges_of_every_knob_range_are_accepted():
              "channel_fault_rate": 0.0, "max_retries": 0, "wash_time": 0, "workers": 1}
     assert MonteCarloConfig(**edges).max_retries == 0
     assert FlowConfig(**{f"verify_{k}": v for k, v in edges.items()}).verify_trials == 1
+    assert MonteCarloConfig(jitter_spread=MAX_JITTER_SPREAD).jitter_spread == MAX_JITTER_SPREAD
+    assert FlowConfig(verify_jitter_spread=MAX_JITTER_SPREAD).verify_jitter_spread == MAX_JITTER_SPREAD
